@@ -1,31 +1,44 @@
 """Command-line interface: `demix <subcommand>`.
 
+`demix lab gen|train-components|train-references` and `demix search` run the
+pipeline's own stage functions and read their settings from `--config` (the
+defaults without one), so they write the same artifacts as `demix run`.
+
 Exit codes: 0 on success, otherwise the failing error class decides
 (validation 2, archive 3, training 4, metrics 5, search 6, pipeline 7;
-`tensor diff` exits 1 when the archives differ).
+`tensor diff` exits 1 when the archives differ, and every command exits 1
+when the reader of its standard output goes away).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, merge_engine, mixture_search, pipeline, toy_lab
+from . import __version__, merge_engine, pipeline, toy_lab
 from .config import ExperimentConfig, load_config
 from .dedup import dedup_corpus
 from .errors import DemixError, ValidationError
 from .merge_engine import MergeSpec, MixtureRatio
-from .pipeline import ExperimentManifest, read_score_csv, write_score_csv
+from .pipeline import ExperimentManifest, read_score_csv
 from .tensor_store import load_archive, read_header, save_archive
 
 
 def _parse_ratio(text: str, candidate_ids: list[str]) -> MixtureRatio:
-    weights = [float(part) for part in text.split(",")]
+    try:
+        weights = [float(part) for part in text.split(",")]
+    except ValueError:
+        raise ValidationError(f"--ratio expects comma-separated numbers, got {text!r}") from None
     return MixtureRatio(weights=weights, candidate_ids=candidate_ids)
+
+
+def _config(args) -> ExperimentConfig:
+    return load_config(args.config) if args.config else ExperimentConfig()
 
 
 def _cmd_tensor(args) -> int:
@@ -72,9 +85,10 @@ def _cmd_merge(args) -> int:
     hyperparams = {}
     for item in args.hyperparam or []:
         key, _, value = item.partition("=")
-        if not value:
-            raise ValidationError(f"--hyperparam expects key=value, got {item!r}")
-        hyperparams[key] = float(value)
+        try:
+            hyperparams[key] = float(value)
+        except ValueError:
+            raise ValidationError(f"--hyperparam expects key=number, got {item!r}") from None
     spec = MergeSpec(method=args.method, hyperparams=hyperparams, seed=args.seed)
     base = load_archive(args.base) if args.base else None
     merged = merge_engine.merge(components, ratio, spec, base=base, model_id="merged")
@@ -83,42 +97,12 @@ def _cmd_merge(args) -> int:
     return 0
 
 
-def _load_component_dir(directory: Path):
-    base_path = directory / "base.dmxt"
-    if not base_path.exists():
-        raise ValidationError(f"{directory}: missing base.dmxt")
-    base = load_archive(base_path)
-    components, candidate_ids = [], []
-    for path in sorted(directory.glob("component_*.dmxt")):
-        candidate_ids.append(path.stem.removeprefix("component_"))
-        components.append(load_archive(path))
-    if not components:
-        raise ValidationError(f"{directory}: no component_*.dmxt archives")
-    return base, components, candidate_ids
-
-
 def _cmd_search(args) -> int:
-    base, components, candidate_ids = _load_component_dir(Path(args.components))
+    config = _config(args)
     lab = toy_lab.load_lab(args.benchmarks)
-    plan = mixture_search.SamplePlan(
-        per_iteration_counts=[int(c) for c in args.plan.split(",")],
-        final_candidate_pool=args.pool,
-        top_k_average=args.topk,
-        rng_seed=args.seed,
-    )
-    spec = MergeSpec(method=args.method, seed=args.merge_seed)
-    evaluator = pipeline.ProxyEvaluator(components, lab.tasks, spec, base)
-    best, transcript = mixture_search.run_search(
-        evaluator, candidate_ids, plan, benchmark_domains=lab.domain_of_benchmarks()
-    )
-    result = {
-        "best_mixture": best.as_dict(),
-        "evaluations": len(transcript.evaluations),
-        "planned_evaluations": plan.total_evaluations(),
-    }
-    Path(args.out).write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    if args.transcript:
-        Path(args.transcript).write_text(transcript.to_jsonl())
+    base, components = pipeline.load_components(Path(args.components), lab)
+    transcript = Path(args.transcript) if args.transcript else None
+    result = pipeline.search_mixture(config, lab, base, components, Path(args.out), transcript)
     print(json.dumps(result["best_mixture"], sort_keys=True))
     return 0
 
@@ -155,74 +139,25 @@ def _cmd_dedup(args) -> int:
     return 0
 
 
-def _training_config(config: ExperimentConfig) -> toy_lab.ComponentTrainingConfig:
-    return toy_lab.ComponentTrainingConfig(
-        general_mix_beta=config.training.beta,
-        steps=config.training.steps,
-        step_size=config.training.step_size,
-        batch_size=config.training.batch_size,
-        seed=config.seed,
-        model_family=config.lab.family,
-        hidden_units=config.lab.hidden_units,
-        base_steps=config.training.base_steps,
-        full_batch=config.training.full_batch,
-    )
-
-
 def _cmd_lab(args) -> int:
-    config = load_config(args.config) if args.config else ExperimentConfig()
+    config = _config(args)
     if args.action == "gen":
-        lab = toy_lab.make_domains(
-            n_domains=config.lab.n_domains,
-            d=config.lab.feature_dim,
-            seed=config.seed,
-            family=config.lab.family,
-            examples_per_domain=config.lab.examples_per_domain,
-            general_examples=config.lab.general_examples,
-            benchmark_examples=config.lab.benchmark_examples,
-            noise_std=config.lab.noise_std,
-            own_std=config.lab.own_std,
-            foreign_std=config.lab.foreign_std,
-            shared_dims=config.lab.shared_dims,
-            shared_target_std=config.lab.shared_target_std,
-            own_target_std=config.lab.own_target_std,
-            hidden_units=config.lab.hidden_units,
-        )
-        toy_lab.save_lab(lab, args.out)
+        pipeline.generate_lab(config, args.out)
         print(f"wrote {args.out}")
         return 0
     lab = toy_lab.load_lab(args.lab)
+    if args.action == "evaluate":
+        row = toy_lab.evaluate_model(load_archive(args.model), lab.tasks)
+        print(json.dumps(row, indent=2, sort_keys=True))
+        return 0
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     if args.action == "train-components":
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        base, components = toy_lab.prepare_components(
-            lab.candidates, lab.general, _training_config(config)
-        )
-        save_archive(base, out_dir / "base.dmxt")
-        for cand, comp in zip(lab.candidates, components):
-            save_archive(comp, out_dir / f"component_{cand.id}.dmxt")
-        print(f"wrote base + {len(components)} components to {out_dir}")
-        return 0
-    if args.action == "train-references":
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        base = load_archive(args.base)
-        candidate_ids = [c.id for c in lab.candidates]
-        ratios = mixture_search.sample_simplex(
-            len(candidate_ids), args.count, args.seed, candidate_ids=candidate_ids
-        )
-        table = toy_lab.build_reference_set(
-            lab.candidates, lab.general, ratios, base, lab.tasks, _training_config(config)
-        )
-        write_score_csv(table, out_dir / "references.csv", out_dir / "domains.csv")
-        (out_dir / "reference_ratios.json").write_text(
-            json.dumps([r.as_dict() for r in ratios], indent=2, sort_keys=True) + "\n"
-        )
-        print(f"wrote {len(ratios)} reference rows to {out_dir}")
-        return 0
-    model = load_archive(args.model)
-    row = toy_lab.evaluate_model(model, lab.tasks)
-    print(json.dumps(row, indent=2, sort_keys=True))
+        pipeline.train_components(config, lab, out_dir)
+        print(f"wrote base + {len(lab.candidates)} components to {out_dir}")
+    else:
+        pipeline.train_references(config, lab, load_archive(args.base), out_dir)
+        print(f"wrote {config.references.count} reference rows to {out_dir}")
     return 0
 
 
@@ -276,12 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     search = sub.add_parser("search", help="run the iterative mixture search over merged proxies")
     search.add_argument("--components", required=True, help="directory with base + component archives")
     search.add_argument("--benchmarks", required=True, help="lab .npz with benchmark tasks")
-    search.add_argument("--plan", default="64,32,16")
-    search.add_argument("--pool", type=int, default=100_000)
-    search.add_argument("--topk", type=int, default=128)
-    search.add_argument("--seed", type=int, default=0)
-    search.add_argument("--method", default="linear", choices=merge_engine.MERGE_METHODS)
-    search.add_argument("--merge-seed", type=int, default=None)
+    search.add_argument("--config", help="experiment config file")
     search.add_argument("--out", required=True)
     search.add_argument("--transcript")
     search.set_defaults(fn=_cmd_search)
@@ -309,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     lab.add_argument("--out", help="output path (gen)")
     lab.add_argument("--out-dir", help="output directory (training actions)")
     lab.add_argument("--base", help="base archive (train-references)")
-    lab.add_argument("--count", type=int, default=24)
-    lab.add_argument("--seed", type=int, default=0)
     lab.add_argument("--model", help="model archive (evaluate)")
     lab.set_defaults(fn=_cmd_lab)
 
@@ -330,7 +258,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout went away (`demix run | head -1`). As the
+        # `signal` module docs advise, point stdout at devnull so that the
+        # interpreter's final flush does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except DemixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -1,8 +1,11 @@
 """Experiment configuration: flat sectioned key = value files.
 
-Every knob has a default; an empty file is a valid experiment. The config
-hash that names run directories covers only result-affecting fields, so the
-same experiment resolves to the same artifacts wherever it is run.
+Every knob has a default; an empty file is a valid experiment. The config is
+the one place where settings become runtime objects: its methods build the
+training config, the lab, the sample plan, the predictor config and the merge
+spec, and ``load_config`` validates a file by building them. The config hash
+that names run directories covers only result-affecting fields, so the same
+experiment resolves to the same artifacts wherever it is run.
 """
 
 from __future__ import annotations
@@ -10,9 +13,12 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ValidationError
+from .merge_engine import MergeSpec
+from .mixture_search import PredictorConfig, SamplePlan
+from .toy_lab import ComponentTrainingConfig, ToyLab, make_domains
 
 
 @dataclass
@@ -61,12 +67,7 @@ class SearchSection:
     gbdt_min_samples_leaf: int = 2
 
 
-@dataclass
-class DedupSection:
-    enabled: bool = False
-    input: str = ""
-    mode: str = "both"
-    ngram: int = 24
+SECTIONS = ("lab", "training", "references", "search")
 
 
 @dataclass
@@ -78,17 +79,11 @@ class ExperimentConfig:
     training: TrainingSection = field(default_factory=TrainingSection)
     references: ReferencesSection = field(default_factory=ReferencesSection)
     search: SearchSection = field(default_factory=SearchSection)
-    dedup: DedupSection = field(default_factory=DedupSection)
 
     def resolved(self) -> dict:
-        return {
-            "experiment": {"name": self.name, "seed": self.seed, "run_root": self.run_root},
-            "lab": asdict(self.lab),
-            "training": asdict(self.training),
-            "references": asdict(self.references),
-            "search": asdict(self.search),
-            "dedup": asdict(self.dedup),
-        }
+        doc = {name: asdict(getattr(self, name)) for name in SECTIONS}
+        doc["experiment"] = {"name": self.name, "seed": self.seed, "run_root": self.run_root}
+        return doc
 
     def content_hash(self) -> str:
         """Hash over result-affecting fields only (name and run_root excluded)."""
@@ -96,6 +91,56 @@ class ExperimentConfig:
         doc["experiment"] = {"seed": self.seed}
         blob = json.dumps(doc, sort_keys=True).encode("utf-8")
         return hashlib.blake2b(blob, digest_size=8).hexdigest()
+
+    def training_config(self) -> ComponentTrainingConfig:
+        return ComponentTrainingConfig(
+            general_mix_beta=self.training.beta,
+            steps=self.training.steps,
+            step_size=self.training.step_size,
+            batch_size=self.training.batch_size,
+            seed=self.seed,
+            model_family=self.lab.family,
+            hidden_units=self.lab.hidden_units,
+            base_steps=self.training.base_steps,
+            full_batch=self.training.full_batch,
+        )
+
+    def make_lab(self) -> ToyLab:
+        lab = self.lab
+        return make_domains(
+            n_domains=lab.n_domains,
+            d=lab.feature_dim,
+            seed=self.seed,
+            family=lab.family,
+            examples_per_domain=lab.examples_per_domain,
+            general_examples=lab.general_examples,
+            benchmark_examples=lab.benchmark_examples,
+            noise_std=lab.noise_std,
+            own_std=lab.own_std,
+            foreign_std=lab.foreign_std,
+            shared_dims=lab.shared_dims,
+            shared_target_std=lab.shared_target_std,
+            own_target_std=lab.own_target_std,
+        )
+
+    def sample_plan(self) -> SamplePlan:
+        return SamplePlan(
+            per_iteration_counts=list(self.search.plan),
+            final_candidate_pool=self.search.pool,
+            top_k_average=self.search.top_k,
+            rng_seed=self.seed,
+        )
+
+    def predictor_config(self) -> PredictorConfig:
+        return PredictorConfig(
+            learning_rate=self.search.gbdt_learning_rate,
+            n_rounds=self.search.gbdt_rounds,
+            max_depth=self.search.gbdt_max_depth,
+            min_samples_leaf=self.search.gbdt_min_samples_leaf,
+        )
+
+    def merge_spec(self) -> MergeSpec:
+        return MergeSpec(method=self.search.merge_method, seed=self.search.merge_seed)
 
 
 def _parse_bool(text: str) -> bool:
@@ -117,64 +162,58 @@ def _parse_plan(text: str) -> list[int]:
     return counts
 
 
-def _apply(section_obj, parser: configparser.ConfigParser, section: str) -> None:
-    if not parser.has_section(section):
-        return
-    for key, raw in parser.items(section):
-        if not hasattr(section_obj, key):
+def _parse_value(key: str, current, raw: str):
+    if key == "plan":
+        return _parse_plan(raw)
+    if key == "merge_seed":
+        return int(raw) if raw else None
+    if isinstance(current, bool):
+        return _parse_bool(raw)
+    if isinstance(current, int):
+        return int(raw)
+    if isinstance(current, float):
+        return float(raw)
+    return raw
+
+
+def _apply(target, items, section: str) -> None:
+    """Set each ``key = raw`` pair on the config or section object ``target``."""
+    known = {f.name for f in fields(target)} - set(SECTIONS)
+    for key, raw in items:
+        if key not in known:
             raise ValidationError(f"config: unknown key {key!r} in [{section}]")
-        current = getattr(section_obj, key)
-        raw = raw.strip()
-        if key == "plan":
-            value = _parse_plan(raw)
-        elif key == "merge_seed":
-            value = int(raw) if raw else None
-        elif isinstance(current, bool):
-            value = _parse_bool(raw)
-        elif isinstance(current, int):
-            value = int(raw)
-        elif isinstance(current, float):
-            value = float(raw)
-        else:
-            value = raw
-        setattr(section_obj, key, value)
+        try:
+            value = _parse_value(key, getattr(target, key), raw.strip())
+        except ValueError as exc:
+            raise ValidationError(f"config: bad value {raw!r} for {key!r} in [{section}]") from exc
+        setattr(target, key, value)
 
 
 def load_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
-    if not read:
-        raise ValidationError(f"config: cannot read {path!r}")
     config = ExperimentConfig()
-    if parser.has_section("experiment"):
-        for key, raw in parser.items("experiment"):
-            if key == "name":
-                config.name = raw.strip()
-            elif key == "seed":
-                config.seed = int(raw)
-            elif key == "run_root":
-                config.run_root = raw.strip()
-            else:
-                raise ValidationError(f"config: unknown key {key!r} in [experiment]")
-    _apply(config.lab, parser, "lab")
-    _apply(config.training, parser, "training")
-    _apply(config.references, parser, "references")
-    _apply(config.search, parser, "search")
-    _apply(config.dedup, parser, "dedup")
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ValidationError(f"config: cannot read {path!r}")
+        for section in parser.sections():
+            if section != "experiment" and section not in SECTIONS:
+                raise ValidationError(f"config: unknown section [{section}]")
+            target = config if section == "experiment" else getattr(config, section)
+            _apply(target, parser.items(section), section)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ValidationError(f"config: cannot parse {path!r}: {exc}") from exc
     _validate(config)
     return config
 
 
 def _validate(config: ExperimentConfig) -> None:
-    if config.lab.n_domains < 2 or config.lab.feature_dim < 2:
-        raise ValidationError("config: lab needs n_domains >= 2 and feature_dim >= 2")
-    if not 0.0 <= config.training.beta <= 1.0:
-        raise ValidationError("config: training.beta must lie in [0, 1]")
-    if any(c <= 0 for c in config.search.plan):
-        raise ValidationError("config: search.plan counts must be positive")
-    if config.search.top_k > config.search.pool:
-        raise ValidationError("config: search.top_k exceeds search.pool")
+    """Build every runtime object once, then check what none of them checks."""
+    config.training_config()
+    config.make_lab()
+    config.sample_plan()
+    config.predictor_config()
+    config.merge_spec()
+    if config.seed < 0:
+        raise ValidationError("config: seed must be non-negative")
     if config.references.enabled and config.references.count < 2:
         raise ValidationError("config: references.count must be at least 2")
-    if config.dedup.enabled and not config.dedup.input:
-        raise ValidationError("config: dedup.enabled requires dedup.input")

@@ -110,8 +110,8 @@ def mod_affine(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     t3 = _fold(a_lo * x_lo)
     total = _fold(t1 + t2 + t3) + b
     total = _fold(total)
-    total = np.where(total >= MERSENNE_PRIME, total - MERSENNE_PRIME, total)
-    total = np.where(total >= MERSENNE_PRIME, total - MERSENNE_PRIME, total)
+    total = total - MERSENNE_PRIME * (total >= MERSENNE_PRIME)
+    total = total - MERSENNE_PRIME * (total >= MERSENNE_PRIME)
     return total
 
 

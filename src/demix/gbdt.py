@@ -44,9 +44,6 @@ class RegressionTree:
             nodes[rows] = np.where(go_left, self.left[nodes[rows]], self.right[nodes[rows]])
         return self.value[nodes]
 
-    def n_leaves(self) -> int:
-        return int(np.sum(self.feature < 0))
-
 
 def _best_split(X: np.ndarray, y: np.ndarray, min_samples_leaf: int):
     """(gain, feature, threshold) of the best SSE-reducing split, or None."""

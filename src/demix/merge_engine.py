@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SchemaMismatchError, ValidationError
-from .tensor_store import ParameterSet, WeightDelta
+from .tensor_store import ParameterSet, WeightDelta, apply_delta, delta_magnitude
 
 RATIO_SUM_TOLERANCE = 1e-9
 ADDITIVITY_EPS = 1e-12
@@ -206,9 +206,10 @@ def merge(
     return ParameterSet(entries=out, shapes=dict(base.shapes), model_id=model_id)
 
 
-def _rng_for(seed: int, *labels: str) -> np.random.Generator:
+def _rng_for(seed: int, *labels) -> np.random.Generator:
     """Independent substream per (seed, labels), stable across platforms and call order."""
-    digest = hashlib.blake2b("\x1f".join(labels).encode("utf-8"), digest_size=8).digest()
+    text = "\x1f".join(str(label) for label in labels)
+    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
     words = [int(seed) & 0xFFFFFFFF, (int(seed) >> 32) & 0xFFFFFFFF, int.from_bytes(digest, "big")]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
@@ -345,21 +346,9 @@ def check_additivity(
     relative = float(np.sqrt(sq_diff) / max(np.sqrt(sq_union), ADDITIVITY_EPS))
     mags: tuple[float | None, float | None, float | None] = (None, None, None)
     if base is not None:
-        mags = tuple(_delta_mag_against(base, d) for d in (delta_i, delta_j, delta_union))
+        mags = tuple(
+            delta_magnitude(apply_delta(base, d), base) for d in (delta_i, delta_j, delta_union)
+        )
     return AdditivityReport(
         relative_error=relative, per_tensor_errors=per_tensor, delta_magnitudes=mags
     )
-
-
-def _delta_mag_against(base: ParameterSet, delta: WeightDelta) -> float:
-    if base.schema() != delta.schema():
-        raise SchemaMismatchError("check_additivity: base schema differs from deltas")
-    moved = 0.0
-    scale = 0.0
-    for name in delta.names():
-        trained = base.entries[name] + delta.entries[name]
-        moved += float(np.sum(np.abs(delta.entries[name])))
-        scale += float(np.sum(np.abs(trained)) + np.sum(np.abs(base.entries[name])))
-    if scale == 0.0:
-        raise ValidationError("degenerate δ: all-zero parameters")
-    return moved / scale

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import SearchError, ValidationError
 from .eval_metrics import ScoreTable, rank_table
-from .gbdt import BoostedTreesRegressor, RegressionTree
+from .gbdt import BoostedTreesRegressor
 from .merge_engine import MixtureRatio
 
 
@@ -62,22 +62,6 @@ class RankPredictor:
     model: BoostedTreesRegressor
     n_dims: int
 
-    @property
-    def trees(self) -> list[RegressionTree]:
-        return self.model.trees
-
-    @property
-    def learning_rate(self) -> float:
-        return self.model.learning_rate
-
-    @property
-    def n_rounds(self) -> int:
-        return self.model.n_rounds
-
-    @property
-    def base_prediction(self) -> float:
-        return self.model.base_prediction
-
     def predict_matrix(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_dims:
@@ -89,20 +73,14 @@ class RankPredictor:
 
 @dataclass
 class ProxyEvaluation:
-    """One evaluated mixture: per-benchmark scores plus its ranking score."""
+    """One evaluated mixture: per-benchmark scores, and once the search has
+    recorded it, its position in the transcript and its ranking score."""
 
     ratio: MixtureRatio
     per_benchmark_scores: dict[str, float]
     ranking_score: float | None = None
-
-
-@dataclass
-class EvaluationRecord:
-    index: int
-    iteration: int
-    ratio: MixtureRatio
-    per_benchmark_scores: dict[str, float]
-    ranking_score: float | None = None
+    index: int = -1
+    iteration: int = -1
 
     def to_json(self) -> str:
         return json.dumps(
@@ -135,12 +113,11 @@ class SelectionRecord:
 
 @dataclass
 class SearchTranscript:
-    evaluations: list[EvaluationRecord] = field(default_factory=list)
+    evaluations: list[ProxyEvaluation] = field(default_factory=list)
     fits: list[FitRecord] = field(default_factory=list)
     selections: list[SelectionRecord] = field(default_factory=list)
     final_top_k: int = 0
     final_pool_size: int = 0
-    chosen: MixtureRatio | None = None
 
     def to_jsonl(self) -> str:
         return "\n".join(rec.to_json() for rec in self.evaluations) + "\n"
@@ -207,7 +184,7 @@ def predict(predictor: RankPredictor, ratio: MixtureRatio) -> float:
 
 
 def _ranking_targets(
-    records: list[EvaluationRecord], benchmark_domains: dict[str, str] | None
+    records: list[ProxyEvaluation], benchmark_domains: dict[str, str] | None
 ) -> np.ndarray:
     """Macro-average rank of every evaluated proxy within the population so far."""
     rows = {f"e{rec.index:05d}": rec.per_benchmark_scores for rec in records}
@@ -264,7 +241,7 @@ def run_search(
             elif sorted(scores) != benchmarks:
                 raise SearchError("evaluator changed its benchmark set mid-search", ratio=ratio)
             transcript.evaluations.append(
-                EvaluationRecord(
+                ProxyEvaluation(
                     index=len(transcript.evaluations),
                     iteration=iteration,
                     ratio=ratio,
@@ -326,5 +303,4 @@ def run_search(
         rec.ranking_score = float(target)
     transcript.final_top_k = int(plan.top_k_average)
     transcript.final_pool_size = int(pool.shape[0])
-    transcript.chosen = best
     return best, transcript

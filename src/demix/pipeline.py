@@ -2,11 +2,15 @@
 reference training and consistency reporting, proxy-based mixture search,
 and the final report.
 
-Stages are cached by a content hash over their config subsection and input
-artifacts; rerunning a finished experiment recomputes nothing, and deleting
-an intermediate artifact recomputes only that stage and, where their inputs
-actually changed, the stages downstream of it. The search stage evaluates
-proxies by merging and benchmarking only; it never trains.
+The lab, components, references and search stages are module-level
+functions, which the matching `demix lab` and `demix search` subcommands call
+too. The run directory is named by the config's content hash, so each stage
+is cached by a hash over its input artifacts only (the report stage also
+keys on the experiment name, which the content hash leaves out). Rerunning a
+finished experiment recomputes nothing, and deleting an intermediate artifact
+recomputes only that stage and, where their inputs actually changed, the
+stages downstream of it. The search stage evaluates proxies by merging and
+benchmarking only; it never trains.
 
 Reports and transcripts contain no timestamps and serialize with sorted keys,
 so identical configs produce byte-identical result files.
@@ -25,14 +29,13 @@ import numpy as np
 
 from . import merge_engine, mixture_search, toy_lab
 from .config import ExperimentConfig
-from .dedup import dedup_corpus
 from .errors import PipelineError, ValidationError
-from .eval_metrics import ScoreTable, capability_recovery, consistency_report, rank_table
+from .eval_metrics import ScoreTable, capability_recovery, consistency_report
 from .merge_engine import MergeSpec, MixtureRatio
-from .mixture_search import PredictorConfig, ProxyEvaluation, SamplePlan
+from .mixture_search import ProxyEvaluation
 from .tensor_store import ParameterSet, load_archive, save_archive
 
-STAGE_ORDER = ["dedup", "lab", "components", "references", "consistency", "search", "report"]
+STAGE_ORDER = ["lab", "components", "references", "consistency", "search", "report"]
 
 
 @dataclass
@@ -48,28 +51,12 @@ class ExperimentManifest:
             name, {"status": "pending", "hash": None, "outputs": {}, "recomputed": False}
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "config_hash": self.config_hash,
-            "run_dir": self.run_dir,
-            "stages": self.stages,
-            "created_at": self.created_at,
-        }
-
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
+        Path(path).write_text(json.dumps(vars(self), indent=2, sort_keys=True))
 
     @classmethod
     def load(cls, path) -> "ExperimentManifest":
-        doc = json.loads(Path(path).read_text())
-        return cls(
-            config=doc["config"],
-            config_hash=doc["config_hash"],
-            run_dir=doc["run_dir"],
-            stages=doc["stages"],
-            created_at=doc.get("created_at", 0.0),
-        )
+        return cls(**json.loads(Path(path).read_text()))
 
 
 def _file_hash(path: Path) -> str:
@@ -78,16 +65,6 @@ def _file_hash(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _stage_hash(config_part: dict, input_paths: list[Path]) -> str:
-    doc = {
-        "config": config_part,
-        "inputs": {str(p.name): _file_hash(p) for p in input_paths},
-    }
-    return hashlib.blake2b(
-        json.dumps(doc, sort_keys=True).encode("utf-8"), digest_size=16
-    ).hexdigest()
 
 
 def _dump_json(path: Path, doc) -> None:
@@ -106,21 +83,32 @@ def write_score_csv(table: ScoreTable, scores_path: Path, domains_path: Path | N
         domains_path.write_text("\n".join(rows) + "\n")
 
 
+def _csv_rows(path, header: list[str]):
+    """(line number, fields) of each row under ``header`` in a CSV file."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
+    if not lines or lines[0].split(",")[: len(header)] != header:
+        raise ValidationError(f"{path}: expected header {','.join(header)}")
+    for number, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
+        if len(fields) != len(header):
+            raise ValidationError(
+                f"{path}:{number}: expected {len(header)} fields, got {len(fields)}"
+            )
+        yield number, fields
+
+
 def read_score_csv(scores_path, domains_path) -> ScoreTable:
     rows: dict[str, dict[str, float]] = {}
-    lines = Path(scores_path).read_text().strip().splitlines()
-    if not lines or lines[0].split(",")[:3] != ["model_id", "benchmark_id", "score"]:
-        raise ValidationError(f"{scores_path}: expected header model_id,benchmark_id,score")
-    for line in lines[1:]:
-        model, bench, score = line.split(",")
-        rows.setdefault(model, {})[bench] = float(score)
-    domain_of = {}
-    dlines = Path(domains_path).read_text().strip().splitlines()
-    if not dlines or dlines[0].split(",")[:2] != ["benchmark_id", "domain"]:
-        raise ValidationError(f"{domains_path}: expected header benchmark_id,domain")
-    for line in dlines[1:]:
-        bench, domain = line.split(",")
-        domain_of[bench] = domain
+    header = ["model_id", "benchmark_id", "score"]
+    for number, (model, bench, score) in _csv_rows(scores_path, header):
+        try:
+            rows.setdefault(model, {})[bench] = float(score)
+        except ValueError:
+            raise ValidationError(f"{scores_path}:{number}: bad score {score!r}") from None
+    domain_of = dict(fields for _, fields in _csv_rows(domains_path, ["benchmark_id", "domain"]))
     return ScoreTable(rows=rows, domain_of=domain_of)
 
 
@@ -147,11 +135,11 @@ def build_proxy_table(
 ) -> ScoreTable:
     """Score merged proxies for a list of ratios; row ids align with
     build_reference_set so the two tables are directly comparable."""
-    spec = spec or MergeSpec(method="linear")
-    rows = {}
-    for j, ratio in enumerate(ratios):
-        proxy = merge_engine.merge(components, ratio, spec, base=base)
-        rows[f"{id_prefix}_{j:03d}"] = toy_lab.evaluate_model(proxy, tasks)
+    evaluate = ProxyEvaluator(components, tasks, spec or MergeSpec(), base)
+    rows = {
+        f"{id_prefix}_{j:03d}": evaluate(ratio).per_benchmark_scores
+        for j, ratio in enumerate(ratios)
+    }
     return ScoreTable(rows=rows, domain_of={t.id: t.domain for t in tasks})
 
 
@@ -170,6 +158,86 @@ def proxy_reference_consistency(reference: ScoreTable, proxy: ScoreTable) -> dic
         "mean_capability_recovery": float(np.mean(recoveries)),
         "n_models": len(reference.models()),
     }
+
+
+def generate_lab(config: ExperimentConfig, path: Path) -> None:
+    """The lab stage: generate the configured lab world and save it."""
+    toy_lab.save_lab(config.make_lab(), path)
+
+
+def train_components(config: ExperimentConfig, lab: toy_lab.ToyLab, out_dir: Path) -> None:
+    """The components stage: train the shared base, then one component per
+    candidate; saved as ``base.dmxt`` and ``component_<id>.dmxt``."""
+    base, components = toy_lab.prepare_components(
+        lab.candidates, lab.general, config.training_config()
+    )
+    save_archive(base, out_dir / "base.dmxt")
+    for cand, comp in zip(lab.candidates, components):
+        save_archive(comp, out_dir / f"component_{cand.id}.dmxt")
+
+
+def load_components(
+    directory: Path, lab: toy_lab.ToyLab
+) -> tuple[ParameterSet, list[ParameterSet]]:
+    """The base and the components in ``directory``, in the lab's candidate order."""
+    base = load_archive(directory / "base.dmxt")
+    return base, [load_archive(directory / f"component_{c.id}.dmxt") for c in lab.candidates]
+
+
+def train_references(
+    config: ExperimentConfig, lab: toy_lab.ToyLab, base: ParameterSet, out_dir: Path
+) -> None:
+    """The references stage: train one reference model per sampled ratio and
+    save the ratios and the reference score table."""
+    candidate_ids = [c.id for c in lab.candidates]
+    ratios = mixture_search.sample_simplex(
+        len(candidate_ids),
+        config.references.count,
+        int(np.random.SeedSequence([config.seed, 0xEF]).generate_state(1)[0]),
+        candidate_ids=candidate_ids,
+    )
+    _dump_json(out_dir / "reference_ratios.json", [r.as_dict() for r in ratios])
+    table = toy_lab.build_reference_set(
+        lab.candidates, lab.general, ratios, base, lab.tasks, config.training_config()
+    )
+    write_score_csv(table, out_dir / "references.csv", out_dir / "domains.csv")
+
+
+def search_mixture(
+    config: ExperimentConfig,
+    lab: toy_lab.ToyLab,
+    base: ParameterSet,
+    components: list[ParameterSet],
+    result_path: Path,
+    transcript_path: Path | None = None,
+) -> dict:
+    """The search stage: the iterative search over merged proxies. Writes the
+    transcript and the result document, and returns the result."""
+    plan = config.sample_plan()
+    evaluator = ProxyEvaluator(components, lab.tasks, config.merge_spec(), base)
+    best, transcript = mixture_search.run_search(
+        evaluator,
+        [c.id for c in lab.candidates],
+        plan,
+        predictor_config=config.predictor_config(),
+        benchmark_domains=lab.domain_of_benchmarks(),
+    )
+    if transcript_path is not None:
+        transcript_path.write_text(transcript.to_jsonl())
+    result = {
+        "best_mixture": best.as_dict(),
+        "evaluations": len(transcript.evaluations),
+        "planned_evaluations": plan.total_evaluations(),
+        "evaluator_calls": evaluator.calls,
+        "fits": [
+            {"after_iteration": f.after_iteration, "n_observations": f.n_observations}
+            for f in transcript.fits
+        ],
+        "final_pool_size": transcript.final_pool_size,
+        "final_top_k": transcript.final_top_k,
+    }
+    _dump_json(result_path, result)
+    return result
 
 
 class _RunLock:
@@ -254,210 +322,88 @@ def _execute(manifest, run_dir: Path, name: str, stage_hash: str, outputs: dict,
 
 
 def _run_stages(config: ExperimentConfig, run_dir: Path, manifest: ExperimentManifest) -> None:
-    seed = config.seed
-    lab_cfg = config.lab
-    train_cfg = toy_lab.ComponentTrainingConfig(
-        general_mix_beta=config.training.beta,
-        steps=config.training.steps,
-        step_size=config.training.step_size,
-        batch_size=config.training.batch_size,
-        seed=seed,
-        model_family=lab_cfg.family,
-        hidden_units=lab_cfg.hidden_units,
-        base_steps=config.training.base_steps,
-        full_batch=config.training.full_batch,
-    )
+    # The run directory is named by the config's content hash, so a stage's
+    # hash needs to cover only its input files (each read once per run).
+    file_hashes: dict[Path, str] = {}
 
-    if config.dedup.enabled:
-        dedup_in = Path(config.dedup.input)
-        if not dedup_in.exists():
-            raise PipelineError(f"dedup input {dedup_in} does not exist")
-        stage_hash = _stage_hash(config.resolved()["dedup"] | {"seed": seed}, [dedup_in])
-
-        def do_dedup():
-            docs = []
-            for line in dedup_in.read_text().splitlines():
-                if not line.strip():
-                    continue
-                doc = json.loads(line)
-                docs.append((doc["id"], doc["text"]))
-            result = dedup_corpus(docs, mode=config.dedup.mode, seed=seed, ngram=config.dedup.ngram)
-            _dump_json(run_dir / "dedup_report.json", result.to_report())
-            kept = set(result.kept_ids)
-            with open(run_dir / "dedup_kept.jsonl", "w") as fh:
-                for doc_id, text in docs:
-                    if doc_id in kept:
-                        fh.write(json.dumps({"id": doc_id, "text": text}, sort_keys=True) + "\n")
-
-        _execute(
-            manifest, run_dir, "dedup", stage_hash,
-            {"report": "dedup_report.json", "kept": "dedup_kept.jsonl"}, do_dedup,
-        )
+    def stage_hash(input_paths: list[Path], **keys) -> str:
+        for path in input_paths:
+            if path not in file_hashes:
+                file_hashes[path] = _file_hash(path)
+        doc = {"inputs": {p.name: file_hashes[p] for p in input_paths}, **keys}
+        return hashlib.blake2b(
+            json.dumps(doc, sort_keys=True).encode("utf-8"), digest_size=16
+        ).hexdigest()
 
     lab_path = run_dir / "lab.npz"
-    lab_hash = _stage_hash(config.resolved()["lab"] | {"seed": seed}, [])
-
-    def do_lab():
-        lab = toy_lab.make_domains(
-            n_domains=lab_cfg.n_domains,
-            d=lab_cfg.feature_dim,
-            seed=seed,
-            family=lab_cfg.family,
-            examples_per_domain=lab_cfg.examples_per_domain,
-            general_examples=lab_cfg.general_examples,
-            benchmark_examples=lab_cfg.benchmark_examples,
-            noise_std=lab_cfg.noise_std,
-            own_std=lab_cfg.own_std,
-            foreign_std=lab_cfg.foreign_std,
-            shared_dims=lab_cfg.shared_dims,
-            shared_target_std=lab_cfg.shared_target_std,
-            own_target_std=lab_cfg.own_target_std,
-            hidden_units=lab_cfg.hidden_units,
-        )
-        toy_lab.save_lab(lab, lab_path)
-
-    _execute(manifest, run_dir, "lab", lab_hash, {"lab": "lab.npz"}, do_lab)
-    lab = toy_lab.load_lab(lab_path)
-    candidate_ids = [c.id for c in lab.candidates]
-
-    components_hash = _stage_hash(
-        config.resolved()["training"] | {"seed": seed, "family": lab_cfg.family}, [lab_path]
+    _execute(
+        manifest, run_dir, "lab", stage_hash([]), {"lab": "lab.npz"},
+        lambda: generate_lab(config, lab_path),
     )
+    lab = toy_lab.load_lab(lab_path)
+
     component_files = {"base": "base.dmxt"}
-    for cid in candidate_ids:
-        component_files[f"component_{cid}"] = f"component_{cid}.dmxt"
-
-    def do_components():
-        base, components = toy_lab.prepare_components(lab.candidates, lab.general, train_cfg)
-        save_archive(base, run_dir / "base.dmxt")
-        for cid, comp in zip(candidate_ids, components):
-            save_archive(comp, run_dir / f"component_{cid}.dmxt")
-
-    _execute(manifest, run_dir, "components", components_hash, component_files, do_components)
-    base = load_archive(run_dir / "base.dmxt")
-    components = [load_archive(run_dir / f"component_{cid}.dmxt") for cid in candidate_ids]
+    for cand in lab.candidates:
+        component_files[f"component_{cand.id}"] = f"component_{cand.id}.dmxt"
+    _execute(
+        manifest, run_dir, "components", stage_hash([lab_path]), component_files,
+        lambda: train_components(config, lab, run_dir),
+    )
+    base, components = load_components(run_dir, lab)
     component_paths = [run_dir / name for name in component_files.values()]
 
-    merge_spec = MergeSpec(
-        method=config.search.merge_method,
-        seed=config.search.merge_seed,
-    )
-
     if config.references.enabled:
-        ref_hash = _stage_hash(
-            config.resolved()["references"]
-            | config.resolved()["training"]
-            | {"seed": seed},
-            [lab_path] + component_paths,
-        )
-
-        def do_references():
-            ratios = mixture_search.sample_simplex(
-                len(candidate_ids),
-                config.references.count,
-                int(np.random.SeedSequence([seed, 0xEF]).generate_state(1)[0]),
-                candidate_ids=candidate_ids,
-            )
-            _dump_json(
-                run_dir / "reference_ratios.json", [r.as_dict() for r in ratios]
-            )
-            table = toy_lab.build_reference_set(
-                lab.candidates, lab.general, ratios, base, lab.tasks, train_cfg
-            )
-            write_score_csv(table, run_dir / "references.csv", run_dir / "domains.csv")
-
         _execute(
-            manifest, run_dir, "references", ref_hash,
+            manifest, run_dir, "references", stage_hash([lab_path, run_dir / "base.dmxt"]),
             {
                 "ratios": "reference_ratios.json",
                 "scores": "references.csv",
                 "domains": "domains.csv",
             },
-            do_references,
-        )
-
-        consistency_hash = _stage_hash(
-            {"merge": config.search.merge_method, "merge_seed": config.search.merge_seed},
-            [run_dir / "reference_ratios.json", run_dir / "references.csv"] + component_paths,
+            lambda: train_references(config, lab, base, run_dir),
         )
 
         def do_consistency():
-            ratio_dicts = json.loads((run_dir / "reference_ratios.json").read_text())
+            ids = [c.id for c in lab.candidates]
             ratios = [
-                MixtureRatio(
-                    weights=[rd[c] for c in candidate_ids], candidate_ids=candidate_ids
-                )
-                for rd in ratio_dicts
+                MixtureRatio(weights=[rd[c] for c in ids], candidate_ids=ids)
+                for rd in json.loads((run_dir / "reference_ratios.json").read_text())
             ]
             reference = read_score_csv(run_dir / "references.csv", run_dir / "domains.csv")
-            proxy = build_proxy_table(components, ratios, lab.tasks, merge_spec, base)
+            proxy = build_proxy_table(components, ratios, lab.tasks, config.merge_spec(), base)
             write_score_csv(proxy, run_dir / "proxy_scores.csv")
             _dump_json(
                 run_dir / "consistency.json", proxy_reference_consistency(reference, proxy)
             )
 
+        consistency_inputs = [
+            lab_path, run_dir / "reference_ratios.json", run_dir / "references.csv"
+        ] + component_paths
         _execute(
-            manifest, run_dir, "consistency", consistency_hash,
+            manifest, run_dir, "consistency", stage_hash(consistency_inputs),
             {"proxy_scores": "proxy_scores.csv", "consistency": "consistency.json"},
             do_consistency,
         )
 
-    search_hash = _stage_hash(
-        config.resolved()["search"] | {"seed": seed}, [lab_path] + component_paths
-    )
-
-    def do_search():
-        plan = SamplePlan(
-            per_iteration_counts=list(config.search.plan),
-            final_candidate_pool=config.search.pool,
-            top_k_average=config.search.top_k,
-            rng_seed=seed,
-        )
-        predictor_config = PredictorConfig(
-            learning_rate=config.search.gbdt_learning_rate,
-            n_rounds=config.search.gbdt_rounds,
-            max_depth=config.search.gbdt_max_depth,
-            min_samples_leaf=config.search.gbdt_min_samples_leaf,
-        )
-        evaluator = ProxyEvaluator(components, lab.tasks, merge_spec, base)
-        best, transcript = mixture_search.run_search(
-            evaluator,
-            candidate_ids,
-            plan,
-            predictor_config=predictor_config,
-            benchmark_domains=lab.domain_of_benchmarks(),
-        )
-        (run_dir / "transcript.jsonl").write_text(transcript.to_jsonl())
-        _dump_json(
-            run_dir / "search_result.json",
-            {
-                "best_mixture": best.as_dict(),
-                "evaluations": len(transcript.evaluations),
-                "planned_evaluations": plan.total_evaluations(),
-                "evaluator_calls": evaluator.calls,
-                "fits": [
-                    {"after_iteration": f.after_iteration, "n_observations": f.n_observations}
-                    for f in transcript.fits
-                ],
-                "final_pool_size": transcript.final_pool_size,
-                "final_top_k": transcript.final_top_k,
-            },
-        )
-
     _execute(
-        manifest, run_dir, "search", search_hash,
-        {"result": "search_result.json", "transcript": "transcript.jsonl"}, do_search,
+        manifest, run_dir, "search", stage_hash([lab_path] + component_paths),
+        {"result": "search_result.json", "transcript": "transcript.jsonl"},
+        lambda: search_mixture(
+            config, lab, base, components,
+            run_dir / "search_result.json", run_dir / "transcript.jsonl",
+        ),
     )
 
     report_inputs = [run_dir / "search_result.json", run_dir / "transcript.jsonl"]
     if config.references.enabled:
         report_inputs.append(run_dir / "consistency.json")
-    report_hash = _stage_hash({"plan": config.search.plan}, report_inputs)
-
-    def do_report():
-        _dump_json(run_dir / "report.json", _build_report(config, run_dir))
-
-    _execute(manifest, run_dir, "report", report_hash, {"report": "report.json"}, do_report)
+    # The report shows the experiment name, the one field the run directory's
+    # name leaves out.
+    _execute(
+        manifest, run_dir, "report", stage_hash(report_inputs, name=config.name),
+        {"report": "report.json"},
+        lambda: _dump_json(run_dir / "report.json", _build_report(config, run_dir)),
+    )
 
 
 def _build_report(config: ExperimentConfig, run_dir: Path) -> dict:

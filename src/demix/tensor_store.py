@@ -132,9 +132,6 @@ class WeightDelta:
     def schema(self) -> dict[str, tuple[int, ...]]:
         return {name: self.shapes[name] for name in self.names()}
 
-    def l2_norm(self) -> float:
-        return float(np.sqrt(sum(float(np.dot(v, v)) for v in self.entries.values())))
-
 
 @dataclass
 class ArchiveHeader:

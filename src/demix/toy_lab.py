@@ -13,7 +13,6 @@ held-out noiseless per-domain eval sets scored on a 0-100 scale.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, replace
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .errors import SchemaMismatchError, TrainingError, ValidationError
 from .eval_metrics import ScoreTable
-from .merge_engine import MixtureRatio
+from .merge_engine import MixtureRatio, _rng_for
 from .tensor_store import ParameterSet
 
 MODEL_FAMILIES = ("linear_regression", "logistic", "mlp_1hidden")
@@ -101,13 +100,6 @@ class ToyLab:
         return {task.id: task.domain for task in self.tasks}
 
 
-def _rng(seed: int, *labels) -> np.random.Generator:
-    text = "\x1f".join(str(part) for part in labels)
-    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
-    words = [int(seed) & 0xFFFFFFFF, (int(seed) >> 32) & 0xFFFFFFFF, int.from_bytes(digest, "big")]
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
-
-
 def _shared_directions(n_domains: int, n_shared: int, rng: np.random.Generator) -> np.ndarray:
     """Unit directions for the domains' shared-coordinate targets.
 
@@ -139,7 +131,6 @@ def make_domains(
     shared_target_std: float = 0.6,
     own_target_std: float = 1.2,
     tie_targets: bool = False,
-    hidden_units: int = 8,
 ) -> ToyLab:
     """Generate candidate datasets, the general blend, and benchmark tasks.
 
@@ -160,7 +151,7 @@ def make_domains(
         for k in range(n_domains)
     }
 
-    shared_dirs = _shared_directions(n_domains, n_shared, _rng(seed, "target", "shared"))
+    shared_dirs = _shared_directions(n_domains, n_shared, _rng_for(seed, "target", "shared"))
     scales = {}
     targets = {}
     for k, name in enumerate(domains):
@@ -171,7 +162,7 @@ def make_domains(
         else:
             scale[own_coords[k]] = own_std
         scales[name] = scale
-        target_rng = _rng(seed, "target", 0 if tie_targets else k)
+        target_rng = _rng_for(seed, "target", 0 if tie_targets else k)
         theta = np.zeros(d)
         if tie_targets:
             theta[:n_shared] = shared_target_std * target_rng.standard_normal(n_shared)
@@ -200,7 +191,7 @@ def make_domains(
 
     candidates = []
     for k, name in enumerate(domains):
-        X, y = draw(name, examples_per_domain, _rng(seed, "candidate", k), noiseless=False)
+        X, y = draw(name, examples_per_domain, _rng_for(seed, "candidate", k), noiseless=False)
         candidates.append(
             CandidateDataset(id=name, domain=name, X=X, y=y, generator_seed=seed)
         )
@@ -209,7 +200,7 @@ def make_domains(
     for k in range(general_examples % n_domains):
         counts[k] += 1
     blocks = [
-        draw(name, counts[k], _rng(seed, "general", k), noiseless=False)
+        draw(name, counts[k], _rng_for(seed, "general", k), noiseless=False)
         for k, name in enumerate(domains)
     ]
     # Interleave the domain blocks round-robin so mini-batches stay blended.
@@ -228,7 +219,7 @@ def make_domains(
     tasks = []
     scoring = "accuracy" if family == "logistic" else "exp_neg_mse"
     for k, name in enumerate(domains):
-        bench_rng = _rng(seed, "benchmark", 0 if tie_targets else k)
+        bench_rng = _rng_for(seed, "benchmark", 0 if tie_targets else k)
         X, y = draw(name, benchmark_examples, bench_rng, noiseless=True)
         tasks.append(BenchmarkTask(id=f"bench_{name}", domain=name, X=X, y=y, scoring=scoring))
 
@@ -255,7 +246,7 @@ def make_domains(
 
 def init_params(config: ComponentTrainingConfig, d: int) -> ParameterSet:
     """Small random initialization for the configured model family."""
-    rng = _rng(config.seed, "init", config.model_family)
+    rng = _rng_for(config.seed, "init", config.model_family)
     if config.model_family in ("linear_regression", "logistic"):
         arrays = {"w": 0.01 * rng.standard_normal(d), "b": np.zeros(1)}
     else:

@@ -1,10 +1,15 @@
 """End-to-end tests of the demix command line."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import demix
 from demix.cli import main
 from demix.tensor_store import ParameterSet, load_archive, save_archive
 from demix.toy_lab import ComponentTrainingConfig, make_domains, prepare_components, save_lab
@@ -103,7 +108,8 @@ def test_lab_and_search_cli_flow(tmp_path, capsys):
     cfg.write_text(
         "[experiment]\nseed = 2\n\n[lab]\nexamples_per_domain = 200\n"
         "general_examples = 200\nbenchmark_examples = 64\n\n"
-        "[training]\nsteps = 40\nbase_steps = 40\n"
+        "[training]\nsteps = 40\nbase_steps = 40\n\n[references]\ncount = 4\n\n"
+        "[search]\nplan = 6,3\npool = 800\ntop_k = 8\n"
     )
     lab_path = tmp_path / "lab.npz"
     assert main(["lab", "gen", "--config", str(cfg), "--out", str(lab_path)]) == 0
@@ -117,8 +123,7 @@ def test_lab_and_search_cli_flow(tmp_path, capsys):
     ref_dir = tmp_path / "refs"
     assert main(
         ["lab", "train-references", "--config", str(cfg), "--lab", str(lab_path),
-         "--base", str(comp_dir / "base.dmxt"), "--count", "4", "--seed", "5",
-         "--out-dir", str(ref_dir)]
+         "--base", str(comp_dir / "base.dmxt"), "--out-dir", str(ref_dir)]
     ) == 0
     assert (ref_dir / "references.csv").exists()
 
@@ -132,9 +137,8 @@ def test_lab_and_search_cli_flow(tmp_path, capsys):
     out = tmp_path / "result.json"
     transcript = tmp_path / "transcript.jsonl"
     code = main(
-        ["search", "--components", str(comp_dir), "--benchmarks", str(lab_path),
-         "--plan", "6,3", "--pool", "800", "--topk", "8", "--seed", "0",
-         "--out", str(out), "--transcript", str(transcript)]
+        ["search", "--config", str(cfg), "--components", str(comp_dir),
+         "--benchmarks", str(lab_path), "--out", str(out), "--transcript", str(transcript)]
     )
     assert code == 0
     result = json.loads(out.read_text())
@@ -189,3 +193,95 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("[search]\nbananas = 4\n")
     assert main(["run", "--config", str(cfg)]) == 2
+    cfg.write_text("[serach]\nplan = 4\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "unknown section [serach]" in capsys.readouterr().err
+
+
+SMALL_CONFIG = (
+    "[experiment]\nseed = 1\n\n[lab]\nexamples_per_domain = 200\n"
+    "general_examples = 200\nbenchmark_examples = 64\n\n"
+    "[training]\nsteps = 40\nbase_steps = 40\n\n"
+    "[references]\ncount = 6\n\n"
+    "[search]\nplan = 6,3\npool = 800\ntop_k = 8\ngbdt_rounds = 40\n"
+)
+
+
+@pytest.mark.parametrize("n_domains", [3, 11])  # from 11 on, dom10 sorts before dom2
+def test_stage_commands_write_the_same_artifacts_as_run(tmp_path, capsys, n_domains):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(SMALL_CONFIG.replace("[lab]\n", f"[lab]\nn_domains = {n_domains}\n"))
+    out = tmp_path / "stages"
+    lab = str(out / "lab.npz")
+    out.mkdir()
+    assert main(["lab", "gen", "--config", str(cfg), "--out", lab]) == 0
+    assert main(["lab", "train-components", "--config", str(cfg), "--lab", lab,
+                 "--out-dir", str(out)]) == 0
+    assert main(["lab", "train-references", "--config", str(cfg), "--lab", lab,
+                 "--base", str(out / "base.dmxt"), "--out-dir", str(out)]) == 0
+    assert main(["search", "--config", str(cfg), "--components", str(out), "--benchmarks", lab,
+                 "--out", str(out / "search_result.json"),
+                 "--transcript", str(out / "transcript.jsonl")]) == 0
+    assert main(["run", "--config", str(cfg), "--run-root", str(tmp_path / "runs")]) == 0
+    run_dir = next((tmp_path / "runs").iterdir())
+    names = ["lab.npz", "base.dmxt", "reference_ratios.json", "references.csv", "domains.csv",
+             "search_result.json", "transcript.jsonl"]
+    names += sorted(p.name for p in out.glob("component_*.dmxt"))
+    assert len(names) == 7 + n_domains
+    for name in names:
+        assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
+def test_report_shows_the_name_of_the_config_that_ran(tmp_path, capsys):
+    runs = str(tmp_path / "runs")
+    for name in ("alpha", "beta"):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(f"[experiment]\nname = {name}\n" + SMALL_CONFIG.split("\n", 1)[1])
+        assert main(["run", "--config", str(cfg), "--run-root", runs]) == 0
+        assert f"experiment {name} (seed 1)" in capsys.readouterr().out
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    assert json.loads((run_dir / "report.json").read_text())["experiment"]["name"] == "beta"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_is_not_an_archive_error(tmp_path, capsys, unbuffered):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(SMALL_CONFIG)
+    argv = ["run", "--config", str(cfg), "--run-root", str(tmp_path / "runs")]
+    assert main(argv) == 0
+    src = str(Path(demix.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+    proc = subprocess.Popen([sys.executable, "-m", "demix.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # the reader goes away before the first line
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "error:" not in err and "BrokenPipeError" not in err
+
+
+def test_malformed_inputs_are_usage_errors(tmp_path, archives, capsys):
+    comps = ",".join(str(p) for p in archives)
+    assert main(["merge", "--ratio", "0.5,abc", "--components", comps,
+                 "--out", str(tmp_path / "x.dmxt")]) == 2
+    assert main(["merge", "--ratio", "0.5,0.3,0.2", "--components", comps,
+                 "--hyperparam", "density=abc", "--out", str(tmp_path / "x.dmxt")]) == 2
+    cfg = tmp_path / "exp.cfg"
+    for body, key in [("[search]\nplan = 4,x\n", "plan"), ("[search]\npool = 1e5\n", "pool"),
+                      ("[experiment]\nseed = -1\n", "seed")]:
+        cfg.write_text(body)
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+    cfg.write_bytes(b"[experiment]\nname = \xff\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    (tmp_path / "scores.csv").write_bytes(b"model_id,benchmark_id,score\nm0,b0,\xff\n")
+    assert main(["eval", "--reference", str(tmp_path / "scores.csv"),
+                 "--proxy", str(tmp_path / "scores.csv"), "--domains", str(tmp_path / "scores.csv"),
+                 "--out", str(tmp_path / "c.json")]) == 2
+    (tmp_path / "scores.csv").write_text("model_id,benchmark_id,score\nm0,b0\n")
+    (tmp_path / "domains.csv").write_text("benchmark_id,domain\nb0,d0\n")
+    assert main(["eval", "--reference", str(tmp_path / "scores.csv"),
+                 "--proxy", str(tmp_path / "scores.csv"), "--domains", str(tmp_path / "domains.csv"),
+                 "--out", str(tmp_path / "c.json")]) == 2
+    assert f"{tmp_path / 'scores.csv'}:2:" in capsys.readouterr().err
