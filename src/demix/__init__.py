@@ -29,6 +29,7 @@ from .eval_metrics import (
     spearman_rho,
     top_quartile_rho,
 )
+from .gbdt import BoostedTreesRegressor
 from .merge_engine import (
     AdditivityReport,
     MergeSpec,
@@ -38,12 +39,8 @@ from .merge_engine import (
     merge_linear,
 )
 from .mixture_search import (
-    PredictorConfig,
     ProxyEvaluation,
-    RankPredictor,
     SamplePlan,
-    fit_predictor,
-    predict,
     run_search,
     sample_simplex,
 )
@@ -60,6 +57,7 @@ from .tensor_store import (
 __all__ = [
     "ArchiveError",
     "AdditivityReport",
+    "BoostedTreesRegressor",
     "CorrelationReport",
     "DemixError",
     "MergeSpec",
@@ -68,9 +66,7 @@ __all__ = [
     "NonFiniteError",
     "ParameterSet",
     "PipelineError",
-    "PredictorConfig",
     "ProxyEvaluation",
-    "RankPredictor",
     "SamplePlan",
     "SchemaMismatchError",
     "ScoreTable",
@@ -84,12 +80,10 @@ __all__ = [
     "compute_delta",
     "consistency_report",
     "delta_magnitude",
-    "fit_predictor",
     "load_archive",
     "macro_average_rank",
     "merge",
     "merge_linear",
-    "predict",
     "run_search",
     "sample_simplex",
     "save_archive",

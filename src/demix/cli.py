@@ -140,23 +140,30 @@ def _cmd_dedup(args) -> int:
 
 
 def _cmd_lab(args) -> int:
+    def option(name: str) -> str:
+        value = getattr(args, name.replace("-", "_"))
+        if value is None:
+            raise ValidationError(f"demix lab {args.action} requires --{name}")
+        return value
+
     config = _config(args)
     if args.action == "gen":
-        pipeline.generate_lab(config, args.out)
+        pipeline.generate_lab(config, option("out"))
         print(f"wrote {args.out}")
         return 0
-    lab = toy_lab.load_lab(args.lab)
+    lab = toy_lab.load_lab(option("lab"))
     if args.action == "evaluate":
-        row = toy_lab.evaluate_model(load_archive(args.model), lab.tasks)
+        row = toy_lab.evaluate_model(load_archive(option("model")), lab.tasks)
         print(json.dumps(row, indent=2, sort_keys=True))
         return 0
-    out_dir = Path(args.out_dir)
+    out_dir = Path(option("out-dir"))
+    base = load_archive(option("base")) if args.action == "train-references" else None
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.action == "train-components":
         pipeline.train_components(config, lab, out_dir)
         print(f"wrote base + {len(lab.candidates)} components to {out_dir}")
     else:
-        pipeline.train_references(config, lab, load_archive(args.base), out_dir)
+        pipeline.train_references(config, lab, base, out_dir)
         print(f"wrote {config.references.count} reference rows to {out_dir}")
     return 0
 

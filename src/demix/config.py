@@ -2,10 +2,10 @@
 
 Every knob has a default; an empty file is a valid experiment. The config is
 the one place where settings become runtime objects: its methods build the
-training config, the lab, the sample plan, the predictor config and the merge
-spec, and ``load_config`` validates a file by building them. The config hash
-that names run directories covers only result-affecting fields, so the same
-experiment resolves to the same artifacts wherever it is run.
+training config, the lab, the sample plan, the unfitted rank predictor and the
+merge spec, and ``load_config`` validates a file by building them. The config
+hash that names run directories covers only result-affecting fields, so the
+same experiment resolves to the same artifacts wherever it is run.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ValidationError
+from .gbdt import BoostedTreesRegressor
 from .merge_engine import MergeSpec
-from .mixture_search import PredictorConfig, SamplePlan
+from .mixture_search import SamplePlan
 from .toy_lab import ComponentTrainingConfig, ToyLab, make_domains
 
 
@@ -131,8 +132,8 @@ class ExperimentConfig:
             rng_seed=self.seed,
         )
 
-    def predictor_config(self) -> PredictorConfig:
-        return PredictorConfig(
+    def predictor(self) -> BoostedTreesRegressor:
+        return BoostedTreesRegressor(
             learning_rate=self.search.gbdt_learning_rate,
             n_rounds=self.search.gbdt_rounds,
             max_depth=self.search.gbdt_max_depth,
@@ -211,7 +212,7 @@ def _validate(config: ExperimentConfig) -> None:
     config.training_config()
     config.make_lab()
     config.sample_plan()
-    config.predictor_config()
+    config.predictor()
     config.merge_spec()
     if config.seed < 0:
         raise ValidationError("config: seed must be non-negative")

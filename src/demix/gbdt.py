@@ -122,6 +122,11 @@ class BoostedTreesRegressor:
     min_samples_leaf: int = 2
     base_prediction: float = 0.0
     trees: list[RegressionTree] = field(default_factory=list)
+    n_features: int = 0
+
+    def __post_init__(self):
+        if not (self.learning_rate > 0 and self.n_rounds >= 1):
+            raise ValidationError("gbdt: learning_rate must be > 0 and n_rounds >= 1")
 
     def fit(self, X, y) -> "BoostedTreesRegressor":
         X = np.asarray(X, dtype=np.float64)
@@ -132,8 +137,7 @@ class BoostedTreesRegressor:
             raise ValidationError("gbdt: need at least 2 observations")
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
             raise ValidationError("gbdt: non-finite training data")
-        if self.learning_rate <= 0 or self.n_rounds < 1:
-            raise ValidationError("gbdt: learning_rate must be > 0 and n_rounds >= 1")
+        self.n_features = X.shape[1]
         self.base_prediction = float(y.mean())
         self.trees = []
         current = np.full(y.size, self.base_prediction)
@@ -145,8 +149,10 @@ class BoostedTreesRegressor:
 
     def predict(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[None, :]
+        if X.ndim != 2 or X.shape[1] != self.n_features:
+            raise ValidationError(
+                f"gbdt: fitted on {self.n_features} features, got rows of shape {X.shape}"
+            )
         out = np.full(X.shape[0], self.base_prediction)
         for tree in self.trees:
             out += self.learning_rate * tree.predict(X)

@@ -1,14 +1,15 @@
-"""Simplex sampling, the rank predictor, and the iterative mixture search.
+"""Simplex sampling and the iterative mixture search.
 
 The search alternates evaluation and regression: evaluate a first batch of
-uniformly sampled mixture ratios, fit a gradient-boosted-tree predictor on
-the (lower-is-better) ranking scores collected so far, score a large fresh
-pool of uniform samples, and evaluate the top predicted candidates. After the
-last iteration the predictor is refit once more and the final mixture is the
+uniformly sampled mixture ratios (the evaluator returns each one's
+per-benchmark scores), fit the caller's boosted-tree regressor on the
+(lower-is-better) ranking scores collected so far, score a large fresh pool
+of uniform samples, and evaluate the top predicted candidates. After the last
+iteration the regressor is refit once more and the final mixture is the
 renormalized coordinatewise mean of the best-predicted pool candidates.
 
 Ranking scores are macro-average ranks of the evaluated proxies among each
-other, recomputed over the whole population every time the predictor is fit.
+other, recomputed over the whole population every time the regressor is fit.
 """
 
 from __future__ import annotations
@@ -48,39 +49,15 @@ class SamplePlan:
 
 
 @dataclass
-class PredictorConfig:
-    learning_rate: float = 0.02
-    n_rounds: int = 300
-    max_depth: int = 3
-    min_samples_leaf: int = 2
-
-
-@dataclass
-class RankPredictor:
-    """Fitted predictor mapping a mixture ratio to a predicted ranking score."""
-
-    model: BoostedTreesRegressor
-    n_dims: int
-
-    def predict_matrix(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_dims:
-            raise ValidationError(
-                f"predictor expects {self.n_dims}-dim ratios, got shape {X.shape}"
-            )
-        return self.model.predict(X)
-
-
-@dataclass
 class ProxyEvaluation:
-    """One evaluated mixture: per-benchmark scores, and once the search has
-    recorded it, its position in the transcript and its ranking score."""
+    """One evaluated mixture in the search transcript: its position, its
+    per-benchmark scores and, once the search ends, its ranking score."""
 
     ratio: MixtureRatio
     per_benchmark_scores: dict[str, float]
+    index: int
+    iteration: int
     ranking_score: float | None = None
-    index: int = -1
-    iteration: int = -1
 
     def to_json(self) -> str:
         return json.dumps(
@@ -116,8 +93,6 @@ class SearchTranscript:
     evaluations: list[ProxyEvaluation] = field(default_factory=list)
     fits: list[FitRecord] = field(default_factory=list)
     selections: list[SelectionRecord] = field(default_factory=list)
-    final_top_k: int = 0
-    final_pool_size: int = 0
 
     def to_jsonl(self) -> str:
         return "\n".join(rec.to_json() for rec in self.evaluations) + "\n"
@@ -149,40 +124,6 @@ def _default_ids(n_dims: int) -> list[str]:
     return [f"c{i}" for i in range(n_dims)]
 
 
-def fit_predictor(
-    observations: list[tuple[MixtureRatio, float]],
-    config: PredictorConfig | None = None,
-) -> RankPredictor:
-    """Fit boosted trees mapping ratio coordinates to ranking scores."""
-    config = config or PredictorConfig()
-    if len(observations) < 2:
-        raise ValidationError("fit_predictor: need at least 2 observations")
-    n_dims = len(observations[0][0])
-    ids = observations[0][0].candidate_ids
-    for ratio, target in observations:
-        if ratio.candidate_ids != ids:
-            raise ValidationError("fit_predictor: observations use different candidates")
-        if not np.isfinite(target):
-            raise ValidationError("fit_predictor: non-finite target")
-    X = np.stack([ratio.weights for ratio, _ in observations])
-    y = np.array([target for _, target in observations])
-    model = BoostedTreesRegressor(
-        learning_rate=config.learning_rate,
-        n_rounds=config.n_rounds,
-        max_depth=config.max_depth,
-        min_samples_leaf=config.min_samples_leaf,
-    ).fit(X, y)
-    return RankPredictor(model=model, n_dims=n_dims)
-
-
-def predict(predictor: RankPredictor, ratio: MixtureRatio) -> float:
-    if len(ratio) != predictor.n_dims:
-        raise ValidationError(
-            f"predict: ratio has {len(ratio)} dims, predictor expects {predictor.n_dims}"
-        )
-    return float(predictor.predict_matrix(ratio.weights[None, :])[0])
-
-
 def _ranking_targets(
     records: list[ProxyEvaluation], benchmark_domains: dict[str, str] | None
 ) -> np.ndarray:
@@ -201,44 +142,42 @@ def run_search(
     evaluator,
     candidate_ids: list[str],
     plan: SamplePlan,
-    predictor_config: PredictorConfig | None = None,
+    predictor: BoostedTreesRegressor,
     benchmark_domains: dict[str, str] | None = None,
 ) -> tuple[MixtureRatio, SearchTranscript]:
     """Run the full iterative search; returns the final mixture and transcript.
 
-    ``evaluator`` maps a MixtureRatio to a ProxyEvaluation and must be pure:
-    the same ratio always yields the same scores. Evaluator failures are
-    re-raised as SearchError with the offending ratio attached. The number of
-    evaluator calls is exactly ``plan.total_evaluations()``.
+    ``evaluator`` maps a MixtureRatio to its per-benchmark scores (a
+    ``dict[str, float]``) and must be pure: the same ratio always yields the
+    same scores. Evaluator failures are re-raised as SearchError with the
+    offending ratio attached. The number of evaluator calls is exactly
+    ``plan.total_evaluations()``. ``predictor`` is refit on every evaluation
+    so far before each selection and once more for the final mixture.
     """
-    predictor_config = predictor_config or PredictorConfig()
     n_dims = len(candidate_ids)
     if n_dims < 1:
         raise ValidationError("run_search: need at least one candidate")
     counts = plan.per_iteration_counts
     streams = np.random.SeedSequence(plan.rng_seed).spawn(len(counts) + 1)
     transcript = SearchTranscript()
-    benchmarks: list[str] | None = None
 
-    def evaluate_batch(ratios: list[MixtureRatio], iteration: int) -> None:
-        nonlocal benchmarks
-        for ratio in ratios:
+    def evaluate_batch(rows: np.ndarray, iteration: int) -> None:
+        for row in rows:
+            ratio = MixtureRatio(weights=row, candidate_ids=list(candidate_ids))
             try:
-                evaluation = evaluator(ratio)
+                scores = {str(k): float(v) for k, v in evaluator(ratio).items()}
             except SearchError:
                 raise
             except Exception as exc:
                 raise SearchError(
                     f"evaluator failed on ratio {ratio.as_dict()}: {exc}", ratio=ratio
                 ) from exc
-            scores = {str(k): float(v) for k, v in evaluation.per_benchmark_scores.items()}
             if not scores or not all(np.isfinite(v) for v in scores.values()):
                 raise SearchError(
                     f"evaluator returned invalid scores for ratio {ratio.as_dict()}", ratio=ratio
                 )
-            if benchmarks is None:
-                benchmarks = sorted(scores)
-            elif sorted(scores) != benchmarks:
+            first = transcript.evaluations[:1]
+            if first and sorted(scores) != sorted(first[0].per_benchmark_scores):
                 raise SearchError("evaluator changed its benchmark set mid-search", ratio=ratio)
             transcript.evaluations.append(
                 ProxyEvaluation(
@@ -249,58 +188,48 @@ def run_search(
                 )
             )
 
-    def fit_on_all(after_iteration: int) -> RankPredictor:
+    def fit_and_score_pool(after_iteration: int, k: int):
+        """Refit on every evaluation so far, then score a fresh uniform pool.
+        Returns the ranking targets, the pool's predictions, and the indices
+        and rows of its ``k`` best-predicted members, best first. Only those
+        rows outlive the call, so two pools are never held at once."""
         targets = _ranking_targets(transcript.evaluations, benchmark_domains)
-        observations = [
-            (rec.ratio, float(t)) for rec, t in zip(transcript.evaluations, targets)
-        ]
         transcript.fits.append(
             FitRecord(
                 after_iteration=after_iteration,
-                n_observations=len(observations),
-                targets=[float(t) for t in targets],
+                n_observations=targets.size,
+                targets=targets.tolist(),
             )
         )
-        return fit_predictor(observations, predictor_config)
+        # Fit on the renormalized ratio weights the evaluator saw.
+        predictor.fit(np.stack([rec.ratio.weights for rec in transcript.evaluations]), targets)
+        rng = np.random.Generator(np.random.PCG64(streams[after_iteration + 1]))
+        pool = _sample_rows(rng, plan.final_candidate_pool, n_dims)
+        preds = predictor.predict(pool)
+        top = np.argsort(preds, kind="stable")[:k]
+        return targets, preds, top, pool[top]
 
     rng0 = np.random.Generator(np.random.PCG64(streams[0]))
-    first = [
-        MixtureRatio(weights=row, candidate_ids=list(candidate_ids))
-        for row in _sample_rows(rng0, counts[0], n_dims)
-    ]
-    evaluate_batch(first, iteration=0)
+    evaluate_batch(_sample_rows(rng0, counts[0], n_dims), iteration=0)
 
     for t in range(1, len(counts)):
-        predictor = fit_on_all(after_iteration=t - 1)
-        rng = np.random.Generator(np.random.PCG64(streams[t]))
-        pool = _sample_rows(rng, plan.final_candidate_pool, n_dims)
-        preds = predictor.predict_matrix(pool)
-        picked = np.argsort(preds, kind="stable")[: counts[t]]
+        _, preds, picked, rows = fit_and_score_pool(t - 1, counts[t])
         transcript.selections.append(
             SelectionRecord(
                 iteration=t,
-                pool_size=int(pool.shape[0]),
+                pool_size=int(preds.size),
                 n_selected=int(picked.size),
                 max_selected_prediction=float(preds[picked].max()),
                 median_pool_prediction=float(np.median(preds)),
             )
         )
-        chosen = [
-            MixtureRatio(weights=pool[i], candidate_ids=list(candidate_ids)) for i in picked
-        ]
-        evaluate_batch(chosen, iteration=t)
+        evaluate_batch(rows, iteration=t)
 
-    predictor = fit_on_all(after_iteration=len(counts) - 1)
-    rng = np.random.Generator(np.random.PCG64(streams[-1]))
-    pool = _sample_rows(rng, plan.final_candidate_pool, n_dims)
-    preds = predictor.predict_matrix(pool)
-    top = np.argsort(preds, kind="stable")[: plan.top_k_average]
-    mean = pool[top].mean(axis=0)
+    # The final fit ranks the whole population, so its targets are the
+    # transcript's ranking scores.
+    targets, _, _, rows = fit_and_score_pool(len(counts) - 1, plan.top_k_average)
+    mean = rows.mean(axis=0)
     best = MixtureRatio(weights=mean / mean.sum(), candidate_ids=list(candidate_ids))
-
-    final_targets = _ranking_targets(transcript.evaluations, benchmark_domains)
-    for rec, target in zip(transcript.evaluations, final_targets):
-        rec.ranking_score = float(target)
-    transcript.final_top_k = int(plan.top_k_average)
-    transcript.final_pool_size = int(pool.shape[0])
+    for rec, target in zip(transcript.evaluations, targets.tolist()):
+        rec.ranking_score = target
     return best, transcript

@@ -18,6 +18,7 @@ so identical configs produce byte-identical result files.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
@@ -32,7 +33,6 @@ from .config import ExperimentConfig
 from .errors import PipelineError, ValidationError
 from .eval_metrics import ScoreTable, capability_recovery, consistency_report
 from .merge_engine import MergeSpec, MixtureRatio
-from .mixture_search import ProxyEvaluation
 from .tensor_store import ParameterSet, load_archive, save_archive
 
 STAGE_ORDER = ["lab", "components", "references", "consistency", "search", "report"]
@@ -52,11 +52,19 @@ class ExperimentManifest:
         )
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(vars(self), indent=2, sort_keys=True))
+        """Write to a temp file beside ``path`` and rename it into place, so a
+        run killed mid-save leaves the previous manifest whole."""
+        path = Path(path)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        tmp.write_text(json.dumps(vars(self), indent=2, sort_keys=True))
+        os.replace(tmp, path)
 
     @classmethod
     def load(cls, path) -> "ExperimentManifest":
-        return cls(**json.loads(Path(path).read_text()))
+        try:
+            return cls(**json.loads(Path(path).read_text()))
+        except (ValueError, TypeError) as exc:
+            raise PipelineError(f"{path}: not a demix manifest: {exc}") from exc
 
 
 def _file_hash(path: Path) -> str:
@@ -122,11 +130,10 @@ class ProxyEvaluator:
         self.base = base
         self.calls = 0
 
-    def __call__(self, ratio: MixtureRatio) -> ProxyEvaluation:
+    def __call__(self, ratio: MixtureRatio) -> dict[str, float]:
         self.calls += 1
         proxy = merge_engine.merge(self.components, ratio, self.spec, base=self.base)
-        scores = toy_lab.evaluate_model(proxy, self.tasks)
-        return ProxyEvaluation(ratio=ratio, per_benchmark_scores=scores)
+        return toy_lab.evaluate_model(proxy, self.tasks)
 
 
 def build_proxy_table(
@@ -136,10 +143,7 @@ def build_proxy_table(
     """Score merged proxies for a list of ratios; row ids align with
     build_reference_set so the two tables are directly comparable."""
     evaluate = ProxyEvaluator(components, tasks, spec or MergeSpec(), base)
-    rows = {
-        f"{id_prefix}_{j:03d}": evaluate(ratio).per_benchmark_scores
-        for j, ratio in enumerate(ratios)
-    }
+    rows = {f"{id_prefix}_{j:03d}": evaluate(ratio) for j, ratio in enumerate(ratios)}
     return ScoreTable(rows=rows, domain_of={t.id: t.domain for t in tasks})
 
 
@@ -219,7 +223,7 @@ def search_mixture(
         evaluator,
         [c.id for c in lab.candidates],
         plan,
-        predictor_config=config.predictor_config(),
+        config.predictor(),
         benchmark_domains=lab.domain_of_benchmarks(),
     )
     if transcript_path is not None:
@@ -233,34 +237,36 @@ def search_mixture(
             {"after_iteration": f.after_iteration, "n_observations": f.n_observations}
             for f in transcript.fits
         ],
-        "final_pool_size": transcript.final_pool_size,
-        "final_top_k": transcript.final_top_k,
+        "final_pool_size": plan.final_candidate_pool,
+        "final_top_k": plan.top_k_average,
     }
     _dump_json(result_path, result)
     return result
 
 
 class _RunLock:
+    """An exclusive ``flock`` on ``run_dir/.lock``. The kernel releases it when
+    its holder exits, even on SIGKILL, so a killed run never blocks the next.
+    The file is never removed: removing it would let two runs lock different
+    inodes."""
+
     def __init__(self, run_dir: Path):
         self.path = run_dir / ".lock"
+        self.fd = -1
 
     def __enter__(self):
+        self.fd = os.open(self.path, os.O_CREAT | os.O_WRONLY, 0o644)
         try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
+            fcntl.flock(self.fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(self.fd)
             raise PipelineError(
-                f"run directory is locked by another process ({self.path}); "
-                "remove the stale .lock file if no run is active"
+                f"run directory is locked by another process ({self.path})"
             ) from None
-        os.write(fd, str(os.getpid()).encode("ascii"))
-        os.close(fd)
         return self
 
     def __exit__(self, *exc):
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass
+        os.close(self.fd)
         return False
 
 

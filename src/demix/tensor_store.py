@@ -11,6 +11,7 @@ given parameter set and support partial reads by offset.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -50,7 +51,7 @@ class ParameterSet:
             shape = tuple(int(s) for s in self.shapes.get(name, (arr.size,)))
             if any(s < 0 for s in shape):
                 raise ValidationError(f"tensor {name!r}: negative dimension in shape {shape}")
-            if int(np.prod(shape, dtype=np.int64)) != arr.size:
+            if math.prod(shape) != arr.size:
                 raise ValidationError(
                     f"tensor {name!r}: shape/length mismatch "
                     f"(shape {shape} vs {arr.size} values)"
@@ -144,11 +145,13 @@ class ArchiveHeader:
     def validate(self, payload_size: int) -> None:
         expected = 0
         for name, shape, offset, length in self.index:
+            if any(s < 0 for s in shape):
+                raise ArchiveError(f"tensor {name!r}: negative dimension in header")
             if offset != expected:
                 raise ArchiveError(
                     f"tensor {name!r}: offsets must be ascending and non-overlapping"
                 )
-            if int(np.prod(shape, dtype=np.int64)) * 8 != length:
+            if math.prod(shape) * 8 != length:
                 raise ArchiveError(f"tensor {name!r}: shape/length mismatch in header")
             expected = offset + length
         if expected > payload_size:
@@ -243,8 +246,11 @@ def _parse_archive(blob: bytes) -> tuple[ArchiveHeader, bytes]:
             for t in doc["tensors"]
         ]
         metadata = {str(k): str(v) for k, v in doc.get("metadata", {}).items()}
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError) as exc:
         raise ArchiveError(f"corrupt header: {exc}") from exc
+    for name, *_ in index:
+        if not isinstance(name, str):
+            raise ArchiveError(f"corrupt header: tensor name {name!r} is not a string")
     header = ArchiveHeader(format_version=version, index=index, metadata=metadata)
     payload = blob[header_end:]
     header.validate(len(payload))

@@ -529,7 +529,10 @@ def save_lab(lab: ToyLab, path) -> None:
         arrays[f"bench_{i}_y"] = task.y
     for name in lab.true_params:
         arrays[f"true_{name}_w"] = lab.true_params[name].tensor("w")
-    np.savez(path, **arrays)
+    # Through a file object, so np.savez writes to ``path`` itself rather
+    # than appending ".npz" to it.
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def load_lab(path) -> ToyLab:

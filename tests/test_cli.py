@@ -12,7 +12,13 @@ import pytest
 import demix
 from demix.cli import main
 from demix.tensor_store import ParameterSet, load_archive, save_archive
-from demix.toy_lab import ComponentTrainingConfig, make_domains, prepare_components, save_lab
+from demix.toy_lab import (
+    ComponentTrainingConfig,
+    load_lab,
+    make_domains,
+    prepare_components,
+    save_lab,
+)
 
 
 @pytest.fixture()
@@ -268,11 +274,14 @@ def test_malformed_inputs_are_usage_errors(tmp_path, archives, capsys):
                  "--hyperparam", "density=abc", "--out", str(tmp_path / "x.dmxt")]) == 2
     cfg = tmp_path / "exp.cfg"
     for body, key in [("[search]\nplan = 4,x\n", "plan"), ("[search]\npool = 1e5\n", "pool"),
-                      ("[experiment]\nseed = -1\n", "seed")]:
+                      ("[experiment]\nseed = -1\n", "seed"),
+                      ("[search]\ngbdt_rounds = 0\n", "n_rounds"),
+                      ("[search]\ngbdt_learning_rate = -1\n", "learning_rate")]:
         cfg.write_text(body)
         capsys.readouterr()
-        assert main(["run", "--config", str(cfg)]) == 2
+        assert main(["run", "--config", str(cfg), "--run-root", str(tmp_path / "runs")]) == 2
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()  # rejected before any stage ran
     cfg.write_bytes(b"[experiment]\nname = \xff\n")
     assert main(["run", "--config", str(cfg)]) == 2
     (tmp_path / "scores.csv").write_bytes(b"model_id,benchmark_id,score\nm0,b0,\xff\n")
@@ -285,3 +294,39 @@ def test_malformed_inputs_are_usage_errors(tmp_path, archives, capsys):
                  "--proxy", str(tmp_path / "scores.csv"), "--domains", str(tmp_path / "domains.csv"),
                  "--out", str(tmp_path / "c.json")]) == 2
     assert f"{tmp_path / 'scores.csv'}:2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "action, given, missing",
+    [
+        ("gen", [], "--out"),
+        ("train-components", ["--out-dir"], "--lab"),
+        ("train-components", ["--lab"], "--out-dir"),
+        ("train-references", ["--lab", "--out-dir"], "--base"),
+        ("evaluate", ["--lab"], "--model"),
+    ],
+    ids=["gen", "components-lab", "components-out-dir", "references", "evaluate"],
+)
+def test_lab_action_without_its_option_is_a_usage_error(tmp_path, capsys, action, given, missing):
+    lab = tmp_path / "lab.npz"
+    save_lab(make_domains(2, 8, seed=0), lab)
+    values = {"--lab": str(lab), "--out-dir": str(tmp_path / "out")}
+    argv = ["lab", action] + [item for option in given for item in (option, values[option])]
+    assert main(argv) == 2
+    assert f"requires {missing}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_lab_gen_writes_the_path_it_is_given(tmp_path, capsys):
+    out = tmp_path / "labx"
+    assert main(["lab", "gen", "--out", str(out)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["labx"]
+    assert len(load_lab(out).candidates) == 3
+
+
+@pytest.mark.parametrize("text", ['{"config": {}', '{"config": {}}'])
+def test_malformed_manifest_is_a_pipeline_error(tmp_path, capsys, text):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(text)
+    assert main(["report", "--manifest", str(manifest)]) == 7
+    assert "not a demix manifest" in capsys.readouterr().err

@@ -1,11 +1,16 @@
 """Tests for the pipeline orchestrator: caching, determinism, reports."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import demix
 from demix import toy_lab
 from demix.config import ExperimentConfig, load_config
 from demix.errors import PipelineError
@@ -127,6 +132,36 @@ def test_lock_file_blocks_concurrent_runs(config_path, tmp_path):
     run_pipeline(config, run_root=run_root)  # lock released
 
 
+def test_a_killed_run_does_not_lock_its_run_directory(config_path, tmp_path):
+    config = load_config(config_path)
+    run_root = tmp_path / "runs"
+    run_dir = run_root / config.content_hash()
+    run_dir.mkdir(parents=True)
+    holder = (
+        "import sys, time\n"
+        "from pathlib import Path\n"
+        "from demix.pipeline import _RunLock\n"
+        "with _RunLock(Path(sys.argv[1])):\n"
+        "    print('locked', flush=True)\n"
+        "    time.sleep(600)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(demix.__file__).resolve().parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", holder, str(run_dir)], env=env, stdout=subprocess.PIPE
+    )
+    try:
+        assert proc.stdout.readline() == b"locked\n"
+        with pytest.raises(PipelineError, match="locked"):
+            run_pipeline(config, run_root=run_root)
+    finally:
+        proc.send_signal(signal.SIGKILL)  # the holder never reaches __exit__
+        proc.wait(timeout=60)
+        proc.stdout.close()
+    assert (run_dir / ".lock").exists()
+    manifest = run_pipeline(config, run_root=run_root)
+    assert all(rec["status"] == "done" for rec in manifest.stages.values())
+
+
 def test_manifest_round_trips(config_path, tmp_path):
     manifest = run_pipeline(load_config(config_path), run_root=tmp_path / "runs")
     loaded = ExperimentManifest.load(Path(manifest.run_dir) / "manifest.json")
@@ -161,7 +196,7 @@ def test_proxy_evaluator_counts_calls():
     evaluator = ProxyEvaluator(comps, lab.tasks, MergeSpec(method="linear"), base)
     ev = evaluator(MixtureRatio(weights=[0.5, 0.5], candidate_ids=["dom0", "dom1"]))
     assert evaluator.calls == 1
-    assert set(ev.per_benchmark_scores) == {t.id for t in lab.tasks}
+    assert set(ev) == {t.id for t in lab.tasks}
 
 
 def test_consistency_helper_reports_recovery():

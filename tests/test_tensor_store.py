@@ -156,6 +156,66 @@ def test_read_header_reports_index_and_metadata(tmp_path):
     assert [entry[0] for entry in header.index] == ["b", "w"]  # lexicographic
 
 
+JSON_ANY = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+TENSOR_ENTRY = st.fixed_dictionaries(
+    {
+        "name": st.text(max_size=3) | JSON_ANY,
+        "shape": st.lists(st.integers(-2, 4) | st.just(2**70) | JSON_ANY, max_size=3) | JSON_ANY,
+        "offset": st.sampled_from([0, 8, 16, -8]) | JSON_ANY,
+        "length": st.sampled_from([0, 8, 16, 32]) | JSON_ANY,
+    }
+)
+HEADER_DOC = st.fixed_dictionaries(
+    {
+        "tensors": st.lists(TENSOR_ENTRY, max_size=3) | JSON_ANY,
+        "metadata": st.dictionaries(st.text(max_size=4), JSON_ANY, max_size=3) | JSON_ANY,
+    }
+) | JSON_ANY
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    doc=HEADER_DOC,
+    magic=st.sampled_from([b"DMXT", b"NOPE"]),
+    version=st.sampled_from([1, 2]),
+    header_len_error=st.integers(-4, 4) | st.just(2**40),
+    payload=st.binary(max_size=48),
+    cut=st.none() | st.integers(0, 120),
+)
+def test_any_header_gives_a_value_or_an_archive_error(
+    tmp_path_factory, doc, magic, version, header_len_error, payload, cut
+):
+    header = json.dumps(doc).encode("utf-8")
+    declared = max(0, len(header) + header_len_error)
+    blob = struct.pack("<4sIQ", magic, version, declared) + header + payload
+    path = tmp_path_factory.mktemp("dmxt") / "fuzzed.dmxt"
+    path.write_bytes(blob[:cut])
+    for read in (read_header, load_archive):
+        try:
+            read(path)
+        except ArchiveError:
+            pass
+
+
+def test_reported_malformed_headers_are_archive_errors(tmp_path):
+    path = tmp_path / "bad.dmxt"
+    entry = {"name": "w", "shape": [1], "offset": 0, "length": 8}
+    payload = np.zeros(1).tobytes()
+    for doc, message in [
+        ({"tensors": [entry], "metadata": [1]}, "corrupt header"),
+        ({"tensors": [{**entry, "shape": [2**70]}], "metadata": {}}, "shape/length mismatch"),
+        ({"tensors": [{**entry, "name": ["w"]}], "metadata": {}}, "not a string"),
+    ]:
+        _write_archive(path, doc, payload)
+        for read in (read_header, load_archive):
+            with pytest.raises(ArchiveError, match=message):
+                read(path)
+
+
 # --- delta calculus ----------------------------------------------------------
 
 
