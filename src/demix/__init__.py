@@ -21,11 +21,9 @@ from .errors import (
     ValidationError,
 )
 from .eval_metrics import (
-    CorrelationReport,
     ScoreTable,
     capability_recovery,
     consistency_report,
-    macro_average_rank,
     spearman_rho,
     top_quartile_rho,
 )
@@ -58,7 +56,6 @@ __all__ = [
     "ArchiveError",
     "AdditivityReport",
     "BoostedTreesRegressor",
-    "CorrelationReport",
     "DemixError",
     "MergeSpec",
     "MetricError",
@@ -81,7 +78,6 @@ __all__ = [
     "consistency_report",
     "delta_magnitude",
     "load_archive",
-    "macro_average_rank",
     "merge",
     "merge_linear",
     "run_search",

@@ -13,6 +13,7 @@ when the reader of its standard output goes away).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -24,6 +25,7 @@ from . import __version__, merge_engine, pipeline, toy_lab
 from .config import ExperimentConfig, load_config
 from .dedup import dedup_corpus
 from .errors import DemixError, ValidationError
+from .eval_metrics import consistency_report
 from .merge_engine import MergeSpec, MixtureRatio
 from .pipeline import ExperimentManifest, read_score_csv
 from .tensor_store import load_archive, read_header, save_archive
@@ -64,6 +66,8 @@ def _cmd_tensor(args) -> int:
     if args.action == "checksum":
         print(load_archive(args.path).checksum())
         return 0
+    if args.other is None:
+        raise ValidationError("demix tensor diff requires a second archive")
     a = load_archive(args.path)
     b = load_archive(args.other)
     if a.schema() != b.schema():
@@ -110,7 +114,7 @@ def _cmd_search(args) -> int:
 def _cmd_eval(args) -> int:
     reference = read_score_csv(args.reference, args.domains)
     proxy = read_score_csv(args.proxy, args.domains)
-    report = pipeline.proxy_reference_consistency(reference, proxy)
+    report = consistency_report(reference, proxy)
     Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(
         f"macro rho {report['macro_avg_rho']:.3f}, "
@@ -119,14 +123,30 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_dedup(args) -> int:
+def _read_corpus(path) -> list[tuple[str, str]]:
+    """(id, text) of each non-blank line of a UTF-8 JSONL corpus."""
+    data = Path(path).read_bytes()
+    try:
+        lines = io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValidationError(f"{path}:{line}: not UTF-8 text") from None
     docs = []
-    with open(args.input) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
             doc = json.loads(line)
-            docs.append((doc["id"], doc["text"]))
+        except (ValueError, RecursionError) as exc:
+            raise ValidationError(f"{path}:{number}: not JSON: {exc}") from None
+        if not (isinstance(doc, dict) and all(isinstance(doc.get(k), str) for k in ("id", "text"))):
+            raise ValidationError(f'{path}:{number}: expected an object with string "id" and "text"')
+        docs.append((doc["id"], doc["text"]))
+    return docs
+
+
+def _cmd_dedup(args) -> int:
+    docs = _read_corpus(args.input)
     result = dedup_corpus(docs, mode=args.mode, seed=args.seed, ngram=args.ngram)
     Path(args.report).write_text(json.dumps(result.to_report(), indent=2, sort_keys=True) + "\n")
     if args.out:

@@ -30,11 +30,6 @@ class LabSection:
     examples_per_domain: int = 600
     general_examples: int = 600
     benchmark_examples: int = 256
-    noise_std: float = 0.05
-    own_std: float = 0.45
-    foreign_std: float = 0.0
-    shared_target_std: float = 0.6
-    own_target_std: float = 1.2
     family: str = "linear_regression"
     hidden_units: int = 8
 
@@ -116,12 +111,7 @@ class ExperimentConfig:
             examples_per_domain=lab.examples_per_domain,
             general_examples=lab.general_examples,
             benchmark_examples=lab.benchmark_examples,
-            noise_std=lab.noise_std,
-            own_std=lab.own_std,
-            foreign_std=lab.foreign_std,
             shared_dims=lab.shared_dims,
-            shared_target_std=lab.shared_target_std,
-            own_target_std=lab.own_target_std,
         )
 
     def sample_plan(self) -> SamplePlan:

@@ -8,7 +8,7 @@ is best, and tied values receive the average of the ranks they span.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,16 +127,6 @@ class ScoreTable:
         return float(np.mean(list(self.rows[model].values())))
 
 
-@dataclass
-class CorrelationReport:
-    """Proxy-vs-reference rank agreement, per domain and macro-averaged."""
-
-    per_domain_rho: dict[str, float]
-    macro_avg_rho: float
-    top_quartile_rho: dict[str, float] = field(default_factory=dict)
-    top_quartile_macro: float | None = None
-
-
 def rank_table(table: ScoreTable) -> dict[str, tuple[dict[str, float], float]]:
     """Per-domain ranks (by domain-average score) and macro rank for every model."""
     models = table.models()
@@ -154,17 +144,9 @@ def rank_table(table: ScoreTable) -> dict[str, tuple[dict[str, float], float]]:
     return out
 
 
-def macro_average_rank(table: ScoreTable, target: str) -> tuple[dict[str, float], float]:
-    """The target model's per-domain ranks and their unweighted mean."""
-    if target not in table.rows:
-        raise ValidationError(f"macro_average_rank: unknown model {target!r}")
-    if len(table.rows) < 2:
-        raise MetricError("macro_average_rank: need at least 2 models")
-    return rank_table(table)[target]
-
-
-def consistency_report(reference: ScoreTable, proxy: ScoreTable) -> CorrelationReport:
-    """Spearman agreement of proxy and reference domain-average scores.
+def consistency_report(reference: ScoreTable, proxy: ScoreTable) -> dict:
+    """Spearman agreement of proxy and reference domain-average scores, and
+    the mean capability recovery: the ``consistency.json`` document.
 
     Correlations are computed over per-model domain averages; the macro value
     is the unweighted mean over domains. Top-quartile values restrict each
@@ -188,11 +170,17 @@ def consistency_report(reference: ScoreTable, proxy: ScoreTable) -> CorrelationR
         )
         if len(models) >= 8:
             top_quartile[domain] = top_quartile_rho(ref_avg, prox_avg)
-    macro = float(np.mean(list(per_domain.values())))
-    tq_macro = float(np.mean(list(top_quartile.values()))) if top_quartile else None
-    return CorrelationReport(
-        per_domain_rho=per_domain,
-        macro_avg_rho=macro,
-        top_quartile_rho=top_quartile,
-        top_quartile_macro=tq_macro,
-    )
+    recoveries = [
+        capability_recovery(proxy.overall_average(m), reference.overall_average(m))
+        for m in models
+    ]
+    return {
+        "per_domain_rho": per_domain,
+        "macro_avg_rho": float(np.mean(list(per_domain.values()))),
+        "top_quartile_rho": top_quartile,
+        "top_quartile_macro": (
+            float(np.mean(list(top_quartile.values()))) if top_quartile else None
+        ),
+        "mean_capability_recovery": float(np.mean(recoveries)),
+        "n_models": len(models),
+    }

@@ -120,9 +120,10 @@ class BoostedTreesRegressor:
     n_rounds: int = 300
     max_depth: int = 3
     min_samples_leaf: int = 2
-    base_prediction: float = 0.0
-    trees: list[RegressionTree] = field(default_factory=list)
-    n_features: int = 0
+    # Fitted state, set by fit().
+    base_prediction: float = field(default=0.0, init=False)
+    trees: list[RegressionTree] = field(default_factory=list, init=False)
+    n_features: int = field(default=0, init=False)
 
     def __post_init__(self):
         if not (self.learning_rate > 0 and self.n_rounds >= 1):

@@ -62,11 +62,6 @@ class MixtureRatio:
     def as_dict(self) -> dict[str, float]:
         return {c: float(w) for c, w in zip(self.candidate_ids, self.weights)}
 
-    def permuted(self, order: list[int]) -> "MixtureRatio":
-        return MixtureRatio(
-            weights=self.weights[order], candidate_ids=[self.candidate_ids[i] for i in order]
-        )
-
 
 @dataclass
 class MergeSpec:

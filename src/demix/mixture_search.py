@@ -42,6 +42,12 @@ class SamplePlan:
             raise ValidationError("sample plan: pool and top-k must be positive")
         if self.top_k_average > self.final_candidate_pool:
             raise ValidationError("sample plan: top_k_average exceeds final_candidate_pool")
+        # Each later iteration evaluates the best members of one pool.
+        for c in counts[1:]:
+            if c > self.final_candidate_pool:
+                raise ValidationError(
+                    f"sample plan: plan count {c} exceeds the pool of {self.final_candidate_pool}"
+                )
         self.per_iteration_counts = counts
 
     def total_evaluations(self) -> int:

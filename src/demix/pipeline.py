@@ -31,7 +31,7 @@ import numpy as np
 from . import merge_engine, mixture_search, toy_lab
 from .config import ExperimentConfig
 from .errors import PipelineError, ValidationError
-from .eval_metrics import ScoreTable, capability_recovery, consistency_report
+from .eval_metrics import ScoreTable, consistency_report
 from .merge_engine import MergeSpec, MixtureRatio
 from .tensor_store import ParameterSet, load_archive, save_archive
 
@@ -62,9 +62,16 @@ class ExperimentManifest:
     @classmethod
     def load(cls, path) -> "ExperimentManifest":
         try:
-            return cls(**json.loads(Path(path).read_text()))
+            manifest = cls(**json.loads(Path(path).read_text()))
         except (ValueError, TypeError) as exc:
             raise PipelineError(f"{path}: not a demix manifest: {exc}") from exc
+        expected = {"config": dict, "stages": dict, "config_hash": str, "run_dir": str}
+        wrong = [k for k, kind in expected.items() if not isinstance(getattr(manifest, k), kind)]
+        if not wrong:
+            wrong = [f"stages.{k}" for k, s in manifest.stages.items() if not isinstance(s, dict)]
+        if wrong:
+            raise PipelineError(f"{path}: not a demix manifest: wrong type for {', '.join(wrong)}")
+        return manifest
 
 
 def _file_hash(path: Path) -> str:
@@ -137,31 +144,13 @@ class ProxyEvaluator:
 
 
 def build_proxy_table(
-    components, ratios, tasks, spec: MergeSpec | None = None,
-    base: ParameterSet | None = None, id_prefix: str = "mix",
+    components, ratios, tasks, spec: MergeSpec | None = None, base: ParameterSet | None = None
 ) -> ScoreTable:
     """Score merged proxies for a list of ratios; row ids align with
     build_reference_set so the two tables are directly comparable."""
     evaluate = ProxyEvaluator(components, tasks, spec or MergeSpec(), base)
-    rows = {f"{id_prefix}_{j:03d}": evaluate(ratio) for j, ratio in enumerate(ratios)}
+    rows = {f"mix_{j:03d}": evaluate(ratio) for j, ratio in enumerate(ratios)}
     return ScoreTable(rows=rows, domain_of={t.id: t.domain for t in tasks})
-
-
-def proxy_reference_consistency(reference: ScoreTable, proxy: ScoreTable) -> dict:
-    """Correlation report plus mean capability recovery, as a plain dict."""
-    report = consistency_report(reference, proxy)
-    recoveries = [
-        capability_recovery(proxy.overall_average(m), reference.overall_average(m))
-        for m in reference.models()
-    ]
-    return {
-        "per_domain_rho": report.per_domain_rho,
-        "macro_avg_rho": report.macro_avg_rho,
-        "top_quartile_rho": report.top_quartile_rho,
-        "top_quartile_macro": report.top_quartile_macro,
-        "mean_capability_recovery": float(np.mean(recoveries)),
-        "n_models": len(reference.models()),
-    }
 
 
 def generate_lab(config: ExperimentConfig, path: Path) -> None:
@@ -378,12 +367,11 @@ def _run_stages(config: ExperimentConfig, run_dir: Path, manifest: ExperimentMan
             reference = read_score_csv(run_dir / "references.csv", run_dir / "domains.csv")
             proxy = build_proxy_table(components, ratios, lab.tasks, config.merge_spec(), base)
             write_score_csv(proxy, run_dir / "proxy_scores.csv")
-            _dump_json(
-                run_dir / "consistency.json", proxy_reference_consistency(reference, proxy)
-            )
+            _dump_json(run_dir / "consistency.json", consistency_report(reference, proxy))
 
         consistency_inputs = [
-            lab_path, run_dir / "reference_ratios.json", run_dir / "references.csv"
+            lab_path, run_dir / "reference_ratios.json", run_dir / "references.csv",
+            run_dir / "domains.csv",
         ] + component_paths
         _execute(
             manifest, run_dir, "consistency", stage_hash(consistency_inputs),
@@ -448,8 +436,13 @@ def load_report(manifest: ExperimentManifest) -> dict:
     stage = manifest.stages.get("report")
     if not stage or stage.get("status") != "done":
         raise PipelineError("report: pipeline has not completed the report stage")
-    path = Path(manifest.run_dir) / stage["outputs"]["report"]
-    return json.loads(path.read_text())
+    path = Path(manifest.run_dir) / "report.json"
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise PipelineError(f"report: {path} is missing; rerun the pipeline") from None
+    except ValueError as exc:
+        raise PipelineError(f"report: {path} is not JSON: {exc}") from None
 
 
 def format_report(report: dict) -> str:

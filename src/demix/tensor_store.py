@@ -105,14 +105,6 @@ class ParameterSet:
             crc = zlib.crc32(self.entries[name].astype("<f8").tobytes(), crc)
         return f"{crc:08x}"
 
-    def allclose(self, other: "ParameterSet", atol: float = 0.0) -> bool:
-        if self.schema() != other.schema():
-            return False
-        return all(
-            np.allclose(self.entries[n], other.entries[n], rtol=0.0, atol=atol)
-            for n in self.entries
-        )
-
 
 @dataclass
 class WeightDelta:

@@ -8,7 +8,9 @@ unit scale but assigns different target coefficients (so mixtures trade off a
 compromise), domain-private coordinates sampled at a weaker scale only by the
 owning domain, and foreign coordinates a domain does not sample at all. The
 general dataset is an equal blend of all domain distributions; benchmarks are
-held-out noiseless per-domain eval sets scored on a 0-100 scale.
+held-out noiseless per-domain eval sets scored on a 0-100 scale. The
+module constants NOISE_STD, OWN_STD, SHARED_TARGET_STD and OWN_TARGET_STD
+hold the lab's calibration.
 """
 
 from __future__ import annotations
@@ -26,16 +28,22 @@ from .tensor_store import ParameterSet
 MODEL_FAMILIES = ("linear_regression", "logistic", "mlp_1hidden")
 SCORING_RULES = ("exp_neg_mse", "accuracy")
 
+# The lab's calibration: label noise of the training sets, the sampling scale
+# of a domain's private coordinates, and the target norms per coordinate of
+# the shared and the private blocks.
+NOISE_STD = 0.05
+OWN_STD = 0.45
+SHARED_TARGET_STD = 0.6
+OWN_TARGET_STD = 1.2
+
 
 @dataclass
 class CandidateDataset:
     """Finite synthetic dataset drawn around one domain's ground truth."""
 
     id: str
-    domain: str
     X: np.ndarray
     y: np.ndarray
-    generator_seed: int
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
@@ -91,10 +99,6 @@ class ToyLab:
     general: CandidateDataset
     tasks: list[BenchmarkTask]
     true_params: dict[str, ParameterSet]
-    feature_dim: int
-    family: str
-    seed: int
-    shared_dims: int
 
     def domain_of_benchmarks(self) -> dict[str, str]:
         return {task.id: task.domain for task in self.tasks}
@@ -124,20 +128,9 @@ def make_domains(
     examples_per_domain: int = 600,
     general_examples: int = 600,
     benchmark_examples: int = 256,
-    noise_std: float = 0.05,
-    own_std: float = 0.45,
-    foreign_std: float = 0.0,
     shared_dims: int | None = None,
-    shared_target_std: float = 0.6,
-    own_target_std: float = 1.2,
-    tie_targets: bool = False,
 ) -> ToyLab:
-    """Generate candidate datasets, the general blend, and benchmark tasks.
-
-    ``tie_targets`` collapses the construction to a fully symmetric one
-    (identical ground truth, identical feature distribution, identical
-    benchmark draws for every domain); useful for symmetry checks.
-    """
+    """Generate candidate datasets, the general blend, and benchmark tasks."""
     if n_domains < 2 or d < 2:
         raise ValidationError("make_domains: need n_domains >= 2 and d >= 2")
     if family not in MODEL_FAMILIES:
@@ -155,25 +148,18 @@ def make_domains(
     scales = {}
     targets = {}
     for k, name in enumerate(domains):
-        scale = np.full(d, foreign_std)
+        scale = np.zeros(d)
         scale[:n_shared] = 1.0
-        if tie_targets:
-            scale[n_shared:] = own_std
-        else:
-            scale[own_coords[k]] = own_std
+        scale[own_coords[k]] = OWN_STD
         scales[name] = scale
-        target_rng = _rng_for(seed, "target", 0 if tie_targets else k)
+        target_rng = _rng_for(seed, "target", k)
         theta = np.zeros(d)
-        if tie_targets:
-            theta[:n_shared] = shared_target_std * target_rng.standard_normal(n_shared)
-            theta[n_shared:] = own_target_std * target_rng.standard_normal(d - n_shared)
-        else:
-            theta[:n_shared] = shared_target_std * np.sqrt(n_shared) * shared_dirs[k]
-            own = own_coords[k]
-            if own:
-                direction = target_rng.standard_normal(len(own))
-                direction /= np.linalg.norm(direction)
-                theta[own] = own_target_std * np.sqrt(len(own)) * direction
+        theta[:n_shared] = SHARED_TARGET_STD * np.sqrt(n_shared) * shared_dirs[k]
+        own = own_coords[k]
+        if own:
+            direction = target_rng.standard_normal(len(own))
+            direction /= np.linalg.norm(direction)
+            theta[own] = OWN_TARGET_STD * np.sqrt(len(own)) * direction
         targets[name] = theta
 
     def draw(name: str, count: int, rng: np.random.Generator, noiseless: bool):
@@ -182,7 +168,7 @@ def make_domains(
         if noiseless:
             signal = clean
         else:
-            signal = clean + noise_std * rng.standard_normal(count)
+            signal = clean + NOISE_STD * rng.standard_normal(count)
         if family == "logistic":
             y = (signal > 0.0).astype(np.float64)
         else:
@@ -192,9 +178,7 @@ def make_domains(
     candidates = []
     for k, name in enumerate(domains):
         X, y = draw(name, examples_per_domain, _rng_for(seed, "candidate", k), noiseless=False)
-        candidates.append(
-            CandidateDataset(id=name, domain=name, X=X, y=y, generator_seed=seed)
-        )
+        candidates.append(CandidateDataset(id=name, X=X, y=y))
 
     counts = [general_examples // n_domains] * n_domains
     for k in range(general_examples % n_domains):
@@ -210,17 +194,14 @@ def make_domains(
     )
     general = CandidateDataset(
         id="general",
-        domain="general",
         X=np.concatenate([b[0] for b in blocks])[order],
         y=np.concatenate([b[1] for b in blocks])[order],
-        generator_seed=seed,
     )
 
     tasks = []
     scoring = "accuracy" if family == "logistic" else "exp_neg_mse"
     for k, name in enumerate(domains):
-        bench_rng = _rng_for(seed, "benchmark", 0 if tie_targets else k)
-        X, y = draw(name, benchmark_examples, bench_rng, noiseless=True)
+        X, y = draw(name, benchmark_examples, _rng_for(seed, "benchmark", k), noiseless=True)
         tasks.append(BenchmarkTask(id=f"bench_{name}", domain=name, X=X, y=y, scoring=scoring))
 
     true_params = {
@@ -229,16 +210,7 @@ def make_domains(
         )
         for name in domains
     }
-    return ToyLab(
-        candidates=candidates,
-        general=general,
-        tasks=tasks,
-        true_params=true_params,
-        feature_dim=d,
-        family=family,
-        seed=seed,
-        shared_dims=n_shared,
-    )
+    return ToyLab(candidates=candidates, general=general, tasks=tasks, true_params=true_params)
 
 
 # --- model families -------------------------------------------------------
@@ -490,7 +462,6 @@ def build_reference_set(
     base: ParameterSet,
     tasks: list[BenchmarkTask],
     config: ComponentTrainingConfig,
-    id_prefix: str = "mix",
 ) -> ScoreTable:
     """Train one reference model per ratio from the base and score them all."""
     rows = {}
@@ -500,7 +471,7 @@ def build_reference_set(
             model = train(mixture, base, config)
         except TrainingError as exc:
             raise TrainingError(f"reference {j} (ratio {ratio.as_dict()}): {exc}") from exc
-        rows[f"{id_prefix}_{j:03d}"] = evaluate_model(model, tasks)
+        rows[f"mix_{j:03d}"] = evaluate_model(model, tasks)
     return ScoreTable(rows=rows, domain_of={t.id: t.domain for t in tasks})
 
 
@@ -510,11 +481,7 @@ def build_reference_set(
 def save_lab(lab: ToyLab, path) -> None:
     """Persist a lab world as an .npz archive."""
     meta = {
-        "family": lab.family,
-        "seed": lab.seed,
-        "feature_dim": lab.feature_dim,
-        "shared_dims": lab.shared_dims,
-        "candidates": [{"id": c.id, "domain": c.domain, "seed": c.generator_seed} for c in lab.candidates],
+        "candidates": [{"id": c.id} for c in lab.candidates],
         "tasks": [{"id": t.id, "domain": t.domain, "scoring": t.scoring} for t in lab.tasks],
         "true_domains": sorted(lab.true_params),
     }
@@ -539,22 +506,10 @@ def load_lab(path) -> ToyLab:
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"].tobytes()).decode("utf-8"))
         candidates = [
-            CandidateDataset(
-                id=spec["id"],
-                domain=spec["domain"],
-                X=data[f"cand_{i}_X"],
-                y=data[f"cand_{i}_y"],
-                generator_seed=spec["seed"],
-            )
+            CandidateDataset(id=spec["id"], X=data[f"cand_{i}_X"], y=data[f"cand_{i}_y"])
             for i, spec in enumerate(meta["candidates"])
         ]
-        general = CandidateDataset(
-            id="general",
-            domain="general",
-            X=data["general_X"],
-            y=data["general_y"],
-            generator_seed=meta["seed"],
-        )
+        general = CandidateDataset(id="general", X=data["general_X"], y=data["general_y"])
         tasks = [
             BenchmarkTask(
                 id=spec["id"],
@@ -571,13 +526,4 @@ def load_lab(path) -> ToyLab:
             )
             for name in meta["true_domains"]
         }
-    return ToyLab(
-        candidates=candidates,
-        general=general,
-        tasks=tasks,
-        true_params=true_params,
-        feature_dim=meta["feature_dim"],
-        family=meta["family"],
-        seed=meta["seed"],
-        shared_dims=meta["shared_dims"],
-    )
+    return ToyLab(candidates=candidates, general=general, tasks=tasks, true_params=true_params)

@@ -52,6 +52,11 @@ def test_tensor_errors_use_exit_codes(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_tensor_diff_without_the_second_archive_is_a_usage_error(archives, capsys):
+    assert main(["tensor", "diff", str(archives[0])]) == 2
+    assert "requires a second archive" in capsys.readouterr().err
+
+
 def test_merge_cli_linear(tmp_path, archives, capsys):
     out = tmp_path / "merged.dmxt"
     code = main(
@@ -107,6 +112,26 @@ def test_dedup_cli(tmp_path, capsys):
     doc = json.loads(report.read_text())
     assert doc["counts"] == {"kept": 2, "removed": 1, "clusters": 1}
     assert [json.loads(l)["id"] for l in kept.read_text().splitlines()] == ["a", "c"]
+
+
+@pytest.mark.parametrize(
+    "bad_line, problem",
+    [
+        (b"not json", "not JSON"),
+        (b'{"id": "b"}', 'expected an object with string "id"'),
+        (b'{"id": "b", "text": "caf\xe9"}', "not UTF-8 text"),
+        (b'["b", "text"]', 'expected an object with string "id"'),
+    ],
+    ids=["not-json", "no-text", "not-utf8", "array"],
+)
+def test_malformed_corpus_is_a_usage_error(tmp_path, capsys, bad_line, problem):
+    docs = tmp_path / "docs.jsonl"
+    docs.write_bytes(b'{"id": "a", "text": "alpha"}\n' + bad_line + b"\n")
+    report = tmp_path / "report.json"
+    assert main(["dedup", "--in", str(docs), "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert f"{docs}:2: {problem}" in err
+    assert not report.exists()
 
 
 def test_lab_and_search_cli_flow(tmp_path, capsys):
@@ -276,6 +301,7 @@ def test_malformed_inputs_are_usage_errors(tmp_path, archives, capsys):
     for body, key in [("[search]\nplan = 4,x\n", "plan"), ("[search]\npool = 1e5\n", "pool"),
                       ("[experiment]\nseed = -1\n", "seed"),
                       ("[search]\ngbdt_rounds = 0\n", "n_rounds"),
+                      ("[search]\nplan = 8,50\npool = 20\ntop_k = 4\n", "plan"),
                       ("[search]\ngbdt_learning_rate = -1\n", "learning_rate")]:
         cfg.write_text(body)
         capsys.readouterr()
@@ -324,9 +350,29 @@ def test_lab_gen_writes_the_path_it_is_given(tmp_path, capsys):
     assert len(load_lab(out).candidates) == 3
 
 
-@pytest.mark.parametrize("text", ['{"config": {}', '{"config": {}}'])
+WELL_TYPED = {"config": {}, "config_hash": "h", "run_dir": ".", "stages": {}}
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"config": {}', '{"config": {}}', "[]"]
+    + [json.dumps({**WELL_TYPED, key: value}) for key, value in [
+        ("stages", 5), ("stages", {"report": "done"}), ("config", []),
+        ("config_hash", 7), ("run_dir", None)]],
+)
 def test_malformed_manifest_is_a_pipeline_error(tmp_path, capsys, text):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(text)
     assert main(["report", "--manifest", str(manifest)]) == 7
     assert "not a demix manifest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("report_text, problem", [(None, "is missing"), ("{", "is not JSON")])
+def test_unreadable_report_is_a_pipeline_error(tmp_path, capsys, report_text, problem):
+    manifest = tmp_path / "manifest.json"
+    stages = {"report": {"status": "done", "outputs": {"report": "report.json"}}}
+    manifest.write_text(json.dumps({**WELL_TYPED, "run_dir": str(tmp_path), "stages": stages}))
+    if report_text is not None:
+        (tmp_path / "report.json").write_text(report_text)
+    assert main(["report", "--manifest", str(manifest)]) == 7
+    assert problem in capsys.readouterr().err

@@ -78,9 +78,10 @@ def test_permutation_equivariance_bitwise():
     r = ratio([0.1, 0.2, 0.3, 0.4], ids=["a", "b", "c", "d"])
     out = merge_linear(comps, r)
     order = [2, 0, 3, 1]
-    out_permuted = merge_linear([comps[i] for i in order], r.permuted(order))
+    reordered = ratio(r.weights[order], ids=[r.candidate_ids[i] for i in order])
+    out_reordered = merge_linear([comps[i] for i in order], reordered)
     for name in out.names():
-        assert np.array_equal(out.entries[name], out_permuted.entries[name])
+        assert np.array_equal(out.entries[name], out_reordered.entries[name])
 
 
 def test_convex_hull_property():

@@ -220,3 +220,12 @@ def test_plan_validation():
         SamplePlan(per_iteration_counts=[0])
     with pytest.raises(ValidationError, match="top_k_average"):
         SamplePlan(per_iteration_counts=[2], final_candidate_pool=10, top_k_average=11)
+
+
+def test_plan_counts_after_the_first_fit_in_the_pool():
+    # The first batch is drawn directly, so only later counts are bounded.
+    SamplePlan(per_iteration_counts=[50, 20], final_candidate_pool=20, top_k_average=4)
+    with pytest.raises(ValidationError, match="exceeds the pool"):
+        SamplePlan(per_iteration_counts=[8, 50], final_candidate_pool=20, top_k_average=4)
+    with pytest.raises(ValidationError, match="exceeds the pool"):
+        SamplePlan(per_iteration_counts=[8, 4, 21], final_candidate_pool=20, top_k_average=4)

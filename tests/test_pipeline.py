@@ -13,7 +13,8 @@ import pytest
 import demix
 from demix import toy_lab
 from demix.config import ExperimentConfig, load_config
-from demix.errors import PipelineError
+from demix.errors import PipelineError, ValidationError
+from demix.eval_metrics import consistency_report
 from demix.pipeline import (
     ExperimentManifest,
     ProxyEvaluator,
@@ -21,7 +22,6 @@ from demix.pipeline import (
     build_proxy_table,
     format_report,
     load_report,
-    proxy_reference_consistency,
     read_score_csv,
     run_pipeline,
     write_score_csv,
@@ -97,6 +97,18 @@ def test_deleting_an_artifact_recomputes_only_that_stage_and_downstream(config_p
     redone = recomputed_stages(again)
     assert "search" in redone
     assert {"lab", "components", "references", "consistency"}.isdisjoint(redone)
+
+
+def test_editing_domains_csv_recomputes_consistency(config_path, tmp_path):
+    manifest = run_pipeline(load_config(config_path), run_root=tmp_path / "runs")
+    domains = Path(manifest.run_dir) / "domains.csv"
+    header, *rows = domains.read_text().splitlines()
+    domains.write_text("\n".join([header] + rows[::-1]) + "\n")  # the same mapping
+    again = run_pipeline(load_config(config_path), run_root=tmp_path / "runs")
+    assert recomputed_stages(again) == ["consistency"]
+    domains.write_text(domains.read_text().replace(",dom2", ",dom1"))
+    with pytest.raises(ValidationError, match="domain mappings differ"):
+        run_pipeline(load_config(config_path), run_root=tmp_path / "runs")
 
 
 def test_regenerated_artifacts_are_byte_identical_across_roots(config_path, tmp_path):
@@ -209,7 +221,7 @@ def test_consistency_helper_reports_recovery():
     ratios = sample_simplex(3, 10, seed=9, candidate_ids=ids)
     reference = toy_lab.build_reference_set(lab.candidates, lab.general, ratios, base, lab.tasks, config)
     proxy = build_proxy_table(comps, ratios, lab.tasks, base=base)
-    report = proxy_reference_consistency(reference, proxy)
+    report = consistency_report(reference, proxy)
     assert set(report["per_domain_rho"]) == {"dom0", "dom1", "dom2"}
     assert report["mean_capability_recovery"] > 0.5
     assert report["n_models"] == 10
