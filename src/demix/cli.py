@@ -125,7 +125,10 @@ def _cmd_eval(args) -> int:
 
 def _read_corpus(path) -> list[tuple[str, str]]:
     """(id, text) of each non-blank line of a UTF-8 JSONL corpus."""
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
     try:
         lines = io.StringIO(data.decode("utf-8"), newline=None)
     except UnicodeDecodeError as exc:

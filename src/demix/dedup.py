@@ -2,12 +2,17 @@
 near-duplicate detection with word 24-gram shingles, 260 MinHash functions
 and 20x13 LSH banding (a collision curve whose midpoint sits near Jaccard
 0.79 and that fires almost surely above 0.9 similarity).
+
+A document's shingles are one sorted uint64 array of distinct n-gram hashes.
+The MinHash signatures of a corpus are one (documents x 260) uint64 matrix,
+and LSH band k is its column slice [13k, 13k + 13).
 """
 
 from __future__ import annotations
 
-import unicodedata
 import hashlib
+import itertools
+import unicodedata
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,27 +27,6 @@ BAND_SIZE = 13
 
 _LOW32 = np.uint64(0xFFFFFFFF)
 _LOW29 = np.uint64((1 << 29) - 1)
-
-
-@dataclass
-class ShingleSet:
-    """Hashed word n-grams of one document."""
-
-    doc_id: str
-    shingles: frozenset[int]
-    ngram: int = DEFAULT_NGRAM
-
-
-@dataclass
-class MinHashSignature:
-    doc_id: str
-    values: np.ndarray  # uint64, length NUM_BANDS * BAND_SIZE
-    n_bands: int = NUM_BANDS
-    band_size: int = BAND_SIZE
-
-    def band(self, i: int) -> bytes:
-        start = i * self.band_size
-        return self.values[start : start + self.band_size].tobytes()
 
 
 def tokenize(text: str) -> list[str]:
@@ -60,19 +44,20 @@ def _hash_ngram(tokens: tuple[str, ...]) -> int:
     return int.from_bytes(digest, "big")
 
 
-def shingle(text: str, n: int = DEFAULT_NGRAM, doc_id: str = "") -> ShingleSet:
-    """Set of hashed word n-grams; documents shorter than n tokens yield one
-    whole-document shingle rather than being dropped."""
+def shingle(tokens: list[str], n: int = DEFAULT_NGRAM) -> np.ndarray:
+    """Sorted distinct uint64 hashes of the word n-grams of a tokenized
+    document; documents shorter than n tokens yield one whole-document
+    shingle rather than being dropped."""
     if n < 1:
         raise ValidationError("shingle: n must be positive")
-    tokens = tokenize(text)
     if not tokens:
-        raise ValidationError(f"shingle: empty document {doc_id!r}")
+        raise ValidationError("shingle: empty document")
     if len(tokens) < n:
         windows = [tuple(tokens)]
     else:
         windows = [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
-    return ShingleSet(doc_id=doc_id, shingles=frozenset(map(_hash_ngram, windows)), ngram=n)
+    hashes = np.fromiter(map(_hash_ngram, windows), dtype=np.uint64, count=len(windows))
+    return np.unique(hashes)
 
 
 def hash_family(seed: int, count: int = NUM_HASHES) -> tuple[np.ndarray, np.ndarray]:
@@ -115,40 +100,37 @@ def mod_affine(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     return total
 
 
-def minhash(shingles: ShingleSet, seed: int) -> MinHashSignature:
-    """260 minimum hash values per document under the seeded affine family."""
-    if not shingles.shingles:
-        raise ValidationError(f"minhash: empty shingle set for {shingles.doc_id!r}")
-    x = np.fromiter(shingles.shingles, dtype=np.uint64, count=len(shingles.shingles))
-    x.sort()  # iteration order of a set is not deterministic; the min is, but keep tidy
-    a, b = hash_family(seed)
-    values = mod_affine(a[:, None], b[:, None], x[None, :]).min(axis=1)
-    return MinHashSignature(doc_id=shingles.doc_id, values=values)
+def minhash(shingles: np.ndarray, family: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The NUM_HASHES minimum hash values of one document's shingles under the
+    affine family ``(a, b)`` drawn by :func:`hash_family`."""
+    if len(shingles) == 0:
+        raise ValidationError("minhash: empty shingle set")
+    a, b = family
+    return mod_affine(a[:, None], b[:, None], np.asarray(shingles)[None, :]).min(axis=1)
 
 
-def lsh_candidates(signatures: list[MinHashSignature]) -> set[tuple[str, str]]:
-    """Pairs of documents sharing all hash values in at least one band.
+def lsh_candidates(doc_ids: list[str], signatures: np.ndarray) -> set[tuple[str, str]]:
+    """Pairs of documents whose signatures agree on every column of at least
+    one band; row i of ``signatures`` belongs to ``doc_ids[i]``.
 
     Bucketing is by (band index, band bytes) so runtime stays near-linear in
     the corpus until buckets actually collide.
     """
-    if not signatures:
-        return set()
-    layout = (signatures[0].n_bands, signatures[0].band_size, signatures[0].values.size)
+    if signatures.shape != (len(doc_ids), NUM_HASHES):
+        raise ValidationError(
+            f"lsh_candidates: expected a {len(doc_ids)}x{NUM_HASHES} signature matrix, "
+            f"got shape {signatures.shape}"
+        )
     buckets: dict[tuple[int, bytes], list[int]] = {}
-    for pos, sig in enumerate(signatures):
-        if (sig.n_bands, sig.band_size, sig.values.size) != layout:
-            raise ValidationError("lsh_candidates: signature layouts differ")
-        for band_idx in range(sig.n_bands):
-            buckets.setdefault((band_idx, sig.band(band_idx)), []).append(pos)
+    for band_idx in range(NUM_BANDS):
+        cols = slice(band_idx * BAND_SIZE, (band_idx + 1) * BAND_SIZE)
+        for pos in range(len(doc_ids)):
+            buckets.setdefault((band_idx, signatures[pos, cols].tobytes()), []).append(pos)
     pairs: set[tuple[str, str]] = set()
     for members in buckets.values():
-        if len(members) < 2:
-            continue
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                a, b = signatures[members[i]].doc_id, signatures[members[j]].doc_id
-                pairs.add((a, b) if a <= b else (b, a))
+        for i, j in itertools.combinations(members, 2):
+            a, b = doc_ids[i], doc_ids[j]
+            pairs.add((a, b) if a <= b else (b, a))
     return pairs
 
 
@@ -234,12 +216,15 @@ def dedup_corpus(
                 surviving.append(doc_id)
 
     if mode in ("fuzzy", "both"):
-        signatures = []
+        family = hash_family(seed)
+        hashed_ids, rows = [], []
         for doc_id in surviving:
-            if not tokenize(texts[doc_id]):
-                continue
-            signatures.append(minhash(shingle(texts[doc_id], n=ngram, doc_id=doc_id), seed))
-        for a, b in sorted(lsh_candidates(signatures)):
+            tokens = tokenize(texts[doc_id])
+            if tokens:
+                hashed_ids.append(doc_id)
+                rows.append(minhash(shingle(tokens, n=ngram), family))
+        signatures = np.array(rows, dtype=np.uint64).reshape(len(rows), NUM_HASHES)
+        for a, b in sorted(lsh_candidates(hashed_ids, signatures)):
             uf.union(a, b)
 
     groups: dict[str, list[str]] = {}

@@ -2,8 +2,10 @@
 
 All variant methods operate in delta space around a shared base: transform
 each component's weight delta, combine with the mixture weights, then add the
-base back. Linear merging is the hyperparameter-free default; for weights on
-the simplex it is equivalent whether taken over full parameters or deltas.
+base back. Each component's delta is raveled into one vector (tensors in name
+order) on the way in, and the merged vector is reshaped per tensor on the way
+out. Linear merging is the hyperparameter-free default; for weights on the
+simplex it is equivalent whether taken over full parameters or deltas.
 """
 
 from __future__ import annotations
@@ -148,7 +150,7 @@ def merge_linear(
                 continue
             acc = acc + ratio.weights[i] * (components[i].entries[name] - ref)
         out[name] = ref + acc
-    return ParameterSet(entries=out, shapes=dict(components[0].shapes), model_id=model_id)
+    return ParameterSet(entries=out, model_id=model_id)
 
 
 def merge(
@@ -168,19 +170,13 @@ def merge(
         raise SchemaMismatchError("merge: base schema differs from components")
     order = _canonical_order(ratio)
     names = base.names()
-    sizes = [base.entries[n].size for n in names]
-    bounds = np.cumsum([0] + sizes)
-    flat_deltas = []
-    weights = []
-    comp_ids = []
-    for i in order:
-        flat = np.concatenate(
-            [components[i].entries[n] - base.entries[n] for n in names]
-        )
-        flat_deltas.append(flat)
-        weights.append(float(ratio.weights[i]))
-        comp_ids.append(ratio.candidate_ids[i])
-    weights = np.asarray(weights)
+    bounds = np.cumsum([0] + [base.entries[n].size for n in names])
+    flat_deltas = [
+        np.concatenate([(components[i].entries[n] - base.entries[n]).ravel() for n in names])
+        for i in order
+    ]
+    weights = ratio.weights[order]
+    comp_ids = [ratio.candidate_ids[i] for i in order]
 
     if spec.method == "dare":
         merged = _dare(flat_deltas, weights, comp_ids, spec)
@@ -197,8 +193,9 @@ def merge(
 
     out = {}
     for name, start, stop in zip(names, bounds[:-1], bounds[1:]):
-        out[name] = base.entries[name] + merged[start:stop]
-    return ParameterSet(entries=out, shapes=dict(base.shapes), model_id=model_id)
+        ref = base.entries[name]
+        out[name] = ref + merged[start:stop].reshape(ref.shape)
+    return ParameterSet(entries=out, model_id=model_id)
 
 
 def _rng_for(seed: int, *labels) -> np.random.Generator:
@@ -332,9 +329,11 @@ def check_additivity(
     sq_union = 0.0
     per_tensor = {}
     for name in delta_i.names():
-        diff = delta_union.entries[name] - (delta_i.entries[name] + delta_j.entries[name])
+        # Raveled, so that np.dot stays an inner product on 2-D tensors.
+        union = delta_union.entries[name].ravel()
+        diff = union - (delta_i.entries[name].ravel() + delta_j.entries[name].ravel())
         d2 = float(np.dot(diff, diff))
-        u2 = float(np.dot(delta_union.entries[name], delta_union.entries[name]))
+        u2 = float(np.dot(union, union))
         per_tensor[name] = float(np.sqrt(d2) / max(np.sqrt(u2), ADDITIVITY_EPS))
         sq_diff += d2
         sq_union += u2

@@ -63,15 +63,34 @@ class ExperimentManifest:
     def load(cls, path) -> "ExperimentManifest":
         try:
             manifest = cls(**json.loads(Path(path).read_text()))
+        except OSError as exc:
+            raise PipelineError(f"cannot read manifest {path}: {exc.strerror}") from None
         except (ValueError, TypeError) as exc:
             raise PipelineError(f"{path}: not a demix manifest: {exc}") from exc
         expected = {"config": dict, "stages": dict, "config_hash": str, "run_dir": str}
         wrong = [k for k, kind in expected.items() if not isinstance(getattr(manifest, k), kind)]
         if not wrong:
-            wrong = [f"stages.{k}" for k, s in manifest.stages.items() if not isinstance(s, dict)]
+            wrong = [
+                key
+                for name, record in manifest.stages.items()
+                for key in _bad_stage_keys(name, record)
+            ]
         if wrong:
             raise PipelineError(f"{path}: not a demix manifest: wrong type for {', '.join(wrong)}")
         return manifest
+
+
+def _bad_stage_keys(name: str, record) -> list[str]:
+    """The keys of a stage record that ``_execute`` could not use."""
+    if not isinstance(record, dict):
+        return [f"stages.{name}"]
+    outputs = record.get("outputs", {})
+    usable = {
+        "status": isinstance(record.get("status"), str),
+        "hash": isinstance(record.get("hash"), (str, type(None))),
+        "outputs": isinstance(outputs, dict) and all(isinstance(v, str) for v in outputs.values()),
+    }
+    return [f"stages.{name}.{key}" for key, ok in usable.items() if not ok]
 
 
 def _file_hash(path: Path) -> str:
@@ -104,6 +123,8 @@ def _csv_rows(path, header: list[str]):
         lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
     if not lines or lines[0].split(",")[: len(header)] != header:
         raise ValidationError(f"{path}: expected header {','.join(header)}")
     for number, line in enumerate(lines[1:], start=2):
@@ -295,7 +316,7 @@ def _execute(manifest, run_dir: Path, name: str, stage_hash: str, outputs: dict,
     record = manifest.stage(name)
     if (
         record["status"] == "done"
-        and record["hash"] == stage_hash
+        and record.get("hash") == stage_hash
         and _outputs_exist(run_dir, record)
     ):
         record["recomputed"] = False
@@ -304,6 +325,9 @@ def _execute(manifest, run_dir: Path, name: str, stage_hash: str, outputs: dict,
         {"status": "running", "hash": stage_hash, "outputs": outputs, "recomputed": True}
     )
     record["started_at"] = time.time()
+    # On disk before the stage writes anything, so a run killed inside the
+    # stage leaves it marked running and the next run recomputes it.
+    manifest.save(run_dir / "manifest.json")
     try:
         fn()
     except Exception as exc:

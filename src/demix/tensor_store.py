@@ -1,17 +1,22 @@
 """Model-parameter containers and a bit-exact binary archive format.
 
+Parameter sets and weight deltas hold each tensor as a float64 array in its
+own shape; that array is the only record of the shape.
+
 Archive layout (extension ``.dmxt``): magic ``DMXT``, little-endian u32
 format version, little-endian u64 header length, UTF-8 JSON header (tensor
 index plus free-form string metadata), then the raw payload of little-endian
-float64 values. Tensors are stored in lexicographic name order and offsets in
-the index are relative to the payload start, so files are deterministic for a
-given parameter set and support partial reads by offset.
+float64 values in C order. Tensors are stored in lexicographic name order and
+offsets in the index are relative to the payload start, so files are
+deterministic for a given parameter set. :func:`read_header` reads only the
+preamble and the header, and checks the index against the file size.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -25,66 +30,43 @@ FORMAT_VERSION = 1
 _PREAMBLE = struct.Struct("<4sIQ")
 
 
-def _as_flat_f64(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    return arr.reshape(-1)
+@dataclass
+class _Tensors:
+    """Named float64 tensors, each an array in its own shape; that array is
+    the only record of the shape. NaN and Inf are rejected on construction."""
+
+    entries: dict[str, np.ndarray]
+
+    def __post_init__(self):
+        entries = {}
+        for name, values in self.entries.items():
+            arr = np.asarray(values, dtype=np.float64)
+            if not np.all(np.isfinite(arr)):
+                raise NonFiniteError(f"tensor {name!r}: non-finite value")
+            entries[name] = arr
+        self.entries = entries
+
+    def names(self) -> list[str]:
+        return sorted(self.entries)
+
+    def schema(self) -> dict[str, tuple[int, ...]]:
+        return {name: self.entries[name].shape for name in self.names()}
 
 
 @dataclass
-class ParameterSet:
-    """Named flat float64 tensors plus per-tensor shape metadata.
+class ParameterSet(_Tensors):
+    """A model's parameters.
 
     Immutable by convention after construction; all arithmetic helpers return
     new instances. ``model_id`` identifies the set when deltas are taken
     against it.
     """
 
-    entries: dict[str, np.ndarray]
-    shapes: dict[str, tuple[int, ...]]
     model_id: str = ""
-
-    def __post_init__(self):
-        entries = {}
-        shapes = {}
-        for name in self.entries:
-            arr = _as_flat_f64(self.entries[name])
-            shape = tuple(int(s) for s in self.shapes.get(name, (arr.size,)))
-            if any(s < 0 for s in shape):
-                raise ValidationError(f"tensor {name!r}: negative dimension in shape {shape}")
-            if math.prod(shape) != arr.size:
-                raise ValidationError(
-                    f"tensor {name!r}: shape/length mismatch "
-                    f"(shape {shape} vs {arr.size} values)"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise NonFiniteError(f"tensor {name!r}: non-finite value")
-            entries[name] = arr
-            shapes[name] = shape
-        if set(self.shapes) - set(self.entries):
-            raise ValidationError("shape metadata for unknown tensor")
-        self.entries = entries
-        self.shapes = shapes
 
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray], model_id: str = "") -> "ParameterSet":
-        """Build from (possibly multi-dimensional) arrays, recording shapes."""
-        entries = {}
-        shapes = {}
-        for name, arr in arrays.items():
-            arr = np.asarray(arr, dtype=np.float64)
-            entries[name] = arr.reshape(-1)
-            shapes[name] = tuple(int(s) for s in arr.shape)
-        return cls(entries=entries, shapes=shapes, model_id=model_id)
-
-    def names(self) -> list[str]:
-        return sorted(self.entries)
-
-    def schema(self) -> dict[str, tuple[int, ...]]:
-        return {name: self.shapes[name] for name in self.names()}
-
-    def tensor(self, name: str) -> np.ndarray:
-        """The named tensor reshaped to its declared shape."""
-        return self.entries[name].reshape(self.shapes[name])
+        return cls(entries=dict(arrays), model_id=model_id)
 
     def num_values(self) -> int:
         return sum(arr.size for arr in self.entries.values())
@@ -92,7 +74,6 @@ class ParameterSet:
     def copy(self, model_id: str | None = None) -> "ParameterSet":
         return ParameterSet(
             entries={k: v.copy() for k, v in self.entries.items()},
-            shapes=dict(self.shapes),
             model_id=self.model_id if model_id is None else model_id,
         )
 
@@ -101,29 +82,16 @@ class ParameterSet:
         crc = 0
         for name in self.names():
             crc = zlib.crc32(name.encode("utf-8"), crc)
-            crc = zlib.crc32(repr(self.shapes[name]).encode("ascii"), crc)
+            crc = zlib.crc32(repr(self.entries[name].shape).encode("ascii"), crc)
             crc = zlib.crc32(self.entries[name].astype("<f8").tobytes(), crc)
         return f"{crc:08x}"
 
 
 @dataclass
-class WeightDelta:
+class WeightDelta(_Tensors):
     """Per-tensor difference between a trained model and its base."""
 
-    entries: dict[str, np.ndarray]
-    shapes: dict[str, tuple[int, ...]]
     base_id: str = ""
-
-    def __post_init__(self):
-        probe = ParameterSet(entries=self.entries, shapes=self.shapes)
-        self.entries = probe.entries
-        self.shapes = probe.shapes
-
-    def names(self) -> list[str]:
-        return sorted(self.entries)
-
-    def schema(self) -> dict[str, tuple[int, ...]]:
-        return {name: self.shapes[name] for name in self.names()}
 
 
 @dataclass
@@ -136,7 +104,11 @@ class ArchiveHeader:
 
     def validate(self, payload_size: int) -> None:
         expected = 0
+        seen = set()
         for name, shape, offset, length in self.index:
+            if name in seen:
+                raise ArchiveError(f"duplicate tensor name {name!r}")
+            seen.add(name)
             if any(s < 0 for s in shape):
                 raise ArchiveError(f"tensor {name!r}: negative dimension in header")
             if offset != expected:
@@ -171,7 +143,7 @@ def save_archive(params: ParameterSet, path, metadata: dict[str, str] | None = N
     for name in names:
         length = params.entries[name].size * 8
         index.append(
-            {"name": name, "shape": list(params.shapes[name]), "offset": offset, "length": length}
+            {"name": name, "shape": list(params.entries[name].shape), "offset": offset, "length": length}
         )
         offset += length
     header = json.dumps({"tensors": index, "metadata": meta}, sort_keys=True).encode("utf-8")
@@ -187,52 +159,50 @@ def save_archive(params: ParameterSet, path, metadata: dict[str, str] | None = N
 
 def load_archive(path) -> ParameterSet:
     """Read an archive, validating magic, version, index and payload bounds."""
+    entries = {}
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            header = _read_header(fh)
+            # The payload follows the header, tensors back to back in index order.
+            for name, shape, _offset, length in header.index:
+                flat = np.empty(length // 8, dtype="<f8")
+                if fh.readinto(flat) != length:
+                    raise ArchiveError("truncated payload")
+                entries[name] = flat.reshape(shape)
     except OSError as exc:
         raise ArchiveError(f"cannot read archive {path}: {exc}") from exc
-    header, payload = _parse_archive(blob)
-    entries = {}
-    shapes = {}
-    for name, shape, offset, length in header.index:
-        if name in entries:
-            raise ArchiveError(f"duplicate tensor name {name!r}")
-        raw = payload[offset : offset + length]
-        entries[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-        shapes[name] = shape
     try:
-        return ParameterSet(
-            entries=entries, shapes=shapes, model_id=header.metadata.get("model_id", "")
-        )
+        return ParameterSet(entries=entries, model_id=header.metadata.get("model_id", ""))
     except ValidationError as exc:
         raise ArchiveError(f"invalid archive {path}: {exc}") from exc
 
 
 def read_header(path) -> ArchiveHeader:
-    """Parse and validate only the archive header (used by ``demix tensor inspect``)."""
+    """Parse and validate only the archive header; the payload is never read."""
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            return _read_header(fh)
     except OSError as exc:
         raise ArchiveError(f"cannot read archive {path}: {exc}") from exc
-    header, _ = _parse_archive(blob)
-    return header
 
 
-def _parse_archive(blob: bytes) -> tuple[ArchiveHeader, bytes]:
-    if len(blob) < _PREAMBLE.size:
+def _read_header(fh) -> ArchiveHeader:
+    """Read the preamble and header from ``fh``, leaving it at the payload start,
+    and check the index against the payload size the file actually has."""
+    file_size = os.fstat(fh.fileno()).st_size
+    preamble = fh.read(_PREAMBLE.size)
+    if len(preamble) < _PREAMBLE.size:
         raise ArchiveError("corrupt header: file shorter than preamble")
-    magic, version, header_len = _PREAMBLE.unpack_from(blob)
+    magic, version, header_len = _PREAMBLE.unpack(preamble)
     if magic != MAGIC:
         raise ArchiveError(f"corrupt header: bad magic {magic!r}")
     if version != FORMAT_VERSION:
         raise ArchiveError(f"unsupported format version {version}")
     header_end = _PREAMBLE.size + header_len
-    if len(blob) < header_end:
+    if file_size < header_end:
         raise ArchiveError("corrupt header: declared header length exceeds file size")
     try:
-        doc = json.loads(blob[_PREAMBLE.size : header_end].decode("utf-8"))
+        doc = json.loads(fh.read(header_len).decode("utf-8"))
         index = [
             (t["name"], tuple(int(s) for s in t["shape"]), int(t["offset"]), int(t["length"]))
             for t in doc["tensors"]
@@ -244,16 +214,15 @@ def _parse_archive(blob: bytes) -> tuple[ArchiveHeader, bytes]:
         if not isinstance(name, str):
             raise ArchiveError(f"corrupt header: tensor name {name!r} is not a string")
     header = ArchiveHeader(format_version=version, index=index, metadata=metadata)
-    payload = blob[header_end:]
-    header.validate(len(payload))
-    return header, payload
+    header.validate(file_size - header_end)
+    return header
 
 
 def compute_delta(trained: ParameterSet, base: ParameterSet) -> WeightDelta:
     """Elementwise ``trained - base``, tagged with the base's identity."""
     _require_same_schema(trained, base, "compute_delta")
     entries = {name: trained.entries[name] - base.entries[name] for name in base.entries}
-    return WeightDelta(entries=entries, shapes=dict(base.shapes), base_id=base.model_id)
+    return WeightDelta(entries=entries, base_id=base.model_id)
 
 
 def apply_delta(base: ParameterSet, delta: WeightDelta, model_id: str = "") -> ParameterSet:
@@ -264,7 +233,7 @@ def apply_delta(base: ParameterSet, delta: WeightDelta, model_id: str = "") -> P
         )
     _require_same_schema(delta, base, "apply_delta")
     entries = {name: base.entries[name] + delta.entries[name] for name in base.entries}
-    return ParameterSet(entries=entries, shapes=dict(base.shapes), model_id=model_id)
+    return ParameterSet(entries=entries, model_id=model_id)
 
 
 def delta_magnitude(trained: ParameterSet, base: ParameterSet) -> float:

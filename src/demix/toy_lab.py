@@ -245,17 +245,17 @@ def predict_values(params: ParameterSet, X: np.ndarray) -> np.ndarray:
     """Raw model output (regression value / decision score) for inputs X."""
     family = _family_of(params)
     if family == "linear":
-        w = params.tensor("w")
+        w = params.entries["w"]
         if X.shape[1] != w.size:
             raise SchemaMismatchError(
                 f"model expects {w.size}-dim inputs, got {X.shape[1]}"
             )
-        return X @ w + params.tensor("b")[0]
-    w1 = params.tensor("w1")
+        return X @ w + params.entries["b"][0]
+    w1 = params.entries["w1"]
     if X.shape[1] != w1.shape[0]:
         raise SchemaMismatchError(f"model expects {w1.shape[0]}-dim inputs, got {X.shape[1]}")
-    hidden = np.tanh(X @ w1 + params.tensor("b1"))
-    return hidden @ params.tensor("w2") + params.tensor("b2")[0]
+    hidden = np.tanh(X @ w1 + params.entries["b1"])
+    return hidden @ params.entries["w2"] + params.entries["b2"][0]
 
 
 def _loss_and_grads(arrays: dict, X: np.ndarray, y: np.ndarray, family: str):
@@ -353,7 +353,7 @@ def train(
         if ds.X.shape[1] != dim:
             raise SchemaMismatchError("train: datasets have different feature dims")
     family = config.model_family
-    arrays = {name: init.tensor(name).copy() for name in init.names()}
+    arrays = {name: init.entries[name].copy() for name in init.names()}
     if config.steps == 0:
         return init.copy()
 
@@ -399,11 +399,10 @@ def train(
             loss_hook(step, loss)
         for name in arrays:
             arrays[name] = arrays[name] - config.step_size * grads[name]
-    final = {name: arrays[name] for name in arrays}
-    for name, arr in final.items():
+    for name, arr in arrays.items():
         if not np.all(np.isfinite(arr)):
             raise TrainingError(f"training diverged: non-finite {name!r} after final step")
-    return ParameterSet.from_arrays(final, model_id="")
+    return ParameterSet.from_arrays(arrays, model_id="")
 
 
 def evaluate_model(model: ParameterSet, tasks: list[BenchmarkTask]) -> dict[str, float]:
@@ -495,7 +494,7 @@ def save_lab(lab: ToyLab, path) -> None:
         arrays[f"bench_{i}_X"] = task.X
         arrays[f"bench_{i}_y"] = task.y
     for name in lab.true_params:
-        arrays[f"true_{name}_w"] = lab.true_params[name].tensor("w")
+        arrays[f"true_{name}_w"] = lab.true_params[name].entries["w"]
     # Through a file object, so np.savez writes to ``path`` itself rather
     # than appending ".npz" to it.
     with open(path, "wb") as fh:

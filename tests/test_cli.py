@@ -358,13 +358,46 @@ WELL_TYPED = {"config": {}, "config_hash": "h", "run_dir": ".", "stages": {}}
     ['{"config": {}', '{"config": {}}', "[]"]
     + [json.dumps({**WELL_TYPED, key: value}) for key, value in [
         ("stages", 5), ("stages", {"report": "done"}), ("config", []),
-        ("config_hash", 7), ("run_dir", None)]],
+        ("config_hash", 7), ("run_dir", None),
+        ("stages", {"lab": {}}), ("stages", {"lab": {"status": 1}}),
+        ("stages", {"lab": {"status": "done", "hash": 5}}),
+        ("stages", {"lab": {"status": "done", "outputs": []}})]],
 )
 def test_malformed_manifest_is_a_pipeline_error(tmp_path, capsys, text):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(text)
     assert main(["report", "--manifest", str(manifest)]) == 7
-    assert "not a demix manifest" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "not a demix manifest" in err
+    if '"lab"' in text:
+        assert "stages.lab." in err
+
+
+def test_run_on_an_edited_manifest_without_stage_status_is_a_pipeline_error(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(SMALL_CONFIG)
+    argv = ["run", "--config", str(cfg), "--run-root", str(tmp_path / "runs")]
+    assert main(argv) == 0
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    doc = json.loads((run_dir / "manifest.json").read_text())
+    doc["stages"]["lab"] = {}
+    (run_dir / "manifest.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(argv) == 7
+    assert "stages.lab.status" in capsys.readouterr().err
+
+
+def test_missing_input_files_have_the_exit_code_of_their_input(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    (tmp_path / "domains.csv").write_text("benchmark_id,domain\nb0,d0\n")
+    for argv, code in [
+        (["report", "--manifest", str(missing)], 7),
+        (["dedup", "--in", str(missing), "--report", str(tmp_path / "r.json")], 2),
+        (["eval", "--reference", str(missing), "--proxy", str(missing),
+          "--domains", str(tmp_path / "domains.csv"), "--out", str(tmp_path / "c.json")], 2),
+    ]:
+        assert main(argv) == code, argv
+        assert str(missing) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("report_text, problem", [(None, "is missing"), ("{", "is not JSON")])

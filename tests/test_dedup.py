@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from demix import dedup
 from demix.dedup import (
     MERSENNE_PRIME,
     dedup_corpus,
@@ -12,7 +13,6 @@ from demix.dedup import (
     minhash,
     mod_affine,
     shingle,
-    ShingleSet,
     tokenize,
 )
 from demix.errors import ValidationError
@@ -31,24 +31,26 @@ def test_tokenize_lowercases_and_drops_punctuation_tokens():
 
 
 def test_exact_window_counts():
-    doc24 = " ".join(f"t{i}" for i in range(24))
-    assert len(shingle(doc24).shingles) == 1
-    doc26 = " ".join(f"t{i}" for i in range(26))
-    assert len(shingle(doc26).shingles) == 3  # windows at offsets 0, 1, 2
+    doc24 = [f"t{i}" for i in range(24)]
+    assert len(shingle(doc24)) == 1
+    doc26 = [f"t{i}" for i in range(26)]
+    assert len(shingle(doc26)) == 3  # windows at offsets 0, 1, 2
 
 
 def test_short_document_yields_whole_document_shingle():
-    assert len(shingle("just five little words here").shingles) == 1
+    assert len(shingle(tokenize("just five little words here"))) == 1
 
 
 def test_identical_texts_identical_shingles():
     text = words(60)
-    assert shingle(text).shingles == shingle(text).shingles
+    hashes = shingle(tokenize(text))
+    assert np.array_equal(hashes, shingle(tokenize(text)))
+    assert hashes.dtype == np.uint64 and np.all(hashes[1:] > hashes[:-1])  # sorted, distinct
 
 
 def test_empty_document_rejected():
     with pytest.raises(ValidationError, match="empty document"):
-        shingle("...  !!")
+        shingle(tokenize("...  !!"))
 
 
 # --- modular hash family -------------------------------------------------------
@@ -80,7 +82,7 @@ def test_hash_family_is_seeded_and_in_range():
 
 
 def sets_with_jaccard(rng, union_size, jaccard):
-    """Two shingle sets with exactly the requested Jaccard similarity."""
+    """Two sorted shingle arrays with exactly the requested Jaccard similarity."""
     inter = round(jaccard * union_size)
     only = union_size - inter
     universe = np.unique(rng.integers(0, 2**63, size=4 * union_size, dtype=np.uint64))
@@ -89,20 +91,18 @@ def sets_with_jaccard(rng, union_size, jaccard):
     shared = universe[:inter]
     a_only = universe[inter : inter + (only + 1) // 2]
     b_only = universe[inter + (only + 1) // 2 :]
-    a = frozenset(int(v) for v in np.concatenate([shared, a_only]))
-    b = frozenset(int(v) for v in np.concatenate([shared, b_only]))
-    return a, b
+    return np.sort(np.concatenate([shared, a_only])), np.sort(np.concatenate([shared, b_only]))
 
 
 def exact_jaccard(a, b):
-    return len(a & b) / len(a | b)
+    return len(np.intersect1d(a, b)) / len(np.union1d(a, b))
 
 
 def test_identical_shingle_sets_identical_signatures():
     text = words(100)
-    s1 = minhash(shingle(text, doc_id="a"), seed=3)
-    s2 = minhash(shingle(text, doc_id="b"), seed=3)
-    assert np.array_equal(s1.values, s2.values)
+    s1 = minhash(shingle(tokenize(text)), hash_family(3))
+    s2 = minhash(shingle(tokenize(text)), hash_family(3))
+    assert np.array_equal(s1, s2)
 
 
 def test_signature_match_rate_estimates_jaccard():
@@ -114,8 +114,8 @@ def test_signature_match_rate_estimates_jaccard():
             sa, sb = sets_with_jaccard(rng, union_size=40, jaccard=target)
             j = exact_jaccard(sa, sb)
             assert j == pytest.approx(target, abs=0.02)
-            va = minhash(ShingleSet(doc_id="a", shingles=sa), seed=t).values
-            vb = minhash(ShingleSet(doc_id="b", shingles=sb), seed=t).values
+            family = hash_family(t)
+            va, vb = minhash(sa, family), minhash(sb, family)
             empirical = float(np.mean(va == vb))
             hits += abs(empirical - j) <= 0.12
         assert hits / trials >= 0.95
@@ -126,8 +126,8 @@ def test_disjoint_sets_rarely_match():
     rates = []
     for t in range(50):
         sa, sb = sets_with_jaccard(rng, union_size=60, jaccard=0.0)
-        va = minhash(ShingleSet(doc_id="a", shingles=sa), seed=t).values
-        vb = minhash(ShingleSet(doc_id="b", shingles=sb), seed=t).values
+        family = hash_family(t)
+        va, vb = minhash(sa, family), minhash(sb, family)
         rates.append(float(np.mean(va == vb)))
     assert float(np.mean(rates)) <= 0.05
 
@@ -137,11 +137,11 @@ def test_disjoint_sets_rarely_match():
 
 def test_exact_duplicates_always_pair():
     text = words(80)
-    sigs = [
-        minhash(shingle(text, doc_id="a"), seed=1),
-        minhash(shingle(text, doc_id="b"), seed=1),
-    ]
-    assert lsh_candidates(sigs) == {("a", "b")}
+    sig = minhash(shingle(tokenize(text)), hash_family(1))
+    sigs = np.stack([sig, sig])
+    assert lsh_candidates(["a", "b"], sigs) == {("a", "b")}
+    with pytest.raises(ValidationError, match="signature matrix"):
+        lsh_candidates(["a"], sigs)
 
 
 def test_unrelated_documents_never_pair():
@@ -149,11 +149,9 @@ def test_unrelated_documents_never_pair():
     pairs = 0
     for t in range(1000):
         sa, sb = sets_with_jaccard(rng, union_size=50, jaccard=0.0)
-        sigs = [
-            minhash(ShingleSet(doc_id="a", shingles=sa), seed=t),
-            minhash(ShingleSet(doc_id="b", shingles=sb), seed=t),
-        ]
-        pairs += len(lsh_candidates(sigs))
+        family = hash_family(t)
+        sigs = np.stack([minhash(sa, family), minhash(sb, family)])
+        pairs += len(lsh_candidates(["a", "b"], sigs))
     assert pairs == 0
 
 
@@ -162,11 +160,9 @@ def lsh_collision_rate(jaccard, trials, union_size=40, seed0=0):
     collisions = 0
     for t in range(trials):
         sa, sb = sets_with_jaccard(rng, union_size=union_size, jaccard=jaccard)
-        sigs = [
-            minhash(ShingleSet(doc_id="a", shingles=sa), seed=seed0 + t),
-            minhash(ShingleSet(doc_id="b", shingles=sb), seed=seed0 + t),
-        ]
-        collisions += bool(lsh_candidates(sigs))
+        family = hash_family(seed0 + t)
+        sigs = np.stack([minhash(sa, family), minhash(sb, family)])
+        collisions += bool(lsh_candidates(["a", "b"], sigs))
     return collisions / trials
 
 
@@ -174,15 +170,6 @@ def test_banding_follows_the_closed_form_s_curve():
     for jaccard in (0.7, 0.85, 0.95):
         expected = 1.0 - (1.0 - jaccard**13) ** 20
         assert abs(lsh_collision_rate(jaccard, trials=200) - expected) <= 0.05
-
-
-def test_layout_mismatch_rejected():
-    text = words(40)
-    good = minhash(shingle(text, doc_id="a"), seed=0)
-    bad = minhash(shingle(text, doc_id="b"), seed=0)
-    bad.band_size = 10
-    with pytest.raises(ValidationError, match="layout"):
-        lsh_candidates([good, bad])
 
 
 # --- corpus-level dedup --------------------------------------------------------------
@@ -201,10 +188,10 @@ def test_identical_copies_collapse_to_one():
 def test_distinct_corpus_nothing_removed_in_fuzzy_mode():
     rng = np.random.default_rng(14)
     docs = [(f"d{i}", words(40, rng)) for i in range(30)]
-    shingles = [shingle(text, doc_id=doc_id) for doc_id, text in docs]
+    shingles = [shingle(tokenize(text)) for _, text in docs]
     for i in range(len(docs)):  # generated corpus really is near-disjoint
         for j in range(i + 1, len(docs)):
-            assert exact_jaccard(shingles[i].shingles, shingles[j].shingles) < 0.1
+            assert exact_jaccard(shingles[i], shingles[j]) < 0.1
     result = dedup_corpus(docs, mode="fuzzy", seed=0)
     assert result.removed_ids == []
     assert result.kept_ids == [d for d, _ in docs]
@@ -251,3 +238,20 @@ def test_tokenless_documents_are_kept_and_never_matched():
     assert result.kept_ids == ["p1", "w"]
     fuzzy_only = dedup_corpus([("p1", "..."), ("p2", "!!!"), ("w", words(30))], mode="fuzzy")
     assert fuzzy_only.removed_ids == []
+
+
+def test_dedup_corpus_draws_the_family_once_and_tokenizes_each_document_once(monkeypatch):
+    calls = {"tokenize": 0, "hash_family": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(dedup, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(dedup, name, counted)
+    rng = np.random.default_rng(17)
+    text = words(40, rng)
+    docs = [("a", text), ("b", text), ("c", words(40, rng)), ("d", "..."), ("e", text + " tail")]
+    result = dedup_corpus(docs, mode="both", seed=0)
+    # "b" is an exact copy and never reaches the fuzzy pass; "d" does but has no tokens
+    assert calls == {"tokenize": 4, "hash_family": 1}
+    assert result.removed_ids == ["b", "e"]

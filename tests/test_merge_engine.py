@@ -5,6 +5,7 @@ import pytest
 
 from demix.errors import SchemaMismatchError, ValidationError
 from demix.merge_engine import (
+    MERGE_METHODS,
     MergeSpec,
     MixtureRatio,
     check_additivity,
@@ -161,6 +162,29 @@ def test_stochastic_methods_deterministic_given_seed():
         assert any(not np.array_equal(one.entries[n], other.entries[n]) for n in one.names())
 
 
+@pytest.mark.parametrize("method", MERGE_METHODS)
+def test_every_method_returns_2d_and_0d_tensors_in_their_shapes(method):
+    rng = np.random.default_rng(21)
+
+    def shaped(model_id=""):
+        arrays = {"m": rng.standard_normal((4, 3)), "s": np.float64(rng.standard_normal())}
+        return ParameterSet.from_arrays(arrays, model_id=model_id)
+
+    def flattened(params):
+        arrays = {n: a.ravel() for n, a in params.entries.items()}
+        return ParameterSet.from_arrays(arrays, model_id=params.model_id)
+
+    base = shaped("base")
+    comps = [shaped() for _ in range(3)]
+    r = ratio([0.5, 0.3, 0.2])
+    spec = MergeSpec(method=method, seed=5 if method in ("dare", "della") else None)
+    merged = merge(comps, r, spec, base=base)
+    assert {n: a.shape for n, a in merged.entries.items()} == {"m": (4, 3), "s": ()}
+    flat = merge([flattened(c) for c in comps], r, spec, base=flattened(base))
+    for name in merged.names():
+        assert np.array_equal(merged.entries[name].ravel(), flat.entries[name])
+
+
 def brute_force_ties(deltas, weights, density):
     """Independent trim/elect/merge oracle on tiny flattened tensors."""
     flat = [d.copy() for d in deltas]
@@ -256,7 +280,7 @@ def test_breadcrumbs_masks_top_and_bottom_per_tensor():
 
 
 def delta_of(values, base_id="b"):
-    return WeightDelta(entries={"w": np.asarray(values, dtype=float)}, shapes={}, base_id=base_id)
+    return WeightDelta(entries={"w": np.asarray(values, dtype=float)}, base_id=base_id)
 
 
 def test_additivity_exact_sum_gives_zero_error():
@@ -278,6 +302,15 @@ def test_additivity_includes_delta_magnitudes_with_base():
     assert rep.delta_magnitudes[2] == pytest.approx(0.5)
     no_base = check_additivity(delta_of([1.0]), delta_of([1.0]), delta_of([2.0]))
     assert no_base.delta_magnitudes == (None, None, None)
+
+
+def test_additivity_of_a_2d_delta_equals_that_of_its_flattened_copy():
+    rng = np.random.default_rng(22)
+    parts = [rng.standard_normal((4, 4)) for _ in range(3)]
+    shaped = check_additivity(*(WeightDelta(entries={"w": p}, base_id="b") for p in parts))
+    flat = check_additivity(*(WeightDelta(entries={"w": p.ravel()}, base_id="b") for p in parts))
+    assert shaped.relative_error == flat.relative_error > 0.0
+    assert shaped.per_tensor_errors == flat.per_tensor_errors
 
 
 def test_additivity_rejects_base_mismatch():

@@ -174,6 +174,34 @@ def test_a_killed_run_does_not_lock_its_run_directory(config_path, tmp_path):
     assert all(rec["status"] == "done" for rec in manifest.stages.values())
 
 
+def test_a_stage_killed_after_a_partial_write_is_recomputed(config_path, tmp_path):
+    config = load_config(config_path)
+    run_root = tmp_path / "runs"
+    first = run_pipeline(config, run_root=run_root)
+    result_path = Path(first.run_dir) / "search_result.json"
+    expected = result_path.read_bytes()
+    result_path.unlink()
+    killer = (
+        "import os, sys\n"
+        "from demix import pipeline\n"
+        "from demix.config import load_config\n"
+        "def search_then_die(config, lab, base, components, result_path, transcript_path=None):\n"
+        "    result_path.write_text('{\"best_mixture\": {')\n"
+        "    os._exit(9)\n"
+        "pipeline.search_mixture = search_then_die\n"
+        "pipeline.run_pipeline(load_config(sys.argv[1]), run_root=sys.argv[2])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(demix.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", killer, str(config_path), str(run_root)], env=env, timeout=300
+    )
+    assert proc.returncode == 9
+    assert result_path.read_bytes() != expected  # the partial file is on disk
+    again = run_pipeline(config, run_root=run_root)
+    assert "search" in recomputed_stages(again)
+    assert result_path.read_bytes() == expected
+
+
 def test_manifest_round_trips(config_path, tmp_path):
     manifest = run_pipeline(load_config(config_path), run_root=tmp_path / "runs")
     loaded = ExperimentManifest.load(Path(manifest.run_dir) / "manifest.json")

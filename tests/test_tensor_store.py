@@ -3,6 +3,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,24 +36,22 @@ def assert_same_values(a: ParameterSet, b: ParameterSet):
 # --- containers -------------------------------------------------------------
 
 
-def test_shape_product_must_match_length():
-    with pytest.raises(ValidationError, match="shape/length mismatch"):
-        ParameterSet(entries={"w": np.arange(5.0)}, shapes={"w": (2, 3)})
-
-
 def test_non_finite_rejected_on_construction():
     with pytest.raises(NonFiniteError, match="non-finite"):
         ParameterSet.from_arrays({"w": np.array([1.0, np.nan])})
 
 
-def test_multidim_shapes_roundtrip_through_flat_storage():
-    arr = np.arange(12.0).reshape(3, 4)
-    params = ParameterSet.from_arrays({"m": arr})
-    assert params.shapes["m"] == (3, 4)
-    assert np.array_equal(params.tensor("m"), arr)
-
-
 # --- archive format ----------------------------------------------------------
+
+
+def test_2d_and_0d_tensors_keep_their_shapes_through_an_archive(tmp_path):
+    arrays = {"m": np.arange(12.0).reshape(3, 4), "s": np.float64(2.5)}
+    params = ParameterSet.from_arrays(arrays)
+    save_archive(params, tmp_path / "p.dmxt")
+    loaded = load_archive(tmp_path / "p.dmxt")
+    for held in (params, loaded):
+        assert {n: a.shape for n, a in held.entries.items()} == {"m": (3, 4), "s": ()}
+        assert all(np.array_equal(held.entries[n], a) for n, a in arrays.items())
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -154,6 +153,19 @@ def test_read_header_reports_index_and_metadata(tmp_path):
     assert header.metadata["model_id"] == "base-7"
     assert header.metadata["provenance"] == "test"
     assert [entry[0] for entry in header.index] == ["b", "w"]  # lexicographic
+
+
+def test_read_header_reads_only_the_header(tmp_path):
+    path = tmp_path / "big.dmxt"
+    save_archive(ParameterSet.from_arrays({"big": np.zeros(4 << 20)}), path)  # 32 MiB payload
+    tracemalloc.start()
+    try:
+        header = read_header(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert header.index == [("big", (4 << 20,), 0, 32 << 20)]
+    assert peak < 1 << 20
 
 
 JSON_ANY = st.recursive(
