@@ -26,7 +26,7 @@ from .config import ExperimentConfig, load_config
 from .dedup import dedup_corpus
 from .errors import DemixError, ValidationError
 from .eval_metrics import consistency_report
-from .merge_engine import MergeSpec, MixtureRatio
+from .merge_engine import MixtureRatio
 from .pipeline import ExperimentManifest, read_score_csv
 from .tensor_store import load_archive, read_header, save_archive
 
@@ -86,16 +86,7 @@ def _cmd_merge(args) -> int:
     components = [load_archive(p) for p in paths]
     candidate_ids = [p.stem for p in paths]
     ratio = _parse_ratio(args.ratio, candidate_ids)
-    hyperparams = {}
-    for item in args.hyperparam or []:
-        key, _, value = item.partition("=")
-        try:
-            hyperparams[key] = float(value)
-        except ValueError:
-            raise ValidationError(f"--hyperparam expects key=number, got {item!r}") from None
-    spec = MergeSpec(method=args.method, hyperparams=hyperparams, seed=args.seed)
-    base = load_archive(args.base) if args.base else None
-    merged = merge_engine.merge(components, ratio, spec, base=base, model_id="merged")
+    merged = merge_engine.merge(components, ratio, model_id="merged")
     save_archive(merged, args.out, metadata={"method": args.method, "ratio": args.ratio})
     print(f"wrote {args.out}")
     return 0
@@ -104,9 +95,9 @@ def _cmd_merge(args) -> int:
 def _cmd_search(args) -> int:
     config = _config(args)
     lab = toy_lab.load_lab(args.benchmarks)
-    base, components = pipeline.load_components(Path(args.components), lab)
+    components = pipeline.load_components(Path(args.components), lab)
     transcript = Path(args.transcript) if args.transcript else None
-    result = pipeline.search_mixture(config, lab, base, components, Path(args.out), transcript)
+    result = pipeline.search_mixture(config, lab, components, Path(args.out), transcript)
     print(json.dumps(result["best_mixture"], sort_keys=True))
     return 0
 
@@ -229,17 +220,18 @@ def build_parser() -> argparse.ArgumentParser:
     tensor.set_defaults(fn=_cmd_tensor)
 
     merge = sub.add_parser("merge", help="merge component archives at a mixture ratio")
-    merge.add_argument("--method", default="linear", choices=merge_engine.MERGE_METHODS)
+    merge.add_argument(
+        "--method", default="linear", choices=["linear"],
+        help="linear, the only method; kept so that command lines that pass it, "
+        "perfbench's among them, keep working",
+    )
     merge.add_argument("--ratio", required=True, help="comma-separated weights")
     merge.add_argument("--components", required=True, help="comma-separated archive paths")
-    merge.add_argument("--base", help="base archive (required for delta-based methods)")
-    merge.add_argument("--seed", type=int, help="seed for stochastic methods")
-    merge.add_argument("--hyperparam", action="append", metavar="KEY=VALUE")
     merge.add_argument("--out", required=True)
     merge.set_defaults(fn=_cmd_merge)
 
     search = sub.add_parser("search", help="run the iterative mixture search over merged proxies")
-    search.add_argument("--components", required=True, help="directory with base + component archives")
+    search.add_argument("--components", required=True, help="directory with component archives")
     search.add_argument("--benchmarks", required=True, help="lab .npz with benchmark tasks")
     search.add_argument("--config", help="experiment config file")
     search.add_argument("--out", required=True)

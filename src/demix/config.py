@@ -2,10 +2,10 @@
 
 Every knob has a default; an empty file is a valid experiment. The config is
 the one place where settings become runtime objects: its methods build the
-training config, the lab, the sample plan, the unfitted rank predictor and the
-merge spec, and ``load_config`` validates a file by building them. The config
-hash that names run directories covers only result-affecting fields, so the
-same experiment resolves to the same artifacts wherever it is run.
+training config, the lab, the sample plan and the unfitted rank predictor,
+and ``load_config`` validates a file by building them. The config hash that
+names run directories covers only result-affecting fields, so the same
+experiment resolves to the same artifacts wherever it is run.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ValidationError
 from .gbdt import BoostedTreesRegressor
-from .merge_engine import MergeSpec
 from .mixture_search import SamplePlan
 from .toy_lab import ComponentTrainingConfig, ToyLab, make_domains
 
@@ -55,8 +54,6 @@ class SearchSection:
     plan: list[int] = field(default_factory=lambda: [64, 32, 16])
     pool: int = 100_000
     top_k: int = 128
-    merge_method: str = "linear"
-    merge_seed: int | None = None
     gbdt_learning_rate: float = 0.02
     gbdt_rounds: int = 300
     gbdt_max_depth: int = 3
@@ -130,9 +127,6 @@ class ExperimentConfig:
             min_samples_leaf=self.search.gbdt_min_samples_leaf,
         )
 
-    def merge_spec(self) -> MergeSpec:
-        return MergeSpec(method=self.search.merge_method, seed=self.search.merge_seed)
-
 
 def _parse_bool(text: str) -> bool:
     value = text.strip().lower()
@@ -156,8 +150,6 @@ def _parse_plan(text: str) -> list[int]:
 def _parse_value(key: str, current, raw: str):
     if key == "plan":
         return _parse_plan(raw)
-    if key == "merge_seed":
-        return int(raw) if raw else None
     if isinstance(current, bool):
         return _parse_bool(raw)
     if isinstance(current, int):
@@ -203,7 +195,6 @@ def _validate(config: ExperimentConfig) -> None:
     config.make_lab()
     config.sample_plan()
     config.predictor()
-    config.merge_spec()
     if config.seed < 0:
         raise ValidationError("config: seed must be non-negative")
     if config.references.enabled and config.references.count < 2:

@@ -82,23 +82,12 @@ class ProxyEvaluation:
 class FitRecord:
     after_iteration: int
     n_observations: int
-    targets: list[float]
-
-
-@dataclass
-class SelectionRecord:
-    iteration: int
-    pool_size: int
-    n_selected: int
-    max_selected_prediction: float
-    median_pool_prediction: float
 
 
 @dataclass
 class SearchTranscript:
     evaluations: list[ProxyEvaluation] = field(default_factory=list)
     fits: list[FitRecord] = field(default_factory=list)
-    selections: list[SelectionRecord] = field(default_factory=list)
 
     def to_jsonl(self) -> str:
         return "\n".join(rec.to_json() for rec in self.evaluations) + "\n"
@@ -196,44 +185,30 @@ def run_search(
 
     def fit_and_score_pool(after_iteration: int, k: int):
         """Refit on every evaluation so far, then score a fresh uniform pool.
-        Returns the ranking targets, the pool's predictions, and the indices
-        and rows of its ``k`` best-predicted members, best first. Only those
-        rows outlive the call, so two pools are never held at once."""
+        Returns the ranking targets and the pool's ``k`` best-predicted rows,
+        best first. Only those rows outlive the call, so two pools are never
+        held at once."""
         targets = _ranking_targets(transcript.evaluations, benchmark_domains)
         transcript.fits.append(
-            FitRecord(
-                after_iteration=after_iteration,
-                n_observations=targets.size,
-                targets=targets.tolist(),
-            )
+            FitRecord(after_iteration=after_iteration, n_observations=targets.size)
         )
         # Fit on the renormalized ratio weights the evaluator saw.
         predictor.fit(np.stack([rec.ratio.weights for rec in transcript.evaluations]), targets)
         rng = np.random.Generator(np.random.PCG64(streams[after_iteration + 1]))
         pool = _sample_rows(rng, plan.final_candidate_pool, n_dims)
         preds = predictor.predict(pool)
-        top = np.argsort(preds, kind="stable")[:k]
-        return targets, preds, top, pool[top]
+        return targets, pool[np.argsort(preds, kind="stable")[:k]]
 
     rng0 = np.random.Generator(np.random.PCG64(streams[0]))
     evaluate_batch(_sample_rows(rng0, counts[0], n_dims), iteration=0)
 
     for t in range(1, len(counts)):
-        _, preds, picked, rows = fit_and_score_pool(t - 1, counts[t])
-        transcript.selections.append(
-            SelectionRecord(
-                iteration=t,
-                pool_size=int(preds.size),
-                n_selected=int(picked.size),
-                max_selected_prediction=float(preds[picked].max()),
-                median_pool_prediction=float(np.median(preds)),
-            )
-        )
+        _, rows = fit_and_score_pool(t - 1, counts[t])
         evaluate_batch(rows, iteration=t)
 
     # The final fit ranks the whole population, so its targets are the
     # transcript's ranking scores.
-    targets, _, _, rows = fit_and_score_pool(len(counts) - 1, plan.top_k_average)
+    targets, rows = fit_and_score_pool(len(counts) - 1, plan.top_k_average)
     mean = rows.mean(axis=0)
     best = MixtureRatio(weights=mean / mean.sum(), candidate_ids=list(candidate_ids))
     for rec, target in zip(transcript.evaluations, targets.tolist()):

@@ -9,8 +9,9 @@ is cached by a hash over its input artifacts only (the report stage also
 keys on the experiment name, which the content hash leaves out). Rerunning a
 finished experiment recomputes nothing, and deleting an intermediate artifact
 recomputes only that stage and, where their inputs actually changed, the
-stages downstream of it. The search stage evaluates proxies by merging and
-benchmarking only; it never trains.
+stages downstream of it. The consistency and search stages evaluate proxies
+by linearly merging the components and benchmarking the result; they never
+train and never read the shared base, which only the references stage uses.
 
 Reports and transcripts contain no timestamps and serialize with sorted keys,
 so identical configs produce byte-identical result files.
@@ -32,7 +33,7 @@ from . import merge_engine, mixture_search, toy_lab
 from .config import ExperimentConfig
 from .errors import PipelineError, ValidationError
 from .eval_metrics import ScoreTable, consistency_report
-from .merge_engine import MergeSpec, MixtureRatio
+from .merge_engine import MixtureRatio
 from .tensor_store import ParameterSet, load_archive, save_archive
 
 STAGE_ORDER = ["lab", "components", "references", "consistency", "search", "report"]
@@ -151,25 +152,21 @@ def read_score_csv(scores_path, domains_path) -> ScoreTable:
 class ProxyEvaluator:
     """Merge-then-benchmark evaluator used by the search stage (training-free)."""
 
-    def __init__(self, components, tasks, spec: MergeSpec, base: ParameterSet | None):
+    def __init__(self, components, tasks):
         self.components = components
         self.tasks = tasks
-        self.spec = spec
-        self.base = base
         self.calls = 0
 
     def __call__(self, ratio: MixtureRatio) -> dict[str, float]:
         self.calls += 1
-        proxy = merge_engine.merge(self.components, ratio, self.spec, base=self.base)
+        proxy = merge_engine.merge(self.components, ratio)
         return toy_lab.evaluate_model(proxy, self.tasks)
 
 
-def build_proxy_table(
-    components, ratios, tasks, spec: MergeSpec | None = None, base: ParameterSet | None = None
-) -> ScoreTable:
+def build_proxy_table(components, ratios, tasks) -> ScoreTable:
     """Score merged proxies for a list of ratios; row ids align with
     build_reference_set so the two tables are directly comparable."""
-    evaluate = ProxyEvaluator(components, tasks, spec or MergeSpec(), base)
+    evaluate = ProxyEvaluator(components, tasks)
     rows = {f"mix_{j:03d}": evaluate(ratio) for j, ratio in enumerate(ratios)}
     return ScoreTable(rows=rows, domain_of={t.id: t.domain for t in tasks})
 
@@ -190,12 +187,9 @@ def train_components(config: ExperimentConfig, lab: toy_lab.ToyLab, out_dir: Pat
         save_archive(comp, out_dir / f"component_{cand.id}.dmxt")
 
 
-def load_components(
-    directory: Path, lab: toy_lab.ToyLab
-) -> tuple[ParameterSet, list[ParameterSet]]:
-    """The base and the components in ``directory``, in the lab's candidate order."""
-    base = load_archive(directory / "base.dmxt")
-    return base, [load_archive(directory / f"component_{c.id}.dmxt") for c in lab.candidates]
+def load_components(directory: Path, lab: toy_lab.ToyLab) -> list[ParameterSet]:
+    """The components in ``directory``, in the lab's candidate order."""
+    return [load_archive(directory / f"component_{c.id}.dmxt") for c in lab.candidates]
 
 
 def train_references(
@@ -220,7 +214,6 @@ def train_references(
 def search_mixture(
     config: ExperimentConfig,
     lab: toy_lab.ToyLab,
-    base: ParameterSet,
     components: list[ParameterSet],
     result_path: Path,
     transcript_path: Path | None = None,
@@ -228,7 +221,7 @@ def search_mixture(
     """The search stage: the iterative search over merged proxies. Writes the
     transcript and the result document, and returns the result."""
     plan = config.sample_plan()
-    evaluator = ProxyEvaluator(components, lab.tasks, config.merge_spec(), base)
+    evaluator = ProxyEvaluator(components, lab.tasks)
     best, transcript = mixture_search.run_search(
         evaluator,
         [c.id for c in lab.candidates],
@@ -361,25 +354,28 @@ def _run_stages(config: ExperimentConfig, run_dir: Path, manifest: ExperimentMan
     )
     lab = toy_lab.load_lab(lab_path)
 
-    component_files = {"base": "base.dmxt"}
-    for cand in lab.candidates:
-        component_files[f"component_{cand.id}"] = f"component_{cand.id}.dmxt"
+    component_files = {
+        f"component_{cand.id}": f"component_{cand.id}.dmxt" for cand in lab.candidates
+    }
+    base_path = run_dir / "base.dmxt"
     _execute(
-        manifest, run_dir, "components", stage_hash([lab_path]), component_files,
+        manifest, run_dir, "components", stage_hash([lab_path]),
+        {"base": base_path.name, **component_files},
         lambda: train_components(config, lab, run_dir),
     )
-    base, components = load_components(run_dir, lab)
+    components = load_components(run_dir, lab)
+    # Merging needs no base, so only the references stage reads and hashes it.
     component_paths = [run_dir / name for name in component_files.values()]
 
     if config.references.enabled:
         _execute(
-            manifest, run_dir, "references", stage_hash([lab_path, run_dir / "base.dmxt"]),
+            manifest, run_dir, "references", stage_hash([lab_path, base_path]),
             {
                 "ratios": "reference_ratios.json",
                 "scores": "references.csv",
                 "domains": "domains.csv",
             },
-            lambda: train_references(config, lab, base, run_dir),
+            lambda: train_references(config, lab, load_archive(base_path), run_dir),
         )
 
         def do_consistency():
@@ -389,7 +385,7 @@ def _run_stages(config: ExperimentConfig, run_dir: Path, manifest: ExperimentMan
                 for rd in json.loads((run_dir / "reference_ratios.json").read_text())
             ]
             reference = read_score_csv(run_dir / "references.csv", run_dir / "domains.csv")
-            proxy = build_proxy_table(components, ratios, lab.tasks, config.merge_spec(), base)
+            proxy = build_proxy_table(components, ratios, lab.tasks)
             write_score_csv(proxy, run_dir / "proxy_scores.csv")
             _dump_json(run_dir / "consistency.json", consistency_report(reference, proxy))
 
@@ -407,8 +403,7 @@ def _run_stages(config: ExperimentConfig, run_dir: Path, manifest: ExperimentMan
         manifest, run_dir, "search", stage_hash([lab_path] + component_paths),
         {"result": "search_result.json", "transcript": "transcript.jsonl"},
         lambda: search_mixture(
-            config, lab, base, components,
-            run_dir / "search_result.json", run_dir / "transcript.jsonl",
+            config, lab, components, run_dir / "search_result.json", run_dir / "transcript.jsonl"
         ),
     )
 
@@ -446,7 +441,8 @@ def _build_report(config: ExperimentConfig, run_dir: Path) -> dict:
         "search": {
             "final_pool_size": search_result["final_pool_size"],
             "final_top_k": search_result["final_top_k"],
-            "merge_method": config.search.merge_method,
+            # The only method; kept so the report's bytes stay the same.
+            "merge_method": "linear",
         },
     }
     consistency_path = run_dir / "consistency.json"

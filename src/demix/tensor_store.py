@@ -1,7 +1,7 @@
-"""Model-parameter containers and a bit-exact binary archive format.
+"""The model-parameter container and a bit-exact binary archive format.
 
-Parameter sets and weight deltas hold each tensor as a float64 array in its
-own shape; that array is the only record of the shape.
+A parameter set holds each tensor as a float64 array in its own shape; that
+array is the only record of the shape.
 
 Archive layout (extension ``.dmxt``): magic ``DMXT``, little-endian u32
 format version, little-endian u64 header length, UTF-8 JSON header (tensor
@@ -18,12 +18,13 @@ import json
 import math
 import os
 import struct
+import sys
 import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArchiveError, NonFiniteError, SchemaMismatchError, ValidationError
+from .errors import ArchiveError, NonFiniteError, ValidationError
 
 MAGIC = b"DMXT"
 FORMAT_VERSION = 1
@@ -31,11 +32,14 @@ _PREAMBLE = struct.Struct("<4sIQ")
 
 
 @dataclass
-class _Tensors:
-    """Named float64 tensors, each an array in its own shape; that array is
-    the only record of the shape. NaN and Inf are rejected on construction."""
+class ParameterSet:
+    """A model's parameters: named float64 tensors, each an array in its own
+    shape; that array is the only record of the shape. NaN and Inf are
+    rejected on construction. Immutable by convention after construction.
+    """
 
     entries: dict[str, np.ndarray]
+    model_id: str = ""
 
     def __post_init__(self):
         entries = {}
@@ -46,27 +50,15 @@ class _Tensors:
             entries[name] = arr
         self.entries = entries
 
+    @classmethod
+    def from_arrays(cls, arrays: dict[str, np.ndarray], model_id: str = "") -> "ParameterSet":
+        return cls(entries=dict(arrays), model_id=model_id)
+
     def names(self) -> list[str]:
         return sorted(self.entries)
 
     def schema(self) -> dict[str, tuple[int, ...]]:
         return {name: self.entries[name].shape for name in self.names()}
-
-
-@dataclass
-class ParameterSet(_Tensors):
-    """A model's parameters.
-
-    Immutable by convention after construction; all arithmetic helpers return
-    new instances. ``model_id`` identifies the set when deltas are taken
-    against it.
-    """
-
-    model_id: str = ""
-
-    @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray], model_id: str = "") -> "ParameterSet":
-        return cls(entries=dict(arrays), model_id=model_id)
 
     def num_values(self) -> int:
         return sum(arr.size for arr in self.entries.values())
@@ -88,13 +80,6 @@ class ParameterSet(_Tensors):
 
 
 @dataclass
-class WeightDelta(_Tensors):
-    """Per-tensor difference between a trained model and its base."""
-
-    base_id: str = ""
-
-
-@dataclass
 class ArchiveHeader:
     """Parsed archive header: version, tensor index and string metadata."""
 
@@ -111,6 +96,9 @@ class ArchiveHeader:
             seen.add(name)
             if any(s < 0 for s in shape):
                 raise ArchiveError(f"tensor {name!r}: negative dimension in header")
+            # numpy's own limit, which binds even when another dimension is 0.
+            if math.prod(s for s in shape if s) * 8 > sys.maxsize:
+                raise ArchiveError(f"tensor {name!r}: dimensions too large in header")
             if offset != expected:
                 raise ArchiveError(
                     f"tensor {name!r}: offsets must be ascending and non-overlapping"
@@ -122,11 +110,6 @@ class ArchiveHeader:
             raise ArchiveError("truncated payload")
         if expected < payload_size:
             raise ArchiveError("payload larger than header declares")
-
-
-def _require_same_schema(a, b, what: str) -> None:
-    if a.schema() != b.schema():
-        raise SchemaMismatchError(f"{what}: tensor names/shapes differ")
 
 
 def save_archive(params: ParameterSet, path, metadata: dict[str, str] | None = None) -> None:
@@ -216,41 +199,3 @@ def _read_header(fh) -> ArchiveHeader:
     header = ArchiveHeader(format_version=version, index=index, metadata=metadata)
     header.validate(file_size - header_end)
     return header
-
-
-def compute_delta(trained: ParameterSet, base: ParameterSet) -> WeightDelta:
-    """Elementwise ``trained - base``, tagged with the base's identity."""
-    _require_same_schema(trained, base, "compute_delta")
-    entries = {name: trained.entries[name] - base.entries[name] for name in base.entries}
-    return WeightDelta(entries=entries, base_id=base.model_id)
-
-
-def apply_delta(base: ParameterSet, delta: WeightDelta, model_id: str = "") -> ParameterSet:
-    """Elementwise ``base + delta``; exact inverse of :func:`compute_delta`."""
-    if delta.base_id != base.model_id:
-        raise SchemaMismatchError(
-            f"apply_delta: delta was taken against {delta.base_id!r}, not {base.model_id!r}"
-        )
-    _require_same_schema(delta, base, "apply_delta")
-    entries = {name: base.entries[name] + delta.entries[name] for name in base.entries}
-    return ParameterSet(entries=entries, model_id=model_id)
-
-
-def delta_magnitude(trained: ParameterSet, base: ParameterSet) -> float:
-    """Normalized total parameter movement, a single scalar over all tensors.
-
-    ``sum|trained - base| / (sum|trained| + sum|base|)``; always in [0, 1],
-    zero when nothing moved. Values well below 1 indicate the small-update
-    regime in which delta arithmetic is a faithful proxy for training.
-    """
-    _require_same_schema(trained, base, "delta_magnitude")
-    moved = 0.0
-    scale = 0.0
-    for name in base.entries:
-        t = trained.entries[name]
-        b = base.entries[name]
-        moved += float(np.sum(np.abs(t - b)))
-        scale += float(np.sum(np.abs(t)) + np.sum(np.abs(b)))
-    if scale == 0.0:
-        raise ValidationError("degenerate δ: both parameter sets are all-zero")
-    return moved / scale

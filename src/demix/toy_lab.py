@@ -15,14 +15,16 @@ hold the lab's calibration.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import zipfile
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import SchemaMismatchError, TrainingError, ValidationError
 from .eval_metrics import ScoreTable
-from .merge_engine import MixtureRatio, _rng_for
+from .merge_engine import MixtureRatio
 from .tensor_store import ParameterSet
 
 MODEL_FAMILIES = ("linear_regression", "logistic", "mlp_1hidden")
@@ -102,6 +104,14 @@ class ToyLab:
 
     def domain_of_benchmarks(self) -> dict[str, str]:
         return {task.id: task.domain for task in self.tasks}
+
+
+def _rng_for(seed: int, *labels) -> np.random.Generator:
+    """Independent substream per (seed, labels), stable across platforms and call order."""
+    text = "\x1f".join(str(label) for label in labels)
+    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
+    words = [int(seed) & 0xFFFFFFFF, (int(seed) >> 32) & 0xFFFFFFFF, int.from_bytes(digest, "big")]
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
 
 def _shared_directions(n_domains: int, n_shared: int, rng: np.random.Generator) -> np.ndarray:
@@ -502,27 +512,43 @@ def save_lab(lab: ToyLab, path) -> None:
 
 
 def load_lab(path) -> ToyLab:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"].tobytes()).decode("utf-8"))
-        candidates = [
-            CandidateDataset(id=spec["id"], X=data[f"cand_{i}_X"], y=data[f"cand_{i}_y"])
-            for i, spec in enumerate(meta["candidates"])
-        ]
-        general = CandidateDataset(id="general", X=data["general_X"], y=data["general_y"])
-        tasks = [
-            BenchmarkTask(
-                id=spec["id"],
-                domain=spec["domain"],
-                X=data[f"bench_{i}_X"],
-                y=data[f"bench_{i}_y"],
-                scoring=spec["scoring"],
-            )
-            for i, spec in enumerate(meta["tasks"])
-        ]
-        true_params = {
-            name: ParameterSet.from_arrays(
-                {"w": data[f"true_{name}_w"], "b": np.zeros(1)}, model_id=f"true_{name}"
-            )
-            for name in meta["true_domains"]
-        }
+    """Read a lab written by :func:`save_lab`. A missing or unreadable file,
+    or one that is not such a lab, raises ValidationError naming ``path``."""
+    try:
+        # Opened here, because np.load leaks the file it opened when the
+        # file starts like a zip archive but is not one.
+        with open(path, "rb") as fh, np.load(fh) as data:
+            return _lab_from_npz(data)
+    except OSError as exc:
+        raise ValidationError(f"cannot read lab {path}: {exc.strerror or exc}") from None
+    except (
+        ValidationError, ValueError, KeyError, TypeError, EOFError, RecursionError,
+        zipfile.BadZipFile,
+    ) as exc:
+        raise ValidationError(f"{path}: not a demix lab: {exc}") from None
+
+
+def _lab_from_npz(data) -> ToyLab:
+    meta = json.loads(bytes(data["meta"].tobytes()).decode("utf-8"))
+    candidates = [
+        CandidateDataset(id=spec["id"], X=data[f"cand_{i}_X"], y=data[f"cand_{i}_y"])
+        for i, spec in enumerate(meta["candidates"])
+    ]
+    general = CandidateDataset(id="general", X=data["general_X"], y=data["general_y"])
+    tasks = [
+        BenchmarkTask(
+            id=spec["id"],
+            domain=spec["domain"],
+            X=data[f"bench_{i}_X"],
+            y=data[f"bench_{i}_y"],
+            scoring=spec["scoring"],
+        )
+        for i, spec in enumerate(meta["tasks"])
+    ]
+    true_params = {
+        name: ParameterSet.from_arrays(
+            {"w": data[f"true_{name}_w"], "b": np.zeros(1)}, model_id=f"true_{name}"
+        )
+        for name in meta["true_domains"]
+    }
     return ToyLab(candidates=candidates, general=general, tasks=tasks, true_params=true_params)

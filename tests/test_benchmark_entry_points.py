@@ -12,7 +12,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["merge_10m", "dedup_corpus"])
+@pytest.mark.parametrize(
+    "workload", ["search_default", "search_wide", "merge_10m", "dedup_corpus"]
+)
 def test_small_traced_benchmark_run_has_no_failed_operation(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--size", "small",

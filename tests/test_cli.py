@@ -165,6 +165,7 @@ def test_lab_and_search_cli_flow(tmp_path, capsys):
     row = json.loads(capsys.readouterr().out)
     assert all(0.0 <= v <= 100.0 for v in row.values())
 
+    (comp_dir / "base.dmxt").unlink()  # the search merges components only
     out = tmp_path / "result.json"
     transcript = tmp_path / "transcript.jsonl"
     code = main(
@@ -189,7 +190,7 @@ def test_eval_cli(tmp_path, capsys):
     ids = [c.id for c in lab.candidates]
     ratios = sample_simplex(2, 8, seed=4, candidate_ids=ids)
     reference = build_reference_set(lab.candidates, lab.general, ratios, base, lab.tasks, config)
-    proxy = build_proxy_table(comps, ratios, lab.tasks, base=base)
+    proxy = build_proxy_table(comps, ratios, lab.tasks)
     write_score_csv(reference, tmp_path / "ref.csv", tmp_path / "domains.csv")
     write_score_csv(proxy, tmp_path / "proxy.csv")
     out = tmp_path / "consistency.json"
@@ -227,6 +228,23 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
     cfg.write_text("[serach]\nplan = 4\n")
     assert main(["run", "--config", str(cfg)]) == 2
     assert "unknown section [serach]" in capsys.readouterr().err
+
+
+def test_removed_merge_keys_and_options_are_usage_errors(tmp_path, archives, capsys):
+    cfg = tmp_path / "exp.cfg"
+    for key, value in [("merge_method", "ties"), ("merge_seed", "1")]:
+        cfg.write_text(f"[search]\n{key} = {value}\n")
+        assert main(["run", "--config", str(cfg), "--run-root", str(tmp_path / "runs")]) == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+    merge = ["merge", "--ratio", "0.5,0.3,0.2", "--components", ",".join(map(str, archives)),
+             "--out", str(tmp_path / "x.dmxt")]
+    for extra in (["--method", "ties"], ["--base", str(archives[0])], ["--seed", "1"],
+                  ["--hyperparam", "density=0.5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(merge + extra)
+        assert exc.value.code == 2, extra
+    assert not (tmp_path / "x.dmxt").exists()
+    assert not (tmp_path / "runs").exists()
 
 
 SMALL_CONFIG = (
@@ -295,8 +313,6 @@ def test_malformed_inputs_are_usage_errors(tmp_path, archives, capsys):
     comps = ",".join(str(p) for p in archives)
     assert main(["merge", "--ratio", "0.5,abc", "--components", comps,
                  "--out", str(tmp_path / "x.dmxt")]) == 2
-    assert main(["merge", "--ratio", "0.5,0.3,0.2", "--components", comps,
-                 "--hyperparam", "density=abc", "--out", str(tmp_path / "x.dmxt")]) == 2
     cfg = tmp_path / "exp.cfg"
     for body, key in [("[search]\nplan = 4,x\n", "plan"), ("[search]\npool = 1e5\n", "pool"),
                       ("[experiment]\nseed = -1\n", "seed"),
@@ -341,6 +357,21 @@ def test_lab_action_without_its_option_is_a_usage_error(tmp_path, capsys, action
     assert main(argv) == 2
     assert f"requires {missing}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_malformed_lab_files_are_usage_errors_naming_the_path(tmp_path, archives, capsys):
+    not_npz = tmp_path / "not_npz"
+    not_npz.write_text("no lab here\n")
+    no_meta = tmp_path / "no_meta.npz"
+    with open(no_meta, "wb") as fh:
+        np.savez(fh, general_X=np.zeros((2, 2)))
+    for lab in (not_npz, no_meta, tmp_path / "missing.npz"):
+        for argv in (["lab", "evaluate", "--lab", str(lab), "--model", str(archives[0])],
+                     ["search", "--components", str(tmp_path), "--benchmarks", str(lab),
+                      "--out", str(tmp_path / "result.json")]):
+            assert main(argv) == 2, argv
+            assert str(lab) in capsys.readouterr().err
+    assert not (tmp_path / "result.json").exists()
 
 
 def test_lab_gen_writes_the_path_it_is_given(tmp_path, capsys):

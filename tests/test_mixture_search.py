@@ -156,17 +156,38 @@ def test_search_is_reproducible():
     best2, t2 = run_search(evaluator, ["a", "b"], plan, fast_predictor())
     assert np.array_equal(best1.weights, best2.weights)
     assert t1.to_jsonl() == t2.to_jsonl()
-    assert [f.targets for f in t1.fits] == [f.targets for f in t2.fits]
+    fits = lambda t: [(f.after_iteration, f.n_observations) for f in t.fits]
+    assert fits(t1) == fits(t2) == [(0, 6), (1, 9)]
+
+
+class RecordingRegressor(BoostedTreesRegressor):
+    """Keeps every pool it scores together with its predictions."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.scored = []
+
+    def predict(self, X):
+        preds = super().predict(X)
+        self.scored.append((np.array(X), preds))
+        return preds
 
 
 def test_selection_actually_selects():
-    plan = small_plan(per_iteration_counts=[8, 4, 4], final_candidate_pool=400)
+    counts = [8, 4, 4]
+    plan = small_plan(per_iteration_counts=counts, final_candidate_pool=400)
+    predictor = RecordingRegressor(n_rounds=60)
     _, transcript = run_search(
-        make_evaluator(lambda r: float(r.weights[0])), ["a", "b", "c"], plan, fast_predictor()
+        make_evaluator(lambda r: float(r.weights[0])), ["a", "b", "c"], plan, predictor
     )
-    assert transcript.selections
-    for sel in transcript.selections:
-        assert sel.max_selected_prediction <= sel.median_pool_prediction
+    assert len(predictor.scored) == len(counts)  # one pool per later iteration, one final
+    for t in range(1, len(counts)):
+        pool, preds = predictor.scored[t - 1]
+        order = np.argsort(preds, kind="stable")
+        picked, rest = order[: counts[t]], order[counts[t]:]
+        evaluated = np.stack([r.ratio.weights for r in transcript.evaluations if r.iteration == t])
+        np.testing.assert_allclose(evaluated, pool[picked], rtol=0.0, atol=1e-15)
+        assert preds[picked].max() <= preds[rest].min()
 
 
 def test_later_iterations_concentrate_near_optimum():

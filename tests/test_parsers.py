@@ -1,15 +1,18 @@
-"""Property tests of the text parsers: arbitrary input gives either a value
+"""Property tests of the input parsers: arbitrary input gives either a value
 or a typed DemixError, never any other exception."""
 
+import io
 import json
 from dataclasses import fields
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from demix.cli import _parse_ratio, main
 from demix.config import SECTIONS, ExperimentConfig, _apply, load_config
 from demix.errors import DemixError
 from demix.pipeline import read_score_csv
+from demix.toy_lab import load_lab
 
 CONFIG_KEYS = [("experiment", key) for key in ("name", "seed", "run_root")] + [
     (section, f.name) for section in SECTIONS for f in fields(getattr(ExperimentConfig(), section))
@@ -67,3 +70,32 @@ def test_any_corpus_gives_a_report_or_a_usage_error(tmp_path_factory, data):
     (root / "docs.jsonl").write_bytes(data)
     argv = ["dedup", "--in", str(root / "docs.jsonl"), "--report", str(root / "report.json")]
     assert main(argv) in (0, 2)
+
+
+def npz_bytes(meta: bytes) -> bytes:
+    """An npz archive whose ``meta`` member holds the given bytes."""
+    buffer = io.BytesIO()
+    np.savez(buffer, meta=np.frombuffer(meta, dtype=np.uint8), cand_0_X=np.zeros((2, 2)))
+    return buffer.getvalue()
+
+
+LAB_META = st.recursive(
+    st.none() | st.integers() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["id", "domain", "scoring", "candidates", "tasks",
+                                       "true_domains"]), inner, max_size=4),
+    max_leaves=10,
+).map(lambda doc: json.dumps(doc).encode("utf-8"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.binary()
+    | st.binary().map(lambda b: b"PK\x03\x04" + b)
+    | st.binary().map(lambda b: b"\x93NUMPY" + b)
+    | (st.binary() | LAB_META).map(npz_bytes)
+)
+def test_any_bytes_as_a_lab_give_a_lab_or_a_typed_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("lab") / "lab.npz"
+    path.write_bytes(data)
+    value_or_typed_error(load_lab, path)

@@ -111,6 +111,19 @@ def test_editing_domains_csv_recomputes_consistency(config_path, tmp_path):
         run_pipeline(load_config(config_path), run_root=tmp_path / "runs")
 
 
+def test_a_changed_base_reruns_the_references_but_not_the_search(config_path, tmp_path):
+    manifest = run_pipeline(load_config(config_path), run_root=tmp_path / "runs")
+    run_dir = Path(manifest.run_dir)
+    result = (run_dir / "search_result.json").read_bytes()
+    # A different valid archive of the same schema: merging never reads the base.
+    (run_dir / "base.dmxt").write_bytes((run_dir / "component_dom0.dmxt").read_bytes())
+    again = run_pipeline(load_config(config_path), run_root=tmp_path / "runs")
+    redone = recomputed_stages(again)
+    assert "references" in redone
+    assert {"lab", "components", "search"}.isdisjoint(redone)
+    assert (run_dir / "search_result.json").read_bytes() == result
+
+
 def test_regenerated_artifacts_are_byte_identical_across_roots(config_path, tmp_path):
     one = run_pipeline(load_config(config_path), run_root=tmp_path / "runs_one")
     two = run_pipeline(load_config(config_path), run_root=tmp_path / "runs_two")
@@ -185,7 +198,7 @@ def test_a_stage_killed_after_a_partial_write_is_recomputed(config_path, tmp_pat
         "import os, sys\n"
         "from demix import pipeline\n"
         "from demix.config import load_config\n"
-        "def search_then_die(config, lab, base, components, result_path, transcript_path=None):\n"
+        "def search_then_die(config, lab, components, result_path, transcript_path=None):\n"
         "    result_path.write_text('{\"best_mixture\": {')\n"
         "    os._exit(9)\n"
         "pipeline.search_mixture = search_then_die\n"
@@ -215,12 +228,12 @@ def test_score_csv_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     lab = toy_lab.make_domains(2, 8, seed=1)
     config = toy_lab.ComponentTrainingConfig(seed=1, steps=30)
-    base, comps = toy_lab.prepare_components(lab.candidates, lab.general, config)
+    _, comps = toy_lab.prepare_components(lab.candidates, lab.general, config)
     ratios = [
         MixtureRatio(weights=rng.dirichlet(np.ones(2)), candidate_ids=["dom0", "dom1"])
         for _ in range(3)
     ]
-    table = build_proxy_table(comps, ratios, lab.tasks, base=base)
+    table = build_proxy_table(comps, ratios, lab.tasks)
     write_score_csv(table, tmp_path / "scores.csv", tmp_path / "domains.csv")
     loaded = read_score_csv(tmp_path / "scores.csv", tmp_path / "domains.csv")
     assert loaded.rows == table.rows
@@ -230,10 +243,10 @@ def test_score_csv_round_trip(tmp_path):
 def test_proxy_evaluator_counts_calls():
     lab = toy_lab.make_domains(2, 8, seed=2)
     config = toy_lab.ComponentTrainingConfig(seed=2, steps=30)
-    base, comps = toy_lab.prepare_components(lab.candidates, lab.general, config)
-    from demix.merge_engine import MergeSpec, MixtureRatio
+    _, comps = toy_lab.prepare_components(lab.candidates, lab.general, config)
+    from demix.merge_engine import MixtureRatio
 
-    evaluator = ProxyEvaluator(comps, lab.tasks, MergeSpec(method="linear"), base)
+    evaluator = ProxyEvaluator(comps, lab.tasks)
     ev = evaluator(MixtureRatio(weights=[0.5, 0.5], candidate_ids=["dom0", "dom1"]))
     assert evaluator.calls == 1
     assert set(ev) == {t.id for t in lab.tasks}
@@ -248,7 +261,7 @@ def test_consistency_helper_reports_recovery():
     ids = [c.id for c in lab.candidates]
     ratios = sample_simplex(3, 10, seed=9, candidate_ids=ids)
     reference = toy_lab.build_reference_set(lab.candidates, lab.general, ratios, base, lab.tasks, config)
-    proxy = build_proxy_table(comps, ratios, lab.tasks, base=base)
+    proxy = build_proxy_table(comps, ratios, lab.tasks)
     report = consistency_report(reference, proxy)
     assert set(report["per_domain_rho"]) == {"dom0", "dom1", "dom2"}
     assert report["mean_capability_recovery"] > 0.5

@@ -1,4 +1,4 @@
-"""Tests for parameter containers, the archive format, and delta calculus."""
+"""Tests for the parameter container and the archive format."""
 
 import hashlib
 import json
@@ -9,16 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from demix.errors import ArchiveError, NonFiniteError, SchemaMismatchError, ValidationError
-from demix.tensor_store import (
-    ParameterSet,
-    apply_delta,
-    compute_delta,
-    delta_magnitude,
-    load_archive,
-    read_header,
-    save_archive,
-)
+from demix.errors import ArchiveError, NonFiniteError
+from demix.tensor_store import ParameterSet, load_archive, read_header, save_archive
 
 
 def small_set(model_id="m"):
@@ -219,79 +211,11 @@ def test_reported_malformed_headers_are_archive_errors(tmp_path):
     payload = np.zeros(1).tobytes()
     for doc, message in [
         ({"tensors": [entry], "metadata": [1]}, "corrupt header"),
-        ({"tensors": [{**entry, "shape": [2**70]}], "metadata": {}}, "shape/length mismatch"),
+        ({"tensors": [{**entry, "shape": [2**70]}], "metadata": {}}, "too large"),
+        ({"tensors": [{**entry, "shape": [2**70, 0], "length": 0}], "metadata": {}}, "too large"),
         ({"tensors": [{**entry, "name": ["w"]}], "metadata": {}}, "not a string"),
     ]:
         _write_archive(path, doc, payload)
         for read in (read_header, load_archive):
             with pytest.raises(ArchiveError, match=message):
                 read(path)
-
-
-# --- delta calculus ----------------------------------------------------------
-
-
-def test_zero_delta_for_identical_sets():
-    p = small_set()
-    delta = compute_delta(p, p)
-    assert all(np.all(delta.entries[n] == 0.0) for n in delta.names())
-
-
-def test_delta_hand_case():
-    base = ParameterSet.from_arrays({"w": np.array([1.0, 1.0])}, model_id="b")
-    trained = ParameterSet.from_arrays({"w": np.array([3.0, 0.0])}, model_id="t")
-    delta = compute_delta(trained, base)
-    assert np.array_equal(delta.entries["w"], np.array([2.0, -1.0]))
-    assert delta.base_id == "b"
-
-
-def test_apply_delta_requires_matching_base_id():
-    base = small_set("left")
-    other = small_set("right")
-    delta = compute_delta(base, base)
-    with pytest.raises(SchemaMismatchError, match="taken against"):
-        apply_delta(other, delta)
-
-
-def test_schema_mismatch_rejected():
-    a = ParameterSet.from_arrays({"w": np.ones(2)})
-    b = ParameterSet.from_arrays({"w": np.ones(3)})
-    with pytest.raises(SchemaMismatchError):
-        compute_delta(a, b)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_delta_roundtrip_is_exact_for_representable_updates(seed):
-    rng = np.random.default_rng(seed)
-    base = ParameterSet.from_arrays(
-        {"w": rng.standard_normal(32), "b": rng.standard_normal(4)}, model_id="base"
-    )
-    update = {n: 0.1 * rng.standard_normal(base.entries[n].size) for n in base.names()}
-    trained = ParameterSet.from_arrays(
-        {n: base.entries[n] + update[n] for n in base.names()}, model_id="trained"
-    )
-    recovered = apply_delta(base, compute_delta(trained, base), model_id="trained")
-    assert_same_values(recovered, trained)
-
-
-def test_delta_magnitude_zero_for_identical_nonzero():
-    p = small_set()
-    assert delta_magnitude(p, p) == 0.0
-
-
-def test_delta_magnitude_hand_case_one_third():
-    base = ParameterSet.from_arrays({"w": np.array([1.0])})
-    trained = ParameterSet.from_arrays({"w": np.array([2.0])})
-    assert delta_magnitude(trained, base) == pytest.approx(1.0 / 3.0, abs=1e-15)
-
-
-def test_delta_magnitude_bounded_and_degenerate():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        a = ParameterSet.from_arrays({"w": rng.standard_normal(16)})
-        b = ParameterSet.from_arrays({"w": rng.standard_normal(16)})
-        assert 0.0 <= delta_magnitude(a, b) <= 1.0
-    zeros = ParameterSet.from_arrays({"w": np.zeros(4)})
-    with pytest.raises(ValidationError, match="degenerate"):
-        delta_magnitude(zeros, zeros)

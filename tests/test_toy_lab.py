@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from demix.errors import SchemaMismatchError, TrainingError, ValidationError
-from demix.tensor_store import compute_delta, delta_magnitude
 from demix.toy_lab import (
     CandidateDataset,
     ComponentTrainingConfig,
@@ -165,9 +164,12 @@ def test_beta_one_components_are_identical(default_lab):
 
 
 def test_component_deltas_land_in_small_update_regime(default_lab, prepared):
+    # Normalized movement sum|comp - base| / (sum|comp| + sum|base|), in [0, 1].
     _, base, components = prepared
     for comp in components:
-        assert delta_magnitude(comp, base) < 0.2
+        moved = sum(np.abs(comp.entries[n] - base.entries[n]).sum() for n in base.names())
+        scale = sum(np.abs(comp.entries[n]).sum() + np.abs(base.entries[n]).sum() for n in base.names())
+        assert moved / scale < 0.2
 
 
 def test_component_beats_base_on_its_own_domain(default_lab, prepared):
@@ -184,19 +186,6 @@ def test_base_domain_scores_are_balanced(default_lab, prepared):
     _, base, _ = prepared
     scores = list(evaluate_model(base, default_lab.tasks).values())
     assert max(scores) - min(scores) < 25.0
-
-
-def test_delta_roundtrip_on_trained_models_close_to_exact(default_lab, prepared):
-    # Arbitrary trained values can lose one ulp of the larger operand in the
-    # subtract/add roundtrip; representable updates roundtrip exactly (see
-    # tensor_store tests).
-    _, base, components = prepared
-    for comp in components:
-        delta = compute_delta(comp, base)
-        for name in base.names():
-            back = base.entries[name] + delta.entries[name]
-            scale = max(np.max(np.abs(base.entries[name])), np.max(np.abs(comp.entries[name])))
-            np.testing.assert_allclose(back, comp.entries[name], rtol=0.0, atol=1e-15 * scale)
 
 
 # --- references -----------------------------------------------------------------------
