@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import demix
+from demix import merge_engine
 from demix.cli import main
-from demix.tensor_store import ParameterSet, load_archive, save_archive
+from demix.tensor_store import ParameterSet, load_archive, read_header, save_archive
 from demix.toy_lab import (
     ComponentTrainingConfig,
     load_lab,
@@ -77,6 +78,18 @@ def test_merge_cli_linear(tmp_path, archives, capsys):
     comps = [load_archive(p) for p in archives]
     expected = sum(w * c.entries["w"] for w, c in zip([0.5, 0.3, 0.2], comps))
     assert np.allclose(merged.entries["w"], expected, atol=1e-12)
+
+
+def test_merge_cli_writes_the_library_merge_with_its_method_and_ratio(tmp_path, archives, capsys):
+    out = tmp_path / "merged.dmxt"
+    components = ",".join(str(p) for p in archives)
+    assert main(["merge", "--ratio", "0.2,0.5,0.3", "--components", components, "--out", str(out)]) == 0
+    assert read_header(out).metadata == {"model_id": "merged", "method": "linear", "ratio": "0.2,0.5,0.3"}
+    ratio = merge_engine.MixtureRatio(weights=[0.2, 0.5, 0.3], candidate_ids=[p.stem for p in archives])
+    expected = merge_engine.merge([load_archive(p) for p in archives], ratio)
+    merged = load_archive(out)
+    for name in expected.names():
+        assert np.array_equal(merged.entries[name], expected.entries[name])
 
 
 def test_merge_cli_requires_valid_ratio(tmp_path, archives, capsys):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from demix.errors import SchemaMismatchError, ValidationError
 from demix.merge_engine import MixtureRatio, merge
@@ -112,3 +113,78 @@ def test_merge_returns_2d_and_0d_tensors_in_their_shapes():
     flat = merge([flattened(c) for c in comps], r)
     for name in merged.names():
         assert np.array_equal(merged.entries[name].ravel(), flat.entries[name])
+
+
+# --- ratio validation and bookkeeping -------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_ratio_rejects_non_finite_weights(bad):
+    with pytest.raises(ValidationError, match="non-finite"):
+        ratio([bad, 0.5])
+
+
+@pytest.mark.parametrize("weights, ids", [([0.5, 0.5], ["a"]), ([], [])])
+def test_ratio_rejects_misaligned_ids_and_empty_weights(weights, ids):
+    with pytest.raises(ValidationError, match="align"):
+        ratio(weights, ids=ids)
+
+
+def test_ratio_as_dict_and_len_follow_the_candidate_ids():
+    r = ratio(np.array([[0.25, 0.75]]), ids=[7, "b"])
+    assert len(r) == 2
+    assert r.candidate_ids == ["7", "b"]
+    assert r.as_dict() == {"7": 0.25, "b": 0.75}
+
+
+# --- merge: names, aliasing and zero weights --------------------------------------
+
+
+def test_merge_rejects_components_with_different_tensor_names():
+    a = ParameterSet.from_arrays({"w": np.zeros(2)})
+    b = ParameterSet.from_arrays({"v": np.zeros(2)})
+    with pytest.raises(SchemaMismatchError, match="schemas differ"):
+        merge([a, b], ratio([0.5, 0.5]))
+
+
+def test_merge_returns_new_arrays_under_the_given_model_id():
+    rng = np.random.default_rng(5)
+    comps = [random_set(rng) for _ in range(2)]
+    before = [c.copy() for c in comps]
+    out = merge(comps, ratio([1.0, 0.0]), model_id="proxy")
+    assert out.model_id == "proxy"
+    for name in out.names():
+        out.entries[name][...] = 0.0
+    for comp, kept in zip(comps, before):
+        for name in comp.names():
+            assert np.array_equal(comp.entries[name], kept.entries[name])
+
+
+def test_a_zero_weight_component_leaves_the_merge_unchanged_bit_exact():
+    rng = np.random.default_rng(6)
+    comps = [random_set(rng) for _ in range(3)]
+    weights = rng.dirichlet(np.ones(2))
+    two = merge(comps[:2], ratio(weights, ids=["a", "c"]))
+    three = merge(comps, ratio([*weights, 0.0], ids=["a", "c", "b"]))
+    for name in two.names():
+        assert np.array_equal(two.entries[name], three.entries[name])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 5),
+    size=st.integers(0, 7),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_merge_matches_the_weighted_sum(seed, n, size, scale):
+    rng = np.random.default_rng(seed)
+    comps = [
+        ParameterSet.from_arrays({"w": scale * rng.standard_normal(size), "s": scale * rng.standard_normal()})
+        for _ in range(n)
+    ]
+    weights = rng.dirichlet(np.ones(n))
+    out = merge(comps, ratio(weights))
+    for name in out.names():
+        expected = sum(w * c.entries[name] for w, c in zip(weights, comps))
+        np.testing.assert_allclose(out.entries[name], expected, rtol=0.0, atol=1e-12 * scale)

@@ -219,3 +219,120 @@ def test_reported_malformed_headers_are_archive_errors(tmp_path):
         for read in (read_header, load_archive):
             with pytest.raises(ArchiveError, match=message):
                 read(path)
+
+
+# --- container bookkeeping ----------------------------------------------------------
+
+
+def test_copy_is_independent_and_can_take_a_new_model_id():
+    p = small_set("orig")
+    same = p.copy()
+    renamed = p.copy(model_id="other")
+    assert (same.model_id, renamed.model_id) == ("orig", "other")
+    renamed.entries["w"][0] = 99.0
+    assert p.entries["w"][0] == 1.0
+    assert_same_values(same, p)
+
+
+def test_num_values_counts_every_element_of_every_shape():
+    p = ParameterSet.from_arrays(
+        {"m": np.zeros((3, 4)), "s": np.float64(1.0), "e": np.zeros((2, 0)), "v": np.zeros(5)}
+    )
+    assert p.num_values() == 12 + 1 + 0 + 5
+
+
+@pytest.mark.parametrize(
+    "changed",
+    [
+        {"w": np.array([1.0, 2.5]), "b": np.array([0.5])},  # a value
+        {"v": np.array([1.0, 2.0]), "b": np.array([0.5])},  # a name
+        {"w": np.array([[1.0, 2.0]]), "b": np.array([0.5])},  # a shape
+    ],
+    ids=["value", "name", "shape"],
+)
+def test_checksum_tracks_values_names_and_shapes(changed):
+    p = small_set()
+    assert p.checksum() == p.copy(model_id="other").checksum()
+    assert ParameterSet.from_arrays(changed).checksum() != p.checksum()
+
+
+# --- archive format: every rejected layout -----------------------------------------
+
+
+def test_metadata_values_are_stored_as_strings(tmp_path):
+    path = tmp_path / "p.dmxt"
+    save_archive(small_set(), path, metadata={"steps": 3, 4: 0.5})
+    assert read_header(path).metadata == {"model_id": "m", "steps": "3", "4": "0.5"}
+
+
+def _good_entry(name="w", offset=0):
+    return {"name": name, "shape": [1], "offset": offset, "length": 8}
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        (b"DMXT\x01\x00", "shorter than preamble"),
+        (struct.pack("<4sIQ", b"DMXT", 1, 1000) + b"{}", "header length exceeds file size"),
+    ],
+    ids=["short_preamble", "header_past_end"],
+)
+def test_truncated_preamble_or_header_rejected(tmp_path, blob, message):
+    path = tmp_path / "bad.dmxt"
+    path.write_bytes(blob)
+    for read in (read_header, load_archive):
+        with pytest.raises(ArchiveError, match=message):
+            read(path)
+
+
+@pytest.mark.parametrize(
+    "tensors, payload_values, message",
+    [
+        ([_good_entry(), _good_entry(offset=8)], 2, "duplicate tensor name"),
+        ([{"name": "w", "shape": [-1], "offset": 0, "length": -8}], 0, "negative dimension"),
+        ([_good_entry()], 2, "payload larger than header declares"),
+    ],
+    ids=["duplicate_name", "negative_dimension", "trailing_payload"],
+)
+def test_malformed_index_rejected(tmp_path, tensors, payload_values, message):
+    path = tmp_path / "bad.dmxt"
+    _write_archive(path, {"tensors": tensors, "metadata": {}}, np.zeros(payload_values).tobytes())
+    for read in (read_header, load_archive):
+        with pytest.raises(ArchiveError, match=message):
+            read(path)
+
+
+def test_non_finite_payload_is_an_archive_error_found_only_on_load(tmp_path):
+    path = tmp_path / "nan.dmxt"
+    _write_archive(path, {"tensors": [_good_entry()], "metadata": {}}, np.array([np.nan]).tobytes())
+    assert read_header(path).index == [("w", (1,), 0, 8)]
+    with pytest.raises(ArchiveError, match="invalid archive .*non-finite"):
+        load_archive(path)
+
+
+def test_missing_archive_is_an_archive_error_naming_the_path(tmp_path):
+    path = tmp_path / "absent.dmxt"
+    for read in (read_header, load_archive):
+        with pytest.raises(ArchiveError, match="absent.dmxt"):
+            read(path)
+
+
+SHAPES = st.lists(st.integers(0, 3), max_size=3).map(tuple)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shapes=st.dictionaries(st.text(min_size=1, max_size=4), SHAPES, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+    model_id=st.text(max_size=6),
+)
+def test_any_finite_parameter_set_roundtrips_bit_exactly(tmp_path_factory, shapes, seed, model_id):
+    rng = np.random.default_rng(seed)
+    arrays = {name: rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300) for name, shape in shapes.items()}
+    params = ParameterSet.from_arrays(arrays, model_id=model_id)
+    path = tmp_path_factory.mktemp("roundtrip") / "p.dmxt"
+    save_archive(params, path)
+    loaded = load_archive(path)
+    assert loaded.model_id == model_id
+    assert loaded.checksum() == params.checksum()
+    assert_same_values(loaded, params)
