@@ -5,13 +5,14 @@ and the final report.
 The lab, components, references and search stages are module-level
 functions, which the matching `demix lab` and `demix search` subcommands call
 too. The run directory is named by the config's content hash, so each stage
-is cached by a hash over its input artifacts only (the report stage also
-keys on the experiment name, which the content hash leaves out). Rerunning a
-finished experiment recomputes nothing, and deleting an intermediate artifact
-recomputes only that stage and, where their inputs actually changed, the
-stages downstream of it. The consistency and search stages evaluate proxies
-by linearly merging the components and benchmarking the result; they never
-train and never read the shared base, which only the references stage uses.
+is cached by a hash over its implementation version and its input artifacts
+only (the report stage also keys on the experiment name, which the content
+hash leaves out). Rerunning a finished experiment recomputes nothing, and
+deleting an intermediate artifact recomputes only that stage and, where
+their inputs actually changed, the stages downstream of it. The consistency
+and search stages evaluate proxies by linearly merging the components and
+benchmarking the result; they never train and never read the shared base,
+which only the references stage uses.
 
 Reports and transcripts contain no timestamps and serialize with sorted keys,
 so identical configs produce byte-identical result files.
@@ -37,6 +38,12 @@ from .merge_engine import MixtureRatio
 from .tensor_store import ParameterSet, load_archive, save_archive
 
 STAGE_ORDER = ["lab", "components", "references", "consistency", "search", "report"]
+# Each stage's implementation version, part of its cache hash. Bump a stage's
+# version with any code change that alters what it writes, so that run
+# directories made by older code recompute it instead of reusing its files.
+STAGE_VERSIONS = {
+    "lab": 1, "components": 1, "references": 1, "consistency": 1, "search": 1, "report": 1,
+}
 
 
 @dataclass
@@ -335,21 +342,26 @@ def _execute(manifest, run_dir: Path, name: str, stage_hash: str, outputs: dict,
 
 def _run_stages(config: ExperimentConfig, run_dir: Path, manifest: ExperimentManifest) -> None:
     # The run directory is named by the config's content hash, so a stage's
-    # hash needs to cover only its input files (each read once per run).
+    # hash needs to cover only its code version and its input files (each
+    # read once per run).
     file_hashes: dict[Path, str] = {}
 
-    def stage_hash(input_paths: list[Path], **keys) -> str:
+    def stage_hash(stage: str, input_paths: list[Path], **keys) -> str:
         for path in input_paths:
             if path not in file_hashes:
                 file_hashes[path] = _file_hash(path)
-        doc = {"inputs": {p.name: file_hashes[p] for p in input_paths}, **keys}
+        doc = {
+            "inputs": {p.name: file_hashes[p] for p in input_paths},
+            "version": STAGE_VERSIONS[stage],
+            **keys,
+        }
         return hashlib.blake2b(
             json.dumps(doc, sort_keys=True).encode("utf-8"), digest_size=16
         ).hexdigest()
 
     lab_path = run_dir / "lab.npz"
     _execute(
-        manifest, run_dir, "lab", stage_hash([]), {"lab": "lab.npz"},
+        manifest, run_dir, "lab", stage_hash("lab", []), {"lab": "lab.npz"},
         lambda: generate_lab(config, lab_path),
     )
     lab = toy_lab.load_lab(lab_path)
@@ -359,7 +371,7 @@ def _run_stages(config: ExperimentConfig, run_dir: Path, manifest: ExperimentMan
     }
     base_path = run_dir / "base.dmxt"
     _execute(
-        manifest, run_dir, "components", stage_hash([lab_path]),
+        manifest, run_dir, "components", stage_hash("components", [lab_path]),
         {"base": base_path.name, **component_files},
         lambda: train_components(config, lab, run_dir),
     )
@@ -369,7 +381,7 @@ def _run_stages(config: ExperimentConfig, run_dir: Path, manifest: ExperimentMan
 
     if config.references.enabled:
         _execute(
-            manifest, run_dir, "references", stage_hash([lab_path, base_path]),
+            manifest, run_dir, "references", stage_hash("references", [lab_path, base_path]),
             {
                 "ratios": "reference_ratios.json",
                 "scores": "references.csv",
@@ -394,13 +406,13 @@ def _run_stages(config: ExperimentConfig, run_dir: Path, manifest: ExperimentMan
             run_dir / "domains.csv",
         ] + component_paths
         _execute(
-            manifest, run_dir, "consistency", stage_hash(consistency_inputs),
+            manifest, run_dir, "consistency", stage_hash("consistency", consistency_inputs),
             {"proxy_scores": "proxy_scores.csv", "consistency": "consistency.json"},
             do_consistency,
         )
 
     _execute(
-        manifest, run_dir, "search", stage_hash([lab_path] + component_paths),
+        manifest, run_dir, "search", stage_hash("search", [lab_path] + component_paths),
         {"result": "search_result.json", "transcript": "transcript.jsonl"},
         lambda: search_mixture(
             config, lab, components, run_dir / "search_result.json", run_dir / "transcript.jsonl"
@@ -413,7 +425,7 @@ def _run_stages(config: ExperimentConfig, run_dir: Path, manifest: ExperimentMan
     # The report shows the experiment name, the one field the run directory's
     # name leaves out.
     _execute(
-        manifest, run_dir, "report", stage_hash(report_inputs, name=config.name),
+        manifest, run_dir, "report", stage_hash("report", report_inputs, name=config.name),
         {"report": "report.json"},
         lambda: _dump_json(run_dir / "report.json", _build_report(config, run_dir)),
     )

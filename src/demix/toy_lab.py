@@ -251,6 +251,27 @@ def _family_of(params: ParameterSet) -> str:
     raise SchemaMismatchError(f"unrecognized model schema {sorted(names)}")
 
 
+def _check_init(init: ParameterSet, model_family: str, dim: int) -> None:
+    """Raise SchemaMismatchError unless ``init`` is a ``model_family`` model
+    for ``dim``-dimensional inputs."""
+    family = _family_of(init)
+    if family != ("mlp_1hidden" if model_family == "mlp_1hidden" else "linear"):
+        raise SchemaMismatchError(
+            f"train: the initial model is {family}, but the config trains {model_family}"
+        )
+    shapes = {name: init.entries[name].shape for name in init.names()}
+    if family == "linear":
+        expected = {"w": (dim,), "b": (1,)}
+    else:
+        h = init.entries["w2"].size
+        expected = {"w1": (dim, h), "b1": (h,), "w2": (h,), "b2": (1,)}
+    if shapes != expected:
+        raise SchemaMismatchError(
+            f"train: the initial model's tensor shapes {shapes} do not fit "
+            f"{dim}-dim inputs, which need {expected}"
+        )
+
+
 def predict_values(params: ParameterSet, X: np.ndarray) -> np.ndarray:
     """Raw model output (regression value / decision score) for inputs X."""
     family = _family_of(params)
@@ -363,6 +384,7 @@ def train(
         if ds.X.shape[1] != dim:
             raise SchemaMismatchError("train: datasets have different feature dims")
     family = config.model_family
+    _check_init(init, family, dim)
     arrays = {name: init.entries[name].copy() for name in init.names()}
     if config.steps == 0:
         return init.copy()

@@ -330,6 +330,9 @@ def test_malformed_inputs_are_usage_errors(tmp_path, archives, capsys):
     for body, key in [("[search]\nplan = 4,x\n", "plan"), ("[search]\npool = 1e5\n", "pool"),
                       ("[experiment]\nseed = -1\n", "seed"),
                       ("[search]\ngbdt_rounds = 0\n", "n_rounds"),
+                      ("[search]\ngbdt_max_depth = 0\n", "max_depth"),
+                      ("[search]\ngbdt_max_depth = 9\n", "max_depth"),
+                      ("[search]\ngbdt_min_samples_leaf = 0\n", "min_samples_leaf"),
                       ("[search]\nplan = 8,50\npool = 20\ntop_k = 4\n", "plan"),
                       ("[search]\ngbdt_learning_rate = -1\n", "learning_rate")]:
         cfg.write_text(body)
@@ -385,6 +388,25 @@ def test_malformed_lab_files_are_usage_errors_naming_the_path(tmp_path, archives
             assert main(argv) == 2, argv
             assert str(lab) in capsys.readouterr().err
     assert not (tmp_path / "result.json").exists()
+
+
+@pytest.mark.parametrize(
+    "base, problem",
+    [
+        ({"w1": np.zeros((13, 4)), "b1": np.zeros(4), "w2": np.zeros(4), "b2": np.zeros(1)},
+         "the initial model is mlp_1hidden, but the config trains linear_regression"),
+        ({"w": np.zeros(8), "b": np.zeros(1)}, "do not fit 13-dim inputs"),
+    ],
+    ids=["other-family", "other-input-dim"],
+)
+def test_a_base_of_the_wrong_schema_is_a_usage_error(tmp_path, capsys, base, problem):
+    lab = tmp_path / "lab.npz"
+    assert main(["lab", "gen", "--out", str(lab)]) == 0
+    save_archive(ParameterSet.from_arrays(base), tmp_path / "base.dmxt")
+    capsys.readouterr()
+    assert main(["lab", "train-references", "--lab", str(lab), "--base",
+                 str(tmp_path / "base.dmxt"), "--out-dir", str(tmp_path / "refs")]) == 2
+    assert problem in capsys.readouterr().err
 
 
 def test_lab_gen_writes_the_path_it_is_given(tmp_path, capsys):

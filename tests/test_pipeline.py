@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import demix
-from demix import toy_lab
+from demix import pipeline, toy_lab
 from demix.config import ExperimentConfig, load_config
 from demix.errors import PipelineError, ValidationError
 from demix.eval_metrics import consistency_report
@@ -122,6 +122,16 @@ def test_a_changed_base_reruns_the_references_but_not_the_search(config_path, tm
     assert "references" in redone
     assert {"lab", "components", "search"}.isdisjoint(redone)
     assert (run_dir / "search_result.json").read_bytes() == result
+
+
+def test_a_new_stage_version_recomputes_that_stage_only(config_path, tmp_path, monkeypatch):
+    manifest = run_pipeline(load_config(config_path), run_root=tmp_path / "runs")
+    result = (Path(manifest.run_dir) / "search_result.json").read_bytes()
+    monkeypatch.setitem(pipeline.STAGE_VERSIONS, "search", pipeline.STAGE_VERSIONS["search"] + 1)
+    again = run_pipeline(load_config(config_path), run_root=tmp_path / "runs")
+    # The report hashes its input files, which the rerun wrote byte for byte.
+    assert recomputed_stages(again) == ["search"]
+    assert (Path(manifest.run_dir) / "search_result.json").read_bytes() == result
 
 
 def test_regenerated_artifacts_are_byte_identical_across_roots(config_path, tmp_path):
