@@ -28,7 +28,7 @@ from .errors import DemixError, ValidationError
 from .eval_metrics import consistency_report
 from .merge_engine import MixtureRatio
 from .pipeline import ExperimentManifest, read_score_csv
-from .tensor_store import load_archive, read_header, save_archive
+from .tensor_store import atomic_write, load_archive, read_header, save_archive
 
 
 def _parse_ratio(text: str, candidate_ids: list[str]) -> MixtureRatio:
@@ -135,6 +135,10 @@ def _read_corpus(path) -> list[tuple[str, str]]:
             raise ValidationError(f"{path}:{number}: not JSON: {exc}") from None
         if not (isinstance(doc, dict) and all(isinstance(doc.get(k), str) for k in ("id", "text"))):
             raise ValidationError(f'{path}:{number}: expected an object with string "id" and "text"')
+        try:
+            doc["text"].encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValidationError(f"{path}:{number}: text escapes a lone surrogate") from None
         docs.append((doc["id"], doc["text"]))
     return docs
 
@@ -142,13 +146,16 @@ def _read_corpus(path) -> list[tuple[str, str]]:
 def _cmd_dedup(args) -> int:
     docs = _read_corpus(args.input)
     result = dedup_corpus(docs, mode=args.mode, seed=args.seed, ngram=args.ngram)
-    Path(args.report).write_text(json.dumps(result.to_report(), indent=2, sort_keys=True) + "\n")
+    with atomic_write(args.report) as fh:
+        fh.write((json.dumps(result.to_report(), indent=2, sort_keys=True) + "\n").encode("utf-8"))
     if args.out:
         kept = set(result.kept_ids)
-        with open(args.out, "w") as fh:
-            for doc_id, text in docs:
-                if doc_id in kept:
-                    fh.write(json.dumps({"id": doc_id, "text": text}, sort_keys=True) + "\n")
+        with atomic_write(args.out) as fh:
+            fh.writelines(
+                (json.dumps({"id": doc_id, "text": text}, sort_keys=True) + "\n").encode("utf-8")
+                for doc_id, text in docs
+                if doc_id in kept
+            )
     print(f"kept {len(result.kept_ids)}, removed {len(result.removed_ids)}")
     return 0
 

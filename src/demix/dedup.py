@@ -6,6 +6,13 @@ and 20x13 LSH banding (a collision curve whose midpoint sits near Jaccard
 A document's shingles are one sorted uint64 array of distinct n-gram hashes.
 The MinHash signatures of a corpus are one (documents x 260) uint64 matrix,
 and LSH band k is its column slice [13k, 13k + 13).
+
+Each document is encoded once; its n-gram hashes are blake2b digests of
+slices of that buffer. A signature is the row-wise minimum of exact
+(a x + b) mod 2^61-1 over the shingles. :func:`mod_affine` computes it in
+uint64 without overflow: x is reduced below p first, so of the three 32-bit
+limb products only the low one reaches 2^64 and needs folding, and the sum of
+the folded terms stays below 2^64 (its docstring gives the bound per step).
 """
 
 from __future__ import annotations
@@ -33,31 +40,38 @@ def tokenize(text: str) -> list[str]:
     """Lowercased whitespace tokens with punctuation-only tokens dropped."""
     tokens = []
     for token in text.lower().split():
-        if all(unicodedata.category(ch).startswith("P") for ch in token):
-            continue
-        tokens.append(token)
+        # No alphanumeric character has a P* category, so an all-alphanumeric
+        # token is kept without looking up each character's category.
+        if token.isalnum() or not all(
+            unicodedata.category(ch).startswith("P") for ch in token
+        ):
+            tokens.append(token)
     return tokens
-
-
-def _hash_ngram(tokens: tuple[str, ...]) -> int:
-    digest = hashlib.blake2b("\x1f".join(tokens).encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
 
 
 def shingle(tokens: list[str], n: int = DEFAULT_NGRAM) -> np.ndarray:
     """Sorted distinct uint64 hashes of the word n-grams of a tokenized
     document; documents shorter than n tokens yield one whole-document
-    shingle rather than being dropped."""
+    shingle rather than being dropped.
+
+    An n-gram's hash is the big-endian 8-byte blake2b digest of its tokens
+    joined by ``"\\x1f"`` in UTF-8. The whole document is encoded once and
+    each window hashed as a slice of it: UTF-8 is concatenative, so the slice
+    between two token offsets is the encoding of that window's join.
+    """
     if n < 1:
         raise ValidationError("shingle: n must be positive")
     if not tokens:
         raise ValidationError("shingle: empty document")
-    if len(tokens) < n:
-        windows = [tuple(tokens)]
-    else:
-        windows = [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
-    hashes = np.fromiter(map(_hash_ngram, windows), dtype=np.uint64, count=len(windows))
-    return np.unique(hashes)
+    n = min(n, len(tokens))
+    buf = "\x1f".join(tokens).encode("utf-8")
+    # starts[i] is the byte offset of token i, counting a separator after
+    # every token; the window of tokens i..i+n-1 ends one byte before starts[i + n].
+    starts = [0, *itertools.accumulate(len(t.encode("utf-8")) + 1 for t in tokens)]
+    digests = b"".join(
+        hashlib.blake2b(buf[s : e - 1], digest_size=8).digest() for s, e in zip(starts, starts[n:])
+    )
+    return np.unique(np.frombuffer(digests, dtype=">u8").astype(np.uint64))
 
 
 def hash_family(seed: int, count: int = NUM_HASHES) -> tuple[np.ndarray, np.ndarray]:
@@ -69,35 +83,63 @@ def hash_family(seed: int, count: int = NUM_HASHES) -> tuple[np.ndarray, np.ndar
     return a, b
 
 
-def _fold(v: np.ndarray) -> np.ndarray:
-    """One Mersenne reduction step: maps values < 2^64 to < 2^61 + 8."""
-    return (v >> np.uint64(61)) + (v & MERSENNE_PRIME)
-
-
 def mod_affine(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Exact (a*x + b) mod (2^61 - 1) in uint64 arithmetic.
+    """Exact (a*x + b) mod p, p = 2^61 - 1, in uint64 arithmetic.
 
-    ``a``, ``b`` must be < 2^61 - 1; ``x`` may use the full 64 bits. Shapes
+    ``a``, ``b`` must be < p; ``x`` may use the full 64 bits. Shapes
     broadcast, so (K,1) coefficients against (m,) inputs give a (K,m) result.
-    The 128-bit product is assembled from 32-bit limbs, using 2^61 = 1 mod p.
+
+    Every step stays below 2^64, using 2^61 = 1 mod p:
+
+    - x is first reduced below p: (x >> 61) + (x & p) <= 7 + p, and
+      ``minimum(u, u - p)`` picks u - p exactly when u >= p (below p, u - p
+      wraps around past 2^63). The x side is small, and a*x + b mod p is
+      unchanged.
+    - With 32-bit limbs a = a_hi 2^32 + a_lo and x = x_hi 2^32 + x_lo, where
+      a_hi, x_hi < 2^29 and a_lo, x_lo < 2^32,
+      a*x = a_hi x_hi 2^64 + (a_hi x_lo + a_lo x_hi) 2^32 + a_lo x_lo.
+    - 2^64 = 8 mod p, and (8 a_hi) x_hi < 2^32 2^29 = 2^61.
+    - mid = a_hi x_lo + a_lo x_hi < 2^62, and mid 2^32 = (mid >> 29) 2^61 +
+      (mid & (2^29 - 1)) 2^32 = (mid >> 29) + (mid & (2^29 - 1)) 2^32 mod p,
+      which is below 2^33 + 2^61.
+    - a_lo x_lo < 2^64 is folded once to (v >> 61) + (v & p) <= p + 7.
+    - With b < p the sum is below 2^63 + 2^34; one fold takes it to at most
+      p + 4, and a final ``minimum(u, u - p)`` to below p.
+
+    The (K,m) work is done in one result array and two scratch arrays,
+    about twenty in-place passes.
     """
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
     x = np.asarray(x, dtype=np.uint64)
-    a_hi = a >> np.uint64(32)
-    a_lo = a & _LOW32
-    x_hi = x >> np.uint64(32)
-    x_lo = x & _LOW32
-    # a*x = a_hi*x_hi*2^64 + (a_hi*x_lo + a_lo*x_hi)*2^32 + a_lo*x_lo
-    t1 = _fold(_fold(a_hi * x_hi) << np.uint64(3))  # 2^64 = 8 mod p
-    mid = _fold(a_hi * x_lo) + _fold(a_lo * x_hi)
-    t2 = (mid >> np.uint64(29)) + ((mid & _LOW29) << np.uint64(32))  # mid*2^32 mod p
-    t3 = _fold(a_lo * x_lo)
-    total = _fold(t1 + t2 + t3) + b
-    total = _fold(total)
-    total = total - MERSENNE_PRIME * (total >= MERSENNE_PRIME)
-    total = total - MERSENNE_PRIME * (total >= MERSENNE_PRIME)
-    return total
+    p = MERSENNE_PRIME
+    x = (x >> np.uint64(61)) + (x & p)
+    x = np.minimum(x, np.subtract(x, p))
+    a_hi, a_lo = a >> np.uint64(32), a & _LOW32
+    x_hi, x_lo = x >> np.uint64(32), x & _LOW32
+    shape = np.broadcast_shapes(a.shape, b.shape, x.shape)
+    out, s1, s2 = np.empty(shape, np.uint64), np.empty(shape, np.uint64), np.empty(shape, np.uint64)
+    np.multiply(a_hi << np.uint64(3), x_hi, out=out)
+    np.multiply(a_hi, x_lo, out=s1)
+    np.multiply(a_lo, x_hi, out=s2)
+    s1 += s2
+    np.right_shift(s1, np.uint64(29), out=s2)
+    out += s2
+    s1 &= _LOW29
+    s1 <<= np.uint64(32)
+    out += s1
+    np.multiply(a_lo, x_lo, out=s1)
+    np.right_shift(s1, np.uint64(61), out=s2)
+    s1 &= p
+    out += s1
+    out += s2
+    out += b
+    np.right_shift(out, np.uint64(61), out=s1)
+    out &= p
+    out += s1
+    np.subtract(out, p, out=s1)
+    np.minimum(out, s1, out=out)
+    return out
 
 
 def minhash(shingles: np.ndarray, family: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -190,6 +232,8 @@ def dedup_corpus(
     """
     if mode not in ("exact", "fuzzy", "both"):
         raise ValidationError(f"dedup_corpus: unknown mode {mode!r}")
+    if ngram < 1:
+        raise ValidationError(f"dedup_corpus: ngram must be at least 1, got {ngram}")
     ids: list[str] = []
     texts: dict[str, str] = {}
     for doc_id, text in docs:

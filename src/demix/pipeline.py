@@ -35,7 +35,7 @@ from .config import ExperimentConfig
 from .errors import PipelineError, ValidationError
 from .eval_metrics import ScoreTable, consistency_report
 from .merge_engine import MixtureRatio
-from .tensor_store import ParameterSet, load_archive, save_archive
+from .tensor_store import ParameterSet, atomic_write, load_archive, save_archive
 
 STAGE_ORDER = ["lab", "components", "references", "consistency", "search", "report"]
 # Each stage's implementation version, part of its cache hash. Bump a stage's
@@ -60,12 +60,10 @@ class ExperimentManifest:
         )
 
     def save(self, path) -> None:
-        """Write to a temp file beside ``path`` and rename it into place, so a
-        run killed mid-save leaves the previous manifest whole."""
-        path = Path(path)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(vars(self), indent=2, sort_keys=True))
-        os.replace(tmp, path)
+        """Write through :func:`atomic_write`, so a run killed mid-save leaves
+        the previous manifest whole."""
+        with atomic_write(path) as fh:
+            fh.write(json.dumps(vars(self), indent=2, sort_keys=True).encode("utf-8"))
 
     @classmethod
     def load(cls, path) -> "ExperimentManifest":

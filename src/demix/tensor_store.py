@@ -14,6 +14,7 @@ preamble and the header, and checks the index against the file size.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -21,6 +22,7 @@ import struct
 import sys
 import zlib
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -112,6 +114,23 @@ class ArchiveHeader:
             raise ArchiveError("payload larger than header declares")
 
 
+@contextlib.contextmanager
+def atomic_write(path):
+    """Open a temp file beside ``path`` for binary writing and rename it over
+    ``path`` once the block completes. A write that fails or is killed
+    part-way leaves the previous file whole; a failed one also removes the
+    temp file."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_archive(params: ParameterSet, path, metadata: dict[str, str] | None = None) -> None:
     """Write ``params`` to ``path`` so that :func:`load_archive` round-trips bit-exactly."""
     for name, arr in params.entries.items():
@@ -131,7 +150,7 @@ def save_archive(params: ParameterSet, path, metadata: dict[str, str] | None = N
         offset += length
     header = json.dumps({"tensors": index, "metadata": meta}, sort_keys=True).encode("utf-8")
     try:
-        with open(path, "wb") as fh:
+        with atomic_write(path) as fh:
             fh.write(_PREAMBLE.pack(MAGIC, FORMAT_VERSION, len(header)))
             fh.write(header)
             for name in names:

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import SchemaMismatchError, TrainingError, ValidationError
 from .eval_metrics import ScoreTable
 from .merge_engine import MixtureRatio
-from .tensor_store import ParameterSet
+from .tensor_store import ParameterSet, atomic_write
 
 MODEL_FAMILIES = ("linear_regression", "logistic", "mlp_1hidden")
 SCORING_RULES = ("exp_neg_mse", "accuracy")
@@ -324,18 +324,6 @@ def _loss_and_grads_raw(arrays: dict, X: np.ndarray, y: np.ndarray, family: str)
     }
 
 
-def quadratic_lipschitz(mixture: list[tuple[CandidateDataset, float]]) -> float:
-    """Largest Hessian eigenvalue of the blended half-MSE linear objective."""
-    d = mixture[0][0].X.shape[1]
-    second_moment = np.zeros((d + 1, d + 1))
-    for ds, w in mixture:
-        if w == 0.0:
-            continue
-        Z = np.hstack([ds.X, np.ones((len(ds), 1))])
-        second_moment += w * (Z.T @ Z) / len(ds)
-    return float(np.linalg.eigvalsh(second_moment)[-1])
-
-
 def _batch_allocations(weights: np.ndarray, batch: int, steps: int):
     """Per-step dataset allocations with long-run proportions exactly equal to
     the weights (cumulative largest-remainder rounding)."""
@@ -364,7 +352,6 @@ def train(
     dataset_mixture: list[tuple[CandidateDataset, float]],
     init: ParameterSet,
     config: ComponentTrainingConfig,
-    loss_hook=None,
 ) -> ParameterSet:
     """Mini-batch gradient descent on the weighted dataset blend.
 
@@ -427,8 +414,6 @@ def train(
             )
         if not np.isfinite(loss):
             raise TrainingError(f"training diverged at step {step}: loss={loss!r}")
-        if loss_hook is not None:
-            loss_hook(step, loss)
         for name in arrays:
             arrays[name] = arrays[name] - config.step_size * grads[name]
     for name, arr in arrays.items():
@@ -529,7 +514,7 @@ def save_lab(lab: ToyLab, path) -> None:
         arrays[f"true_{name}_w"] = lab.true_params[name].entries["w"]
     # Through a file object, so np.savez writes to ``path`` itself rather
     # than appending ".npz" to it.
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         np.savez(fh, **arrays)
 
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the demix command line."""
 
+import errno
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import demix
-from demix import merge_engine
+from demix import merge_engine, tensor_store
 from demix.cli import main
 from demix.tensor_store import ParameterSet, load_archive, read_header, save_archive
 from demix.toy_lab import (
@@ -127,6 +128,78 @@ def test_dedup_cli(tmp_path, capsys):
     assert [json.loads(l)["id"] for l in kept.read_text().splitlines()] == ["a", "c"]
 
 
+@pytest.mark.parametrize("mode", ["exact", "fuzzy", "both"])
+def test_dedup_with_ngram_below_one_is_a_usage_error(tmp_path, capsys, mode):
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text('{"id": "a", "text": "alpha beta gamma"}\n{"id": "b", "text": "..."}\n')
+    report = tmp_path / "report.json"
+    argv = ["dedup", "--in", str(docs), "--mode", mode, "--ngram", "0", "--report", str(report)]
+    assert main(argv) == 2
+    assert "ngram" in capsys.readouterr().err
+    assert not report.exists()
+
+
+class _FailsPartWay:
+    """A binary file that takes its first ``budget`` bytes, then fails as a
+    full disk would."""
+
+    def __init__(self, fh, budget):
+        self._fh, self._left = fh, budget
+
+    def write(self, data):
+        data = memoryview(data).cast("B")
+        if data.nbytes > self._left:
+            self._fh.write(data[: self._left])
+            self._left = 0
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self._left -= data.nbytes
+        return self._fh.write(data)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+@pytest.mark.parametrize("command", ["dedup", "merge", "lab-gen"])
+def test_an_output_write_that_fails_part_way_leaves_the_old_file_and_no_temp_file(
+    tmp_path, archives, capsys, monkeypatch, command
+):
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text("".join(json.dumps({"id": f"d{i}", "text": f"words of doc {i}"}) + "\n"
+                            for i in range(20)))
+    out = tmp_path / "out" / "result"
+    out.parent.mkdir()
+    out.write_bytes(b"old contents\n")
+    argv = {
+        "dedup": ["dedup", "--in", str(docs), "--report", str(tmp_path / "r.json"), "--out", str(out)],
+        "merge": ["merge", "--ratio", "0.2,0.3,0.5", "--out", str(out),
+                  "--components", ",".join(str(p) for p in archives)],
+        "lab-gen": ["lab", "gen", "--out", str(out)],
+    }[command]
+
+    def opener(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        return _FailsPartWay(fh, 64) if Path(path).name.startswith(out.name) else fh
+
+    monkeypatch.setattr(tensor_store, "open", opener, raising=False)
+    assert main(argv) == 3
+    assert "No space left on device" in capsys.readouterr().err
+    assert out.read_bytes() == b"old contents\n"
+    assert [p.name for p in out.parent.iterdir()] == ["result"]
+    monkeypatch.undo()
+    assert main(argv) == 0 and out.read_bytes() != b"old contents\n"
+    assert [p.name for p in out.parent.iterdir()] == ["result"]
+
+
 @pytest.mark.parametrize(
     "bad_line, problem",
     [
@@ -134,8 +207,9 @@ def test_dedup_cli(tmp_path, capsys):
         (b'{"id": "b"}', 'expected an object with string "id"'),
         (b'{"id": "b", "text": "caf\xe9"}', "not UTF-8 text"),
         (b'["b", "text"]', 'expected an object with string "id"'),
+        (b'{"id": "b", "text": "x \\ud800 y"}', "text escapes a lone surrogate"),
     ],
-    ids=["not-json", "no-text", "not-utf8", "array"],
+    ids=["not-json", "no-text", "not-utf8", "array", "lone-surrogate"],
 )
 def test_malformed_corpus_is_a_usage_error(tmp_path, capsys, bad_line, problem):
     docs = tmp_path / "docs.jsonl"

@@ -1,5 +1,8 @@
 """Tests for shingling, MinHash, LSH banding, and corpus deduplication."""
 
+import hashlib
+import unicodedata
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +24,112 @@ from demix.errors import ValidationError
 def words(n, rng=None, vocab=10_000):
     rng = rng or np.random.default_rng(0)
     return " ".join(f"w{i}" for i in rng.integers(0, vocab, size=n))
+
+
+# --- reference implementations --------------------------------------------------
+# The straightforward per-window and many-pass versions that the fast ones in
+# demix.dedup must match bit for bit.
+
+
+def ref_tokenize(text):
+    tokens = []
+    for token in text.lower().split():
+        if all(unicodedata.category(ch).startswith("P") for ch in token):
+            continue
+        tokens.append(token)
+    return tokens
+
+
+def ref_hash_ngram(tokens):
+    digest = hashlib.blake2b("\x1f".join(tokens).encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "big")
+
+
+def ref_shingle(tokens, n):
+    if len(tokens) < n:
+        windows = [tuple(tokens)]
+    else:
+        windows = [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
+    hashes = np.fromiter(map(ref_hash_ngram, windows), dtype=np.uint64, count=len(windows))
+    return np.unique(hashes)
+
+
+def ref_fold(v):
+    return (v >> np.uint64(61)) + (v & MERSENNE_PRIME)
+
+
+def ref_mod_affine(a, b, x):
+    low32, low29 = np.uint64(0xFFFFFFFF), np.uint64((1 << 29) - 1)
+    a, b, x = (np.asarray(v, dtype=np.uint64) for v in (a, b, x))
+    a_hi, a_lo, x_hi, x_lo = a >> np.uint64(32), a & low32, x >> np.uint64(32), x & low32
+    t1 = ref_fold(ref_fold(a_hi * x_hi) << np.uint64(3))
+    mid = ref_fold(a_hi * x_lo) + ref_fold(a_lo * x_hi)
+    t2 = (mid >> np.uint64(29)) + ((mid & low29) << np.uint64(32))
+    t3 = ref_fold(a_lo * x_lo)
+    total = ref_fold(ref_fold(t1 + t2 + t3) + b)
+    total = total - MERSENNE_PRIME * (total >= MERSENNE_PRIME)
+    return total - MERSENNE_PRIME * (total >= MERSENNE_PRIME)
+
+
+P = int(MERSENNE_PRIME)
+# Inputs around every boundary the reduction steps care about: p and its
+# multiples, powers of two, all-ones limbs and the top of the uint64 range.
+EDGE_X = sorted({
+    0, 1, 2, 7, 8, 2**29 - 1, 2**29, 2**32 - 1, 2**32, 2**32 + 1, 2**61 - 2, P - 1, P, P + 1,
+    P + 7, P + 8, 2 * P - 1, 2 * P, 2 * P + 1, 2**62 - 1, 2**62, 2**63 - 1, 2**63,
+    7 * P, 8 * P - 1, 8 * P, 2**64 - 9, 2**64 - 8, 2**64 - 2, 2**64 - 1,
+})
+
+_WORD_CHARS = st.one_of(
+    st.sampled_from(list("«»—–_¿¡!?.,;:'\"()[]{}…·、。")),  # punctuation, Unicode P* included
+    st.sampled_from(list("éßñΩжİǅﬁ²½٣")),  # multi-byte letters and digits, odd case maps
+    st.characters(min_codepoint=0x4E00, max_codepoint=0x9FFF),  # CJK
+    st.sampled_from(list("abcxyz0123456789$+=<>")),
+    st.characters(exclude_categories=["Cs"]),  # any text a UTF-8 corpus decodes to
+)
+_SEPARATORS = st.sampled_from([" ", "  ", "\n", "\t", "\x1c", "\x1d", "\x1e", "\x1f", "\u3000"])
+_TEXTS = st.lists(
+    st.tuples(st.text(_WORD_CHARS, min_size=1, max_size=6), _SEPARATORS), max_size=60
+).map(lambda parts: "".join(word + sep for word, sep in parts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TEXTS, st.integers(1, 30))
+def test_tokenize_and_shingle_match_the_reference(text, n):
+    tokens = tokenize(text)
+    assert tokens == ref_tokenize(text)
+    if tokens:
+        hashes = shingle(tokens, n)
+        assert hashes.dtype == np.uint64
+        assert np.array_equal(hashes, ref_shingle(tokens, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(1, P - 1), min_size=1, max_size=6),
+    st.lists(st.integers(0, P - 1), min_size=1, max_size=6),
+    st.lists(st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(EDGE_X)), min_size=1, max_size=40),
+)
+def test_mod_affine_matches_the_reference_on_broadcast_arrays(a, b, x):
+    k = min(len(a), len(b))
+    a, b = np.array(a[:k], dtype=np.uint64)[:, None], np.array(b[:k], dtype=np.uint64)[:, None]
+    x = np.array(x, dtype=np.uint64)
+    got = mod_affine(a, b, x)
+    assert got.dtype == np.uint64 and got.shape == (k, len(x))
+    assert np.array_equal(got, ref_mod_affine(a, b, x))
+
+
+def test_mod_affine_broadcasts_coefficients_against_edge_inputs_exactly():
+    rng = np.random.default_rng(0)
+    a = [1, 2, 2**32 - 1, 2**32, P - 1] + rng.integers(1, P, size=3, dtype=np.uint64).tolist()
+    b = [P - 1, P - 1, 0, P - 1, P - 1] + rng.integers(0, P, size=3, dtype=np.uint64).tolist()
+    x = EDGE_X + rng.integers(0, 2**64 - 1, size=5000, dtype=np.uint64, endpoint=True).tolist()
+    a_col, b_col = np.array(a, dtype=np.uint64)[:, None], np.array(b, dtype=np.uint64)[:, None]
+    x_row = np.array(x, dtype=np.uint64)
+    got = mod_affine(a_col, b_col, x_row)
+    assert got.dtype == np.uint64 and got.shape == (len(a), len(x))
+    assert got.tolist() == [[(ai * xi + bi) % P for xi in x] for ai, bi in zip(a, b)]
+    assert np.array_equal(got, ref_mod_affine(a_col, b_col, x_row))
 
 
 # --- tokenization and shingling ----------------------------------------------
@@ -224,6 +333,14 @@ def test_partition_invariants_and_order_stability():
     again = dedup_corpus(docs, mode="both", seed=5)
     assert again.kept_ids == result.kept_ids
     assert again.clusters == result.clusters
+
+
+@pytest.mark.parametrize("mode", ["exact", "fuzzy", "both"])
+@pytest.mark.parametrize("ngram", [0, -3])
+def test_ngram_below_one_is_rejected_in_every_mode(mode, ngram):
+    for docs in ([("a", words(30)), ("b", words(30))], [("a", "..."), ("b", "!!")], []):
+        with pytest.raises(ValidationError, match="ngram"):
+            dedup_corpus(docs, mode=mode, ngram=ngram)
 
 
 def test_duplicate_ids_rejected():
