@@ -106,7 +106,7 @@ def _cmd_eval(args) -> int:
     reference = read_score_csv(args.reference, args.domains)
     proxy = read_score_csv(args.proxy, args.domains)
     report = consistency_report(reference, proxy)
-    Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    pipeline.dump_json(args.out, report)
     print(
         f"macro rho {report['macro_avg_rho']:.3f}, "
         f"mean capability recovery {report['mean_capability_recovery']:.3f}"
@@ -146,8 +146,7 @@ def _read_corpus(path) -> list[tuple[str, str]]:
 def _cmd_dedup(args) -> int:
     docs = _read_corpus(args.input)
     result = dedup_corpus(docs, mode=args.mode, seed=args.seed, ngram=args.ngram)
-    with atomic_write(args.report) as fh:
-        fh.write((json.dumps(result.to_report(), indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    pipeline.dump_json(args.report, result.to_report())
     if args.out:
         kept = set(result.kept_ids)
         with atomic_write(args.out) as fh:
@@ -193,7 +192,7 @@ def _cmd_run(args) -> int:
     config = load_config(args.config)
     manifest = pipeline.run_pipeline(config, run_root=args.run_root)
     print(f"run dir: {manifest.run_dir}")
-    for name in pipeline.STAGE_ORDER:
+    for name in pipeline.STAGE_VERSIONS:
         if name in manifest.stages:
             record = manifest.stages[name]
             flag = "ran" if record.get("recomputed") else "cached"

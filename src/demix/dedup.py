@@ -271,26 +271,16 @@ def dedup_corpus(
         for a, b in sorted(lsh_candidates(hashed_ids, signatures)):
             uf.union(a, b)
 
+    # Filled in corpus order, so each group and the groups themselves are
+    # ordered by their members' and representatives' places in the corpus.
     groups: dict[str, list[str]] = {}
     for doc_id in ids:
         groups.setdefault(uf.find(doc_id), []).append(doc_id)
-    kept, removed, clusters = [], [], []
-    for doc_id in ids:
-        members = groups.get(uf.find(doc_id))
-        if members is None:
-            continue
-        members.sort(key=order.__getitem__)
-        representative = members[0]
-        if len(members) > 1:
-            clusters.append(list(members))
-            for other in members[1:]:
-                reasons.setdefault(other, "fuzzy")
-        kept.append(representative)
-        removed.extend(members[1:])
-        del groups[uf.find(doc_id)]
-    kept.sort(key=order.__getitem__)
-    removed.sort(key=order.__getitem__)
-    clusters.sort(key=lambda c: order[c[0]])
+    kept = [members[0] for members in groups.values()]
+    clusters = [members for members in groups.values() if len(members) > 1]
+    removed = sorted((m for c in clusters for m in c[1:]), key=order.__getitem__)
+    for doc_id in removed:
+        reasons.setdefault(doc_id, "fuzzy")
     return DedupResult(
         kept_ids=kept, removed_ids=removed, clusters=clusters, removal_reasons=reasons
     )

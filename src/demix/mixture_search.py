@@ -79,15 +79,8 @@ class ProxyEvaluation:
 
 
 @dataclass
-class FitRecord:
-    after_iteration: int
-    n_observations: int
-
-
-@dataclass
 class SearchTranscript:
     evaluations: list[ProxyEvaluation] = field(default_factory=list)
-    fits: list[FitRecord] = field(default_factory=list)
 
     def to_jsonl(self) -> str:
         return "\n".join(rec.to_json() for rec in self.evaluations) + "\n"
@@ -189,9 +182,6 @@ def run_search(
         best first. Only those rows outlive the call, so two pools are never
         held at once."""
         targets = _ranking_targets(transcript.evaluations, benchmark_domains)
-        transcript.fits.append(
-            FitRecord(after_iteration=after_iteration, n_observations=targets.size)
-        )
         # Fit on the renormalized ratio weights the evaluator saw.
         predictor.fit(np.stack([rec.ratio.weights for rec in transcript.evaluations]), targets)
         rng = np.random.Generator(np.random.PCG64(streams[after_iteration + 1]))

@@ -2,17 +2,32 @@
 reference training and consistency reporting, proxy-based mixture search,
 and the final report.
 
-The lab, components, references and search stages are module-level
-functions, which the matching `demix lab` and `demix search` subcommands call
-too. The run directory is named by the config's content hash, so each stage
-is cached by a hash over its implementation version and its input artifacts
-only (the report stage also keys on the experiment name, which the content
-hash leaves out). Rerunning a finished experiment recomputes nothing, and
-deleting an intermediate artifact recomputes only that stage and, where
-their inputs actually changed, the stages downstream of it. The consistency
-and search stages evaluate proxies by linearly merging the components and
-benchmarking the result; they never train and never read the shared base,
-which only the references stage uses.
+Each stage is one entry of the table in `_run_stages`, which states the
+files it reads and writes in the run directory:
+
+    stage         reads                                 writes
+    lab           -                                     lab.npz
+    components    lab.npz                               base.dmxt, component_<id>.dmxt
+    references*   lab.npz, base.dmxt                    reference_ratios.json,
+                                                        references.csv, domains.csv
+    consistency*  lab.npz, the references' files,       proxy_scores.csv, consistency.json
+                  component_<id>.dmxt
+    search        lab.npz, component_<id>.dmxt          search_result.json, transcript.jsonl
+    report        search_result.json, transcript.jsonl  report.json
+                  (and consistency.json*)
+
+Stages marked * run only with `references.enabled`. Their bodies are
+module-level functions, which the matching `demix lab` and `demix search`
+subcommands call too. The run directory is named by the config's content
+hash, so a stage is cached by a hash over its implementation version and the
+contents of the files it reads (the report also keys on the experiment name,
+which the content hash leaves out). It reruns when that hash changed or a
+file it writes is missing, so deleting an artifact recomputes only its stage
+and, where their inputs actually changed, the stages downstream of it. A
+finished experiment reruns without loading anything: a stage body loads the
+lab and the components on first use. The consistency and search stages
+merge the components linearly and benchmark the result; they never train
+and never read the shared base.
 
 Reports and transcripts contain no timestamps and serialize with sorted keys,
 so identical configs produce byte-identical result files.
@@ -21,10 +36,13 @@ so identical configs produce byte-identical result files.
 from __future__ import annotations
 
 import fcntl
+import functools
 import hashlib
+import itertools
 import json
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,12 +55,12 @@ from .eval_metrics import ScoreTable, consistency_report
 from .merge_engine import MixtureRatio
 from .tensor_store import ParameterSet, atomic_write, load_archive, save_archive
 
-STAGE_ORDER = ["lab", "components", "references", "consistency", "search", "report"]
-# Each stage's implementation version, part of its cache hash. Bump a stage's
-# version with any code change that alters what it writes, so that run
-# directories made by older code recompute it instead of reusing its files.
+# Each stage's implementation version, part of its cache hash, in the order
+# the stages run. Bump a stage's version with any code change that alters
+# what it writes, so that run directories made by older code recompute it
+# instead of reusing its files.
 STAGE_VERSIONS = {
-    "lab": 1, "components": 1, "references": 1, "consistency": 1, "search": 1, "report": 1,
+    "lab": 2, "components": 1, "references": 1, "consistency": 1, "search": 1, "report": 1,
 }
 
 
@@ -56,14 +74,13 @@ class ExperimentManifest:
 
     def stage(self, name: str) -> dict:
         return self.stages.setdefault(
-            name, {"status": "pending", "hash": None, "outputs": {}, "recomputed": False}
+            name, {"status": "pending", "hash": None, "recomputed": False}
         )
 
     def save(self, path) -> None:
         """Write through :func:`atomic_write`, so a run killed mid-save leaves
         the previous manifest whole."""
-        with atomic_write(path) as fh:
-            fh.write(json.dumps(vars(self), indent=2, sort_keys=True).encode("utf-8"))
+        _write_text(path, json.dumps(vars(self), indent=2, sort_keys=True))
 
     @classmethod
     def load(cls, path) -> "ExperimentManifest":
@@ -90,11 +107,9 @@ def _bad_stage_keys(name: str, record) -> list[str]:
     """The keys of a stage record that ``_execute`` could not use."""
     if not isinstance(record, dict):
         return [f"stages.{name}"]
-    outputs = record.get("outputs", {})
     usable = {
         "status": isinstance(record.get("status"), str),
         "hash": isinstance(record.get("hash"), (str, type(None))),
-        "outputs": isinstance(outputs, dict) and all(isinstance(v, str) for v in outputs.values()),
     }
     return [f"stages.{name}.{key}" for key, ok in usable.items() if not ok]
 
@@ -107,8 +122,14 @@ def _file_hash(path: Path) -> str:
     return h.hexdigest()
 
 
-def _dump_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def _write_text(path, text: str) -> None:
+    with atomic_write(path) as fh:
+        fh.write(text.encode("utf-8"))
+
+
+def dump_json(path, doc) -> None:
+    """Write ``doc`` as indented JSON with sorted keys, through :func:`atomic_write`."""
+    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def write_score_csv(table: ScoreTable, scores_path: Path, domains_path: Path | None = None) -> None:
@@ -116,11 +137,11 @@ def write_score_csv(table: ScoreTable, scores_path: Path, domains_path: Path | N
     for model in table.models():
         for bench in table.benchmarks():
             lines.append(f"{model},{bench},{table.rows[model][bench]!r}")
-    scores_path.write_text("\n".join(lines) + "\n")
+    _write_text(scores_path, "\n".join(lines) + "\n")
     if domains_path is not None:
         rows = ["benchmark_id,domain"]
         rows += [f"{b},{table.domain_of[b]}" for b in table.benchmarks()]
-        domains_path.write_text("\n".join(rows) + "\n")
+        _write_text(domains_path, "\n".join(rows) + "\n")
 
 
 def _csv_rows(path, header: list[str]):
@@ -154,25 +175,16 @@ def read_score_csv(scores_path, domains_path) -> ScoreTable:
     return ScoreTable(rows=rows, domain_of=domain_of)
 
 
-class ProxyEvaluator:
-    """Merge-then-benchmark evaluator used by the search stage (training-free)."""
-
-    def __init__(self, components, tasks):
-        self.components = components
-        self.tasks = tasks
-        self.calls = 0
-
-    def __call__(self, ratio: MixtureRatio) -> dict[str, float]:
-        self.calls += 1
-        proxy = merge_engine.merge(self.components, ratio)
-        return toy_lab.evaluate_model(proxy, self.tasks)
+def proxy_scores(components, tasks, ratio: MixtureRatio) -> dict[str, float]:
+    """The benchmark scores of the components merged at ``ratio``: the
+    training-free stand-in for a model trained on that mixture."""
+    return toy_lab.evaluate_model(merge_engine.merge(components, ratio), tasks)
 
 
 def build_proxy_table(components, ratios, tasks) -> ScoreTable:
     """Score merged proxies for a list of ratios; row ids align with
     build_reference_set so the two tables are directly comparable."""
-    evaluate = ProxyEvaluator(components, tasks)
-    rows = {f"mix_{j:03d}": evaluate(ratio) for j, ratio in enumerate(ratios)}
+    rows = {f"mix_{j:03d}": proxy_scores(components, tasks, ratio) for j, ratio in enumerate(ratios)}
     return ScoreTable(rows=rows, domain_of={t.id: t.domain for t in tasks})
 
 
@@ -209,11 +221,27 @@ def train_references(
         int(np.random.SeedSequence([config.seed, 0xEF]).generate_state(1)[0]),
         candidate_ids=candidate_ids,
     )
-    _dump_json(out_dir / "reference_ratios.json", [r.as_dict() for r in ratios])
+    dump_json(out_dir / "reference_ratios.json", [r.as_dict() for r in ratios])
     table = toy_lab.build_reference_set(
         lab.candidates, lab.general, ratios, base, lab.tasks, config.training_config()
     )
     write_score_csv(table, out_dir / "references.csv", out_dir / "domains.csv")
+
+
+def check_consistency(
+    lab: toy_lab.ToyLab, components: list[ParameterSet], run_dir: Path
+) -> None:
+    """The consistency stage: score merged proxies at the reference ratios
+    and compare their rankings with the trained references'."""
+    ids = [c.id for c in lab.candidates]
+    ratios = [
+        MixtureRatio(weights=[rd[c] for c in ids], candidate_ids=ids)
+        for rd in json.loads((run_dir / "reference_ratios.json").read_text())
+    ]
+    reference = read_score_csv(run_dir / "references.csv", run_dir / "domains.csv")
+    proxy = build_proxy_table(components, ratios, lab.tasks)
+    write_score_csv(proxy, run_dir / "proxy_scores.csv")
+    dump_json(run_dir / "consistency.json", consistency_report(reference, proxy))
 
 
 def search_mixture(
@@ -226,29 +254,30 @@ def search_mixture(
     """The search stage: the iterative search over merged proxies. Writes the
     transcript and the result document, and returns the result."""
     plan = config.sample_plan()
-    evaluator = ProxyEvaluator(components, lab.tasks)
     best, transcript = mixture_search.run_search(
-        evaluator,
+        functools.partial(proxy_scores, components, lab.tasks),
         [c.id for c in lab.candidates],
         plan,
         config.predictor(),
         benchmark_domains=lab.domain_of_benchmarks(),
     )
     if transcript_path is not None:
-        transcript_path.write_text(transcript.to_jsonl())
+        _write_text(transcript_path, transcript.to_jsonl())
     result = {
         "best_mixture": best.as_dict(),
         "evaluations": len(transcript.evaluations),
         "planned_evaluations": plan.total_evaluations(),
-        "evaluator_calls": evaluator.calls,
+        # run_search calls the evaluator once per evaluation, and refits on
+        # every evaluation so far after each iteration.
+        "evaluator_calls": len(transcript.evaluations),
         "fits": [
-            {"after_iteration": f.after_iteration, "n_observations": f.n_observations}
-            for f in transcript.fits
+            {"after_iteration": i, "n_observations": n}
+            for i, n in enumerate(itertools.accumulate(plan.per_iteration_counts))
         ],
         "final_pool_size": plan.final_candidate_pool,
         "final_top_k": plan.top_k_average,
     }
-    _dump_json(result_path, result)
+    dump_json(result_path, result)
     return result
 
 
@@ -305,24 +334,17 @@ def run_pipeline(config: ExperimentConfig, run_root: str | None = None) -> Exper
     return manifest
 
 
-def _outputs_exist(run_dir: Path, record: dict) -> bool:
-    return all((run_dir / rel).exists() for rel in record.get("outputs", {}).values())
-
-
-def _execute(manifest, run_dir: Path, name: str, stage_hash: str, outputs: dict, fn) -> bool:
-    """Run one stage unless its hash matches and outputs are present."""
+def _execute(manifest, run_dir: Path, name: str, stage_hash: str, outputs: list[str], fn) -> None:
+    """Run one stage unless its hash matches and its outputs are present."""
     record = manifest.stage(name)
     if (
         record["status"] == "done"
         and record.get("hash") == stage_hash
-        and _outputs_exist(run_dir, record)
+        and all((run_dir / output).exists() for output in outputs)
     ):
         record["recomputed"] = False
-        return False
-    record.update(
-        {"status": "running", "hash": stage_hash, "outputs": outputs, "recomputed": True}
-    )
-    record["started_at"] = time.time()
+        return
+    record.update(status="running", hash=stage_hash, recomputed=True, started_at=time.time())
     # On disk before the stage writes anything, so a run killed inside the
     # stage leaves it marked running and the next run recomputes it.
     manifest.save(run_dir / "manifest.json")
@@ -332,121 +354,80 @@ def _execute(manifest, run_dir: Path, name: str, stage_hash: str, outputs: dict,
         record["status"] = "failed"
         record["error"] = f"{type(exc).__name__}: {exc}"
         raise
-    record["status"] = "done"
-    record["error"] = None
-    record["finished_at"] = time.time()
-    return True
+    record.update(status="done", error=None, finished_at=time.time())
 
 
 def _run_stages(config: ExperimentConfig, run_dir: Path, manifest: ExperimentManifest) -> None:
+    # Loaded by the first stage body that needs them, after the stages that
+    # write them, so a fully cached run loads neither.
+    lab = functools.cache(lambda: toy_lab.load_lab(run_dir / "lab.npz"))
+    components = functools.cache(lambda: load_components(run_dir, lab()))
+    # Merging needs no base, so only the references stage reads and hashes it.
+    component_files = [f"component_{c}.dmxt" for c in toy_lab.domain_ids(config.lab.n_domains)]
+    references = ["reference_ratios.json", "references.csv", "domains.csv"]
+
+    # (name, input files, output files, body), in the order the stages run.
+    stages = [
+        ("lab", [], ["lab.npz"], lambda: generate_lab(config, run_dir / "lab.npz")),
+        (
+            "components", ["lab.npz"], ["base.dmxt", *component_files],
+            lambda: train_components(config, lab(), run_dir),
+        ),
+    ]
+    if config.references.enabled:
+        stages += [
+            (
+                "references", ["lab.npz", "base.dmxt"], references,
+                lambda: train_references(config, lab(), load_archive(run_dir / "base.dmxt"), run_dir),
+            ),
+            (
+                "consistency", ["lab.npz", *references, *component_files],
+                ["proxy_scores.csv", "consistency.json"],
+                lambda: check_consistency(lab(), components(), run_dir),
+            ),
+        ]
+    stages += [
+        (
+            "search", ["lab.npz", *component_files], ["search_result.json", "transcript.jsonl"],
+            lambda: search_mixture(
+                config, lab(), components(),
+                run_dir / "search_result.json", run_dir / "transcript.jsonl",
+            ),
+        ),
+        (
+            "report",
+            ["search_result.json", "transcript.jsonl"]
+            + (["consistency.json"] if config.references.enabled else []),
+            ["report.json"],
+            lambda: dump_json(run_dir / "report.json", _build_report(config, run_dir)),
+        ),
+    ]
+
     # The run directory is named by the config's content hash, so a stage's
     # hash needs to cover only its code version and its input files (each
     # read once per run).
-    file_hashes: dict[Path, str] = {}
-
-    def stage_hash(stage: str, input_paths: list[Path], **keys) -> str:
-        for path in input_paths:
-            if path not in file_hashes:
-                file_hashes[path] = _file_hash(path)
-        doc = {
-            "inputs": {p.name: file_hashes[p] for p in input_paths},
-            "version": STAGE_VERSIONS[stage],
-            **keys,
-        }
-        return hashlib.blake2b(
-            json.dumps(doc, sort_keys=True).encode("utf-8"), digest_size=16
-        ).hexdigest()
-
-    lab_path = run_dir / "lab.npz"
-    _execute(
-        manifest, run_dir, "lab", stage_hash("lab", []), {"lab": "lab.npz"},
-        lambda: generate_lab(config, lab_path),
-    )
-    lab = toy_lab.load_lab(lab_path)
-
-    component_files = {
-        f"component_{cand.id}": f"component_{cand.id}.dmxt" for cand in lab.candidates
-    }
-    base_path = run_dir / "base.dmxt"
-    _execute(
-        manifest, run_dir, "components", stage_hash("components", [lab_path]),
-        {"base": base_path.name, **component_files},
-        lambda: train_components(config, lab, run_dir),
-    )
-    components = load_components(run_dir, lab)
-    # Merging needs no base, so only the references stage reads and hashes it.
-    component_paths = [run_dir / name for name in component_files.values()]
-
-    if config.references.enabled:
-        _execute(
-            manifest, run_dir, "references", stage_hash("references", [lab_path, base_path]),
-            {
-                "ratios": "reference_ratios.json",
-                "scores": "references.csv",
-                "domains": "domains.csv",
-            },
-            lambda: train_references(config, lab, load_archive(base_path), run_dir),
-        )
-
-        def do_consistency():
-            ids = [c.id for c in lab.candidates]
-            ratios = [
-                MixtureRatio(weights=[rd[c] for c in ids], candidate_ids=ids)
-                for rd in json.loads((run_dir / "reference_ratios.json").read_text())
-            ]
-            reference = read_score_csv(run_dir / "references.csv", run_dir / "domains.csv")
-            proxy = build_proxy_table(components, ratios, lab.tasks)
-            write_score_csv(proxy, run_dir / "proxy_scores.csv")
-            _dump_json(run_dir / "consistency.json", consistency_report(reference, proxy))
-
-        consistency_inputs = [
-            lab_path, run_dir / "reference_ratios.json", run_dir / "references.csv",
-            run_dir / "domains.csv",
-        ] + component_paths
-        _execute(
-            manifest, run_dir, "consistency", stage_hash("consistency", consistency_inputs),
-            {"proxy_scores": "proxy_scores.csv", "consistency": "consistency.json"},
-            do_consistency,
-        )
-
-    _execute(
-        manifest, run_dir, "search", stage_hash("search", [lab_path] + component_paths),
-        {"result": "search_result.json", "transcript": "transcript.jsonl"},
-        lambda: search_mixture(
-            config, lab, components, run_dir / "search_result.json", run_dir / "transcript.jsonl"
-        ),
-    )
-
-    report_inputs = [run_dir / "search_result.json", run_dir / "transcript.jsonl"]
-    if config.references.enabled:
-        report_inputs.append(run_dir / "consistency.json")
-    # The report shows the experiment name, the one field the run directory's
-    # name leaves out.
-    _execute(
-        manifest, run_dir, "report", stage_hash("report", report_inputs, name=config.name),
-        {"report": "report.json"},
-        lambda: _dump_json(run_dir / "report.json", _build_report(config, run_dir)),
-    )
+    file_hash = functools.cache(lambda name: _file_hash(run_dir / name))
+    for name, inputs, outputs, body in stages:
+        doc = {"inputs": {f: file_hash(f) for f in inputs}, "version": STAGE_VERSIONS[name]}
+        if name == "report":
+            # The report shows the experiment name, the one field the run
+            # directory's name leaves out.
+            doc["name"] = config.name
+        stage_hash = hashlib.blake2b(json.dumps(doc, sort_keys=True).encode("utf-8"), digest_size=16)
+        _execute(manifest, run_dir, name, stage_hash.hexdigest(), outputs, body)
 
 
 def _build_report(config: ExperimentConfig, run_dir: Path) -> dict:
     search_result = json.loads((run_dir / "search_result.json").read_text())
-    transcript_lines = [
-        json.loads(line)
-        for line in (run_dir / "transcript.jsonl").read_text().splitlines()
-        if line.strip()
-    ]
-    per_iteration: dict[str, int] = {}
-    for entry in transcript_lines:
-        key = str(entry["iteration"])
-        per_iteration[key] = per_iteration.get(key, 0) + 1
+    transcript = (run_dir / "transcript.jsonl").read_text().splitlines()
+    per_iteration = Counter(str(json.loads(line)["iteration"]) for line in transcript if line.strip())
     report = {
         "experiment": {"name": config.name, "seed": config.seed},
         "optimal_mixture": search_result["best_mixture"],
         "proxy_budget": {
             "planned": search_result["planned_evaluations"],
             "used": search_result["evaluations"],
-            "per_iteration": per_iteration,
+            "per_iteration": dict(per_iteration),
         },
         "search": {
             "final_pool_size": search_result["final_pool_size"],

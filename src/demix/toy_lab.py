@@ -100,7 +100,6 @@ class ToyLab:
     candidates: list[CandidateDataset]
     general: CandidateDataset
     tasks: list[BenchmarkTask]
-    true_params: dict[str, ParameterSet]
 
     def domain_of_benchmarks(self) -> dict[str, str]:
         return {task.id: task.domain for task in self.tasks}
@@ -130,6 +129,11 @@ def _shared_directions(n_domains: int, n_shared: int, rng: np.random.Generator) 
     return (raw / np.linalg.norm(raw, axis=0, keepdims=True)).T[:n_domains]
 
 
+def domain_ids(n_domains: int) -> list[str]:
+    """The ids of a lab's domains, which name its candidates and components."""
+    return [f"dom{k}" for k in range(n_domains)]
+
+
 def make_domains(
     n_domains: int,
     d: int,
@@ -148,7 +152,7 @@ def make_domains(
     n_shared = shared_dims if shared_dims is not None else max(1, round(0.3 * d))
     if not 1 <= n_shared <= d:
         raise ValidationError("make_domains: shared_dims out of range")
-    domains = [f"dom{k}" for k in range(n_domains)]
+    domains = domain_ids(n_domains)
     own_coords = {
         k: [n_shared + i for i in range(d - n_shared) if i % n_domains == k]
         for k in range(n_domains)
@@ -213,14 +217,7 @@ def make_domains(
     for k, name in enumerate(domains):
         X, y = draw(name, benchmark_examples, _rng_for(seed, "benchmark", k), noiseless=True)
         tasks.append(BenchmarkTask(id=f"bench_{name}", domain=name, X=X, y=y, scoring=scoring))
-
-    true_params = {
-        name: ParameterSet.from_arrays(
-            {"w": targets[name], "b": np.zeros(1)}, model_id=f"true_{name}"
-        )
-        for name in domains
-    }
-    return ToyLab(candidates=candidates, general=general, tasks=tasks, true_params=true_params)
+    return ToyLab(candidates=candidates, general=general, tasks=tasks)
 
 
 # --- model families -------------------------------------------------------
@@ -499,7 +496,6 @@ def save_lab(lab: ToyLab, path) -> None:
     meta = {
         "candidates": [{"id": c.id} for c in lab.candidates],
         "tasks": [{"id": t.id, "domain": t.domain, "scoring": t.scoring} for t in lab.tasks],
-        "true_domains": sorted(lab.true_params),
     }
     arrays = {"meta": np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)}
     for i, cand in enumerate(lab.candidates):
@@ -510,8 +506,6 @@ def save_lab(lab: ToyLab, path) -> None:
     for i, task in enumerate(lab.tasks):
         arrays[f"bench_{i}_X"] = task.X
         arrays[f"bench_{i}_y"] = task.y
-    for name in lab.true_params:
-        arrays[f"true_{name}_w"] = lab.true_params[name].entries["w"]
     # Through a file object, so np.savez writes to ``path`` itself rather
     # than appending ".npz" to it.
     with atomic_write(path) as fh:
@@ -552,10 +546,4 @@ def _lab_from_npz(data) -> ToyLab:
         )
         for i, spec in enumerate(meta["tasks"])
     ]
-    true_params = {
-        name: ParameterSet.from_arrays(
-            {"w": data[f"true_{name}_w"], "b": np.zeros(1)}, model_id=f"true_{name}"
-        )
-        for name in meta["true_domains"]
-    }
-    return ToyLab(candidates=candidates, general=general, tasks=tasks, true_params=true_params)
+    return ToyLab(candidates=candidates, general=general, tasks=tasks)

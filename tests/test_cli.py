@@ -169,13 +169,24 @@ class _FailsPartWay:
         self._fh.close()
 
 
-@pytest.mark.parametrize("command", ["dedup", "merge", "lab-gen"])
+@pytest.mark.parametrize("command", ["dedup", "merge", "lab-gen", "eval", "search"])
 def test_an_output_write_that_fails_part_way_leaves_the_old_file_and_no_temp_file(
     tmp_path, archives, capsys, monkeypatch, command
 ):
     docs = tmp_path / "docs.jsonl"
     docs.write_text("".join(json.dumps({"id": f"d{i}", "text": f"words of doc {i}"}) + "\n"
                             for i in range(20)))
+    scores = tmp_path / "scores.csv"
+    scores.write_text("model_id,benchmark_id,score\n"
+                      + "".join(f"m{i},b0,{i + 1}.0\nm{i},b1,{3 * i % 4 + 1}.0\n" for i in range(4)))
+    (tmp_path / "domains.csv").write_text("benchmark_id,domain\nb0,d0\nb1,d1\n")
+    if command == "search":
+        lab = make_domains(2, 8, seed=3)
+        save_lab(lab, tmp_path / "lab.npz")
+        _, comps = prepare_components(lab.candidates, lab.general, ComponentTrainingConfig(steps=5))
+        for cand, comp in zip(lab.candidates, comps):
+            save_archive(comp, tmp_path / f"component_{cand.id}.dmxt")
+        (tmp_path / "exp.cfg").write_text("[search]\nplan = 4,2\npool = 50\ntop_k = 4\n")
     out = tmp_path / "out" / "result"
     out.parent.mkdir()
     out.write_bytes(b"old contents\n")
@@ -184,6 +195,10 @@ def test_an_output_write_that_fails_part_way_leaves_the_old_file_and_no_temp_fil
         "merge": ["merge", "--ratio", "0.2,0.3,0.5", "--out", str(out),
                   "--components", ",".join(str(p) for p in archives)],
         "lab-gen": ["lab", "gen", "--out", str(out)],
+        "eval": ["eval", "--reference", str(scores), "--proxy", str(scores),
+                 "--domains", str(tmp_path / "domains.csv"), "--out", str(out)],
+        "search": ["search", "--config", str(tmp_path / "exp.cfg"), "--components", str(tmp_path),
+                   "--benchmarks", str(tmp_path / "lab.npz"), "--out", str(out)],
     }[command]
 
     def opener(path, mode="r", *args, **kwargs):
@@ -500,8 +515,7 @@ WELL_TYPED = {"config": {}, "config_hash": "h", "run_dir": ".", "stages": {}}
         ("stages", 5), ("stages", {"report": "done"}), ("config", []),
         ("config_hash", 7), ("run_dir", None),
         ("stages", {"lab": {}}), ("stages", {"lab": {"status": 1}}),
-        ("stages", {"lab": {"status": "done", "hash": 5}}),
-        ("stages", {"lab": {"status": "done", "outputs": []}})]],
+        ("stages", {"lab": {"status": "done", "hash": 5}})]],
 )
 def test_malformed_manifest_is_a_pipeline_error(tmp_path, capsys, text):
     manifest = tmp_path / "manifest.json"

@@ -335,6 +335,33 @@ def test_partition_invariants_and_order_stability():
     assert again.clusters == result.clusters
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    texts=st.lists(
+        st.lists(st.sampled_from(["red", "blue", "green", "grey", "!"]), max_size=6).map(" ".join),
+        max_size=12,
+    ),
+    mode=st.sampled_from(["exact", "fuzzy", "both"]),
+    ngram=st.integers(1, 3),
+)
+def test_every_list_in_the_result_is_in_corpus_order(texts, mode, ngram):
+    docs = [(f"d{i}", text) for i, text in enumerate(texts)]
+    result = dedup_corpus(docs, mode=mode, seed=1, ngram=ngram)
+    place = {doc_id: i for i, (doc_id, _) in enumerate(docs)}
+
+    def in_corpus_order(doc_ids):
+        return doc_ids == sorted(doc_ids, key=place.__getitem__)
+
+    assert in_corpus_order(result.kept_ids)
+    assert in_corpus_order(result.removed_ids)
+    assert in_corpus_order([cluster[0] for cluster in result.clusters])
+    assert all(in_corpus_order(cluster) for cluster in result.clusters)
+    assert sorted(result.kept_ids + result.removed_ids, key=place.__getitem__) == list(place)
+    assert {c[0] for c in result.clusters} <= set(result.kept_ids)
+    assert sorted(m for c in result.clusters for m in c[1:]) == sorted(result.removed_ids)
+    assert set(result.removal_reasons) == set(result.removed_ids)
+
+
 @pytest.mark.parametrize("mode", ["exact", "fuzzy", "both"])
 @pytest.mark.parametrize("ngram", [0, -3])
 def test_ngram_below_one_is_rejected_in_every_mode(mode, ngram):

@@ -156,8 +156,6 @@ def test_search_is_reproducible():
     best2, t2 = run_search(evaluator, ["a", "b"], plan, fast_predictor())
     assert np.array_equal(best1.weights, best2.weights)
     assert t1.to_jsonl() == t2.to_jsonl()
-    fits = lambda t: [(f.after_iteration, f.n_observations) for f in t.fits]
-    assert fits(t1) == fits(t2) == [(0, 6), (1, 9)]
 
 
 class RecordingRegressor(BoostedTreesRegressor):

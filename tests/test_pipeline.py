@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -11,13 +12,12 @@ import numpy as np
 import pytest
 
 import demix
-from demix import pipeline, toy_lab
+from demix import pipeline, tensor_store, toy_lab
 from demix.config import ExperimentConfig, load_config
 from demix.errors import PipelineError, ValidationError
 from demix.eval_metrics import consistency_report
 from demix.pipeline import (
     ExperimentManifest,
-    ProxyEvaluator,
     _RunLock,
     build_proxy_table,
     format_report,
@@ -66,6 +66,36 @@ def recomputed_stages(manifest):
     return sorted(n for n, rec in manifest.stages.items() if rec.get("recomputed"))
 
 
+# The stage that writes each file of a SMALL_CONFIG run.
+PRODUCER = {
+    "lab.npz": "lab",
+    "base.dmxt": "components",
+    **{f"component_dom{k}.dmxt": "components" for k in range(3)},
+    "reference_ratios.json": "references",
+    "references.csv": "references",
+    "domains.csv": "references",
+    "proxy_scores.csv": "consistency",
+    "consistency.json": "consistency",
+    "search_result.json": "search",
+    "transcript.jsonl": "search",
+    "report.json": "report",
+}
+
+
+@pytest.fixture(scope="module")
+def cold_root(tmp_path_factory):
+    """The run root of one cold SMALL_CONFIG run, to be copied, never changed."""
+    root = tmp_path_factory.mktemp("cold")
+    (root / "exp.cfg").write_text(SMALL_CONFIG)
+    run_pipeline(load_config(root / "exp.cfg"), run_root=root / "runs")
+    return root / "runs"
+
+
+@pytest.fixture()
+def warm_root(cold_root, tmp_path):
+    return Path(shutil.copytree(cold_root, tmp_path / "runs"))
+
+
 def test_pipeline_runs_and_report_is_complete(config_path, tmp_path):
     manifest = run_pipeline(load_config(config_path), run_root=tmp_path / "runs")
     assert all(rec["status"] == "done" for rec in manifest.stages.values())
@@ -90,13 +120,44 @@ def test_rerun_with_same_config_is_a_complete_noop(config_path, tmp_path):
     assert (Path(second.run_dir) / "transcript.jsonl").read_bytes() == transcript_before
 
 
-def test_deleting_an_artifact_recomputes_only_that_stage_and_downstream(config_path, tmp_path):
-    manifest = run_pipeline(load_config(config_path), run_root=tmp_path / "runs")
-    (Path(manifest.run_dir) / "search_result.json").unlink()
-    again = run_pipeline(load_config(config_path), run_root=tmp_path / "runs")
-    redone = recomputed_stages(again)
-    assert "search" in redone
-    assert {"lab", "components", "references", "consistency"}.isdisjoint(redone)
+def test_a_cold_run_writes_exactly_the_declared_outputs(warm_root):
+    (run_dir,) = warm_root.iterdir()
+    assert sorted(p.name for p in run_dir.iterdir()) == sorted(
+        [*PRODUCER, "manifest.json", ".lock"]
+    )
+
+
+@pytest.mark.parametrize("output", sorted(PRODUCER))
+def test_deleting_an_output_recomputes_exactly_the_stage_that_writes_it(
+    config_path, warm_root, output
+):
+    (run_dir,) = warm_root.iterdir()
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir() if p.name in PRODUCER}
+    (run_dir / output).unlink()
+    again = run_pipeline(load_config(config_path), run_root=warm_root)
+    # The stage rewrites the same bytes, so no stage downstream sees a change.
+    assert recomputed_stages(again) == [PRODUCER[output]]
+    assert {name: (run_dir / name).read_bytes() for name in before} == before
+
+
+def test_a_cached_run_loads_neither_the_lab_nor_a_component(config_path, warm_root, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a cached run must load nothing")
+
+    monkeypatch.setattr(toy_lab, "load_lab", forbidden)
+    monkeypatch.setattr(tensor_store, "load_archive", forbidden)
+    monkeypatch.setattr(pipeline, "load_archive", forbidden)
+    assert recomputed_stages(run_pipeline(load_config(config_path), run_root=warm_root)) == []
+
+
+def test_search_result_counts_the_fits_and_the_evaluator_calls(warm_root):
+    (run_dir,) = warm_root.iterdir()
+    result = json.loads((run_dir / "search_result.json").read_text())
+    assert result["fits"] == [
+        {"after_iteration": 0, "n_observations": 8},
+        {"after_iteration": 1, "n_observations": 12},
+    ]
+    assert result["evaluator_calls"] == result["evaluations"] == 12
 
 
 def test_editing_domains_csv_recomputes_consistency(config_path, tmp_path):
@@ -248,18 +309,6 @@ def test_score_csv_round_trip(tmp_path):
     loaded = read_score_csv(tmp_path / "scores.csv", tmp_path / "domains.csv")
     assert loaded.rows == table.rows
     assert loaded.domain_of == table.domain_of
-
-
-def test_proxy_evaluator_counts_calls():
-    lab = toy_lab.make_domains(2, 8, seed=2)
-    config = toy_lab.ComponentTrainingConfig(seed=2, steps=30)
-    _, comps = toy_lab.prepare_components(lab.candidates, lab.general, config)
-    from demix.merge_engine import MixtureRatio
-
-    evaluator = ProxyEvaluator(comps, lab.tasks)
-    ev = evaluator(MixtureRatio(weights=[0.5, 0.5], candidate_ids=["dom0", "dom1"]))
-    assert evaluator.calls == 1
-    assert set(ev) == {t.id for t in lab.tasks}
 
 
 def test_consistency_helper_reports_recovery():

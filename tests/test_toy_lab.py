@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from demix.errors import SchemaMismatchError, TrainingError, ValidationError
+from demix.tensor_store import ParameterSet
 from demix.toy_lab import (
     CandidateDataset,
     ComponentTrainingConfig,
@@ -55,8 +56,12 @@ def test_generation_validates_sizes():
 
 
 def test_ground_truth_scores_maximally_on_its_own_benchmark(default_lab):
-    for k, task in enumerate(default_lab.tasks):
-        scores = evaluate_model(default_lab.true_params[task.domain], [task])
+    # Benchmarks are noiseless, so least squares on a benchmark recovers the
+    # domain's ground truth exactly.
+    for task in default_lab.tasks:
+        theta = np.linalg.lstsq(task.X, task.y, rcond=None)[0]
+        truth = ParameterSet.from_arrays({"w": theta, "b": np.zeros(1)})
+        scores = evaluate_model(truth, [task])
         assert scores[task.id] == pytest.approx(100.0, abs=1e-9)
 
 
