@@ -84,7 +84,11 @@ def _cmd_tensor(args) -> int:
 def _cmd_merge(args) -> int:
     paths = [Path(p) for p in args.components.split(",")]
     components = [load_archive(p) for p in paths]
+    # An archive's id is its file stem, or its path where two stems are the
+    # same; the merge sums in id order, so ids fix the result's last bits.
     candidate_ids = [p.stem for p in paths]
+    if len(set(candidate_ids)) < len(candidate_ids):
+        candidate_ids = [str(p) for p in paths]
     ratio = _parse_ratio(args.ratio, candidate_ids)
     merged = merge_engine.merge(components, ratio, model_id="merged")
     save_archive(merged, args.out, metadata={"method": args.method, "ratio": args.ratio})

@@ -1,12 +1,14 @@
 """Simplex sampling and the iterative mixture search.
 
-The search alternates evaluation and regression: evaluate a first batch of
-uniformly sampled mixture ratios (the evaluator returns each one's
-per-benchmark scores), fit the caller's boosted-tree regressor on the
-(lower-is-better) ranking scores collected so far, score a large fresh pool
-of uniform samples, and evaluate the top predicted candidates. After the last
-iteration the regressor is refit once more and the final mixture is the
-renormalized coordinatewise mean of the best-predicted pool candidates.
+The search is one loop with one pass per plan entry. The first pass
+evaluates a batch of uniformly sampled mixture ratios; each later pass
+evaluates the rows the previous pass kept (the evaluator returns each
+ratio's per-benchmark scores). Every pass then refits the caller's
+boosted-tree regressor on the (lower-is-better) ranking scores of every
+evaluation so far, scores a large fresh pool of uniform samples from that
+pass's own random stream, and keeps the best-predicted rows: the next plan
+count, or on the last pass ``top_k_average`` rows, whose renormalized
+coordinatewise mean is the final mixture.
 
 Ranking scores are macro-average ranks of the evaluated proxies among each
 other, recomputed over the whole population every time the regressor is fit.
@@ -140,7 +142,7 @@ def run_search(
     same scores. Evaluator failures are re-raised as SearchError with the
     offending ratio attached. The number of evaluator calls is exactly
     ``plan.total_evaluations()``. ``predictor`` is refit on every evaluation
-    so far before each selection and once more for the final mixture.
+    so far after each batch, once per plan entry.
     """
     n_dims = len(candidate_ids)
     if n_dims < 1:
@@ -148,8 +150,8 @@ def run_search(
     counts = plan.per_iteration_counts
     streams = np.random.SeedSequence(plan.rng_seed).spawn(len(counts) + 1)
     transcript = SearchTranscript()
-
-    def evaluate_batch(rows: np.ndarray, iteration: int) -> None:
+    rows = _sample_rows(np.random.Generator(np.random.PCG64(streams[0])), counts[0], n_dims)
+    for iteration, stream in enumerate(streams[1:]):
         for row in rows:
             ratio = MixtureRatio(weights=row, candidate_ids=list(candidate_ids))
             try:
@@ -175,32 +177,22 @@ def run_search(
                     per_benchmark_scores=scores,
                 )
             )
-
-    def fit_and_score_pool(after_iteration: int, k: int):
-        """Refit on every evaluation so far, then score a fresh uniform pool.
-        Returns the ranking targets and the pool's ``k`` best-predicted rows,
-        best first. Only those rows outlive the call, so two pools are never
-        held at once."""
+        # Refit on the renormalized ratio weights the evaluator saw, then keep
+        # the best-predicted rows of a fresh pool: the next batch, or after
+        # the last batch the rows the final mixture averages.
         targets = _ranking_targets(transcript.evaluations, benchmark_domains)
-        # Fit on the renormalized ratio weights the evaluator saw.
         predictor.fit(np.stack([rec.ratio.weights for rec in transcript.evaluations]), targets)
-        rng = np.random.Generator(np.random.PCG64(streams[after_iteration + 1]))
-        pool = _sample_rows(rng, plan.final_candidate_pool, n_dims)
-        preds = predictor.predict(pool)
-        return targets, pool[np.argsort(preds, kind="stable")[:k]]
+        pool = _sample_rows(
+            np.random.Generator(np.random.PCG64(stream)), plan.final_candidate_pool, n_dims
+        )
+        keep = counts[iteration + 1] if iteration + 1 < len(counts) else plan.top_k_average
+        rows = pool[np.argsort(predictor.predict(pool), kind="stable")[:keep]]
+        del pool  # so two pools are never held at once
 
-    rng0 = np.random.Generator(np.random.PCG64(streams[0]))
-    evaluate_batch(_sample_rows(rng0, counts[0], n_dims), iteration=0)
-
-    for t in range(1, len(counts)):
-        _, rows = fit_and_score_pool(t - 1, counts[t])
-        evaluate_batch(rows, iteration=t)
-
-    # The final fit ranks the whole population, so its targets are the
-    # transcript's ranking scores.
-    targets, rows = fit_and_score_pool(len(counts) - 1, plan.top_k_average)
     mean = rows.mean(axis=0)
     best = MixtureRatio(weights=mean / mean.sum(), candidate_ids=list(candidate_ids))
+    # The last fit ranks the whole population, so its targets are the
+    # transcript's ranking scores.
     for rec, target in zip(transcript.evaluations, targets.tolist()):
         rec.ranking_score = target
     return best, transcript

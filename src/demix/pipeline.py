@@ -13,7 +13,7 @@ files it reads and writes in the run directory:
     consistency*  lab.npz, the references' files,       proxy_scores.csv, consistency.json
                   component_<id>.dmxt
     search        lab.npz, component_<id>.dmxt          search_result.json, transcript.jsonl
-    report        search_result.json, transcript.jsonl  report.json
+    report        search_result.json                    report.json
                   (and consistency.json*)
 
 Stages marked * run only with `references.enabled`. Their bodies are
@@ -42,7 +42,6 @@ import itertools
 import json
 import os
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -84,11 +83,12 @@ class ExperimentManifest:
 
     @classmethod
     def load(cls, path) -> "ExperimentManifest":
+        """Read a manifest; its ``run_dir`` is the directory it is read from."""
+        doc = read_json(path, "cannot read manifest {path}: {reason}",
+                        "{path}: not a demix manifest: {reason}")
         try:
-            manifest = cls(**json.loads(Path(path).read_text()))
-        except OSError as exc:
-            raise PipelineError(f"cannot read manifest {path}: {exc.strerror}") from None
-        except (ValueError, TypeError) as exc:
+            manifest = cls(**doc)
+        except TypeError as exc:
             raise PipelineError(f"{path}: not a demix manifest: {exc}") from exc
         expected = {"config": dict, "stages": dict, "config_hash": str, "run_dir": str}
         wrong = [k for k, kind in expected.items() if not isinstance(getattr(manifest, k), kind)]
@@ -100,6 +100,7 @@ class ExperimentManifest:
             ]
         if wrong:
             raise PipelineError(f"{path}: not a demix manifest: wrong type for {', '.join(wrong)}")
+        manifest.run_dir = str(Path(path).parent)
         return manifest
 
 
@@ -120,6 +121,20 @@ def _file_hash(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def read_json(
+    path, unreadable: str = "cannot read {path}: {reason}", invalid: str = "{path}: not JSON: {reason}"
+):
+    """The JSON document in ``path``. A file that cannot be read, or is not
+    UTF-8 JSON, raises PipelineError with the message ``unreadable`` or
+    ``invalid``, formatted with ``path`` and ``reason``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise PipelineError(unreadable.format(path=path, reason=exc.strerror)) from None
+    except (ValueError, RecursionError) as exc:
+        raise PipelineError(invalid.format(path=path, reason=exc)) from None
 
 
 def _write_text(path, text: str) -> None:
@@ -234,10 +249,16 @@ def check_consistency(
     """The consistency stage: score merged proxies at the reference ratios
     and compare their rankings with the trained references'."""
     ids = [c.id for c in lab.candidates]
-    ratios = [
-        MixtureRatio(weights=[rd[c] for c in ids], candidate_ids=ids)
-        for rd in json.loads((run_dir / "reference_ratios.json").read_text())
-    ]
+    path = run_dir / "reference_ratios.json"
+    try:
+        ratios = [
+            MixtureRatio(weights=[rd[c] for c in ids], candidate_ids=ids) for rd in read_json(path)
+        ]
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+        raise PipelineError(
+            f"{path}: not a list of mixture ratios over {', '.join(ids)}: "
+            f"{type(exc).__name__}: {exc}"
+        ) from None
     reference = read_score_csv(run_dir / "references.csv", run_dir / "domains.csv")
     proxy = build_proxy_table(components, ratios, lab.tasks)
     write_score_csv(proxy, run_dir / "proxy_scores.csv")
@@ -324,7 +345,6 @@ def run_pipeline(config: ExperimentConfig, run_root: str | None = None) -> Exper
             run_dir=str(run_dir),
             created_at=time.time(),
         )
-    manifest.run_dir = str(run_dir)
 
     with _RunLock(run_dir):
         try:
@@ -396,8 +416,7 @@ def _run_stages(config: ExperimentConfig, run_dir: Path, manifest: ExperimentMan
         ),
         (
             "report",
-            ["search_result.json", "transcript.jsonl"]
-            + (["consistency.json"] if config.references.enabled else []),
+            ["search_result.json"] + (["consistency.json"] if config.references.enabled else []),
             ["report.json"],
             lambda: dump_json(run_dir / "report.json", _build_report(config, run_dir)),
         ),
@@ -418,27 +437,29 @@ def _run_stages(config: ExperimentConfig, run_dir: Path, manifest: ExperimentMan
 
 
 def _build_report(config: ExperimentConfig, run_dir: Path) -> dict:
-    search_result = json.loads((run_dir / "search_result.json").read_text())
-    transcript = (run_dir / "transcript.jsonl").read_text().splitlines()
-    per_iteration = Counter(str(json.loads(line)["iteration"]) for line in transcript if line.strip())
-    report = {
-        "experiment": {"name": config.name, "seed": config.seed},
-        "optimal_mixture": search_result["best_mixture"],
-        "proxy_budget": {
-            "planned": search_result["planned_evaluations"],
-            "used": search_result["evaluations"],
-            "per_iteration": dict(per_iteration),
-        },
-        "search": {
-            "final_pool_size": search_result["final_pool_size"],
-            "final_top_k": search_result["final_top_k"],
-            # The only method; kept so the report's bytes stay the same.
-            "merge_method": "linear",
-        },
-    }
-    consistency_path = run_dir / "consistency.json"
-    if consistency_path.exists():
-        report["consistency"] = json.loads(consistency_path.read_text())
+    path = run_dir / "search_result.json"
+    search_result = read_json(path)
+    try:
+        report = {
+            "experiment": {"name": config.name, "seed": config.seed},
+            "optimal_mixture": search_result["best_mixture"],
+            "proxy_budget": {
+                "planned": search_result["planned_evaluations"],
+                "used": search_result["evaluations"],
+                # run_search evaluates exactly the plan's count in each iteration.
+                "per_iteration": {str(i): n for i, n in enumerate(config.search.plan)},
+            },
+            "search": {
+                "final_pool_size": search_result["final_pool_size"],
+                "final_top_k": search_result["final_top_k"],
+                # The only method; kept so the report's bytes stay the same.
+                "merge_method": "linear",
+            },
+        }
+    except (KeyError, TypeError) as exc:
+        raise PipelineError(f"{path}: not a search result: {type(exc).__name__}: {exc}") from None
+    if config.references.enabled:
+        report["consistency"] = read_json(run_dir / "consistency.json")
     return report
 
 
@@ -447,13 +468,11 @@ def load_report(manifest: ExperimentManifest) -> dict:
     stage = manifest.stages.get("report")
     if not stage or stage.get("status") != "done":
         raise PipelineError("report: pipeline has not completed the report stage")
-    path = Path(manifest.run_dir) / "report.json"
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise PipelineError(f"report: {path} is missing; rerun the pipeline") from None
-    except ValueError as exc:
-        raise PipelineError(f"report: {path} is not JSON: {exc}") from None
+    return read_json(
+        Path(manifest.run_dir) / "report.json",
+        "report: {path} is missing; rerun the pipeline",
+        "report: {path} is not JSON: {reason}",
+    )
 
 
 def format_report(report: dict) -> str:

@@ -91,6 +91,8 @@ class ComponentTrainingConfig:
             raise ValidationError("config: bad steps/step_size/batch_size")
         if self.model_family not in MODEL_FAMILIES:
             raise ValidationError(f"config: unknown model family {self.model_family!r}")
+        if self.hidden_units < 1:
+            raise ValidationError("config: hidden_units must be at least 1")
 
 
 @dataclass
@@ -239,77 +241,49 @@ def init_params(config: ComponentTrainingConfig, d: int) -> ParameterSet:
     return ParameterSet.from_arrays(arrays, model_id="init")
 
 
-def _family_of(params: ParameterSet) -> str:
-    names = set(params.names())
-    if names == {"w", "b"}:
-        return "linear"
-    if names == {"w1", "b1", "w2", "b2"}:
-        return "mlp_1hidden"
-    raise SchemaMismatchError(f"unrecognized model schema {sorted(names)}")
-
-
-def _check_init(init: ParameterSet, model_family: str, dim: int) -> None:
-    """Raise SchemaMismatchError unless ``init`` is a ``model_family`` model
-    for ``dim``-dimensional inputs."""
-    family = _family_of(init)
-    if family != ("mlp_1hidden" if model_family == "mlp_1hidden" else "linear"):
-        raise SchemaMismatchError(
-            f"train: the initial model is {family}, but the config trains {model_family}"
-        )
-    shapes = {name: init.entries[name].shape for name in init.names()}
-    if family == "linear":
-        expected = {"w": (dim,), "b": (1,)}
+def _check_model(params: ParameterSet, dim: int, who: str) -> str:
+    """The family of the model's schema, "linear" or "mlp_1hidden"; raises
+    SchemaMismatchError unless it is one of them and its tensor shapes fit
+    ``dim``-dim inputs."""
+    shapes = params.schema()
+    if set(shapes) == {"w", "b"}:
+        family, expected = "linear", {"b": (1,), "w": (dim,)}
+    elif set(shapes) == {"w1", "b1", "w2", "b2"}:
+        h = params.entries["w2"].size
+        family, expected = "mlp_1hidden", {"b1": (h,), "b2": (1,), "w1": (dim, h), "w2": (h,)}
     else:
-        h = init.entries["w2"].size
-        expected = {"w1": (dim, h), "b1": (h,), "w2": (h,), "b2": (1,)}
+        raise SchemaMismatchError(f"{who} has an unrecognized schema {sorted(shapes)}")
     if shapes != expected:
         raise SchemaMismatchError(
-            f"train: the initial model's tensor shapes {shapes} do not fit "
-            f"{dim}-dim inputs, which need {expected}"
+            f"{who}'s tensor shapes {shapes} do not fit {dim}-dim inputs, which need {expected}"
         )
+    return family
 
 
-def predict_values(params: ParameterSet, X: np.ndarray) -> np.ndarray:
-    """Raw model output (regression value / decision score) for inputs X."""
-    family = _family_of(params)
-    if family == "linear":
-        w = params.entries["w"]
-        if X.shape[1] != w.size:
-            raise SchemaMismatchError(
-                f"model expects {w.size}-dim inputs, got {X.shape[1]}"
-            )
-        return X @ w + params.entries["b"][0]
-    w1 = params.entries["w1"]
-    if X.shape[1] != w1.shape[0]:
-        raise SchemaMismatchError(f"model expects {w1.shape[0]}-dim inputs, got {X.shape[1]}")
-    hidden = np.tanh(X @ w1 + params.entries["b1"])
-    return hidden @ params.entries["w2"] + params.entries["b2"][0]
-
-
-def _loss_and_grads(arrays: dict, X: np.ndarray, y: np.ndarray, family: str):
-    # Divergence shows up as inf/nan loss and is reported by train(); keep
-    # numpy quiet about the overflow itself.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _loss_and_grads_raw(arrays, X, y, family)
-
-
-def _loss_and_grads_raw(arrays: dict, X: np.ndarray, y: np.ndarray, family: str):
-    m = X.shape[0]
-    if family == "linear_regression":
-        err = X @ arrays["w"] + arrays["b"][0] - y
-        loss = 0.5 * float(err @ err) / m
-        return loss, {"w": X.T @ err / m, "b": np.array([err.mean()])}
-    if family == "logistic":
-        z = X @ arrays["w"] + arrays["b"][0]
-        # log(1 + e^z) - y z, computed stably
-        loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
-        p = 1.0 / (1.0 + np.exp(-z))
-        err = p - y
-        return loss, {"w": X.T @ err / m, "b": np.array([err.mean()])}
+def _forward(arrays: dict, X: np.ndarray):
+    """The model's raw output for inputs X (regression value or decision
+    score), and the hidden layer for the MLP (None otherwise)."""
+    if "w" in arrays:
+        return X @ arrays["w"] + arrays["b"][0], None
     hidden = np.tanh(X @ arrays["w1"] + arrays["b1"])
-    out = hidden @ arrays["w2"] + arrays["b2"][0]
-    err = out - y
-    loss = 0.5 * float(err @ err) / m
+    return hidden @ arrays["w2"] + arrays["b2"][0], hidden
+
+
+# Divergence shows up as inf/nan loss and is reported by train(); keep numpy
+# quiet about the overflow itself.
+@np.errstate(over="ignore", invalid="ignore")
+def _loss_and_grads(arrays: dict, X: np.ndarray, y: np.ndarray, family: str):
+    m = X.shape[0]
+    out, hidden = _forward(arrays, X)
+    if family == "logistic":
+        # log(1 + e^z) - y z, computed stably
+        loss = float(np.mean(np.logaddexp(0.0, out) - y * out))
+        err = 1.0 / (1.0 + np.exp(-out)) - y
+    else:
+        err = out - y
+        loss = 0.5 * float(err @ err) / m
+    if hidden is None:
+        return loss, {"w": X.T @ err / m, "b": np.array([err.mean()])}
     g_out = err / m
     g_w2 = hidden.T @ g_out
     g_hidden = np.outer(g_out, arrays["w2"]) * (1.0 - hidden**2)
@@ -368,7 +342,11 @@ def train(
         if ds.X.shape[1] != dim:
             raise SchemaMismatchError("train: datasets have different feature dims")
     family = config.model_family
-    _check_init(init, family, dim)
+    init_family = _check_model(init, dim, "train: the initial model")
+    if init_family != ("mlp_1hidden" if family == "mlp_1hidden" else "linear"):
+        raise SchemaMismatchError(
+            f"train: the initial model is {init_family}, but the config trains {family}"
+        )
     arrays = {name: init.entries[name].copy() for name in init.names()}
     if config.steps == 0:
         return init.copy()
@@ -421,9 +399,11 @@ def train(
 
 def evaluate_model(model: ParameterSet, tasks: list[BenchmarkTask]) -> dict[str, float]:
     """Deterministic per-task scores in [0, 100]; higher is better."""
+    for dim in {task.X.shape[1] for task in tasks}:
+        _check_model(model, dim, "evaluate: the model")
     row = {}
     for task in tasks:
-        values = predict_values(model, task.X)
+        values, _ = _forward(model.entries, task.X)
         if task.scoring == "accuracy":
             predicted = (values > 0.0).astype(np.float64)
             row[task.id] = 100.0 * float(np.mean(predicted == task.y))
@@ -440,9 +420,9 @@ def prepare_components(
 ) -> tuple[ParameterSet, list[ParameterSet]]:
     """Two-step protocol: train the shared base on general data, then one
     component per candidate on a (beta general, 1-beta candidate) blend."""
-    base_config = replace(config, steps=config.base_steps or config.steps)
+    base_steps = config.steps if config.base_steps is None else config.base_steps
     start = init_params(config, general.X.shape[1])
-    base = train([(general, 1.0)], start, base_config)
+    base = train([(general, 1.0)], start, replace(config, steps=base_steps))
     base = base.copy(model_id="base")
     beta = config.general_mix_beta
     components = []

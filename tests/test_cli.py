@@ -3,6 +3,7 @@
 import errno
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -91,6 +92,22 @@ def test_merge_cli_writes_the_library_merge_with_its_method_and_ratio(tmp_path, 
     merged = load_archive(out)
     for name in expected.names():
         assert np.array_equal(merged.entries[name], expected.entries[name])
+
+
+def test_merge_cli_merges_archives_of_the_same_name_from_different_directories(
+    tmp_path, archives, capsys
+):
+    same = []
+    for i, path in enumerate(archives):
+        (tmp_path / f"d{i}").mkdir()
+        same.append(Path(shutil.copy(path, tmp_path / f"d{i}" / "c.dmxt")))
+    out = tmp_path / "merged.dmxt"
+    components = ",".join(map(str, same))
+    assert main(["merge", "--ratio", "0.2,0.5,0.3", "--components", components, "--out", str(out)]) == 0
+    merged = load_archive(out)
+    for name in merged.names():
+        expected = sum(w * load_archive(p).entries[name] for w, p in zip([0.2, 0.5, 0.3], archives))
+        assert np.allclose(merged.entries[name], expected, rtol=0, atol=1e-12)
 
 
 def test_merge_cli_requires_valid_ratio(tmp_path, archives, capsys):
@@ -383,6 +400,17 @@ def test_stage_commands_write_the_same_artifacts_as_run(tmp_path, capsys, n_doma
         assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
 
 
+def test_report_reads_the_run_directory_its_manifest_is_in(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(SMALL_CONFIG)
+    assert main(["run", "--config", str(cfg), "--run-root", str(tmp_path / "runs")]) == 0
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    moved = run_dir.rename(tmp_path / "moved")  # the original directory is gone
+    capsys.readouterr()
+    assert main(["report", "--manifest", str(moved / "manifest.json"), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == json.loads((moved / "report.json").read_text())
+
+
 def test_report_shows_the_name_of_the_config_that_ran(tmp_path, capsys):
     runs = str(tmp_path / "runs")
     for name in ("alpha", "beta"):
@@ -423,7 +451,8 @@ def test_malformed_inputs_are_usage_errors(tmp_path, archives, capsys):
                       ("[search]\ngbdt_max_depth = 9\n", "max_depth"),
                       ("[search]\ngbdt_min_samples_leaf = 0\n", "min_samples_leaf"),
                       ("[search]\nplan = 8,50\npool = 20\ntop_k = 4\n", "plan"),
-                      ("[search]\ngbdt_learning_rate = -1\n", "learning_rate")]:
+                      ("[search]\ngbdt_learning_rate = -1\n", "learning_rate"),
+                      ("[lab]\nfamily = mlp_1hidden\nhidden_units = -1\n", "hidden_units")]:
         cfg.write_text(body)
         capsys.readouterr()
         assert main(["run", "--config", str(cfg), "--run-root", str(tmp_path / "runs")]) == 2

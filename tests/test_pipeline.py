@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -284,6 +285,25 @@ def test_a_stage_killed_after_a_partial_write_is_recomputed(config_path, tmp_pat
     again = run_pipeline(config, run_root=run_root)
     assert "search" in recomputed_stages(again)
     assert result_path.read_bytes() == expected
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("reference_ratios.json", '[{"dom0": 0.5, "dom1": 0.5}]'),
+        ("reference_ratios.json", "not JSON"),
+        ("reference_ratios.json", "[1, 2]"),
+        ("search_result.json", '{"evaluations": 12}'),
+        ("search_result.json", '{"best_mixture": {'),
+    ],
+    ids=["ratio-without-an-id", "ratios-not-json", "ratios-not-objects",
+         "result-without-best-mixture", "result-not-json"],
+)
+def test_a_hand_edited_run_file_is_a_pipeline_error_naming_it(config_path, warm_root, name, text):
+    (run_dir,) = warm_root.iterdir()
+    (run_dir / name).write_text(text)
+    with pytest.raises(PipelineError, match=re.escape(str(run_dir / name))):
+        run_pipeline(load_config(config_path), run_root=warm_root)
 
 
 def test_manifest_round_trips(config_path, tmp_path):

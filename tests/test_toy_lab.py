@@ -88,6 +88,14 @@ def test_zero_steps_returns_init_bit_exact(default_lab):
         assert np.array_equal(out.entries[name], start.entries[name])
 
 
+def test_zero_base_steps_leave_the_base_untrained(default_lab):
+    config = ComponentTrainingConfig(seed=2, steps=20, base_steps=0)
+    base, _ = prepare_components(default_lab.candidates, default_lab.general, config)
+    start = init_params(config, 13)
+    for name in start.names():
+        assert np.array_equal(base.entries[name], start.entries[name])
+
+
 def test_full_batch_quadratic_descent_is_monotone(default_lab):
     ds = default_lab.candidates[0]
     Z = np.hstack([ds.X, np.ones((len(ds), 1))])
@@ -141,6 +149,20 @@ def test_dimension_mismatch_rejected(default_lab):
             init_params(config, 13),
             config,
         )
+
+
+@pytest.mark.parametrize(
+    "arrays",
+    [
+        {"w": np.zeros(8), "b": np.zeros(1)},
+        {"w1": np.zeros((13, 4)), "b1": np.zeros(4), "w2": np.zeros(5), "b2": np.zeros(1)},
+        {"w": np.zeros(13)},
+    ],
+    ids=["other-input-dim", "inconsistent-hidden-units", "unknown-schema"],
+)
+def test_evaluate_rejects_a_model_that_does_not_fit_the_tasks(default_lab, arrays):
+    with pytest.raises(SchemaMismatchError, match="evaluate: the model"):
+        evaluate_model(ParameterSet.from_arrays(arrays), default_lab.tasks)
 
 
 def test_mlp_and_logistic_families_train_and_score():
