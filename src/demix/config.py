@@ -45,7 +45,6 @@ class TrainingSection:
 
 @dataclass
 class ReferencesSection:
-    enabled: bool = True
     count: int = 24
 
 
@@ -197,5 +196,5 @@ def _validate(config: ExperimentConfig) -> None:
     config.predictor()
     if config.seed < 0:
         raise ValidationError("config: seed must be non-negative")
-    if config.references.enabled and config.references.count < 2:
+    if config.references.count < 2:
         raise ValidationError("config: references.count must be at least 2")

@@ -1,6 +1,6 @@
-"""End-to-end pipeline: lab generation, component preparation, optional
-reference training and consistency reporting, proxy-based mixture search,
-and the final report.
+"""End-to-end pipeline: lab generation, component preparation, reference
+training and consistency reporting, proxy-based mixture search, and the
+final report.
 
 Each stage is one entry of the table in `_run_stages`, which states the
 files it reads and writes in the run directory:
@@ -8,26 +8,28 @@ files it reads and writes in the run directory:
     stage         reads                                 writes
     lab           -                                     lab.npz
     components    lab.npz                               base.dmxt, component_<id>.dmxt
-    references*   lab.npz, base.dmxt                    reference_ratios.json,
+    references    lab.npz, base.dmxt                    reference_ratios.json,
                                                         references.csv, domains.csv
-    consistency*  lab.npz, the references' files,       proxy_scores.csv, consistency.json
+    consistency   lab.npz, the references' files,       proxy_scores.csv, consistency.json
                   component_<id>.dmxt
     search        lab.npz, component_<id>.dmxt          search_result.json, transcript.jsonl
-    report        search_result.json                    report.json
-                  (and consistency.json*)
+    report        search_result.json, consistency.json  report.json
 
-Stages marked * run only with `references.enabled`. Their bodies are
-module-level functions, which the matching `demix lab` and `demix search`
-subcommands call too. The run directory is named by the config's content
-hash, so a stage is cached by a hash over its implementation version and the
-contents of the files it reads (the report also keys on the experiment name,
-which the content hash leaves out). It reruns when that hash changed or a
-file it writes is missing, so deleting an artifact recomputes only its stage
-and, where their inputs actually changed, the stages downstream of it. A
-finished experiment reruns without loading anything: a stage body loads the
-lab and the components on first use. The consistency and search stages
-merge the components linearly and benchmark the result; they never train
-and never read the shared base.
+The stage bodies are module-level functions, which the matching `demix lab`
+and `demix search` subcommands call too. The references and the consistency
+stage build their score tables with one function, :func:`score_table`: the
+references score models trained on each mixture
+(:func:`toy_lab.trained_scores`), the consistency stage scores the
+components merged at it (:func:`proxy_scores`). The run directory is named
+by the config's content hash, so a stage is cached by a hash over its
+implementation version and the contents of the files it reads (the report
+also keys on the experiment name, which the content hash leaves out). It
+reruns when that hash changed or a file it writes is missing, so deleting an
+artifact recomputes only its stage and, where their inputs actually changed,
+the stages downstream of it. A finished experiment reruns without loading
+anything: a stage body loads the lab and the components on first use. The
+consistency and search stages merge the components linearly and benchmark
+the result; they never train and never read the shared base.
 
 Reports and transcripts contain no timestamps and serialize with sorted keys,
 so identical configs produce byte-identical result files.
@@ -187,7 +189,10 @@ def read_score_csv(scores_path, domains_path) -> ScoreTable:
         except ValueError:
             raise ValidationError(f"{scores_path}:{number}: bad score {score!r}") from None
     domain_of = dict(fields for _, fields in _csv_rows(domains_path, ["benchmark_id", "domain"]))
-    return ScoreTable(rows=rows, domain_of=domain_of)
+    try:
+        return ScoreTable(rows=rows, domain_of=domain_of)
+    except ValidationError as exc:
+        raise ValidationError(f"{scores_path}: {exc}") from None
 
 
 def proxy_scores(components, tasks, ratio: MixtureRatio) -> dict[str, float]:
@@ -196,11 +201,12 @@ def proxy_scores(components, tasks, ratio: MixtureRatio) -> dict[str, float]:
     return toy_lab.evaluate_model(merge_engine.merge(components, ratio), tasks)
 
 
-def build_proxy_table(components, ratios, tasks) -> ScoreTable:
-    """Score merged proxies for a list of ratios; row ids align with
-    build_reference_set so the two tables are directly comparable."""
-    rows = {f"mix_{j:03d}": proxy_scores(components, tasks, ratio) for j, ratio in enumerate(ratios)}
-    return ScoreTable(rows=rows, domain_of={t.id: t.domain for t in tasks})
+def score_table(score, ratios: list[MixtureRatio], lab: toy_lab.ToyLab) -> ScoreTable:
+    """The scores ``score(ratio)`` of each ratio as rows ``mix_000``,
+    ``mix_001``, ... in ratio order, so tables of trained and of merged
+    models over the same ratios line up row for row."""
+    rows = {f"mix_{j:03d}": score(ratio) for j, ratio in enumerate(ratios)}
+    return ScoreTable(rows=rows, domain_of=lab.domain_of_benchmarks())
 
 
 def generate_lab(config: ExperimentConfig, path: Path) -> None:
@@ -237,9 +243,8 @@ def train_references(
         candidate_ids=candidate_ids,
     )
     dump_json(out_dir / "reference_ratios.json", [r.as_dict() for r in ratios])
-    table = toy_lab.build_reference_set(
-        lab.candidates, lab.general, ratios, base, lab.tasks, config.training_config()
-    )
+    trained = functools.partial(toy_lab.trained_scores, lab, base, config.training_config())
+    table = score_table(trained, ratios, lab)
     write_score_csv(table, out_dir / "references.csv", out_dir / "domains.csv")
 
 
@@ -260,7 +265,7 @@ def check_consistency(
             f"{type(exc).__name__}: {exc}"
         ) from None
     reference = read_score_csv(run_dir / "references.csv", run_dir / "domains.csv")
-    proxy = build_proxy_table(components, ratios, lab.tasks)
+    proxy = score_table(functools.partial(proxy_scores, components, lab.tasks), ratios, lab)
     write_score_csv(proxy, run_dir / "proxy_scores.csv")
     dump_json(run_dir / "consistency.json", consistency_report(reference, proxy))
 
@@ -393,20 +398,15 @@ def _run_stages(config: ExperimentConfig, run_dir: Path, manifest: ExperimentMan
             "components", ["lab.npz"], ["base.dmxt", *component_files],
             lambda: train_components(config, lab(), run_dir),
         ),
-    ]
-    if config.references.enabled:
-        stages += [
-            (
-                "references", ["lab.npz", "base.dmxt"], references,
-                lambda: train_references(config, lab(), load_archive(run_dir / "base.dmxt"), run_dir),
-            ),
-            (
-                "consistency", ["lab.npz", *references, *component_files],
-                ["proxy_scores.csv", "consistency.json"],
-                lambda: check_consistency(lab(), components(), run_dir),
-            ),
-        ]
-    stages += [
+        (
+            "references", ["lab.npz", "base.dmxt"], references,
+            lambda: train_references(config, lab(), load_archive(run_dir / "base.dmxt"), run_dir),
+        ),
+        (
+            "consistency", ["lab.npz", *references, *component_files],
+            ["proxy_scores.csv", "consistency.json"],
+            lambda: check_consistency(lab(), components(), run_dir),
+        ),
         (
             "search", ["lab.npz", *component_files], ["search_result.json", "transcript.jsonl"],
             lambda: search_mixture(
@@ -415,9 +415,7 @@ def _run_stages(config: ExperimentConfig, run_dir: Path, manifest: ExperimentMan
             ),
         ),
         (
-            "report",
-            ["search_result.json"] + (["consistency.json"] if config.references.enabled else []),
-            ["report.json"],
+            "report", ["search_result.json", "consistency.json"], ["report.json"],
             lambda: dump_json(run_dir / "report.json", _build_report(config, run_dir)),
         ),
     ]
@@ -436,43 +434,88 @@ def _run_stages(config: ExperimentConfig, run_dir: Path, manifest: ExperimentMan
         _execute(manifest, run_dir, name, stage_hash.hexdigest(), outputs, body)
 
 
+def _wrong_types(doc, spec, key: str = "") -> list[str]:
+    """The keys at which ``doc`` lacks what ``spec`` asks for: a type or a
+    tuple of types; a dict of specs, for an object with those keys; or a
+    one-item list of types, for an object whose values all have them."""
+    if isinstance(spec, dict):
+        if not isinstance(doc, dict):
+            return [key or "the whole document"]
+        return [
+            wrong for k, sub in spec.items()
+            for wrong in _wrong_types(doc.get(k), sub, f"{key}.{k}".lstrip("."))
+        ]
+    if isinstance(spec, list):
+        ok = isinstance(doc, dict) and all(isinstance(v, spec[0]) for v in doc.values())
+    else:
+        ok = isinstance(doc, spec)
+    return [] if ok else [key]
+
+
+def _check_types(doc, spec: dict, what: str) -> None:
+    wrong = _wrong_types(doc, spec)
+    if wrong:
+        raise PipelineError(f"{what}: missing or of the wrong type: {', '.join(wrong)}")
+
+
+# The keys of each result file that the report stage or format_report reads.
+_NUMBER = (int, float)
+SEARCH_RESULT_TYPES = {
+    "best_mixture": [_NUMBER], "evaluations": int, "planned_evaluations": int,
+    "final_pool_size": int, "final_top_k": int,
+}
+CONSISTENCY_TYPES = {
+    "n_models": int, "macro_avg_rho": _NUMBER, "mean_capability_recovery": _NUMBER,
+    "per_domain_rho": [_NUMBER],
+}
+REPORT_TYPES = {
+    "experiment": {"name": str, "seed": int},
+    "optimal_mixture": [_NUMBER],
+    "proxy_budget": {"used": int, "planned": int},
+    "consistency": CONSISTENCY_TYPES,
+}
+
+
 def _build_report(config: ExperimentConfig, run_dir: Path) -> dict:
     path = run_dir / "search_result.json"
     search_result = read_json(path)
-    try:
-        report = {
-            "experiment": {"name": config.name, "seed": config.seed},
-            "optimal_mixture": search_result["best_mixture"],
-            "proxy_budget": {
-                "planned": search_result["planned_evaluations"],
-                "used": search_result["evaluations"],
-                # run_search evaluates exactly the plan's count in each iteration.
-                "per_iteration": {str(i): n for i, n in enumerate(config.search.plan)},
-            },
-            "search": {
-                "final_pool_size": search_result["final_pool_size"],
-                "final_top_k": search_result["final_top_k"],
-                # The only method; kept so the report's bytes stay the same.
-                "merge_method": "linear",
-            },
-        }
-    except (KeyError, TypeError) as exc:
-        raise PipelineError(f"{path}: not a search result: {type(exc).__name__}: {exc}") from None
-    if config.references.enabled:
-        report["consistency"] = read_json(run_dir / "consistency.json")
-    return report
+    _check_types(search_result, SEARCH_RESULT_TYPES, f"{path}: not a search result")
+    path = run_dir / "consistency.json"
+    consistency = read_json(path)
+    _check_types(consistency, CONSISTENCY_TYPES, f"{path}: not a consistency report")
+    return {
+        "experiment": {"name": config.name, "seed": config.seed},
+        "optimal_mixture": search_result["best_mixture"],
+        "proxy_budget": {
+            "planned": search_result["planned_evaluations"],
+            "used": search_result["evaluations"],
+            # run_search evaluates exactly the plan's count in each iteration.
+            "per_iteration": {str(i): n for i, n in enumerate(config.search.plan)},
+        },
+        "search": {
+            "final_pool_size": search_result["final_pool_size"],
+            "final_top_k": search_result["final_top_k"],
+            # The only method; kept so the report's bytes stay the same.
+            "merge_method": "linear",
+        },
+        "consistency": consistency,
+    }
 
 
 def load_report(manifest: ExperimentManifest) -> dict:
-    """Read the machine-readable summary for a manifest's run."""
+    """Read the machine-readable summary for a manifest's run. A report that
+    :func:`format_report` cannot render raises PipelineError naming its file."""
     stage = manifest.stages.get("report")
     if not stage or stage.get("status") != "done":
         raise PipelineError("report: pipeline has not completed the report stage")
-    return read_json(
-        Path(manifest.run_dir) / "report.json",
+    path = Path(manifest.run_dir) / "report.json"
+    report = read_json(
+        path,
         "report: {path} is missing; rerun the pipeline",
         "report: {path} is not JSON: {reason}",
     )
+    _check_types(report, REPORT_TYPES, f"report: {path} is not a demix report")
+    return report
 
 
 def format_report(report: dict) -> str:
@@ -483,13 +526,12 @@ def format_report(report: dict) -> str:
         lines.append(f"  {cid}: {w:.4f}")
     budget = report["proxy_budget"]
     lines.append(f"proxy evaluations: {budget['used']} used / {budget['planned']} planned")
-    if "consistency" in report:
-        cons = report["consistency"]
-        lines.append(
-            f"proxy consistency over {cons['n_models']} references: "
-            f"macro rho {cons['macro_avg_rho']:.3f}, "
-            f"mean capability recovery {cons['mean_capability_recovery']:.3f}"
-        )
-        for domain in sorted(cons["per_domain_rho"]):
-            lines.append(f"  rho[{domain}] = {cons['per_domain_rho'][domain]:.3f}")
+    cons = report["consistency"]
+    lines.append(
+        f"proxy consistency over {cons['n_models']} references: "
+        f"macro rho {cons['macro_avg_rho']:.3f}, "
+        f"mean capability recovery {cons['mean_capability_recovery']:.3f}"
+    )
+    for domain in sorted(cons["per_domain_rho"]):
+        lines.append(f"  rho[{domain}] = {cons['per_domain_rho'][domain]:.3f}")
     return "\n".join(lines)

@@ -1,6 +1,5 @@
 """Desk-scale training lab: synthetic multi-domain data, tiny trainable
-models, component preparation with general-data blending, and reference
-training on real mixtures.
+models, and the trained side of the paper's claim.
 
 Each domain owns a ground-truth coefficient vector over a feature space with
 three kinds of coordinates: shared coordinates that every domain samples at
@@ -11,6 +10,10 @@ general dataset is an equal blend of all domain distributions; benchmarks are
 held-out noiseless per-domain eval sets scored on a 0-100 scale. The
 module constants NOISE_STD, OWN_STD, SHARED_TARGET_STD and OWN_TARGET_STD
 hold the lab's calibration.
+
+Every model trained from the base trains on one blend of general data and a
+mixture, :func:`reference_mixture`: a component at a one-hot mixture, and
+in :func:`trained_scores` the model whose scores a merge stands in for.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SchemaMismatchError, TrainingError, ValidationError
-from .eval_metrics import ScoreTable
 from .merge_engine import MixtureRatio
 from .tensor_store import ParameterSet, atomic_write
 
@@ -151,6 +153,13 @@ def make_domains(
         raise ValidationError("make_domains: need n_domains >= 2 and d >= 2")
     if family not in MODEL_FAMILIES:
         raise ValidationError(f"make_domains: unknown family {family!r}")
+    for name, count in [
+        ("examples_per_domain", examples_per_domain),
+        ("general_examples", general_examples),
+        ("benchmark_examples", benchmark_examples),
+    ]:
+        if count < 1:
+            raise ValidationError(f"make_domains: {name} must be at least 1, got {count}")
     n_shared = shared_dims if shared_dims is not None else max(1, round(0.3 * d))
     if not 1 <= n_shared <= d:
         raise ValidationError("make_domains: shared_dims out of range")
@@ -419,16 +428,19 @@ def prepare_components(
     config: ComponentTrainingConfig,
 ) -> tuple[ParameterSet, list[ParameterSet]]:
     """Two-step protocol: train the shared base on general data, then one
-    component per candidate on a (beta general, 1-beta candidate) blend."""
+    component per candidate on the blend of its one-hot mixture."""
     base_steps = config.steps if config.base_steps is None else config.base_steps
     start = init_params(config, general.X.shape[1])
     base = train([(general, 1.0)], start, replace(config, steps=base_steps))
     base = base.copy(model_id="base")
-    beta = config.general_mix_beta
+    ids = [c.id for c in candidates]
     components = []
-    for cand in candidates:
-        trained = train([(general, beta), (cand, 1.0 - beta)], base, config)
-        components.append(trained.copy(model_id=f"component_{cand.id}"))
+    for cid, one_hot in zip(ids, np.eye(len(ids))):
+        mixture = reference_mixture(
+            candidates, general, MixtureRatio(weights=one_hot, candidate_ids=ids),
+            config.general_mix_beta,
+        )
+        components.append(train(mixture, base, config).copy(model_id=f"component_{cid}"))
     return base, components
 
 
@@ -438,7 +450,8 @@ def reference_mixture(
     ratio: MixtureRatio,
     beta: float,
 ) -> list[tuple[CandidateDataset, float]]:
-    """Blend a searched mixture with general data the same way components do."""
+    """The training blend of a mixture: general data at weight ``beta``, each
+    candidate at its weight in ``ratio`` times ``1 - beta``."""
     by_id = {c.id: c for c in candidates}
     missing = [c for c in ratio.candidate_ids if c not in by_id]
     if missing:
@@ -448,24 +461,18 @@ def reference_mixture(
     return mix
 
 
-def build_reference_set(
-    candidates: list[CandidateDataset],
-    general: CandidateDataset,
-    ratios: list[MixtureRatio],
-    base: ParameterSet,
-    tasks: list[BenchmarkTask],
-    config: ComponentTrainingConfig,
-) -> ScoreTable:
-    """Train one reference model per ratio from the base and score them all."""
-    rows = {}
-    for j, ratio in enumerate(ratios):
-        mixture = reference_mixture(candidates, general, ratio, config.general_mix_beta)
-        try:
-            model = train(mixture, base, config)
-        except TrainingError as exc:
-            raise TrainingError(f"reference {j} (ratio {ratio.as_dict()}): {exc}") from exc
-        rows[f"mix_{j:03d}"] = evaluate_model(model, tasks)
-    return ScoreTable(rows=rows, domain_of={t.id: t.domain for t in tasks})
+def trained_scores(
+    lab: ToyLab, base: ParameterSet, config: ComponentTrainingConfig, ratio: MixtureRatio
+) -> dict[str, float]:
+    """The benchmark scores of a model trained from ``base`` on the blend of
+    mixture ``ratio``: what a merge of the components at ``ratio`` stands in
+    for. A TrainingError names the ratio."""
+    mixture = reference_mixture(lab.candidates, lab.general, ratio, config.general_mix_beta)
+    try:
+        model = train(mixture, base, config)
+    except TrainingError as exc:
+        raise TrainingError(f"training at ratio {ratio.as_dict()}: {exc}") from exc
+    return evaluate_model(model, lab.tasks)
 
 
 # --- persistence ----------------------------------------------------------

@@ -303,13 +303,13 @@ def test_eval_cli(tmp_path, capsys):
     config = ComponentTrainingConfig(seed=3, steps=30)
     base, comps = prepare_components(lab.candidates, lab.general, config)
     from demix.mixture_search import sample_simplex
-    from demix.pipeline import build_proxy_table, write_score_csv
-    from demix.toy_lab import build_reference_set
+    from demix.pipeline import proxy_scores, score_table, write_score_csv
+    from demix.toy_lab import trained_scores
 
     ids = [c.id for c in lab.candidates]
     ratios = sample_simplex(2, 8, seed=4, candidate_ids=ids)
-    reference = build_reference_set(lab.candidates, lab.general, ratios, base, lab.tasks, config)
-    proxy = build_proxy_table(comps, ratios, lab.tasks)
+    reference = score_table(lambda ratio: trained_scores(lab, base, config, ratio), ratios, lab)
+    proxy = score_table(lambda ratio: proxy_scores(comps, lab.tasks, ratio), ratios, lab)
     write_score_csv(reference, tmp_path / "ref.csv", tmp_path / "domains.csv")
     write_score_csv(proxy, tmp_path / "proxy.csv")
     out = tmp_path / "consistency.json"
@@ -328,7 +328,7 @@ def test_run_and_report_cli(tmp_path, capsys):
         "[experiment]\nseed = 1\n\n[lab]\nexamples_per_domain = 200\n"
         "general_examples = 200\nbenchmark_examples = 64\n\n"
         "[training]\nsteps = 40\nbase_steps = 40\n\n"
-        "[references]\nenabled = true\ncount = 8\n\n"
+        "[references]\ncount = 8\n\n"
         "[search]\nplan = 6,3\npool = 800\ntop_k = 8\ngbdt_rounds = 40\n"
     )
     assert main(["run", "--config", str(cfg), "--run-root", str(tmp_path / "runs")]) == 0
@@ -347,6 +347,9 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
     cfg.write_text("[serach]\nplan = 4\n")
     assert main(["run", "--config", str(cfg)]) == 2
     assert "unknown section [serach]" in capsys.readouterr().err
+    cfg.write_text("[references]\nenabled = true\n")  # every run trains the references
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "unknown key 'enabled' in [references]" in capsys.readouterr().err
 
 
 def test_removed_merge_keys_and_options_are_usage_errors(tmp_path, archives, capsys):
@@ -452,7 +455,11 @@ def test_malformed_inputs_are_usage_errors(tmp_path, archives, capsys):
                       ("[search]\ngbdt_min_samples_leaf = 0\n", "min_samples_leaf"),
                       ("[search]\nplan = 8,50\npool = 20\ntop_k = 4\n", "plan"),
                       ("[search]\ngbdt_learning_rate = -1\n", "learning_rate"),
-                      ("[lab]\nfamily = mlp_1hidden\nhidden_units = -1\n", "hidden_units")]:
+                      ("[lab]\nfamily = mlp_1hidden\nhidden_units = -1\n", "hidden_units"),
+                      ("[lab]\nexamples_per_domain = -1\n", "examples_per_domain"),
+                      ("[lab]\ngeneral_examples = -1\n", "general_examples"),
+                      ("[lab]\nbenchmark_examples = -1\n", "benchmark_examples"),
+                      ("[lab]\nbenchmark_examples = 0\n", "benchmark_examples")]:
         cfg.write_text(body)
         capsys.readouterr()
         assert main(["run", "--config", str(cfg), "--run-root", str(tmp_path / "runs")]) == 2
@@ -583,7 +590,25 @@ def test_missing_input_files_have_the_exit_code_of_their_input(tmp_path, capsys)
         assert str(missing) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("report_text, problem", [(None, "is missing"), ("{", "is not JSON")])
+WELL_TYPED_REPORT = {
+    "experiment": {"name": "e", "seed": 0},
+    "optimal_mixture": {"dom0": 0.5, "dom1": 0.5},
+    "proxy_budget": {"used": 9, "planned": 9},
+    "consistency": {"n_models": 8, "macro_avg_rho": 0.5, "mean_capability_recovery": 0.9,
+                    "per_domain_rho": {"dom0": 0.5, "dom1": 0.5}},
+}
+
+
+@pytest.mark.parametrize(
+    "report_text, problem",
+    [(None, "is missing"), ("{", "is not JSON"), ("[]", "the whole document"),
+     (json.dumps({**WELL_TYPED_REPORT, "optimal_mixture": [1, 2]}), "optimal_mixture"),
+     (json.dumps({**WELL_TYPED_REPORT, "consistency": None}), "consistency"),
+     (json.dumps({k: v for k, v in WELL_TYPED_REPORT.items() if k != "consistency"}),
+      "consistency")],
+    ids=["missing", "not-json", "not-an-object", "mixture-not-an-object",
+         "consistency-not-an-object", "without-consistency"],
+)
 def test_unreadable_report_is_a_pipeline_error(tmp_path, capsys, report_text, problem):
     manifest = tmp_path / "manifest.json"
     stages = {"report": {"status": "done", "outputs": {"report": "report.json"}}}
@@ -591,4 +616,7 @@ def test_unreadable_report_is_a_pipeline_error(tmp_path, capsys, report_text, pr
     if report_text is not None:
         (tmp_path / "report.json").write_text(report_text)
     assert main(["report", "--manifest", str(manifest)]) == 7
-    assert problem in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert problem in err and str(tmp_path / "report.json") in err
+    (tmp_path / "report.json").write_text(json.dumps(WELL_TYPED_REPORT))
+    assert main(["report", "--manifest", str(manifest)]) == 0

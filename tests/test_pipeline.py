@@ -1,5 +1,6 @@
 """Tests for the pipeline orchestrator: caching, determinism, reports."""
 
+import functools
 import json
 import os
 import re
@@ -20,11 +21,12 @@ from demix.eval_metrics import consistency_report
 from demix.pipeline import (
     ExperimentManifest,
     _RunLock,
-    build_proxy_table,
     format_report,
     load_report,
+    proxy_scores,
     read_score_csv,
     run_pipeline,
+    score_table,
     write_score_csv,
 )
 
@@ -45,7 +47,6 @@ steps = 60
 base_steps = 60
 
 [references]
-enabled = true
 count = 10
 
 [search]
@@ -295,14 +296,29 @@ def test_a_stage_killed_after_a_partial_write_is_recomputed(config_path, tmp_pat
         ("reference_ratios.json", "[1, 2]"),
         ("search_result.json", '{"evaluations": 12}'),
         ("search_result.json", '{"best_mixture": {'),
+        ("search_result.json", json.dumps({
+            "best_mixture": [1, 2], "evaluations": 12, "planned_evaluations": 12,
+            "final_pool_size": 1500, "final_top_k": 16})),
+        ("consistency.json", '{"n_models": 10}'),
+        ("consistency.json", "[]"),
     ],
     ids=["ratio-without-an-id", "ratios-not-json", "ratios-not-objects",
-         "result-without-best-mixture", "result-not-json"],
+         "result-without-best-mixture", "result-not-json", "best-mixture-not-an-object",
+         "consistency-without-rho", "consistency-not-an-object"],
 )
 def test_a_hand_edited_run_file_is_a_pipeline_error_naming_it(config_path, warm_root, name, text):
     (run_dir,) = warm_root.iterdir()
     (run_dir / name).write_text(text)
     with pytest.raises(PipelineError, match=re.escape(str(run_dir / name))):
+        run_pipeline(load_config(config_path), run_root=warm_root)
+
+
+def test_a_score_table_that_does_not_line_up_is_an_error_naming_its_file(config_path, warm_root):
+    (run_dir,) = warm_root.iterdir()
+    references = run_dir / "references.csv"
+    lines = references.read_text().splitlines(keepends=True)
+    references.write_text("".join(lines[:4] + lines[5:]))  # mix_001's first row
+    with pytest.raises(ValidationError, match=re.escape(f"{references}: score table: model 'mix_001'")):
         run_pipeline(load_config(config_path), run_root=warm_root)
 
 
@@ -324,7 +340,7 @@ def test_score_csv_round_trip(tmp_path):
         MixtureRatio(weights=rng.dirichlet(np.ones(2)), candidate_ids=["dom0", "dom1"])
         for _ in range(3)
     ]
-    table = build_proxy_table(comps, ratios, lab.tasks)
+    table = score_table(functools.partial(proxy_scores, comps, lab.tasks), ratios, lab)
     write_score_csv(table, tmp_path / "scores.csv", tmp_path / "domains.csv")
     loaded = read_score_csv(tmp_path / "scores.csv", tmp_path / "domains.csv")
     assert loaded.rows == table.rows
@@ -339,8 +355,8 @@ def test_consistency_helper_reports_recovery():
 
     ids = [c.id for c in lab.candidates]
     ratios = sample_simplex(3, 10, seed=9, candidate_ids=ids)
-    reference = toy_lab.build_reference_set(lab.candidates, lab.general, ratios, base, lab.tasks, config)
-    proxy = build_proxy_table(comps, ratios, lab.tasks)
+    reference = score_table(functools.partial(toy_lab.trained_scores, lab, base, config), ratios, lab)
+    proxy = score_table(functools.partial(proxy_scores, comps, lab.tasks), ratios, lab)
     report = consistency_report(reference, proxy)
     assert set(report["per_domain_rho"]) == {"dom0", "dom1", "dom2"}
     assert report["mean_capability_recovery"] > 0.5

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from demix.errors import SchemaMismatchError, TrainingError, ValidationError
+from demix.merge_engine import MixtureRatio
+from demix.pipeline import score_table
 from demix.tensor_store import ParameterSet
 from demix.toy_lab import (
     CandidateDataset,
     ComponentTrainingConfig,
-    build_reference_set,
     evaluate_model,
     init_params,
     load_lab,
@@ -18,6 +19,7 @@ from demix.toy_lab import (
     prepare_components,
     save_lab,
     train,
+    trained_scores,
 )
 
 
@@ -231,20 +233,33 @@ def test_reference_set_shape_and_determinism(default_lab, prepared):
     config, base, _ = prepared
     ids = [c.id for c in default_lab.candidates]
     ratios = sample_simplex(3, 2, seed=10, candidate_ids=ids)
-    one = build_reference_set(
-        default_lab.candidates, default_lab.general, ratios, base, default_lab.tasks, config
-    )
-    two = build_reference_set(
-        default_lab.candidates, default_lab.general, ratios, base, default_lab.tasks, config
-    )
+
+    def trained(ratio):
+        return trained_scores(default_lab, base, config, ratio)
+
+    one = score_table(trained, ratios, default_lab)
+    two = score_table(trained, ratios, default_lab)
     assert one.models() == ["mix_000", "mix_001"]
     assert one.rows == two.rows
-    duplicated = build_reference_set(
-        default_lab.candidates,
-        default_lab.general,
-        [ratios[0], ratios[0]],
-        base,
-        default_lab.tasks,
-        config,
-    )
+    duplicated = score_table(trained, [ratios[0], ratios[0]], default_lab)
     assert duplicated.rows["mix_000"] == duplicated.rows["mix_001"]
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3, 0.5, 1.0])
+def test_trained_scores_at_a_one_hot_ratio_are_the_components_scores(default_lab, beta):
+    config = ComponentTrainingConfig(seed=2, steps=40, base_steps=40, general_mix_beta=beta)
+    base, components = prepare_components(default_lab.candidates, default_lab.general, config)
+    ids = [c.id for c in default_lab.candidates]
+    for one_hot, component in zip(np.eye(len(ids)), components):
+        ratio = MixtureRatio(weights=one_hot, candidate_ids=ids)
+        assert trained_scores(default_lab, base, config, ratio) == evaluate_model(
+            component, default_lab.tasks
+        )
+
+
+def test_trained_scores_name_the_ratio_that_diverged(default_lab, prepared):
+    _, base, _ = prepared
+    config = ComponentTrainingConfig(seed=6, steps=200, step_size=50.0, full_batch=True)
+    ratio = MixtureRatio(weights=[0.5, 0.25, 0.25], candidate_ids=["dom0", "dom1", "dom2"])
+    with pytest.raises(TrainingError, match=r"ratio \{'dom0': 0\.5, 'dom1': 0\.25, 'dom2': 0\.25\}"):
+        trained_scores(default_lab, base, config, ratio)
