@@ -3,7 +3,9 @@
 Every knob has a default; an empty file is a valid experiment. The config is
 the one place where settings become runtime objects: its methods build the
 training config, the lab, the sample plan and the unfitted rank predictor,
-and ``load_config`` validates a file by building them. The config hash that
+and ``load_config`` validates a file by building all but the lab, whose size
+it only checks. The lab's sizes and the predictor's tree shape are constants
+of ``toy_lab`` and ``gbdt``, not settings. The config hash that
 names run directories covers only result-affecting fields, so the same
 experiment resolves to the same artifacts wherever it is run.
 """
@@ -18,17 +20,13 @@ from dataclasses import asdict, dataclass, field, fields
 from .errors import ValidationError
 from .gbdt import BoostedTreesRegressor
 from .mixture_search import SamplePlan
-from .toy_lab import ComponentTrainingConfig, ToyLab, make_domains
+from .toy_lab import ComponentTrainingConfig, ToyLab, check_lab_size, make_domains
 
 
 @dataclass
 class LabSection:
     n_domains: int = 3
     feature_dim: int = 13
-    shared_dims: int = 4
-    examples_per_domain: int = 600
-    general_examples: int = 600
-    benchmark_examples: int = 256
     family: str = "linear_regression"
     hidden_units: int = 8
 
@@ -53,10 +51,7 @@ class SearchSection:
     plan: list[int] = field(default_factory=lambda: [64, 32, 16])
     pool: int = 100_000
     top_k: int = 128
-    gbdt_learning_rate: float = 0.02
     gbdt_rounds: int = 300
-    gbdt_max_depth: int = 3
-    gbdt_min_samples_leaf: int = 2
 
 
 SECTIONS = ("lab", "training", "references", "search")
@@ -98,17 +93,7 @@ class ExperimentConfig:
         )
 
     def make_lab(self) -> ToyLab:
-        lab = self.lab
-        return make_domains(
-            n_domains=lab.n_domains,
-            d=lab.feature_dim,
-            seed=self.seed,
-            family=lab.family,
-            examples_per_domain=lab.examples_per_domain,
-            general_examples=lab.general_examples,
-            benchmark_examples=lab.benchmark_examples,
-            shared_dims=lab.shared_dims,
-        )
+        return make_domains(self.lab.n_domains, self.lab.feature_dim, self.seed)
 
     def sample_plan(self) -> SamplePlan:
         return SamplePlan(
@@ -119,12 +104,7 @@ class ExperimentConfig:
         )
 
     def predictor(self) -> BoostedTreesRegressor:
-        return BoostedTreesRegressor(
-            learning_rate=self.search.gbdt_learning_rate,
-            n_rounds=self.search.gbdt_rounds,
-            max_depth=self.search.gbdt_max_depth,
-            min_samples_leaf=self.search.gbdt_min_samples_leaf,
-        )
+        return BoostedTreesRegressor(n_rounds=self.search.gbdt_rounds)
 
 
 def _parse_bool(text: str) -> bool:
@@ -189,9 +169,10 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _validate(config: ExperimentConfig) -> None:
-    """Build every runtime object once, then check what none of them checks."""
+    """Build every runtime object but the lab once, check the lab's size,
+    then check what none of them checks."""
     config.training_config()
-    config.make_lab()
+    check_lab_size(config.lab.n_domains, config.lab.feature_dim)
     config.sample_plan()
     config.predictor()
     if config.seed < 0:

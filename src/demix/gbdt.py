@@ -185,8 +185,10 @@ class BoostedTreesRegressor:
     n_features: int = field(default=0, init=False)
 
     def __post_init__(self):
-        if not (self.learning_rate > 0 and self.n_rounds >= 1):
-            raise ValidationError("gbdt: learning_rate must be > 0 and n_rounds >= 1")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValidationError("gbdt: learning_rate must be positive and finite")
+        if self.n_rounds < 1:
+            raise ValidationError("gbdt: n_rounds must be >= 1")
         if not 1 <= self.max_depth <= MAX_DEPTH:
             raise ValidationError(f"gbdt: max_depth must be in 1..{MAX_DEPTH}")
         if self.min_samples_leaf < 1:

@@ -61,7 +61,7 @@ from .tensor_store import ParameterSet, atomic_write, load_archive, save_archive
 # what it writes, so that run directories made by older code recompute it
 # instead of reusing its files.
 STAGE_VERSIONS = {
-    "lab": 2, "components": 1, "references": 1, "consistency": 1, "search": 1, "report": 1,
+    "lab": 3, "components": 1, "references": 1, "consistency": 1, "search": 1, "report": 1,
 }
 
 
@@ -265,6 +265,11 @@ def check_consistency(
             f"{type(exc).__name__}: {exc}"
         ) from None
     reference = read_score_csv(run_dir / "references.csv", run_dir / "domains.csv")
+    if len(ratios) != len(reference.models()):
+        raise PipelineError(
+            f"{path} holds {len(ratios)} ratios, but {run_dir / 'references.csv'} "
+            f"scores {len(reference.models())} models"
+        )
     proxy = score_table(functools.partial(proxy_scores, components, lab.tasks), ratios, lab)
     write_score_csv(proxy, run_dir / "proxy_scores.csv")
     dump_json(run_dir / "consistency.json", consistency_report(reference, proxy))

@@ -7,9 +7,10 @@ unit scale but assigns different target coefficients (so mixtures trade off a
 compromise), domain-private coordinates sampled at a weaker scale only by the
 owning domain, and foreign coordinates a domain does not sample at all. The
 general dataset is an equal blend of all domain distributions; benchmarks are
-held-out noiseless per-domain eval sets scored on a 0-100 scale. The
-module constants NOISE_STD, OWN_STD, SHARED_TARGET_STD and OWN_TARGET_STD
-hold the lab's calibration.
+held-out noiseless per-domain eval sets scored 100 exp(-MSE), on a 0-100
+scale. The module constants NOISE_STD, OWN_STD, SHARED_TARGET_STD and
+OWN_TARGET_STD hold the lab's calibration; SHARED_DIMS, EXAMPLES_PER_DOMAIN,
+GENERAL_EXAMPLES and BENCHMARK_EXAMPLES hold its sizes.
 
 Every model trained from the base trains on one blend of general data and a
 mixture, :func:`reference_mixture`: a component at a one-hot mixture, and
@@ -29,8 +30,7 @@ from .errors import SchemaMismatchError, TrainingError, ValidationError
 from .merge_engine import MixtureRatio
 from .tensor_store import ParameterSet, atomic_write
 
-MODEL_FAMILIES = ("linear_regression", "logistic", "mlp_1hidden")
-SCORING_RULES = ("exp_neg_mse", "accuracy")
+MODEL_FAMILIES = ("linear_regression", "mlp_1hidden")
 
 # The lab's calibration: label noise of the training sets, the sampling scale
 # of a domain's private coordinates, and the target norms per coordinate of
@@ -39,6 +39,13 @@ NOISE_STD = 0.05
 OWN_STD = 0.45
 SHARED_TARGET_STD = 0.6
 OWN_TARGET_STD = 1.2
+
+# The lab's sizes: the width of the shared coordinate block, the examples of
+# each candidate dataset and of the general blend, and those of each benchmark.
+SHARED_DIMS = 4
+EXAMPLES_PER_DOMAIN = 600
+GENERAL_EXAMPLES = 600
+BENCHMARK_EXAMPLES = 256
 
 
 @dataclass
@@ -67,11 +74,6 @@ class BenchmarkTask:
     domain: str
     X: np.ndarray
     y: np.ndarray
-    scoring: str = "exp_neg_mse"
-
-    def __post_init__(self):
-        if self.scoring not in SCORING_RULES:
-            raise ValidationError(f"benchmark {self.id!r}: unknown scoring {self.scoring!r}")
 
 
 @dataclass
@@ -89,8 +91,12 @@ class ComponentTrainingConfig:
     def __post_init__(self):
         if not 0.0 <= self.general_mix_beta <= 1.0:
             raise ValidationError("config: general_mix_beta must lie in [0, 1]")
-        if self.steps < 0 or self.step_size <= 0 or self.batch_size < 1:
-            raise ValidationError("config: bad steps/step_size/batch_size")
+        if self.steps < 0 or self.batch_size < 1:
+            raise ValidationError("config: steps must be >= 0 and batch_size >= 1")
+        if not 0.0 < self.step_size < np.inf:
+            raise ValidationError("config: step_size must be positive and finite")
+        if self.base_steps is not None and self.base_steps < 0:
+            raise ValidationError("config: base_steps must be >= 0")
         if self.model_family not in MODEL_FAMILIES:
             raise ValidationError(f"config: unknown model family {self.model_family!r}")
         if self.hidden_units < 1:
@@ -117,15 +123,15 @@ def _rng_for(seed: int, *labels) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
 
-def _shared_directions(n_domains: int, n_shared: int, rng: np.random.Generator) -> np.ndarray:
+def _shared_directions(n_domains: int, rng: np.random.Generator) -> np.ndarray:
     """Unit directions for the domains' shared-coordinate targets.
 
     Orthonormal when the shared block is wide enough, so every domain sits at
     the same distance from the blend's compromise point and the general-trained
     base starts out balanced across domain benchmarks.
     """
-    raw = rng.standard_normal((n_shared, max(n_domains, 1)))
-    if n_shared >= n_domains:
+    raw = rng.standard_normal((SHARED_DIMS, max(n_domains, 1)))
+    if SHARED_DIMS >= n_domains:
         q, _ = np.linalg.qr(raw)
         dirs = q[:, :n_domains]
         signs = np.where(dirs[0] >= 0, 1.0, -1.0)  # pin QR sign convention
@@ -138,48 +144,33 @@ def domain_ids(n_domains: int) -> list[str]:
     return [f"dom{k}" for k in range(n_domains)]
 
 
-def make_domains(
-    n_domains: int,
-    d: int,
-    seed: int,
-    family: str = "linear_regression",
-    examples_per_domain: int = 600,
-    general_examples: int = 600,
-    benchmark_examples: int = 256,
-    shared_dims: int | None = None,
-) -> ToyLab:
+def check_lab_size(n_domains: int, d: int) -> None:
+    """Raise ValidationError unless a lab of ``n_domains`` domains over ``d``
+    features can be made."""
+    if n_domains < 2 or d < SHARED_DIMS:
+        raise ValidationError(f"lab: need n_domains >= 2 and feature_dim >= {SHARED_DIMS}")
+
+
+def make_domains(n_domains: int, d: int, seed: int) -> ToyLab:
     """Generate candidate datasets, the general blend, and benchmark tasks."""
-    if n_domains < 2 or d < 2:
-        raise ValidationError("make_domains: need n_domains >= 2 and d >= 2")
-    if family not in MODEL_FAMILIES:
-        raise ValidationError(f"make_domains: unknown family {family!r}")
-    for name, count in [
-        ("examples_per_domain", examples_per_domain),
-        ("general_examples", general_examples),
-        ("benchmark_examples", benchmark_examples),
-    ]:
-        if count < 1:
-            raise ValidationError(f"make_domains: {name} must be at least 1, got {count}")
-    n_shared = shared_dims if shared_dims is not None else max(1, round(0.3 * d))
-    if not 1 <= n_shared <= d:
-        raise ValidationError("make_domains: shared_dims out of range")
+    check_lab_size(n_domains, d)
     domains = domain_ids(n_domains)
     own_coords = {
-        k: [n_shared + i for i in range(d - n_shared) if i % n_domains == k]
+        k: [SHARED_DIMS + i for i in range(d - SHARED_DIMS) if i % n_domains == k]
         for k in range(n_domains)
     }
 
-    shared_dirs = _shared_directions(n_domains, n_shared, _rng_for(seed, "target", "shared"))
+    shared_dirs = _shared_directions(n_domains, _rng_for(seed, "target", "shared"))
     scales = {}
     targets = {}
     for k, name in enumerate(domains):
         scale = np.zeros(d)
-        scale[:n_shared] = 1.0
+        scale[:SHARED_DIMS] = 1.0
         scale[own_coords[k]] = OWN_STD
         scales[name] = scale
         target_rng = _rng_for(seed, "target", k)
         theta = np.zeros(d)
-        theta[:n_shared] = SHARED_TARGET_STD * np.sqrt(n_shared) * shared_dirs[k]
+        theta[:SHARED_DIMS] = SHARED_TARGET_STD * np.sqrt(SHARED_DIMS) * shared_dirs[k]
         own = own_coords[k]
         if own:
             direction = target_rng.standard_normal(len(own))
@@ -189,24 +180,18 @@ def make_domains(
 
     def draw(name: str, count: int, rng: np.random.Generator, noiseless: bool):
         X = rng.standard_normal((count, d)) * scales[name]
-        clean = X @ targets[name]
-        if noiseless:
-            signal = clean
-        else:
-            signal = clean + NOISE_STD * rng.standard_normal(count)
-        if family == "logistic":
-            y = (signal > 0.0).astype(np.float64)
-        else:
-            y = signal
+        y = X @ targets[name]
+        if not noiseless:
+            y = y + NOISE_STD * rng.standard_normal(count)
         return X, y
 
     candidates = []
     for k, name in enumerate(domains):
-        X, y = draw(name, examples_per_domain, _rng_for(seed, "candidate", k), noiseless=False)
+        X, y = draw(name, EXAMPLES_PER_DOMAIN, _rng_for(seed, "candidate", k), noiseless=False)
         candidates.append(CandidateDataset(id=name, X=X, y=y))
 
-    counts = [general_examples // n_domains] * n_domains
-    for k in range(general_examples % n_domains):
+    counts = [GENERAL_EXAMPLES // n_domains] * n_domains
+    for k in range(GENERAL_EXAMPLES % n_domains):
         counts[k] += 1
     blocks = [
         draw(name, counts[k], _rng_for(seed, "general", k), noiseless=False)
@@ -224,10 +209,9 @@ def make_domains(
     )
 
     tasks = []
-    scoring = "accuracy" if family == "logistic" else "exp_neg_mse"
     for k, name in enumerate(domains):
-        X, y = draw(name, benchmark_examples, _rng_for(seed, "benchmark", k), noiseless=True)
-        tasks.append(BenchmarkTask(id=f"bench_{name}", domain=name, X=X, y=y, scoring=scoring))
+        X, y = draw(name, BENCHMARK_EXAMPLES, _rng_for(seed, "benchmark", k), noiseless=True)
+        tasks.append(BenchmarkTask(id=f"bench_{name}", domain=name, X=X, y=y))
     return ToyLab(candidates=candidates, general=general, tasks=tasks)
 
 
@@ -237,7 +221,7 @@ def make_domains(
 def init_params(config: ComponentTrainingConfig, d: int) -> ParameterSet:
     """Small random initialization for the configured model family."""
     rng = _rng_for(config.seed, "init", config.model_family)
-    if config.model_family in ("linear_regression", "logistic"):
+    if config.model_family == "linear_regression":
         arrays = {"w": 0.01 * rng.standard_normal(d), "b": np.zeros(1)}
     else:
         h = config.hidden_units
@@ -251,12 +235,11 @@ def init_params(config: ComponentTrainingConfig, d: int) -> ParameterSet:
 
 
 def _check_model(params: ParameterSet, dim: int, who: str) -> str:
-    """The family of the model's schema, "linear" or "mlp_1hidden"; raises
-    SchemaMismatchError unless it is one of them and its tensor shapes fit
-    ``dim``-dim inputs."""
+    """The family of the model's schema, one of MODEL_FAMILIES; raises
+    SchemaMismatchError unless its tensor shapes fit ``dim``-dim inputs."""
     shapes = params.schema()
     if set(shapes) == {"w", "b"}:
-        family, expected = "linear", {"b": (1,), "w": (dim,)}
+        family, expected = "linear_regression", {"b": (1,), "w": (dim,)}
     elif set(shapes) == {"w1", "b1", "w2", "b2"}:
         h = params.entries["w2"].size
         family, expected = "mlp_1hidden", {"b1": (h,), "b2": (1,), "w1": (dim, h), "w2": (h,)}
@@ -270,8 +253,8 @@ def _check_model(params: ParameterSet, dim: int, who: str) -> str:
 
 
 def _forward(arrays: dict, X: np.ndarray):
-    """The model's raw output for inputs X (regression value or decision
-    score), and the hidden layer for the MLP (None otherwise)."""
+    """The model's predictions for inputs X, and the hidden layer for the MLP
+    (None otherwise)."""
     if "w" in arrays:
         return X @ arrays["w"] + arrays["b"][0], None
     hidden = np.tanh(X @ arrays["w1"] + arrays["b1"])
@@ -281,16 +264,11 @@ def _forward(arrays: dict, X: np.ndarray):
 # Divergence shows up as inf/nan loss and is reported by train(); keep numpy
 # quiet about the overflow itself.
 @np.errstate(over="ignore", invalid="ignore")
-def _loss_and_grads(arrays: dict, X: np.ndarray, y: np.ndarray, family: str):
+def _loss_and_grads(arrays: dict, X: np.ndarray, y: np.ndarray):
     m = X.shape[0]
     out, hidden = _forward(arrays, X)
-    if family == "logistic":
-        # log(1 + e^z) - y z, computed stably
-        loss = float(np.mean(np.logaddexp(0.0, out) - y * out))
-        err = 1.0 / (1.0 + np.exp(-out)) - y
-    else:
-        err = out - y
-        loss = 0.5 * float(err @ err) / m
+    err = out - y
+    loss = 0.5 * float(err @ err) / m
     if hidden is None:
         return loss, {"w": X.T @ err / m, "b": np.array([err.mean()])}
     g_out = err / m
@@ -350,11 +328,10 @@ def train(
     for ds, _ in dataset_mixture:
         if ds.X.shape[1] != dim:
             raise SchemaMismatchError("train: datasets have different feature dims")
-    family = config.model_family
-    init_family = _check_model(init, dim, "train: the initial model")
-    if init_family != ("mlp_1hidden" if family == "mlp_1hidden" else "linear"):
+    family = _check_model(init, dim, "train: the initial model")
+    if family != config.model_family:
         raise SchemaMismatchError(
-            f"train: the initial model is {init_family}, but the config trains {family}"
+            f"train: the initial model is {family}, but the config trains {config.model_family}"
         )
     arrays = {name: init.entries[name].copy() for name in init.names()}
     if config.steps == 0:
@@ -368,7 +345,7 @@ def train(
         total_loss = 0.0
         grads = {name: np.zeros_like(arr) for name, arr in arrays.items()}
         for (ds, _), w in zip(live, live_weights):
-            loss, g = _loss_and_grads(arrays, ds.X, ds.y, family)
+            loss, g = _loss_and_grads(arrays, ds.X, ds.y)
             total_loss += w * loss
             for name in grads:
                 grads[name] += w * g[name]
@@ -393,9 +370,7 @@ def train(
                 cursors[i] += count
                 xs.append(ds.X[idx])
                 ys.append(ds.y[idx])
-            loss, grads = _loss_and_grads(
-                arrays, np.concatenate(xs), np.concatenate(ys), family
-            )
+            loss, grads = _loss_and_grads(arrays, np.concatenate(xs), np.concatenate(ys))
         if not np.isfinite(loss):
             raise TrainingError(f"training diverged at step {step}: loss={loss!r}")
         for name in arrays:
@@ -413,12 +388,8 @@ def evaluate_model(model: ParameterSet, tasks: list[BenchmarkTask]) -> dict[str,
     row = {}
     for task in tasks:
         values, _ = _forward(model.entries, task.X)
-        if task.scoring == "accuracy":
-            predicted = (values > 0.0).astype(np.float64)
-            row[task.id] = 100.0 * float(np.mean(predicted == task.y))
-        else:
-            mse = float(np.mean((values - task.y) ** 2))
-            row[task.id] = 100.0 * float(np.exp(-mse))
+        mse = float(np.mean((values - task.y) ** 2))
+        row[task.id] = 100.0 * float(np.exp(-mse))
     return row
 
 
@@ -482,7 +453,7 @@ def save_lab(lab: ToyLab, path) -> None:
     """Persist a lab world as an .npz archive."""
     meta = {
         "candidates": [{"id": c.id} for c in lab.candidates],
-        "tasks": [{"id": t.id, "domain": t.domain, "scoring": t.scoring} for t in lab.tasks],
+        "tasks": [{"id": t.id, "domain": t.domain} for t in lab.tasks],
     }
     arrays = {"meta": np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)}
     for i, cand in enumerate(lab.candidates):
@@ -523,14 +494,11 @@ def _lab_from_npz(data) -> ToyLab:
         for i, spec in enumerate(meta["candidates"])
     ]
     general = CandidateDataset(id="general", X=data["general_X"], y=data["general_y"])
-    tasks = [
-        BenchmarkTask(
-            id=spec["id"],
-            domain=spec["domain"],
-            X=data[f"bench_{i}_X"],
-            y=data[f"bench_{i}_y"],
-            scoring=spec["scoring"],
-        )
-        for i, spec in enumerate(meta["tasks"])
-    ]
+    tasks = []
+    for i, spec in enumerate(meta["tasks"]):
+        # Older labs name each benchmark's scoring; a regression one still loads.
+        if "scoring" in spec and spec["scoring"] != "exp_neg_mse":
+            raise ValidationError(f"benchmark {spec['id']!r}: unsupported scoring {spec['scoring']!r}")
+        tasks.append(BenchmarkTask(spec["id"], spec["domain"], data[f"bench_{i}_X"],
+                                   data[f"bench_{i}_y"]))
     return ToyLab(candidates=candidates, general=general, tasks=tasks)

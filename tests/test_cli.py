@@ -256,8 +256,7 @@ def test_malformed_corpus_is_a_usage_error(tmp_path, capsys, bad_line, problem):
 def test_lab_and_search_cli_flow(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
-        "[experiment]\nseed = 2\n\n[lab]\nexamples_per_domain = 200\n"
-        "general_examples = 200\nbenchmark_examples = 64\n\n"
+        "[experiment]\nseed = 2\n\n"
         "[training]\nsteps = 40\nbase_steps = 40\n\n[references]\ncount = 4\n\n"
         "[search]\nplan = 6,3\npool = 800\ntop_k = 8\n"
     )
@@ -325,8 +324,7 @@ def test_eval_cli(tmp_path, capsys):
 def test_run_and_report_cli(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
-        "[experiment]\nseed = 1\n\n[lab]\nexamples_per_domain = 200\n"
-        "general_examples = 200\nbenchmark_examples = 64\n\n"
+        "[experiment]\nseed = 1\n\n"
         "[training]\nsteps = 40\nbase_steps = 40\n\n"
         "[references]\ncount = 8\n\n"
         "[search]\nplan = 6,3\npool = 800\ntop_k = 8\ngbdt_rounds = 40\n"
@@ -354,10 +352,19 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
 
 def test_removed_merge_keys_and_options_are_usage_errors(tmp_path, archives, capsys):
     cfg = tmp_path / "exp.cfg"
-    for key, value in [("merge_method", "ties"), ("merge_seed", "1")]:
-        cfg.write_text(f"[search]\n{key} = {value}\n")
+    removed = [("search", "merge_method", "ties"), ("search", "merge_seed", "1")]
+    # Lab sizes and the predictor's tree shape are constants, not settings.
+    removed += [("lab", key, "4") for key in ("shared_dims", "examples_per_domain",
+                                              "general_examples", "benchmark_examples")]
+    removed += [("search", key, "2") for key in ("gbdt_learning_rate", "gbdt_max_depth",
+                                                 "gbdt_min_samples_leaf")]
+    for section, key, value in removed:
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
         assert main(["run", "--config", str(cfg), "--run-root", str(tmp_path / "runs")]) == 2
-        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert f"unknown key {key!r} in [{section}]" in capsys.readouterr().err
+    cfg.write_text("[lab]\nfamily = logistic\n")
+    assert main(["run", "--config", str(cfg), "--run-root", str(tmp_path / "runs")]) == 2
+    assert "unknown model family 'logistic'" in capsys.readouterr().err
     merge = ["merge", "--ratio", "0.5,0.3,0.2", "--components", ",".join(map(str, archives)),
              "--out", str(tmp_path / "x.dmxt")]
     for extra in (["--method", "ties"], ["--base", str(archives[0])], ["--seed", "1"],
@@ -370,8 +377,7 @@ def test_removed_merge_keys_and_options_are_usage_errors(tmp_path, archives, cap
 
 
 SMALL_CONFIG = (
-    "[experiment]\nseed = 1\n\n[lab]\nexamples_per_domain = 200\n"
-    "general_examples = 200\nbenchmark_examples = 64\n\n"
+    "[experiment]\nseed = 1\n\n"
     "[training]\nsteps = 40\nbase_steps = 40\n\n"
     "[references]\ncount = 6\n\n"
     "[search]\nplan = 6,3\npool = 800\ntop_k = 8\ngbdt_rounds = 40\n"
@@ -381,7 +387,7 @@ SMALL_CONFIG = (
 @pytest.mark.parametrize("n_domains", [3, 11])  # from 11 on, dom10 sorts before dom2
 def test_stage_commands_write_the_same_artifacts_as_run(tmp_path, capsys, n_domains):
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(SMALL_CONFIG.replace("[lab]\n", f"[lab]\nn_domains = {n_domains}\n"))
+    cfg.write_text(f"[lab]\nn_domains = {n_domains}\n" + SMALL_CONFIG)
     out = tmp_path / "stages"
     lab = str(out / "lab.npz")
     out.mkdir()
@@ -450,16 +456,12 @@ def test_malformed_inputs_are_usage_errors(tmp_path, archives, capsys):
     for body, key in [("[search]\nplan = 4,x\n", "plan"), ("[search]\npool = 1e5\n", "pool"),
                       ("[experiment]\nseed = -1\n", "seed"),
                       ("[search]\ngbdt_rounds = 0\n", "n_rounds"),
-                      ("[search]\ngbdt_max_depth = 0\n", "max_depth"),
-                      ("[search]\ngbdt_max_depth = 9\n", "max_depth"),
-                      ("[search]\ngbdt_min_samples_leaf = 0\n", "min_samples_leaf"),
                       ("[search]\nplan = 8,50\npool = 20\ntop_k = 4\n", "plan"),
-                      ("[search]\ngbdt_learning_rate = -1\n", "learning_rate"),
                       ("[lab]\nfamily = mlp_1hidden\nhidden_units = -1\n", "hidden_units"),
-                      ("[lab]\nexamples_per_domain = -1\n", "examples_per_domain"),
-                      ("[lab]\ngeneral_examples = -1\n", "general_examples"),
-                      ("[lab]\nbenchmark_examples = -1\n", "benchmark_examples"),
-                      ("[lab]\nbenchmark_examples = 0\n", "benchmark_examples")]:
+                      ("[lab]\nfeature_dim = 3\n", "feature_dim"),
+                      ("[training]\nstep_size = nan\n", "step_size"),
+                      ("[training]\nstep_size = inf\n", "step_size"),
+                      ("[training]\nbase_steps = -1\n", "base_steps")]:
         cfg.write_text(body)
         capsys.readouterr()
         assert main(["run", "--config", str(cfg), "--run-root", str(tmp_path / "runs")]) == 2

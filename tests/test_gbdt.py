@@ -235,6 +235,9 @@ def test_fitting_without_features_is_a_validation_error():
         ({"max_depth": 0}, "max_depth"),
         ({"max_depth": gbdt.MAX_DEPTH + 1}, "max_depth"),
         ({"min_samples_leaf": 0}, "min_samples_leaf"),
+        ({"learning_rate": -1}, "learning_rate"),
+        ({"learning_rate": np.inf}, "learning_rate"),
+        ({"learning_rate": np.nan}, "learning_rate"),
     ],
 )
 def test_out_of_range_hyperparameters_are_validation_errors(kwargs, problem):

@@ -3,13 +3,14 @@ or a typed DemixError, never any other exception."""
 
 import io
 import json
+import math
 from dataclasses import fields
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from demix.cli import _parse_ratio, main
-from demix.config import SECTIONS, ExperimentConfig, _apply, load_config
+from demix.config import SECTIONS, ExperimentConfig, _apply, _validate, load_config
 from demix.errors import DemixError
 from demix.pipeline import read_score_csv
 from demix.toy_lab import load_lab
@@ -35,12 +36,21 @@ def test_config_file_parses_or_gives_a_typed_error(tmp_path_factory, text):
 
 
 @settings(max_examples=300, deadline=None)
-@given(key=st.sampled_from(CONFIG_KEYS), text=st.text())
+@given(key=st.sampled_from(CONFIG_KEYS), text=st.text() | st.sampled_from(["nan", "inf", "-1", "0"]))
 def test_every_config_value_parses_or_gives_a_typed_error(key, text):
     section, name = key
     config = ExperimentConfig()
     target = config if section == "experiment" else getattr(config, section)
-    value_or_typed_error(_apply, target, [(name, text)], section)
+
+    def apply_and_validate():
+        _apply(target, [(name, text)], section)
+        _validate(config)
+        return config
+
+    if value_or_typed_error(apply_and_validate) is not None:
+        sections = [getattr(config, s) for s in SECTIONS]
+        floats = [getattr(obj, f.name) for obj in sections for f in fields(obj) if f.type == "float"]
+        assert floats and all(math.isfinite(v) for v in floats)
 
 
 @settings(max_examples=200, deadline=None)

@@ -38,9 +38,6 @@ seed = 3
 [lab]
 n_domains = 3
 feature_dim = 13
-examples_per_domain = 300
-general_examples = 300
-benchmark_examples = 128
 
 [training]
 steps = 60
@@ -294,6 +291,7 @@ def test_a_stage_killed_after_a_partial_write_is_recomputed(config_path, tmp_pat
         ("reference_ratios.json", '[{"dom0": 0.5, "dom1": 0.5}]'),
         ("reference_ratios.json", "not JSON"),
         ("reference_ratios.json", "[1, 2]"),
+        ("reference_ratios.json", '[{"dom0": 0.2, "dom1": 0.3, "dom2": 0.5}]'),
         ("search_result.json", '{"evaluations": 12}'),
         ("search_result.json", '{"best_mixture": {'),
         ("search_result.json", json.dumps({
@@ -302,7 +300,7 @@ def test_a_stage_killed_after_a_partial_write_is_recomputed(config_path, tmp_pat
         ("consistency.json", '{"n_models": 10}'),
         ("consistency.json", "[]"),
     ],
-    ids=["ratio-without-an-id", "ratios-not-json", "ratios-not-objects",
+    ids=["ratio-without-an-id", "ratios-not-json", "ratios-not-objects", "one-ratio-for-ten",
          "result-without-best-mixture", "result-not-json", "best-mixture-not-an-object",
          "consistency-without-rho", "consistency-not-an-object"],
 )
@@ -348,7 +346,7 @@ def test_score_csv_round_trip(tmp_path):
 
 
 def test_consistency_helper_reports_recovery():
-    lab = toy_lab.make_domains(3, 13, seed=4, shared_dims=4)
+    lab = toy_lab.make_domains(3, 13, seed=4)
     config = toy_lab.ComponentTrainingConfig(seed=4, steps=60, base_steps=60)
     base, comps = toy_lab.prepare_components(lab.candidates, lab.general, config)
     from demix.mixture_search import sample_simplex
