@@ -31,6 +31,19 @@ anything: a stage body loads the lab and the components on first use. The
 consistency and search stages merge the components linearly and benchmark
 the result; they never train and never read the shared base.
 
+An input's digest is hashed once and then reused while the file is unchanged.
+The manifest's ``files`` records each input's stamp, ``(st_ino, st_size,
+st_mtime_ns, st_ctime_ns)``, beside its digest, and a rerun whose stat returns
+the same stamp takes the digest without reading the file. A changed file never
+matches: every write sets ``st_ctime``, which user space cannot set back (as
+``touch -r`` or ``os.utime`` can ``st_mtime``), and :func:`atomic_write` and
+copies make new inodes. The one way to change a file without changing its
+stamp is to rewrite it at the same size within one timestamp tick of the
+stamp's ``st_ctime``. So, as with git's "racily clean" index entries, a stamp
+is recorded only if the file was the same before and after hashing and its
+``st_ctime`` is at least :data:`RACY_WINDOW_NS` older than the moment hashing
+began; a file changed more recently is hashed again by the next run.
+
 Reports and transcripts contain no timestamps and serialize with sorted keys,
 so identical configs produce byte-identical result files.
 """
@@ -54,7 +67,7 @@ from .config import ExperimentConfig
 from .errors import PipelineError, ValidationError
 from .eval_metrics import ScoreTable, consistency_report
 from .merge_engine import MixtureRatio
-from .tensor_store import ParameterSet, atomic_write, load_archive, save_archive
+from .tensor_store import ParameterSet, atomic_write, load_archive, remove_leftover_temps, save_archive
 
 # Each stage's implementation version, part of its cache hash, in the order
 # the stages run. Bump a stage's version with any code change that alters
@@ -64,6 +77,10 @@ STAGE_VERSIONS = {
     "lab": 3, "components": 1, "references": 1, "consistency": 1, "search": 1, "report": 1,
 }
 
+# How long before its hashing an input must have last changed for its stamp
+# to be recorded: longer than any filesystem's timestamp tick.
+RACY_WINDOW_NS = 1_000_000_000
+
 
 @dataclass
 class ExperimentManifest:
@@ -71,6 +88,8 @@ class ExperimentManifest:
     config_hash: str
     run_dir: str
     stages: dict[str, dict] = field(default_factory=dict)
+    # Input file name -> {"stamp": [...], "digest": ...}; see _input_digest.
+    files: dict[str, dict] = field(default_factory=dict)
     created_at: float = 0.0
 
     def stage(self, name: str) -> dict:
@@ -85,14 +104,16 @@ class ExperimentManifest:
 
     @classmethod
     def load(cls, path) -> "ExperimentManifest":
-        """Read a manifest; its ``run_dir`` is the directory it is read from."""
+        """Read a manifest; its ``run_dir`` is the directory it is read from.
+        A ``files`` record of the wrong shape is dropped, so its file is
+        hashed again."""
         doc = read_json(path, "cannot read manifest {path}: {reason}",
                         "{path}: not a demix manifest: {reason}")
         try:
             manifest = cls(**doc)
         except TypeError as exc:
             raise PipelineError(f"{path}: not a demix manifest: {exc}") from exc
-        expected = {"config": dict, "stages": dict, "config_hash": str, "run_dir": str}
+        expected = {"config": dict, "stages": dict, "files": dict, "config_hash": str, "run_dir": str}
         wrong = [k for k, kind in expected.items() if not isinstance(getattr(manifest, k), kind)]
         if not wrong:
             wrong = [
@@ -103,6 +124,13 @@ class ExperimentManifest:
         if wrong:
             raise PipelineError(f"{path}: not a demix manifest: wrong type for {', '.join(wrong)}")
         manifest.run_dir = str(Path(path).parent)
+        manifest.files = {
+            name: record for name, record in manifest.files.items()
+            if isinstance(record, dict)
+            and isinstance(record.get("digest"), str)
+            and isinstance(record.get("stamp"), list)
+            and list(map(type, record["stamp"])) == [int] * 4
+        }
         return manifest
 
 
@@ -123,6 +151,30 @@ def _file_hash(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _stamp(path: Path) -> list[int]:
+    st = os.stat(path)
+    return [st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
+
+
+def _input_digest(run_dir: Path, name: str, files: dict[str, dict]) -> str:
+    """The digest of the file ``name`` in ``run_dir``. ``files`` holds the
+    stamp and digest of earlier hashings (the manifest's ``files``): a
+    record whose stamp the file still has is reused, and a new one is
+    recorded only if the stamp can be trusted (see the module docstring)."""
+    path = run_dir / name
+    stamp = _stamp(path)
+    record = files.get(name)
+    if record is not None and record["stamp"] == stamp:
+        return record["digest"]
+    started = time.time_ns()
+    digest = _file_hash(path)
+    if _stamp(path) == stamp and stamp[3] <= started - RACY_WINDOW_NS:
+        files[name] = {"digest": digest, "stamp": stamp}
+    else:
+        files.pop(name, None)
+    return digest
 
 
 def read_json(
@@ -341,17 +393,18 @@ class _RunLock:
 def run_pipeline(config: ExperimentConfig, run_root: str | None = None) -> ExperimentManifest:
     """Execute all stages for a config, reusing cached results where valid."""
     root = Path(run_root if run_root is not None else config.run_root)
-    run_dir = root / config.content_hash()
+    config_hash = config.content_hash()
+    run_dir = root / config_hash
     run_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = run_dir / "manifest.json"
     if manifest_path.exists():
         manifest = ExperimentManifest.load(manifest_path)
-        if manifest.config_hash != config.content_hash():
+        if manifest.config_hash != config_hash:
             raise PipelineError("manifest in run directory belongs to a different config")
     else:
         manifest = ExperimentManifest(
             config=config.resolved(),
-            config_hash=config.content_hash(),
+            config_hash=config_hash,
             run_dir=str(run_dir),
             created_at=time.time(),
         )
@@ -425,10 +478,15 @@ def _run_stages(config: ExperimentConfig, run_dir: Path, manifest: ExperimentMan
         ),
     ]
 
+    # Run under the run lock, so no other run is writing these.
+    remove_leftover_temps(
+        run_dir, ["manifest.json", *(output for _, _, outputs, _ in stages for output in outputs)]
+    )
+
     # The run directory is named by the config's content hash, so a stage's
     # hash needs to cover only its code version and its input files (each
-    # read once per run).
-    file_hash = functools.cache(lambda name: _file_hash(run_dir / name))
+    # digested at most once per run, and not at all while its stamp holds).
+    file_hash = functools.cache(lambda name: _input_digest(run_dir, name, manifest.files))
     for name, inputs, outputs, body in stages:
         doc = {"inputs": {f: file_hash(f) for f in inputs}, "version": STAGE_VERSIONS[name]}
         if name == "report":

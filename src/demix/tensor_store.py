@@ -18,6 +18,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import struct
 import sys
 import zlib
@@ -31,6 +32,8 @@ from .errors import ArchiveError, NonFiniteError, ValidationError
 MAGIC = b"DMXT"
 FORMAT_VERSION = 1
 _PREAMBLE = struct.Struct("<4sIQ")
+# The name of an atomic_write temp file: the target's name and a pid.
+_TEMP_NAME = re.compile(r"(.+)\.[0-9]+\.tmp")
 
 
 @dataclass
@@ -116,10 +119,11 @@ class ArchiveHeader:
 
 @contextlib.contextmanager
 def atomic_write(path):
-    """Open a temp file beside ``path`` for binary writing and rename it over
-    ``path`` once the block completes. A write that fails or is killed
-    part-way leaves the previous file whole; a failed one also removes the
-    temp file."""
+    """Open a temp file ``<name>.<pid>.tmp`` beside ``path`` for binary
+    writing and rename it over ``path`` once the block completes. A write
+    that fails or is killed part-way leaves the previous file whole; a failed
+    one also removes the temp file, and :func:`remove_leftover_temps` removes
+    what a killed one left."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
@@ -129,6 +133,17 @@ def atomic_write(path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def remove_leftover_temps(directory: Path, names) -> None:
+    """Delete the temp files that killed :func:`atomic_write` calls left in
+    ``directory`` for the files ``names``. Call it only while no other
+    process can be writing them."""
+    names = set(names)
+    for name in os.listdir(directory):
+        match = _TEMP_NAME.fullmatch(name)
+        if match and match.group(1) in names:
+            os.unlink(Path(directory) / name)
 
 
 def save_archive(params: ParameterSet, path, metadata: dict[str, str] | None = None) -> None:

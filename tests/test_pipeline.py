@@ -81,6 +81,23 @@ PRODUCER = {
 }
 
 
+# The files some stage reads, which a run digests.
+INPUTS = sorted(set(PRODUCER) - {"proxy_scores.csv", "transcript.jsonl", "report.json"})
+
+
+def hashed_files(monkeypatch) -> list[str]:
+    """The names of the files that ``pipeline._file_hash`` reads from now on."""
+    names = []
+    file_hash = pipeline._file_hash
+
+    def recording(path):
+        names.append(Path(path).name)
+        return file_hash(path)
+
+    monkeypatch.setattr(pipeline, "_file_hash", recording)
+    return names
+
+
 @pytest.fixture(scope="module")
 def cold_root(tmp_path_factory):
     """The run root of one cold SMALL_CONFIG run, to be copied, never changed."""
@@ -169,6 +186,101 @@ def test_editing_domains_csv_recomputes_consistency(config_path, tmp_path):
     domains.write_text(domains.read_text().replace(",dom2", ",dom1"))
     with pytest.raises(ValidationError, match="domain mappings differ"):
         run_pipeline(load_config(config_path), run_root=tmp_path / "runs")
+
+
+def test_a_rerun_with_recorded_stamps_hashes_no_file(config_path, warm_root, monkeypatch):
+    monkeypatch.setattr(pipeline, "RACY_WINDOW_NS", 0)
+    manifest = run_pipeline(load_config(config_path), run_root=warm_root)
+    assert sorted(manifest.files) == INPUTS
+
+    def forbidden(path):
+        raise AssertionError(f"{path} was hashed although its stamp is recorded")
+
+    monkeypatch.setattr(pipeline, "_file_hash", forbidden)
+    assert recomputed_stages(run_pipeline(load_config(config_path), run_root=warm_root)) == []
+
+
+def test_a_same_size_rewrite_with_its_old_mtime_recomputes_consistency(
+    config_path, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(pipeline, "RACY_WINDOW_NS", 0)
+    manifest = run_pipeline(load_config(config_path), run_root=tmp_path / "runs")
+    assert "domains.csv" in manifest.files
+    domains = Path(manifest.run_dir) / "domains.csv"
+    before = domains.stat()
+    header, *rows = domains.read_text().splitlines()
+    domains.write_text("\n".join([header] + rows[::-1]) + "\n")  # the same mapping
+    os.utime(domains, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = domains.stat()
+    assert (after.st_ino, after.st_size, after.st_mtime_ns) == (
+        before.st_ino, before.st_size, before.st_mtime_ns
+    )
+    again = run_pipeline(load_config(config_path), run_root=tmp_path / "runs")
+    assert recomputed_stages(again) == ["consistency"]
+
+
+def test_a_copied_run_directory_hashes_each_input_once(config_path, warm_root, tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "RACY_WINDOW_NS", 0)
+    run_pipeline(load_config(config_path), run_root=warm_root)  # records the stamps
+    copy = Path(shutil.copytree(warm_root, tmp_path / "copy"))
+    hashed = hashed_files(monkeypatch)
+    assert recomputed_stages(run_pipeline(load_config(config_path), run_root=copy)) == []
+    assert sorted(hashed) == INPUTS
+    hashed.clear()
+    assert recomputed_stages(run_pipeline(load_config(config_path), run_root=copy)) == []
+    assert hashed == []
+
+
+def test_a_file_changed_within_the_racy_window_is_hashed_again(config_path, tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "RACY_WINDOW_NS", 0)
+    manifest = run_pipeline(load_config(config_path), run_root=tmp_path / "runs")
+    domains = Path(manifest.run_dir) / "domains.csv"
+    header, *rows = domains.read_text().splitlines()
+    domains.write_text("\n".join([header] + rows[::-1]) + "\n")
+    # Every file written in the last hour is inside the window now.
+    monkeypatch.setattr(pipeline, "RACY_WINDOW_NS", 3600 * 10**9)
+    hashed = hashed_files(monkeypatch)
+    again = run_pipeline(load_config(config_path), run_root=tmp_path / "runs")
+    assert recomputed_stages(again) == ["consistency"]
+    assert "domains.csv" not in again.files
+    hashed.clear()
+    assert recomputed_stages(run_pipeline(load_config(config_path), run_root=tmp_path / "runs")) == []
+    # The consistency stage rewrote consistency.json, inside the window too.
+    assert sorted(hashed) == ["consistency.json", "domains.csv"]
+
+
+def test_a_file_changed_while_hashed_is_not_stamped(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "RACY_WINDOW_NS", 0)
+    path = tmp_path / "domains.csv"
+    path.write_text("benchmark_id,domain\n")
+    file_hash = pipeline._file_hash
+
+    def hash_then_append(p):
+        digest = file_hash(p)
+        with open(p, "a") as fh:
+            fh.write("b0,dom0\n")
+        return digest
+
+    monkeypatch.setattr(pipeline, "_file_hash", hash_then_append)
+    files = {}
+    pipeline._input_digest(tmp_path, "domains.csv", files)
+    assert files == {}
+    monkeypatch.setattr(pipeline, "_file_hash", file_hash)
+    assert pipeline._input_digest(tmp_path, "domains.csv", files) == file_hash(path)
+    assert files["domains.csv"]["digest"] == file_hash(path)
+
+
+def test_a_run_hashes_its_config_once(config_path, warm_root, monkeypatch):
+    calls = []
+    content_hash = ExperimentConfig.content_hash
+
+    def counting(self):
+        calls.append(self)
+        return content_hash(self)
+
+    monkeypatch.setattr(ExperimentConfig, "content_hash", counting)
+    assert recomputed_stages(run_pipeline(load_config(config_path), run_root=warm_root)) == []
+    assert len(calls) == 1
 
 
 def test_a_changed_base_reruns_the_references_but_not_the_search(config_path, tmp_path):
@@ -285,6 +397,38 @@ def test_a_stage_killed_after_a_partial_write_is_recomputed(config_path, tmp_pat
     assert result_path.read_bytes() == expected
 
 
+def test_a_write_killed_part_way_leaves_no_temp_file_after_the_next_run(config_path, tmp_path):
+    config = load_config(config_path)
+    run_root = tmp_path / "runs"
+    first = run_pipeline(config, run_root=run_root)
+    run_dir = Path(first.run_dir)
+    expected = (run_dir / "search_result.json").read_bytes()
+    (run_dir / "search_result.json").unlink()
+    killer = (
+        "import os, sys\n"
+        "from demix import pipeline, tensor_store\n"
+        "from demix.config import load_config\n"
+        "def search_then_die(config, lab, components, result_path, transcript_path=None):\n"
+        "    with tensor_store.atomic_write(result_path) as fh:\n"
+        "        fh.write(b'{\"best_mixture\": {')\n"
+        "        fh.flush()\n"
+        "        os._exit(9)\n"
+        "pipeline.search_mixture = search_then_die\n"
+        "pipeline.run_pipeline(load_config(sys.argv[1]), run_root=sys.argv[2])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(demix.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", killer, str(config_path), str(run_root)], env=env, timeout=300
+    )
+    assert proc.returncode == 9
+    (litter,) = run_dir.glob("*.tmp")
+    assert re.fullmatch(r"search_result\.json\.[0-9]+\.tmp", litter.name)
+    again = run_pipeline(config, run_root=run_root)
+    assert "search" in recomputed_stages(again)
+    assert list(run_dir.glob("*.tmp")) == []
+    assert (run_dir / "search_result.json").read_bytes() == expected
+
+
 @pytest.mark.parametrize(
     "name, text",
     [
@@ -325,6 +469,58 @@ def test_manifest_round_trips(config_path, tmp_path):
     loaded = ExperimentManifest.load(Path(manifest.run_dir) / "manifest.json")
     assert loaded.config_hash == manifest.config_hash
     assert set(loaded.stages) == set(manifest.stages)
+    assert loaded.files == manifest.files
+
+
+MANIFEST = {"config": {}, "config_hash": "h", "run_dir": ".", "stages": {}}
+
+
+@pytest.mark.parametrize("files", [5, [], None, "lab.npz"])
+def test_a_manifest_whose_files_is_not_an_object_is_a_pipeline_error(tmp_path, files):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({**MANIFEST, "files": files}))
+    with pytest.raises(PipelineError, match=re.escape(f"{path}: not a demix manifest: wrong type for files")):
+        ExperimentManifest.load(path)
+
+
+def test_manifest_file_records_of_the_wrong_shape_are_dropped(tmp_path):
+    good = {"digest": "0f" * 16, "stamp": [1, 2, 3, 4]}
+    files = {
+        "good": good,
+        "not-an-object": 5,
+        "without-digest": {"stamp": [1, 2, 3, 4]},
+        "digest-not-a-string": {"digest": 7, "stamp": [1, 2, 3, 4]},
+        "stamp-not-a-list": {"digest": "0f", "stamp": "1 2 3 4"},
+        "float-in-stamp": {"digest": "0f", "stamp": [1, 2, 3.0, 4]},
+        "bool-in-stamp": {"digest": "0f", "stamp": [True, 2, 3, 4]},
+        "short-stamp": {"digest": "0f", "stamp": [1, 2, 3]},
+    }
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({**MANIFEST, "files": files}))
+    assert ExperimentManifest.load(path).files == {"good": good}
+    path.write_text(json.dumps(MANIFEST))  # as written before files were recorded
+    assert ExperimentManifest.load(path).files == {}
+
+
+@pytest.mark.parametrize("edit", ["drop-files", "bad-digests"])
+def test_a_manifest_without_usable_stamps_reruns_nothing_and_hashes_each_input_once(
+    config_path, warm_root, monkeypatch, edit
+):
+    monkeypatch.setattr(pipeline, "RACY_WINDOW_NS", 0)
+    (run_dir,) = warm_root.iterdir()
+    run_pipeline(load_config(config_path), run_root=warm_root)  # records the stamps
+    doc = json.loads((run_dir / "manifest.json").read_text())
+    if edit == "drop-files":
+        del doc["files"]
+    else:
+        for record in doc["files"].values():
+            record["digest"] = 0
+    (run_dir / "manifest.json").write_text(json.dumps(doc))
+    hashed = hashed_files(monkeypatch)
+    again = run_pipeline(load_config(config_path), run_root=warm_root)
+    assert recomputed_stages(again) == []
+    assert sorted(hashed) == INPUTS
+    assert sorted(again.files) == INPUTS
 
 
 def test_score_csv_round_trip(tmp_path):
