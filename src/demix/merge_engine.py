@@ -4,6 +4,15 @@ A mixture proxy is the convex combination of the component models'
 parameters at the mixture weights, tensor by tensor (task arithmetic,
 Ilharco et al., arXiv:2212.04089). On the simplex that equals adding the
 weighted component updates to a shared base, so no base is needed.
+
+The kernel writes each merged tensor into one fresh array and computes it in
+blocks of :data:`BLOCK` values, in two scratch buffers that stay in cache, so
+a merge allocates no full-size temporaries. Each block runs the same IEEE
+operations on each value, in the same order, as the whole-tensor formula
+``ref + sum_i w_i * (c_i - ref)`` (accumulator set to 0, then one subtract,
+multiply and add per component). A value's result depends only on its own
+inputs, never on its neighbours, so the output is the same bit for bit at any
+block size.
 """
 
 from __future__ import annotations
@@ -16,6 +25,8 @@ from .errors import SchemaMismatchError, ValidationError
 from .tensor_store import ParameterSet
 
 RATIO_SUM_TOLERANCE = 1e-9
+# Values per block of the merge kernel: two scratch buffers of 256 KB.
+BLOCK = 1 << 15
 
 
 @dataclass
@@ -69,13 +80,26 @@ def merge(
     order = sorted(range(len(ratio)), key=lambda i: ratio.candidate_ids[i])
     maxw = ratio.weights.max()
     anchor = next(i for i in order if ratio.weights[i] == maxw)
+    others = [(ratio.weights[i], components[i]) for i in order if i != anchor]
+    # Small models need smaller buffers, which cost less to allocate.
+    scratch = min(BLOCK, max((arr.size for arr in components[0].entries.values()), default=0))
+    acc, tmp = np.empty(scratch), np.empty(scratch)
     out = {}
-    for name in components[0].names():
-        ref = components[anchor].entries[name]
-        acc = np.zeros_like(ref)
-        for i in order:
-            if i == anchor:
-                continue
-            acc = acc + ratio.weights[i] * (components[i].entries[name] - ref)
-        out[name] = ref + acc
+    # A sum that overflows is reported by ParameterSet as a NonFiniteError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name in components[0].names():
+            ref = components[anchor].entries[name]
+            merged = np.empty(ref.shape)  # C order whatever ref's, so its flat view writes through
+            flat_out, flat_ref = merged.reshape(-1), ref.reshape(-1)
+            flats = [(w, comp.entries[name].reshape(-1)) for w, comp in others]
+            for start in range(0, flat_out.size, BLOCK):
+                stop = min(start + BLOCK, flat_out.size)
+                r, a, t = flat_ref[start:stop], acc[: stop - start], tmp[: stop - start]
+                a.fill(0.0)
+                for w, c in flats:
+                    np.subtract(c[start:stop], r, out=t)
+                    np.multiply(w, t, out=t)
+                    np.add(a, t, out=a)
+                np.add(r, a, out=flat_out[start:stop])
+            out[name] = merged
     return ParameterSet(entries=out, model_id=model_id)

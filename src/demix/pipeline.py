@@ -27,7 +27,8 @@ also keys on the experiment name, which the content hash leaves out). It
 reruns when that hash changed or a file it writes is missing, so deleting an
 artifact recomputes only its stage and, where their inputs actually changed,
 the stages downstream of it. A finished experiment reruns without loading
-anything: a stage body loads the lab and the components on first use. The
+anything (a stage body loads the lab and the components on first use), and
+rewrites ``manifest.json`` only if something in it changed. The
 consistency and search stages merge the components linearly and benchmark
 the result; they never train and never read the shared base.
 
@@ -107,10 +108,17 @@ class ExperimentManifest:
         """Read a manifest; its ``run_dir`` is the directory it is read from.
         A ``files`` record of the wrong shape is dropped, so its file is
         hashed again."""
+        return cls.load_with_document(path)[0]
+
+    @classmethod
+    def load_with_document(cls, path) -> tuple["ExperimentManifest", dict]:
+        """:meth:`load`, and the JSON document read from ``path`` as it is on
+        disk: a copy that changes to the manifest leave untouched."""
         doc = read_json(path, "cannot read manifest {path}: {reason}",
                         "{path}: not a demix manifest: {reason}")
         try:
-            manifest = cls(**doc)
+            # A deep copy of doc: JSON's C codec is quicker than copy.deepcopy.
+            manifest = cls(**json.loads(json.dumps(doc)))
         except TypeError as exc:
             raise PipelineError(f"{path}: not a demix manifest: {exc}") from exc
         expected = {"config": dict, "stages": dict, "files": dict, "config_hash": str, "run_dir": str}
@@ -131,7 +139,7 @@ class ExperimentManifest:
             and isinstance(record.get("stamp"), list)
             and list(map(type, record["stamp"])) == [int] * 4
         }
-        return manifest
+        return manifest, doc
 
 
 def _bad_stage_keys(name: str, record) -> list[str]:
@@ -397,8 +405,9 @@ def run_pipeline(config: ExperimentConfig, run_root: str | None = None) -> Exper
     run_dir = root / config_hash
     run_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = run_dir / "manifest.json"
+    on_disk = None
     if manifest_path.exists():
-        manifest = ExperimentManifest.load(manifest_path)
+        manifest, on_disk = ExperimentManifest.load_with_document(manifest_path)
         if manifest.config_hash != config_hash:
             raise PipelineError("manifest in run directory belongs to a different config")
     else:
@@ -413,7 +422,11 @@ def run_pipeline(config: ExperimentConfig, run_root: str | None = None) -> Exper
         try:
             _run_stages(config, run_dir, manifest)
         finally:
-            manifest.save(manifest_path)
+            # A rerun that changed nothing leaves the file alone. Compared with
+            # the document as read, so a copied run directory's manifest,
+            # which names the directory it was copied from, is rewritten.
+            if vars(manifest) != on_disk:
+                manifest.save(manifest_path)
     return manifest
 
 

@@ -80,8 +80,14 @@ class ParameterSet:
         for name in self.names():
             crc = zlib.crc32(name.encode("utf-8"), crc)
             crc = zlib.crc32(repr(self.entries[name].shape).encode("ascii"), crc)
-            crc = zlib.crc32(self.entries[name].astype("<f8").tobytes(), crc)
+            crc = zlib.crc32(_payload(self.entries[name]), crc)
         return f"{crc:08x}"
+
+
+def _payload(arr: np.ndarray) -> np.ndarray:
+    """``arr``'s values as a C-contiguous little-endian float64 buffer: the
+    array itself when it already is one, as the arrays demix builds are."""
+    return np.ascontiguousarray(arr, dtype="<f8")
 
 
 @dataclass
@@ -169,13 +175,14 @@ def save_archive(params: ParameterSet, path, metadata: dict[str, str] | None = N
             fh.write(_PREAMBLE.pack(MAGIC, FORMAT_VERSION, len(header)))
             fh.write(header)
             for name in names:
-                fh.write(params.entries[name].astype("<f8").tobytes())
+                fh.write(_payload(params.entries[name]))
     except OSError as exc:
         raise ArchiveError(f"cannot write archive {path}: {exc}") from exc
 
 
 def load_archive(path) -> ParameterSet:
-    """Read an archive, validating magic, version, index and payload bounds."""
+    """Read an archive, validating magic, version, index and payload bounds.
+    Every error names ``path``."""
     entries = {}
     try:
         with open(path, "rb") as fh:
@@ -186,21 +193,23 @@ def load_archive(path) -> ParameterSet:
                 if fh.readinto(flat) != length:
                     raise ArchiveError("truncated payload")
                 entries[name] = flat.reshape(shape)
+        return ParameterSet(entries=entries, model_id=header.metadata.get("model_id", ""))
     except OSError as exc:
         raise ArchiveError(f"cannot read archive {path}: {exc}") from exc
-    try:
-        return ParameterSet(entries=entries, model_id=header.metadata.get("model_id", ""))
-    except ValidationError as exc:
+    except (ArchiveError, ValidationError) as exc:
         raise ArchiveError(f"invalid archive {path}: {exc}") from exc
 
 
 def read_header(path) -> ArchiveHeader:
-    """Parse and validate only the archive header; the payload is never read."""
+    """Parse and validate only the archive header; the payload is never read.
+    Every error names ``path``."""
     try:
         with open(path, "rb") as fh:
             return _read_header(fh)
     except OSError as exc:
         raise ArchiveError(f"cannot read archive {path}: {exc}") from exc
+    except ArchiveError as exc:
+        raise ArchiveError(f"invalid archive {path}: {exc}") from exc
 
 
 def _read_header(fh) -> ArchiveHeader:

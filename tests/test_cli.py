@@ -125,6 +125,31 @@ def test_merge_cli_requires_valid_ratio(tmp_path, archives, capsys):
     assert code == 2
 
 
+def test_merge_cli_names_the_archive_whose_header_is_bad(tmp_path, archives, capsys):
+    archives[1].write_bytes(b"XXXX" + archives[1].read_bytes()[4:])
+    out = tmp_path / "merged.dmxt"
+    components = ",".join(str(p) for p in archives)
+    assert main(["merge", "--ratio", "0.2,0.5,0.3", "--components", components, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: invalid archive {archives[1]}: corrupt header: bad magic b'XXXX'\n"
+    assert not out.exists()
+
+
+def test_merge_cli_that_overflows_is_a_non_finite_error_and_writes_nothing(tmp_path, capsys):
+    # Finite values whose differences overflow float64.
+    values = [np.array([1e308, -1e308, 1.0]), np.array([-1e308, 1e308, 2.0]), np.array([1e308, 0.0, 3.0])]
+    paths = []
+    for i, w in enumerate(values):
+        paths.append(tmp_path / f"big{i}.dmxt")
+        save_archive(ParameterSet.from_arrays({"w": w}), paths[-1])
+    out = tmp_path / "merged.dmxt"
+    components = ",".join(str(p) for p in paths)
+    assert main(["merge", "--ratio", "0.4,0.3,0.3", "--components", components, "--out", str(out)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
 def test_dedup_cli(tmp_path, capsys):
     docs = tmp_path / "docs.jsonl"
     lines = [

@@ -1,9 +1,12 @@
 """Tests for mixture ratios and linear merging."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from demix import merge_engine
 from demix.errors import SchemaMismatchError, ValidationError
 from demix.merge_engine import MixtureRatio, merge
 from demix.tensor_store import ParameterSet
@@ -188,3 +191,91 @@ def test_merge_matches_the_weighted_sum(seed, n, size, scale):
     for name in out.names():
         expected = sum(w * c.entries[name] for w, c in zip(weights, comps))
         np.testing.assert_allclose(out.entries[name], expected, rtol=0.0, atol=1e-12 * scale)
+
+
+# --- the blocked kernel ------------------------------------------------------------
+
+
+def whole_tensor_merge(components, r):
+    """The merge formula on whole tensors, one full-size temporary per step:
+    the blocked kernel must give the same bits."""
+    order = sorted(range(len(r)), key=lambda i: r.candidate_ids[i])
+    anchor = next(i for i in order if r.weights[i] == r.weights.max())
+    out = {}
+    for name in components[0].names():
+        ref = components[anchor].entries[name]
+        acc = np.zeros_like(ref)
+        for i in order:
+            if i != anchor:
+                acc = acc + r.weights[i] * (components[i].entries[name] - ref)
+        out[name] = ref + acc
+    return out
+
+
+@pytest.fixture()
+def small_block(monkeypatch):
+    monkeypatch.setattr(merge_engine, "BLOCK", 7)
+
+
+# Around, at and past one and two blocks of 7, and shapes with more than one axis.
+KERNEL_SHAPES = [(0,), (1,), (6,), (7,), (8,), (15,), (3, 0), (2, 5, 3)]
+
+
+def kernel_set(rng):
+    # Magnitudes spread over many binades, so that any change in the order
+    # of the operations would show in the last bits.
+    return ParameterSet.from_arrays(
+        {
+            f"t{k}": rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+            for k, shape in enumerate(KERNEL_SHAPES)
+        }
+    )
+
+
+# Four components are the fewest whose sum order shows: three terms added to 0.
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_blocked_kernel_gives_the_bits_of_the_whole_tensor_formula(small_block, n):
+    rng = np.random.default_rng(10 + n)
+    comps = [kernel_set(rng) for _ in range(n)]
+    r = ratio(rng.dirichlet(np.ones(n)))
+    merged = merge(comps, r)
+    expected = whole_tensor_merge(comps, r)
+    for name, values in expected.items():
+        assert merged.entries[name].shape == np.shape(values)
+        assert np.array_equal(merged.entries[name], values)
+        assert merged.entries[name].tobytes() == np.asarray(values).tobytes()
+
+
+def test_one_hot_and_permutation_hold_with_a_small_block(small_block):
+    rng = np.random.default_rng(20)
+    comps = [kernel_set(rng) for _ in range(3)]
+    for k in range(3):
+        out = merge(comps, ratio(np.eye(3)[k]))
+        for name in out.names():
+            assert np.array_equal(out.entries[name], comps[k].entries[name])
+    r = ratio([0.2, 0.5, 0.3], ids=["a", "b", "c"])
+    order = [2, 0, 1]
+    reordered = ratio(r.weights[order], ids=[r.candidate_ids[i] for i in order])
+    out, out_reordered = merge(comps, r), merge([comps[i] for i in order], reordered)
+    for name in out.names():
+        assert out.entries[name].tobytes() == out_reordered.entries[name].tobytes()
+
+
+def test_components_without_tensors_merge_to_an_empty_set():
+    empty = ParameterSet.from_arrays({})
+    assert merge([empty, empty.copy()], ratio([0.5, 0.5]), model_id="m").entries == {}
+
+
+def test_merge_allocates_no_full_size_temporaries():
+    rng = np.random.default_rng(30)
+    size = 1 << 20  # 8 MiB a tensor
+    comps = [ParameterSet.from_arrays({"w": rng.standard_normal(size)}) for _ in range(3)]
+    tracemalloc.start()
+    try:
+        merged = merge(comps, ratio([0.2, 0.5, 0.3]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The output, the scratch blocks and the finiteness check's one-byte mask.
+    assert merged.entries["w"].nbytes == 8 << 20
+    assert peak < (8 << 20) + (2 << 20)

@@ -231,6 +231,36 @@ def test_a_copied_run_directory_hashes_each_input_once(config_path, warm_root, t
     assert hashed == []
 
 
+def test_a_rerun_that_changes_nothing_does_not_save_the_manifest(config_path, warm_root, monkeypatch):
+    monkeypatch.setattr(pipeline, "RACY_WINDOW_NS", 0)
+    (run_dir,) = warm_root.iterdir()
+    run_pipeline(load_config(config_path), run_root=warm_root)  # records stamps, clears `recomputed`
+    before = (run_dir / "manifest.json").stat()
+
+    def forbidden(self, path):
+        raise AssertionError(f"{path} was saved although nothing in it changed")
+
+    monkeypatch.setattr(ExperimentManifest, "save", forbidden)
+    assert recomputed_stages(run_pipeline(load_config(config_path), run_root=warm_root)) == []
+    after = (run_dir / "manifest.json").stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+
+@pytest.mark.parametrize("how", ["copied", "moved"])
+def test_a_run_directory_in_a_new_place_rewrites_its_manifest_to_name_it(
+    config_path, warm_root, tmp_path, monkeypatch, how
+):
+    monkeypatch.setattr(pipeline, "RACY_WINDOW_NS", 0)
+    run_pipeline(load_config(config_path), run_root=warm_root)  # records the stamps
+    # A moved directory keeps its files' stamps, so only run_dir is stale.
+    place = shutil.copytree if how == "copied" else shutil.move
+    root = Path(place(warm_root, tmp_path / how))
+    (run_dir,) = root.iterdir()
+    assert json.loads((run_dir / "manifest.json").read_text())["run_dir"] != str(run_dir)
+    assert recomputed_stages(run_pipeline(load_config(config_path), run_root=root)) == []
+    assert json.loads((run_dir / "manifest.json").read_text())["run_dir"] == str(run_dir)
+
+
 def test_a_file_changed_within_the_racy_window_is_hashed_again(config_path, tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "RACY_WINDOW_NS", 0)
     manifest = run_pipeline(load_config(config_path), run_root=tmp_path / "runs")

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import struct
 import tracemalloc
 
@@ -160,6 +161,44 @@ def test_read_header_reads_only_the_header(tmp_path):
     assert peak < 1 << 20
 
 
+def test_save_and_checksum_copy_no_payload(tmp_path):
+    params = ParameterSet.from_arrays({"big": np.zeros(1 << 20)})  # 8 MiB
+    tracemalloc.start()
+    try:
+        save_archive(params, tmp_path / "big.dmxt")
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        params.checksum()
+        checksum_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The finiteness check's boolean mask, one byte a value, is all save allocates.
+    assert save_peak < 2 << 20
+    assert checksum_peak < 1 << 20
+
+
+def pinned_set():
+    return ParameterSet.from_arrays(
+        {
+            "m": np.arange(12.0).reshape(3, 4) / 7.0,
+            "s": np.float64(-2.5),
+            "e": np.zeros((2, 0)),
+            "v": np.array([1e-300, -0.0, 1e300]),
+            "t": (np.arange(6.0).reshape(2, 3) - 2.5).T,  # not C-contiguous
+        },
+        model_id="pinned",
+    )
+
+
+def test_checksum_and_archive_bytes_are_pinned(tmp_path):
+    path = tmp_path / "pinned.dmxt"
+    save_archive(pinned_set(), path)
+    assert pinned_set().checksum() == load_archive(path).checksum() == "0f3a4cd0"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "52bead1a521315845bdc5b579109bf4562d1d8fabfb93f773f3eec26f553e4dd"
+    )
+
+
 JSON_ANY = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
@@ -314,6 +353,36 @@ def test_missing_archive_is_an_archive_error_naming_the_path(tmp_path):
     path = tmp_path / "absent.dmxt"
     for read in (read_header, load_archive):
         with pytest.raises(ArchiveError, match="absent.dmxt"):
+            read(path)
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        (b"XXXX" + bytes(12), "corrupt header: bad magic"),
+        (struct.pack("<4sIQ", b"DMXT", 7, 2) + b"{}", "unsupported format version 7"),
+        (struct.pack("<4sIQ", b"DMXT", 1, 2) + b"[]", "corrupt header: "),
+    ],
+    ids=["magic", "version", "json"],
+)
+def test_every_header_error_names_the_archive(tmp_path, blob, message):
+    path = tmp_path / "bad.dmxt"
+    path.write_bytes(blob)
+    for read in (read_header, load_archive):
+        with pytest.raises(ArchiveError) as info:
+            read(path)
+        assert str(info.value).startswith(f"invalid archive {path}: {message}")
+
+
+def test_a_truncated_payload_names_the_archive(tmp_path):
+    path = tmp_path / "short.dmxt"
+    save_archive(small_set(), path)
+    header_end = len(path.read_bytes()) - 24
+    with open(path, "r+b") as fh:
+        fh.truncate(header_end + 16)
+    # read_header checks the declared lengths against the file size too.
+    for read in (read_header, load_archive):
+        with pytest.raises(ArchiveError, match=f"^invalid archive {re.escape(str(path))}: truncated payload"):
             read(path)
 
 
