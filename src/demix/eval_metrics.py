@@ -3,12 +3,19 @@ recovery, and per-domain / macro-average ranks over benchmark score tables.
 
 Conventions used throughout: benchmark scores are "higher is better", rank 1
 is best, and tied values receive the average of the ranks they span.
+
+A :class:`ScoreTable` holds its numbers as arrays in sorted model, benchmark
+and domain order: ``scores`` (models × benchmarks) and ``domain_scores``
+(models × domains). Every mean runs over a C-contiguous row in ``benchmarks()``
+order, so it adds pairwise as ``np.mean`` of that row's list does; tables demix
+writes insert benchmarks in that order. ``rank_table`` keeps its dict output
+because the search ranks through it and the benchmark harness times it there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,25 +26,16 @@ def midranks(values) -> np.ndarray:
     """1-based ascending ranks with ties averaged."""
     xs = np.asarray(values, dtype=np.float64)
     order = np.argsort(xs, kind="stable")
+    ordered = xs[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], xs.size] - 1
     ranks = np.empty(xs.size, dtype=np.float64)
-    i = 0
-    while i < xs.size:
-        j = i
-        while j + 1 < xs.size and xs[order[j + 1]] == xs[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
     return ranks
 
 
-def descending_ranks(values) -> np.ndarray:
-    """1-based ranks where the largest value gets rank 1, ties averaged."""
-    xs = np.asarray(values, dtype=np.float64)
-    return xs.size + 1.0 - midranks(xs)
-
-
-def spearman_rho(xs, ys) -> float:
-    """Pearson correlation of the two rank vectors."""
+def spearman_rho(xs, ys, names=("xs", "ys")) -> float:
+    """Pearson correlation of the two rank vectors; ``names`` label them in errors."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if xs.shape != ys.shape or xs.ndim != 1:
@@ -53,34 +51,34 @@ def spearman_rho(xs, ys) -> float:
     vx = float(np.dot(rx, rx))
     vy = float(np.dot(ry, ry))
     if vx == 0.0 or vy == 0.0:
-        raise MetricError("degenerate ranking: zero rank variance")
+        name = names[0] if vx == 0.0 else names[1]
+        raise MetricError(f"degenerate ranking: zero rank variance in {name}")
     rho = float(np.dot(rx, ry) / math.sqrt(vx * vy))
     return min(1.0, max(-1.0, rho))
 
 
-def top_quartile_rho(reference_scores: dict[str, float], proxy_scores: dict[str, float]) -> float:
-    """Spearman's rho restricted to the quarter of models the reference ranks best.
-
-    The quartile holds ceil(n/4) models selected by reference score (higher is
-    better; ties broken by model id for determinism).
-    """
-    if set(reference_scores) != set(proxy_scores):
-        raise MetricError("top_quartile_rho: model sets differ")
-    n = len(reference_scores)
-    if n < 8:
+def top_quartile_rho(reference, proxy, names=("reference", "proxy")) -> float:
+    """Spearman's rho over the ceil(n/4) models with the best ``reference`` scores.
+    The two aligned vectors hold one score per model in sorted model order, so
+    tied reference scores go to the lower model id."""
+    reference = np.asarray(reference, dtype=np.float64)
+    proxy = np.asarray(proxy, dtype=np.float64)
+    if reference.shape != proxy.shape or reference.ndim != 1:
+        raise MetricError("top_quartile_rho: inputs must be equal-length vectors")
+    if reference.size < 8:
         raise MetricError("top_quartile_rho: need at least 8 models")
-    q = math.ceil(n / 4)
-    selected = sorted(reference_scores, key=lambda m: (-reference_scores[m], m))[:q]
-    return spearman_rho(
-        [reference_scores[m] for m in selected], [proxy_scores[m] for m in selected]
-    )
+    top = np.argsort(-reference, kind="stable")[: math.ceil(reference.size / 4)]
+    return spearman_rho(reference[top], proxy[top], [f"the top quartile of {n}" for n in names])
 
 
-def capability_recovery(proxy_avg: float, reference_avg: float) -> float:
-    """Quotient of proxy average benchmark score to reference average."""
-    if not (reference_avg > 0.0):
-        raise MetricError(f"capability_recovery: nonpositive reference average {reference_avg!r}")
-    return float(proxy_avg) / float(reference_avg)
+def capability_recovery(proxy_avg, reference_avg):
+    """Quotient of proxy average benchmark score to reference average, elementwise."""
+    reference_avg = np.asarray(reference_avg, dtype=np.float64)
+    if not np.all(reference_avg > 0.0):
+        raise MetricError(
+            f"capability_recovery: nonpositive reference average {reference_avg.min()}"
+        )
+    return np.asarray(proxy_avg, dtype=np.float64) / reference_avg
 
 
 @dataclass
@@ -89,22 +87,34 @@ class ScoreTable:
 
     rows: dict[str, dict[str, float]]
     domain_of: dict[str, str]
+    scores: np.ndarray = field(init=False, repr=False, compare=False)
+    domain_scores: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.rows:
             raise ValidationError("score table: no models")
-        benchmarks = None
+        benchmarks = set(next(iter(self.rows.values())))
+        if not benchmarks:
+            raise ValidationError("score table: no benchmarks")
         for model, scores in self.rows.items():
-            if benchmarks is None:
-                benchmarks = set(scores)
-            elif set(scores) != benchmarks:
+            if set(scores) != benchmarks:
                 raise ValidationError(f"score table: model {model!r} has a different benchmark set")
-            for bench, value in scores.items():
-                if not np.isfinite(value):
-                    raise ValidationError(f"score table: non-finite score for {model!r}/{bench!r}")
         missing = benchmarks - set(self.domain_of)
         if missing:
             raise ValidationError(f"score table: missing domain mapping for {sorted(missing)}")
+        models, benches = self.models(), self.benchmarks()
+        self.scores = np.array([[self.rows[m][b] for b in benches] for m in models], dtype=np.float64)
+        bad = np.argwhere(~np.isfinite(self.scores))
+        if bad.size:
+            model, bench = bad[0]
+            raise ValidationError(
+                f"score table: non-finite score for {models[model]!r}/{benches[bench]!r}"
+            )
+        # A boolean column selection comes back strided, and a strided mean
+        # adds left to right; a contiguous copy adds as np.mean of a list does.
+        domain_of = np.array([self.domain_of[b] for b in benches])
+        blocks = [np.ascontiguousarray(self.scores[:, domain_of == d]) for d in self.domains()]
+        self.domain_scores = np.stack([block.mean(axis=1) for block in blocks], axis=1)
 
     def models(self) -> list[str]:
         return sorted(self.rows)
@@ -115,33 +125,16 @@ class ScoreTable:
     def domains(self) -> list[str]:
         return sorted({self.domain_of[b] for b in self.benchmarks()})
 
-    def domain_average(self, model: str, domain: str) -> float:
-        scores = [
-            v for b, v in self.rows[model].items() if self.domain_of[b] == domain
-        ]
-        if not scores:
-            raise ValidationError(f"score table: domain {domain!r} has no benchmarks")
-        return float(np.mean(scores))
-
-    def overall_average(self, model: str) -> float:
-        return float(np.mean(list(self.rows[model].values())))
-
 
 def rank_table(table: ScoreTable) -> dict[str, tuple[dict[str, float], float]]:
     """Per-domain ranks (by domain-average score) and macro rank for every model."""
-    models = table.models()
+    n = len(table.rows)
+    ranks = np.stack([n + 1.0 - midranks(col) for col in table.domain_scores.T], axis=1)
     domains = table.domains()
-    per_model_domain_ranks: dict[str, dict[str, float]] = {m: {} for m in models}
-    for domain in domains:
-        averages = [table.domain_average(m, domain) for m in models]
-        ranks = descending_ranks(averages)
-        for m, r in zip(models, ranks):
-            per_model_domain_ranks[m][domain] = float(r)
-    out = {}
-    for m in models:
-        domain_ranks = per_model_domain_ranks[m]
-        out[m] = (domain_ranks, float(np.mean(list(domain_ranks.values()))))
-    return out
+    return {
+        model: (dict(zip(domains, row)), macro)
+        for model, row, macro in zip(table.models(), ranks.tolist(), ranks.mean(axis=1).tolist())
+    }
 
 
 def consistency_report(reference: ScoreTable, proxy: ScoreTable) -> dict:
@@ -159,21 +152,16 @@ def consistency_report(reference: ScoreTable, proxy: ScoreTable) -> dict:
         raise ValidationError("consistency_report: benchmark sets differ")
     if reference.domain_of != proxy.domain_of:
         raise ValidationError("consistency_report: domain mappings differ")
-    models = reference.models()
+    n = len(reference.rows)
     per_domain = {}
     top_quartile = {}
-    for domain in reference.domains():
-        ref_avg = {m: reference.domain_average(m, domain) for m in models}
-        prox_avg = {m: proxy.domain_average(m, domain) for m in models}
-        per_domain[domain] = spearman_rho(
-            [ref_avg[m] for m in models], [prox_avg[m] for m in models]
-        )
-        if len(models) >= 8:
-            top_quartile[domain] = top_quartile_rho(ref_avg, prox_avg)
-    recoveries = [
-        capability_recovery(proxy.overall_average(m), reference.overall_average(m))
-        for m in models
-    ]
+    for j, domain in enumerate(reference.domains()):
+        ref, prox = reference.domain_scores[:, j], proxy.domain_scores[:, j]
+        names = [f"the {table} table's domain {domain!r}" for table in ("reference", "proxy")]
+        per_domain[domain] = spearman_rho(ref, prox, names)
+        if n >= 8:
+            top_quartile[domain] = top_quartile_rho(ref, prox, names)
+    recoveries = capability_recovery(proxy.scores.mean(axis=1), reference.scores.mean(axis=1))
     return {
         "per_domain_rho": per_domain,
         "macro_avg_rho": float(np.mean(list(per_domain.values()))),
@@ -182,5 +170,5 @@ def consistency_report(reference: ScoreTable, proxy: ScoreTable) -> dict:
             float(np.mean(list(top_quartile.values()))) if top_quartile else None
         ),
         "mean_capability_recovery": float(np.mean(recoveries)),
-        "n_models": len(models),
+        "n_models": n,
     }

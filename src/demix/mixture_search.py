@@ -115,16 +115,11 @@ def _default_ids(n_dims: int) -> list[str]:
 
 
 def _ranking_targets(
-    records: list[ProxyEvaluation], benchmark_domains: dict[str, str] | None
+    records: list[ProxyEvaluation], benchmark_domains: dict[str, str]
 ) -> np.ndarray:
     """Macro-average rank of every evaluated proxy within the population so far."""
     rows = {f"e{rec.index:05d}": rec.per_benchmark_scores for rec in records}
-    benchmarks = sorted(records[0].per_benchmark_scores)
-    if benchmark_domains is None:
-        domain_of = {b: b for b in benchmarks}
-    else:
-        domain_of = dict(benchmark_domains)
-    ranked = rank_table(ScoreTable(rows=rows, domain_of=domain_of))
+    ranked = rank_table(ScoreTable(rows=rows, domain_of=benchmark_domains))
     return np.array([ranked[f"e{rec.index:05d}"][1] for rec in records])
 
 
@@ -133,7 +128,7 @@ def run_search(
     candidate_ids: list[str],
     plan: SamplePlan,
     predictor: BoostedTreesRegressor,
-    benchmark_domains: dict[str, str] | None = None,
+    benchmark_domains: dict[str, str],
 ) -> tuple[MixtureRatio, SearchTranscript]:
     """Run the full iterative search; returns the final mixture and transcript.
 
@@ -142,7 +137,8 @@ def run_search(
     same scores. Evaluator failures are re-raised as SearchError with the
     offending ratio attached. The number of evaluator calls is exactly
     ``plan.total_evaluations()``. ``predictor`` is refit on every evaluation
-    so far after each batch, once per plan entry.
+    so far after each batch, once per plan entry, on macro ranks over the
+    domains ``benchmark_domains`` maps the evaluator's benchmarks to.
     """
     n_dims = len(candidate_ids)
     if n_dims < 1:

@@ -222,7 +222,8 @@ def write_score_csv(table: ScoreTable, scores_path: Path, domains_path: Path | N
 
 
 def _csv_rows(path, header: list[str]):
-    """(line number, fields) of each row under ``header`` in a CSV file."""
+    """(line number, fields) of each row under ``header`` in a CSV file. All
+    fields but the last are the row's key, and a repeated key is an error."""
     try:
         lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
     except UnicodeDecodeError as exc:
@@ -231,11 +232,18 @@ def _csv_rows(path, header: list[str]):
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
     if not lines or lines[0].split(",")[: len(header)] != header:
         raise ValidationError(f"{path}: expected header {','.join(header)}")
+    seen: dict[str, int] = {}
     for number, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
         if len(fields) != len(header):
             raise ValidationError(
                 f"{path}:{number}: expected {len(header)} fields, got {len(fields)}"
+            )
+        key = ",".join(fields[:-1])
+        first = seen.setdefault(key, number)
+        if first != number:
+            raise ValidationError(
+                f"{path}:{number}: repeated {','.join(header[:-1])} {key!r}, first on line {first}"
             )
         yield number, fields
 

@@ -346,6 +346,22 @@ def test_eval_cli(tmp_path, capsys):
     assert set(doc["per_domain_rho"]) == {"dom0", "dom1"}
 
 
+def test_eval_cli_rejects_repeated_rows(tmp_path, capsys):
+    ref, domains = tmp_path / "ref.csv", tmp_path / "domains.csv"
+    argv = ["eval", "--reference", str(ref), "--proxy", str(ref), "--domains", str(domains),
+            "--out", str(tmp_path / "c.json")]
+    rows = "".join(f"m{i},x,{i}.0\nm{i},y,{i % 3}.0\n" for i in range(4))
+    ref.write_text("model_id,benchmark_id,score\n" + rows + "m0,x,9.0\n")
+    domains.write_text("benchmark_id,domain\nx,d1\ny,d2\n")
+    assert main(argv) == 2
+    assert f"{ref}:10: repeated model_id,benchmark_id 'm0,x', first on line 2" in capsys.readouterr().err
+    ref.write_text("model_id,benchmark_id,score\n" + rows)
+    domains.write_text("benchmark_id,domain\nx,d1\ny,d2\nx,d2\n")
+    assert main(argv) == 2
+    assert f"{domains}:4: repeated benchmark_id 'x', first on line 2" in capsys.readouterr().err
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_run_and_report_cli(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from demix.errors import MetricError, ValidationError
 from demix.eval_metrics import (
@@ -87,29 +88,35 @@ def test_midranks_tie_averaging():
 
 
 def test_top_quartile_identity_and_swap():
-    ref = {f"m{i}": float(i) for i in range(8)}
-    assert top_quartile_rho(ref, dict(ref)) == 1.0
-    swapped = dict(ref)
-    swapped["m7"], swapped["m6"] = ref["m6"], ref["m7"]  # swap the top two
+    ref = np.arange(8.0)
+    assert top_quartile_rho(ref, ref.copy()) == 1.0
+    swapped = ref.copy()
+    swapped[[6, 7]] = ref[[7, 6]]  # swap the top two
     assert top_quartile_rho(ref, swapped) == -1.0
 
 
 def test_top_quartile_matches_brute_force_restriction():
     rng = np.random.default_rng(2)
     for _ in range(50):
-        models = [f"m{i}" for i in range(16)]
-        ref = {m: float(rng.standard_normal()) for m in models}
-        prox = {m: float(rng.standard_normal()) for m in models}
-        q = math.ceil(len(models) / 4)
-        chosen = sorted(models, key=lambda m: (-ref[m], m))[:q]
-        expected = brute_force_spearman([ref[m] for m in chosen], [prox[m] for m in chosen])
+        ref = rng.integers(0, 6, size=16).astype(float)  # ties go to the lower index
+        prox = rng.standard_normal(16)
+        q = math.ceil(len(ref) / 4)
+        chosen = sorted(range(len(ref)), key=lambda i: (-ref[i], i))[:q]
+        if len({ref[i] for i in chosen}) < 2:
+            continue
+        expected = brute_force_spearman([ref[i] for i in chosen], [prox[i] for i in chosen])
         assert top_quartile_rho(ref, prox) == pytest.approx(expected, abs=1e-12)
 
 
 def test_top_quartile_needs_eight_models():
-    ref = {f"m{i}": float(i) for i in range(7)}
+    ref = np.arange(7.0)
     with pytest.raises(MetricError, match="at least 8"):
-        top_quartile_rho(ref, dict(ref))
+        top_quartile_rho(ref, ref.copy())
+
+
+def test_top_quartile_needs_vectors_of_one_length():
+    with pytest.raises(MetricError, match="equal-length"):
+        top_quartile_rho(np.arange(8.0), np.arange(9.0))
 
 
 # --- capability recovery --------------------------------------------------------
@@ -123,6 +130,9 @@ def test_capability_recovery_cases():
     assert capability_recovery(4.2, 5.0) == pytest.approx(capability_recovery(42.0, 50.0), rel=1e-12)
     with pytest.raises(MetricError, match="nonpositive"):
         capability_recovery(1.0, 0.0)
+    assert capability_recovery([1.0, 3.0], [2.0, 4.0]).tolist() == [0.5, 0.75]
+    with pytest.raises(MetricError, match="nonpositive reference average -1.0"):
+        capability_recovery([1.0, 1.0], [2.0, -1.0])
 
 
 # --- rank metrics ----------------------------------------------------------------
@@ -200,8 +210,22 @@ def test_score_table_validation():
         ScoreTable(rows={"a": {"x": 1.0}, "b": {"y": 1.0}}, domain_of={"x": "d", "y": "d"})
     with pytest.raises(ValidationError, match="missing domain"):
         ScoreTable(rows={"a": {"x": 1.0}}, domain_of={})
-    with pytest.raises(ValidationError, match="non-finite"):
-        ScoreTable(rows={"a": {"x": float("nan")}}, domain_of={"x": "d"})
+    with pytest.raises(ValidationError, match="non-finite score for 'b'/'y'"):
+        ScoreTable(rows={"a": {"x": 1.0, "y": 2.0}, "b": {"x": 1.0, "y": float("inf")}},
+                   domain_of={"x": "d", "y": "d"})
+    with pytest.raises(ValidationError, match="no benchmarks"):
+        ScoreTable(rows={"a": {}}, domain_of={})
+    with pytest.raises(ValidationError, match="no models"):
+        ScoreTable(rows={}, domain_of={})
+
+
+def test_score_table_arrays_are_in_sorted_order():
+    table = ScoreTable(
+        rows={"b": {"y": 4.0, "x": 3.0, "z": 8.0}, "a": {"x": 1.0, "y": 2.0, "z": 6.0}},
+        domain_of={"x": "d1", "y": "d0", "z": "d1"},
+    )
+    assert table.scores.tolist() == [[1.0, 2.0, 6.0], [3.0, 4.0, 8.0]]
+    assert table.domain_scores.tolist() == [[2.0, 3.5], [4.0, 5.5]]
 
 
 # --- consistency report ------------------------------------------------------------
@@ -262,3 +286,123 @@ def test_consistency_rejects_mismatched_tables():
     other = random_table(rng, models + ["extra"], {"b0": "d"})
     with pytest.raises(ValidationError, match="model sets differ"):
         consistency_report(ref, other)
+
+
+def test_a_degenerate_domain_is_named_with_its_table():
+    rng = np.random.default_rng(8)
+    models = [f"m{i}" for i in range(10)]
+    benches = {"x": "d0", "y": "d1", "z": "d1"}
+    varied = random_table(rng, models, benches)
+    flat = ScoreTable(
+        rows={m: {**varied.rows[m], "y": 50.0, "z": 50.0} for m in models}, domain_of=benches
+    )
+    with pytest.raises(MetricError, match="zero rank variance in the reference table's domain 'd1'"):
+        consistency_report(flat, varied)
+    with pytest.raises(MetricError, match="zero rank variance in the proxy table's domain 'd1'"):
+        consistency_report(varied, flat)
+    # The three best reference averages of d1 tie, so only its top quartile is degenerate.
+    top_tied = ScoreTable(
+        rows={m: {**varied.rows[m], "y": 60.0 + min(i, 7), "z": 60.0} for i, m in enumerate(models)},
+        domain_of=benches,
+    )
+    with pytest.raises(
+        MetricError, match="in the top quartile of the reference table's domain 'd1'"
+    ):
+        consistency_report(top_tied, varied)
+
+
+# --- equality with the dict-of-dicts implementation ----------------------------------
+#
+# Before score tables became arrays, every rank and correlation went through
+# per-model loops over ScoreTable.rows. The functions below are that
+# implementation, kept as the reference the array code must equal exactly.
+
+
+def dict_midranks(values):
+    xs = np.asarray(values, dtype=np.float64)
+    order = np.argsort(xs, kind="stable")
+    ranks = np.empty(xs.size, dtype=np.float64)
+    i = 0
+    while i < xs.size:
+        j = i
+        while j + 1 < xs.size and xs[order[j + 1]] == xs[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def dict_domain_average(table, model, domain):
+    return float(np.mean([v for b, v in table.rows[model].items() if table.domain_of[b] == domain]))
+
+
+def dict_rank_table(table):
+    models = table.models()
+    per_model = {m: {} for m in models}
+    for domain in table.domains():
+        averages = np.asarray([dict_domain_average(table, m, domain) for m in models])
+        for m, r in zip(models, averages.size + 1.0 - dict_midranks(averages)):
+            per_model[m][domain] = float(r)
+    return {m: (ranks, float(np.mean(list(ranks.values())))) for m, ranks in per_model.items()}
+
+
+def dict_consistency_report(reference, proxy):
+    models = reference.models()
+    per_domain, top_quartile = {}, {}
+    for domain in reference.domains():
+        ref_avg = {m: dict_domain_average(reference, m, domain) for m in models}
+        prox_avg = {m: dict_domain_average(proxy, m, domain) for m in models}
+        per_domain[domain] = spearman_rho([ref_avg[m] for m in models], [prox_avg[m] for m in models])
+        if len(models) >= 8:
+            top = sorted(models, key=lambda m: (-ref_avg[m], m))[: math.ceil(len(models) / 4)]
+            top_quartile[domain] = spearman_rho([ref_avg[m] for m in top], [prox_avg[m] for m in top])
+    overall = lambda table, m: np.mean(list(table.rows[m].values()))  # noqa: E731
+    recoveries = [float(overall(proxy, m)) / float(overall(reference, m)) for m in models]
+    return {
+        "per_domain_rho": per_domain,
+        "macro_avg_rho": float(np.mean(list(per_domain.values()))),
+        "top_quartile_rho": top_quartile,
+        "top_quartile_macro": float(np.mean(list(top_quartile.values()))) if top_quartile else None,
+        "mean_capability_recovery": float(np.mean(recoveries)),
+        "n_models": len(models),
+    }
+
+
+def drawn_table(rng, models, domain_of, pool):
+    """Scores drawn from ``pool`` (few values: heavy ties), benchmarks inserted
+    in sorted order as every table demix writes them."""
+    return ScoreTable(
+        rows={m: {b: float(rng.choice(pool)) for b in sorted(domain_of)} for m in models},
+        domain_of=domain_of,
+    )
+
+
+POOL = st.lists(st.floats(0.5, 100.0), min_size=1, max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_models=st.integers(8, 40),
+    # The first domain has 8 or more benchmarks, where np.mean adds pairwise.
+    big=st.integers(8, 10),
+    sizes=st.lists(st.integers(1, 10), max_size=8),
+    ref_pool=POOL,
+    proxy_pool=POOL,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_array_tables_equal_the_dict_implementation(n_models, big, sizes, ref_pool, proxy_pool, seed):
+    rng = np.random.default_rng(seed)
+    models = [f"m{i:02d}" for i in rng.permutation(n_models)]
+    domains = [f"d{k}" for k, size in enumerate([big, *sizes]) for _ in range(size)]
+    domain_of = {f"b{j:02d}": d for j, d in enumerate(rng.permutation(domains))}
+    reference = drawn_table(rng, models, domain_of, ref_pool)
+    proxy = drawn_table(rng, models, domain_of, proxy_pool)
+    assert rank_table(reference) == dict_rank_table(reference)
+    assert rank_table(proxy) == dict_rank_table(proxy)
+    try:
+        expected = dict_consistency_report(reference, proxy)
+    except MetricError:
+        with pytest.raises(MetricError, match="degenerate ranking"):
+            consistency_report(reference, proxy)
+    else:
+        assert consistency_report(reference, proxy) == expected

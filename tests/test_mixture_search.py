@@ -103,6 +103,10 @@ def test_fit_requires_two_observations_and_finite_targets():
 # --- run_search -------------------------------------------------------------------
 
 
+# The one benchmark every test evaluator scores, in a domain of its own.
+OBJECTIVE = {"objective": "objective"}
+
+
 def make_evaluator(fn):
     def evaluator(ratio):
         return {"objective": -fn(ratio)}
@@ -123,7 +127,7 @@ def fast_predictor():
 def test_single_iteration_structural_contract():
     plan = SamplePlan(per_iteration_counts=[2], final_candidate_pool=10, top_k_average=2, rng_seed=1)
     best, transcript = run_search(
-        make_evaluator(lambda r: float(r.weights[0])), ["a", "b", "c"], plan, fast_predictor()
+        make_evaluator(lambda r: float(r.weights[0])), ["a", "b", "c"], plan, fast_predictor(), OBJECTIVE
     )
     assert len(transcript.evaluations) == 2
     assert best.weights.sum() == pytest.approx(1.0, abs=1e-9)
@@ -131,7 +135,9 @@ def test_single_iteration_structural_contract():
 
 def test_constant_evaluator_all_scores_equal():
     plan = small_plan()
-    best, transcript = run_search(make_evaluator(lambda r: 1.0), ["a", "b"], plan, fast_predictor())
+    best, transcript = run_search(
+        make_evaluator(lambda r: 1.0), ["a", "b"], plan, fast_predictor(), OBJECTIVE
+    )
     ranking_scores = {rec.ranking_score for rec in transcript.evaluations}
     assert len(ranking_scores) == 1
     assert best.weights.sum() == pytest.approx(1.0, abs=1e-9)
@@ -145,15 +151,15 @@ def test_evaluator_call_budget_is_exact():
         return {"objective": float(ratio.weights[0])}
 
     plan = small_plan(per_iteration_counts=[5, 3, 2])
-    run_search(evaluator, ["a", "b", "c"], plan, fast_predictor())
+    run_search(evaluator, ["a", "b", "c"], plan, fast_predictor(), OBJECTIVE)
     assert len(calls) == 10
 
 
 def test_search_is_reproducible():
     plan = small_plan(per_iteration_counts=[6, 3])
     evaluator = make_evaluator(lambda r: float(np.abs(r.weights - [0.7, 0.3]).sum()))
-    best1, t1 = run_search(evaluator, ["a", "b"], plan, fast_predictor())
-    best2, t2 = run_search(evaluator, ["a", "b"], plan, fast_predictor())
+    best1, t1 = run_search(evaluator, ["a", "b"], plan, fast_predictor(), OBJECTIVE)
+    best2, t2 = run_search(evaluator, ["a", "b"], plan, fast_predictor(), OBJECTIVE)
     assert np.array_equal(best1.weights, best2.weights)
     assert t1.to_jsonl() == t2.to_jsonl()
 
@@ -176,7 +182,7 @@ def test_selection_actually_selects():
     plan = small_plan(per_iteration_counts=counts, final_candidate_pool=400)
     predictor = RecordingRegressor(n_rounds=60)
     _, transcript = run_search(
-        make_evaluator(lambda r: float(r.weights[0])), ["a", "b", "c"], plan, predictor
+        make_evaluator(lambda r: float(r.weights[0])), ["a", "b", "c"], plan, predictor, OBJECTIVE
     )
     assert len(predictor.scored) == len(counts)  # one pool per later iteration, one final
     for t in range(1, len(counts)):
@@ -192,7 +198,7 @@ def test_later_iterations_concentrate_near_optimum():
     target = np.array([0.6, 0.3, 0.1])
     evaluator = make_evaluator(lambda r: float(np.abs(r.weights - target).sum()))
     plan = small_plan(per_iteration_counts=[16, 8], final_candidate_pool=2000, top_k_average=32)
-    _, transcript = run_search(evaluator, ["a", "b", "c"], plan, fast_predictor())
+    _, transcript = run_search(evaluator, ["a", "b", "c"], plan, fast_predictor(), OBJECTIVE)
     first = [r for r in transcript.evaluations if r.iteration == 0]
     last = [r for r in transcript.evaluations if r.iteration == 1]
     dist = lambda recs: np.mean([np.abs(r.ratio.weights - target).sum() for r in recs])
@@ -202,7 +208,7 @@ def test_later_iterations_concentrate_near_optimum():
 def test_ranking_scores_are_descending_ranks_of_final_population():
     plan = small_plan(per_iteration_counts=[4, 2], final_candidate_pool=100, top_k_average=4)
     evaluator = make_evaluator(lambda r: float(r.weights[0]))
-    _, transcript = run_search(evaluator, ["a", "b"], plan, fast_predictor())
+    _, transcript = run_search(evaluator, ["a", "b"], plan, fast_predictor(), OBJECTIVE)
     scores = [rec.per_benchmark_scores["objective"] for rec in transcript.evaluations]
     got = [rec.ranking_score for rec in transcript.evaluations]
     # single benchmark: best score gets rank 1, and a full ranking sums to n(n+1)/2
@@ -220,13 +226,13 @@ def test_evaluator_failure_carries_the_ratio():
         raise RuntimeError("boom")
 
     with pytest.raises(SearchError) as err:
-        run_search(evaluator, ["a", "b"], small_plan(), fast_predictor())
+        run_search(evaluator, ["a", "b"], small_plan(), fast_predictor(), OBJECTIVE)
     assert err.value.ratio is not None
 
 
 def test_transcript_jsonl_is_parseable():
     plan = small_plan(per_iteration_counts=[3, 2])
-    _, transcript = run_search(make_evaluator(lambda r: 0.5), ["a", "b"], plan, fast_predictor())
+    _, transcript = run_search(make_evaluator(lambda r: 0.5), ["a", "b"], plan, fast_predictor(), OBJECTIVE)
     lines = transcript.to_jsonl().strip().splitlines()
     assert len(lines) == 5
     for line in lines:

@@ -59,8 +59,18 @@ def test_ratio_parses_or_gives_a_typed_error(text):
     value_or_typed_error(_parse_ratio, text, ["a", "b", "c"])
 
 
+def csv_body(*columns):
+    """CSV bodies over a few values per column, so that rows often make a
+    whole table and often repeat a key."""
+    line = st.tuples(*(st.sampled_from(values) for values in columns)).map(",".join)
+    return st.lists(line, max_size=6).map("\n".join)
+
+
 @settings(max_examples=200, deadline=None)
-@given(scores=st.text(), domains=st.text())
+@given(
+    scores=st.text() | csv_body(["a", "b"], ["x", "y"], ["1.0", "2.5", "nan", ""]),
+    domains=st.text() | csv_body(["x", "y"], ["d1", "d2"]),
+)
 def test_score_csv_parses_or_gives_a_typed_error(tmp_path_factory, scores, domains):
     root = tmp_path_factory.mktemp("csv")
     (root / "scores.csv").write_text("model_id,benchmark_id,score\n" + scores, encoding="utf-8")

@@ -494,6 +494,19 @@ def test_a_score_table_that_does_not_line_up_is_an_error_naming_its_file(config_
         run_pipeline(load_config(config_path), run_root=warm_root)
 
 
+@pytest.mark.parametrize("name, header", [("references.csv", "model_id,benchmark_id"),
+                                          ("domains.csv", "benchmark_id")])
+def test_a_repeated_score_csv_row_is_an_error_naming_its_line(config_path, warm_root, name, header):
+    (run_dir,) = warm_root.iterdir()
+    path = run_dir / name
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines + lines[1:2]))  # the first row again, last
+    with pytest.raises(ValidationError, match=re.escape(
+            f"{path}:{len(lines) + 1}: repeated {header} '{','.join(lines[1].split(',')[:-1])}', "
+            "first on line 2")):
+        run_pipeline(load_config(config_path), run_root=warm_root)
+
+
 def test_manifest_round_trips(config_path, tmp_path):
     manifest = run_pipeline(load_config(config_path), run_root=tmp_path / "runs")
     loaded = ExperimentManifest.load(Path(manifest.run_dir) / "manifest.json")
