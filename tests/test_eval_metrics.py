@@ -210,13 +210,19 @@ def test_score_table_validation():
         ScoreTable(rows={"a": {"x": 1.0}, "b": {"y": 1.0}}, domain_of={"x": "d", "y": "d"})
     with pytest.raises(ValidationError, match="missing domain"):
         ScoreTable(rows={"a": {"x": 1.0}}, domain_of={})
-    with pytest.raises(ValidationError, match="non-finite score for 'b'/'y'"):
-        ScoreTable(rows={"a": {"x": 1.0, "y": 2.0}, "b": {"x": 1.0, "y": float("inf")}},
-                   domain_of={"x": "d", "y": "d"})
     with pytest.raises(ValidationError, match="no benchmarks"):
         ScoreTable(rows={"a": {}}, domain_of={})
     with pytest.raises(ValidationError, match="no models"):
         ScoreTable(rows={}, domain_of={})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_score_table_rejects_non_finite_scores(bad):
+    with pytest.raises(ValidationError, match="non-finite"):
+        ScoreTable(rows={"a": {"x": bad}}, domain_of={"x": "d"})
+    with pytest.raises(ValidationError, match="non-finite score for 'b'/'y'"):
+        ScoreTable(rows={"a": {"x": 1.0, "y": 2.0}, "b": {"x": 1.0, "y": bad}},
+                   domain_of={"x": "d", "y": "d"})
 
 
 def test_score_table_arrays_are_in_sorted_order():
@@ -374,6 +380,27 @@ def drawn_table(rng, models, domain_of, pool):
     return ScoreTable(
         rows={m: {b: float(rng.choice(pool)) for b in sorted(domain_of)} for m in models},
         domain_of=domain_of,
+    )
+
+
+def test_results_do_not_depend_on_benchmark_insertion_order():
+    # Domain averages add in sorted benchmark order, so a table read from a
+    # CSV whose rows come in another order gives the same bits.
+    rng = np.random.default_rng(11)
+    models = [f"m{i:02d}" for i in range(12)]
+    domain_of = {f"b{j:02d}": f"d{j % 2}" for j in range(18)}
+    values = {m: {b: 50.0 + float(rng.standard_normal()) for b in domain_of} for m in models}
+    shuffled = [b for b in rng.permutation(sorted(domain_of))]
+
+    def table(order, shift=0.0):
+        return ScoreTable(rows={m: {b: values[m][b] + shift for b in order} for m in models},
+                          domain_of=domain_of)
+
+    in_order, out_of_order = table(sorted(domain_of)), table(shuffled)
+    assert list(out_of_order.rows["m00"]) != sorted(domain_of)
+    assert rank_table(in_order) == rank_table(out_of_order)
+    assert consistency_report(in_order, table(sorted(domain_of), 0.1)) == consistency_report(
+        out_of_order, table(shuffled, 0.1)
     )
 
 
