@@ -17,22 +17,30 @@ Guestrin, arXiv:1603.02754). One (d x m-1) gain matrix scores every split of
 a node, and its first row-major maximum gives the lowest feature, then the
 lowest threshold, on ties.
 
-Scoring walks no tree. Each tree is stored complete, in heap order, down to
-its own depth: a leaf above the last level is a node with threshold +inf
-over two copies of itself. Rows are scored in fixed blocks, one contiguous
-column per feature. Level by level, each node costs one column comparison
-(``x <= threshold``) and a few boolean ANDs/ORs over the block, in the
-spirit of QuickScorer (Lucchese et al., SIGIR 2015); the go-right bits of
-the levels form each row's leaf index, which gathers the leaf values.
-Padding costs 2**depth per tree, so ``max_depth`` is bounded by
-``MAX_DEPTH``.
+Scoring walks no tree and scores no cell twice. Each tree is stored
+complete, in heap order, down to its own depth: a leaf above the last level
+is a node with threshold +inf over two copies of itself. The ensemble's
+finite thresholds on a feature are its cuts, and a row's rank on the feature
+is the number of cuts below its value: ``x <= cut_j`` holds exactly when the
+rank is ``<= j``, so every node compares a rank with a limit. Rows of equal
+ranks on every feature form a cell. They take the same branch at every node
+of every tree, so one row per cell is scored and its score copied to the
+rest; sorting a mixed-radix code of the ranks finds the cells. Trees with
+the same features and thresholds share one leaf index per block of cells
+(a search's 300 trees have 160-190 distinct split structures). Level by
+level, each node costs one column comparison and a few boolean ANDs/ORs
+over the block, in the spirit of QuickScorer (Lucchese et al., SIGIR 2015);
+the go-right bits of the levels form each cell's leaf index, which gathers
+the leaf values. Padding costs 2**depth per tree, so ``max_depth`` is
+bounded by ``MAX_DEPTH``.
 
 The results are bit-identical to a per-node argsort and a node-by-node
 walk: a node's presorted slice is exactly the stable argsort of its rows,
 the cumulative sums run in the same order, means and sums are taken over
-the node's rows in ascending row order, the in-sample update reuses the
-leaf partitions the tree was grown from, and trees are added to each row's
-sum in the same order.
+the node's rows in ascending row order, and the in-sample update reuses the
+leaf partitions the tree was grown from. A row's score adds the same
+``learning_rate * value`` terms, in tree order, as the walk's: those of its
+cell's scored row, which took the same branches.
 """
 
 from __future__ import annotations
@@ -46,8 +54,9 @@ from .errors import ValidationError
 _MIN_GAIN = 1e-12
 # A complete tree of depth 8 has 255 split nodes and 256 leaves.
 MAX_DEPTH = 8
-# Rows scored at once: bounds the scratch memory of predict.
-_BLOCK_ROWS = 8192
+# Cells scored at once are _BLOCK_BYTES >> depth: a level's node masks take
+# about 1.5 * 2**depth bytes per cell, so blocks shrink as trees deepen.
+_BLOCK_BYTES = 2**18
 
 
 @dataclass
@@ -145,19 +154,76 @@ def _grow_tree(XT: np.ndarray, order: np.ndarray, xs: np.ndarray, y: np.ndarray,
     return RegressionTree(feature=feature, threshold=threshold, value=value), fitted
 
 
-def _leaf_index(tree: RegressionTree, columns: np.ndarray) -> np.ndarray:
-    """Leaf position of each row of a block given as ``columns`` (d x b)."""
+def _ranks(trees: list[RegressionTree], X: np.ndarray):
+    """Each row's rank on every feature, the number of ranks per feature, and
+    each tree's split nodes as rank limits.
+
+    A row's rank on feature f is the number of the ensemble's cuts on f (its
+    finite thresholds) below the row's value, so ``x <= cut_j`` exactly when
+    the rank is ``<= j``: a node with threshold ``cut_j`` has limit ``j``.
+    Padding nodes (threshold +inf) get a limit no rank exceeds."""
+    feature = np.concatenate([tree.feature for tree in trees])
+    threshold = np.concatenate([tree.threshold for tree in trees])
+    split = np.isfinite(threshold)
+    on = [split & (feature == f) for f in range(X.shape[1])]
+    cuts = [np.sort(threshold[on_f]) for on_f in on]
+    cuts = [c[_run_starts(c)] for c in cuts]
+    top = max(c.size for c in cuts)
+    ranks = np.empty((X.shape[1], X.shape[0]), dtype=np.min_scalar_type(top))
+    limit = np.full(feature.size, top, dtype=ranks.dtype)
+    for f, (c, on_f) in enumerate(zip(cuts, on)):
+        ranks[f] = np.searchsorted(c, X[:, f])
+        limit[on_f] = np.searchsorted(c, threshold[on_f])
+    bounds = np.cumsum([tree.feature.size for tree in trees])[:-1]
+    return ranks, [c.size + 1 for c in cuts], np.split(limit, bounds)
+
+
+def _cells(ranks: np.ndarray, n_ranks: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The rows ordered by cell, and where each cell starts in that order.
+
+    A cell is a combination of ranks, one per feature (``n_ranks[f]`` of them
+    on feature f), coded in mixed radix."""
+    code = np.zeros(ranks.shape[1], dtype=np.int64)
+    radix = 1  # codes lie in [0, radix)
+    for rank, count in zip(ranks, n_ranks):
+        if count == 1:
+            continue
+        if radix * count > 2**62:
+            # Re-rank the codes so far before the mixed radix could overflow.
+            distinct, code = np.unique(code, return_inverse=True)
+            code = code.astype(np.int64, copy=False)
+            radix = distinct.size
+        code *= count
+        code += rank
+        radix *= count
+    order = np.argsort(code)
+    code.sort()  # in place: no second pool-sized array
+    return order, np.flatnonzero(_run_starts(code))
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of a sorted array starts, as a mask.
+    (``np.unique`` would do, but it imports ``numpy.ma``: 1.3 MB resident.)"""
+    first = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return first
+
+
+def _leaf_index(feature: np.ndarray, limit: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Leaf position of each row of a block of ranks given as ``columns``
+    (d x b), in the tree whose heap-ordered split nodes send rows with
+    ``rank[feature[i]] <= limit[i]`` left."""
     # 2**MAX_DEPTH leaves fit a byte, and byte arithmetic is cheapest.
     index = np.zeros(columns.shape[1], dtype=np.uint8)
     # at[j]: the rows at node j of the current level (None: all rows).
     at: list[np.ndarray | None] = [None]
-    for level in range(tree.depth):
+    for level in range(feature.size.bit_length()):
         first = 2**level - 1
         below: list[np.ndarray | None] = []
         go_right = None
         for j, rows in enumerate(at):
             node = first + j
-            left = columns[tree.feature[node]] <= tree.threshold[node]
+            left = columns[feature[node]] <= limit[node]
             if rows is None:
                 right = ~left
             else:
@@ -168,7 +234,7 @@ def _leaf_index(tree: RegressionTree, columns: np.ndarray) -> np.ndarray:
         index += index
         index += go_right.view(np.uint8)
         at = below
-    return index.astype(np.intp)
+    return index
 
 
 @dataclass
@@ -219,6 +285,8 @@ class BoostedTreesRegressor:
         return self
 
     def predict(self, X) -> np.ndarray:
+        if not self.trees:
+            raise ValidationError("gbdt: predict before fit")
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValidationError(
@@ -226,12 +294,32 @@ class BoostedTreesRegressor:
             )
         if not np.all(np.isfinite(X)):
             raise ValidationError("gbdt: non-finite rows")
+        ranks, n_ranks, limits = _ranks(self.trees, X)
+        order, starts = _cells(ranks, n_ranks)
         # learning_rate * value[i] is the same product for every row at leaf i.
         scaled = [self.learning_rate * tree.value for tree in self.trees]
-        out = np.full(X.shape[0], self.base_prediction)
-        for start in range(0, X.shape[0], _BLOCK_ROWS):
-            columns = np.ascontiguousarray(X[start : start + _BLOCK_ROWS].T)
-            block = out[start : start + _BLOCK_ROWS]
-            for tree, leaf_terms in zip(self.trees, scaled):
-                block += leaf_terms[_leaf_index(tree, columns)]
+        structures: dict[tuple[bytes, bytes], int] = {}
+        shared = [structures.setdefault((tree.feature.tobytes(), limit.tobytes()),
+                                        len(structures))
+                  for tree, limit in zip(self.trees, limits)]
+        # The trees of one structure recur within a few rounds: its leaf index
+        # is dropped after its last tree, so few are held at once.
+        last = {k: i for i, k in enumerate(shared)}
+        step = _BLOCK_BYTES >> max(tree.depth for tree in self.trees)
+        out = np.empty(X.shape[0])
+        for first in range(0, starts.size, step):
+            # The cells of a block: the rows from heads[j] on, in cell order,
+            # share the score of row order[heads[j]].
+            heads = starts[first : first + step]
+            end = starts[first + step] if first + step < starts.size else X.shape[0]
+            columns = np.take(ranks, order[heads], axis=1)
+            scores = np.full(heads.size, self.base_prediction)
+            leaves: list[np.ndarray | None] = [None] * len(structures)
+            for i, k in enumerate(shared):
+                if leaves[k] is None:
+                    leaves[k] = _leaf_index(self.trees[i].feature, limits[i], columns)
+                scores += np.take(scaled[i], leaves[k])
+                if last[k] == i:
+                    leaves[k] = None
+            out[order[heads[0] : end]] = np.repeat(scores, np.diff(heads, append=end))
         return out

@@ -93,7 +93,9 @@ def _sample_rows(rng: np.random.Generator, count: int, n_dims: int) -> np.ndarra
     if n_dims == 1:
         return np.ones((count, 1))
     e = rng.standard_exponential((count, n_dims))
-    return e / e.sum(axis=1, keepdims=True)
+    # In place: the same division without a second pool-sized array.
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def sample_simplex(

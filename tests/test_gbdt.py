@@ -184,17 +184,207 @@ def test_fit_and_predict_match_the_reference_bit_for_bit(
     _assert_matches_reference(model, reference, pool)
 
 
-@pytest.mark.parametrize(
-    "pool_rows",
-    [1, 100, gbdt._BLOCK_ROWS, 2 * gbdt._BLOCK_ROWS + 123],
-    ids=["one-row", "under-one-block", "one-block", "partial-last-block"],
-)
-def test_pools_of_any_number_of_blocks_match_the_reference(pool_rows):
-    rng = np.random.default_rng(7)
+def _walk_predict(model, pool):
+    """The model's own heap-ordered trees walked node by node, row by row,
+    each tree's term added in tree order."""
+    out = np.full(pool.shape[0], model.base_prediction)
+    rows = np.arange(pool.shape[0])
+    for tree in model.trees:
+        node = np.zeros(pool.shape[0], dtype=np.int64)
+        for _ in range(tree.depth):
+            go_left = pool[rows, tree.feature[node]] <= tree.threshold[node]
+            node = np.where(go_left, 2 * node + 1, 2 * node + 2)
+        out += model.learning_rate * tree.value[node - tree.feature.size]
+    return out
+
+
+def _assert_walk_matches(model, pool):
+    got = model.predict(pool)
+    want = _walk_predict(model, pool)
+    # Compared as bits, so that -0.0 and 0.0 differ.
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _cuts(model, f):
+    """The model's finite thresholds on feature f, sorted, without repeats."""
+    return np.unique([t for tree in model.trees for g, t in zip(tree.feature, tree.threshold)
+                      if g == f and np.isfinite(t)])
+
+
+def _smooth_model(n_rounds=40, seed=7):
+    rng = np.random.default_rng(seed)
     X = rng.random((80, 3))
     y = np.sin(6 * X[:, 0]) + X[:, 1] ** 2 + 0.1 * rng.normal(size=80)
-    model = BoostedTreesRegressor(n_rounds=40).fit(X, y)
-    _assert_matches_reference(model, _ref_fit_like(model, X, y), rng.random((pool_rows, 3)))
+    return BoostedTreesRegressor(n_rounds=n_rounds).fit(X, y), X, y
+
+
+@pytest.mark.parametrize(
+    "block_cells",
+    [1, 10**6, "cells", "partial"],
+    ids=["one-cell-blocks", "under-one-block", "one-block", "partial-last-block"],
+)
+def test_pools_of_any_number_of_blocks_match_the_reference(block_cells, monkeypatch):
+    model, X, y = _smooth_model()
+    rng = np.random.default_rng(8)
+    pool = rng.random((3000, 3))
+    n_cells = gbdt._cells(*gbdt._ranks(model.trees, pool)[:2])[1].size
+    assert 100 < n_cells < pool.shape[0]
+    block_cells = {"cells": n_cells, "partial": (n_cells - 1) // 2}.get(block_cells, block_cells)
+    depth = max(tree.depth for tree in model.trees)
+    monkeypatch.setattr(gbdt, "_BLOCK_BYTES", block_cells << depth)
+    _assert_matches_reference(model, _ref_fit_like(model, X, y), pool)
+
+
+def _pool_inside_cells(model, rng, rows):
+    """Rows drawn from a few cells: per feature, values strictly between two
+    neighbouring cuts (or beyond the outermost ones), so many rows share a cell."""
+    columns = []
+    for f in range(model.n_features):
+        edges = np.concatenate(([-1.0], _cuts(model, f), [2.0]))
+        gap = rng.integers(0, edges.size - 1, size=4)[rng.integers(0, 4, size=rows)]
+        frac = rng.uniform(0.05, 0.95, size=rows)
+        columns.append(edges[gap] + frac * (edges[gap + 1] - edges[gap]))
+    return np.stack(columns, axis=1)
+
+
+@pytest.mark.parametrize(
+    "kind", ["duplicated", "jittered-in-cell", "on-cuts", "zero-row", "one-row"]
+)
+def test_pools_with_many_rows_per_cell_match_the_reference(kind):
+    model, X, y = _smooth_model()
+    rng = np.random.default_rng(9)
+    if kind == "duplicated":
+        pool = rng.random((40, 3))[rng.integers(0, 40, size=2000)]
+    elif kind == "jittered-in-cell":
+        pool = _pool_inside_cells(model, rng, 2000)
+    elif kind == "on-cuts":
+        pool = _pool_inside_cells(model, rng, 2000)
+        for f in range(3):
+            cuts = _cuts(model, f)
+            hit = rng.random(2000) < 0.5
+            pool[hit, f] = cuts[rng.integers(0, cuts.size, size=hit.sum())]
+    else:
+        pool = rng.random(({"zero-row": 0, "one-row": 1}[kind], 3))
+    _assert_matches_reference(model, _ref_fit_like(model, X, y), pool)
+    _assert_walk_matches(model, pool)
+
+
+def test_negative_zero_scores_like_zero():
+    # A fitted threshold at 0.0 = (-1 + 1) / 2, and stumps at -0.0 and 0.0.
+    X = np.array([[-1.0], [-1.0], [1.0], [1.0]])
+    model = BoostedTreesRegressor(n_rounds=20, min_samples_leaf=1).fit(X, [0.0, 0.1, 1.0, 1.3])
+    assert {tree.threshold[0] for tree in model.trees} == {0.0}
+    model.trees += [_stump(0, -0.0, 0.5, -0.5), _stump(0, 0.0, -0.25, 0.75)]
+    pool = np.array([[-0.0], [0.0], [-5e-324], [5e-324], [-1.0], [1.0]])
+    _assert_walk_matches(model, pool)
+    # -0.0 and 0.0 fall in one cell, so they score alike.
+    assert model.predict(pool)[0] == model.predict(pool)[1]
+
+
+def test_a_simplex_pool_matches_the_reference():
+    from demix.mixture_search import _sample_rows
+
+    rng = np.random.default_rng(10)
+    X = _sample_rows(rng, 112, 3)
+    y = X @ np.array([1.0, -2.0, 0.5]) + 0.05 * rng.normal(size=112)
+    model = BoostedTreesRegressor(n_rounds=60).fit(X, y)
+    pool = _sample_rows(rng, 20_000, 3)
+    _assert_matches_reference(model, _ref_fit_like(model, X, y), pool)
+
+
+def _stump(feature, threshold, left, right):
+    return gbdt.RegressionTree(feature=np.array([feature]), threshold=np.array([threshold]),
+                               value=np.array([left, right]))
+
+
+def _model_of(trees, n_features, base=0.25):
+    model = BoostedTreesRegressor(learning_rate=0.1)
+    model.trees, model.n_features, model.base_prediction = trees, n_features, base
+    return model
+
+
+def test_cell_codes_past_the_radix_limit_match_the_reference():
+    # 10 features with 120 cuts each: 121**10 cells exceed 2**62, so the codes
+    # are re-ranked before the last features join them.
+    rng = np.random.default_rng(11)
+    cuts = np.sort(rng.random((10, 120)), axis=1)
+    assert 121**10 > 2**62
+    trees = [_stump(f, cuts[f, j], *rng.normal(size=2)) for j in rng.permutation(120)
+             for f in range(10)]
+    model = _model_of(trees, 10)
+    pool = rng.random((3000, 10))
+    pool[::3, :] = cuts[np.arange(10), rng.integers(0, 120, size=(1000, 10))]
+    pool[1::3] = pool[::3]
+    _assert_walk_matches(model, pool)
+
+
+def test_cell_codes_are_re_ranked_before_they_could_wrap():
+    # Unranked, the codes of these two rows would be 0 and 2**31 * 2**32 * 2,
+    # which wraps to 0 in int64: two cells would merge into one.
+    ranks = np.array([[0, 2**31], [0, 0], [0, 0]], dtype=np.uint32)
+    order, starts = gbdt._cells(ranks, [2**32, 2**32, 2])
+    assert starts.tolist() == [0, 1] and sorted(order.tolist()) == [0, 1]
+
+
+def test_a_model_of_single_leaves_scores_every_row_alike():
+    rng = np.random.default_rng(12)
+    trees = [gbdt.RegressionTree(feature=np.zeros(0, dtype=np.int64), threshold=np.zeros(0),
+                                 value=np.array([v])) for v in rng.normal(size=30)]
+    model = _model_of(trees, 4)
+    pool = rng.random((500, 4))
+    _assert_walk_matches(model, pool)
+    assert np.unique(model.predict(pool)).size == 1
+    fitted = BoostedTreesRegressor(n_rounds=5).fit(rng.random((10, 2)), np.full(10, 3.0))
+    assert all(tree.depth == 0 for tree in fitted.trees)
+    _assert_walk_matches(fitted, rng.random((50, 2)))
+
+
+# --- work and memory ----------------------------------------------------------
+
+
+def test_each_cell_meets_each_split_structure_once(monkeypatch):
+    model, _, _ = _smooth_model(n_rounds=300)
+    rng = np.random.default_rng(13)
+    distinct = rng.random((500, 3))
+    pool = distinct[rng.integers(0, 500, size=50_000)]
+    # A cell: the rows that take the same branch at every node of every tree.
+    branches = np.concatenate(
+        [distinct[:, tree.feature] <= tree.threshold for tree in model.trees], axis=1
+    )
+    cells = np.unique(branches, axis=0).shape[0]
+    structures = len({(tree.feature.tobytes(), tree.threshold.tobytes()) for tree in model.trees})
+    assert structures < len(model.trees)
+    columns = []
+    leaf_index = gbdt._leaf_index
+
+    def counting(feature, limit, block):
+        columns.append(block.shape[1])
+        return leaf_index(feature, limit, block)
+
+    monkeypatch.setattr(gbdt, "_leaf_index", counting)
+    got = model.predict(pool)
+    assert sum(columns) <= cells * structures
+    assert np.array_equal(got, _walk_predict(model, pool))
+
+
+def test_scoring_a_100k_simplex_pool_stays_small():
+    import tracemalloc
+
+    from demix.mixture_search import _sample_rows
+
+    rng = np.random.default_rng(14)
+    X = _sample_rows(rng, 112, 3)
+    model = BoostedTreesRegressor().fit(X, np.sin(5 * X[:, 0]) - X[:, 2])
+    pool = _sample_rows(rng, 100_000, 3)
+    model.predict(pool[:10])
+    tracemalloc.start()
+    try:
+        model.predict(pool)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The pool itself is 2.4 MB; what predict adds stays under 4 MB.
+    assert peak < 4 * 2**20
 
 
 def test_trees_pad_to_their_own_depth():
@@ -222,6 +412,11 @@ def test_a_non_finite_pool_row_is_a_validation_error(bad):
     pool[4, 1] = bad
     with pytest.raises(ValidationError, match="non-finite"):
         model.predict(pool)
+
+
+def test_predicting_before_fit_is_a_validation_error():
+    with pytest.raises(ValidationError, match="predict before fit"):
+        BoostedTreesRegressor().predict(np.empty((4, 0)))
 
 
 def test_fitting_without_features_is_a_validation_error():
