@@ -1,28 +1,44 @@
 """Gradient-boosted regression trees with squared-error loss.
 
 Small and fully deterministic: exhaustive best-split search with midpoint
-thresholds, ties broken by lowest feature index then lowest threshold, no
-row or feature subsampling. Intended for the tiny training sets produced by
-the mixture search (at most a few hundred observations in <= 10 dimensions),
-scored on pools of 100k rows.
+thresholds (the lower value where the midpoint of two adjacent doubles rounds
+up to the upper one), ties broken by lowest feature index then lowest
+threshold, no row or feature subsampling. Intended for the tiny training sets
+produced by the mixture search (at most a few hundred observations in <= 10
+dimensions), scored on pools of 100k rows.
 
 Fitting presorts once per fit. Every column of X is argsorted (stably) once,
 because X stays fixed for all rounds and only the residuals change. Each
-node holds its own (d x m) slice of that index matrix (and of the sorted
-values), and a split partitions it with one boolean mask: every row of the
-slice holds the same left members, so the masked slice reshapes to
-(d x m_left) still sorted, with no new sort.
+node holds its own (d x m) slice of that index matrix, and a split
+partitions it with one boolean mask: every row of the slice holds the same
+left members, so the masked slice reshapes to (d x m_left) still sorted,
+with no new sort.
 This is the exact greedy search over presorted columns of XGBoost (Chen &
 Guestrin, arXiv:1603.02754). One (d x m-1) gain matrix scores every split of
 a node, and its first row-major maximum gives the lowest feature, then the
 lowest threshold, on ties.
 
+Each node is partitioned once per fit. A node's rows depend only on the
+splits on its path, so a fit caches every node it meets, reached from its
+parent by the parent's chosen split: the flat index of the gain matrix's
+maximum, which fixes the threshold. A cached node keeps its rows, its
+presorted slice and what the gain needs of X alone: both child sizes at
+every cut and which cuts are invalid (between equal values, or leaving a
+child under ``min_samples_leaf``). A round only gathers the residuals, sums
+them and scores the gains; a node is partitioned the first time a round
+chooses its split (a 300-round fit on 112 search rows partitions 270-290
+nodes for 1,700-1,900 splits). Trees of the same chosen splits share one
+structure: heap features and thresholds (read-only), and the leaf of each
+heap slot and of each training row, so a round's leaf values and in-sample
+predictions are two gathers.
+
 Scoring walks no tree and scores no cell twice. Each tree is stored
 complete, in heap order, down to its own depth: a leaf above the last level
 is a node with threshold +inf over two copies of itself. The ensemble's
 finite thresholds on a feature are its cuts, and a row's rank on the feature
-is the number of cuts below its value: ``x <= cut_j`` holds exactly when the
-rank is ``<= j``, so every node compares a rank with a limit. Rows of equal
+is the number of cuts below its value (a branch-free binary search over
+blocks of rows finds it): ``x <= cut_j`` holds exactly when the rank is
+``<= j``, so every node compares a rank with a limit. Rows of equal
 ranks on every feature form a cell. They take the same branch at every node
 of every tree, so one row per cell is scored and its score copied to the
 rest; sorting a mixed-radix code of the ranks finds the cells. Trees with
@@ -36,9 +52,11 @@ bounded by ``MAX_DEPTH``.
 
 The results are bit-identical to a per-node argsort and a node-by-node
 walk: a node's presorted slice is exactly the stable argsort of its rows,
-the cumulative sums run in the same order, means and sums are taken over
-the node's rows in ascending row order, and the in-sample update reuses the
-leaf partitions the tree was grown from. A row's score adds the same
+the cumulative sums run in the same order, the gain takes the same
+operations in the same order, means and sums are taken over the node's rows
+in ascending row order, and the in-sample update copies each leaf's value to
+the rows the tree was grown from. The caches move only work on X, never an
+operation on the residuals. A row's score adds the same
 ``learning_rate * value`` terms, in tree order, as the walk's: those of its
 cell's scored row, which took the same branches.
 """
@@ -57,6 +75,9 @@ MAX_DEPTH = 8
 # Cells scored at once are _BLOCK_BYTES >> depth: a level's node masks take
 # about 1.5 * 2**depth bytes per cell, so blocks shrink as trees deepen.
 _BLOCK_BYTES = 2**18
+# Pool rows ranked at once: a block's columns, positions and gathered cuts
+# take about (d + 3) * 128 kB for d features.
+_RANK_BLOCK = 2**14
 
 
 @dataclass
@@ -66,6 +87,8 @@ class RegressionTree:
     Split node ``i`` (``0 <= i < 2**depth - 1``) sends rows with
     ``x[feature[i]] <= threshold[i]`` to node ``2i + 1`` and the rest to
     ``2i + 2``; node ``2**depth - 1 + j`` is the leaf holding ``value[j]``.
+    Fitted trees of one split structure share ``feature`` and ``threshold``,
+    which are read-only.
     """
 
     feature: np.ndarray
@@ -77,81 +100,163 @@ class RegressionTree:
         return self.value.size.bit_length() - 1
 
 
-def _best_split(xs: np.ndarray, ys_sorted: np.ndarray, total_sum: float, total_sq: float,
-                min_samples_leaf: int):
-    """(feature, threshold) of the best SSE-reducing split of a node, or None.
+@dataclass(eq=False, slots=True)
+class _Node:
+    """A node of one fit's trees: its rows in ascending order and, if it may
+    split, what its split search needs that depends only on X."""
 
-    ``xs`` and ``ys_sorted`` hold the node's feature values and residuals,
-    each row sorted by that row's feature (d x m); ``total_sum`` and
-    ``total_sq`` are the residuals' sum and sum of squares."""
-    n = xs.shape[1]
-    if n < 2 * min_samples_leaf:
-        return None
-    node_sse = total_sq - total_sum * total_sum / n
-    csum = np.cumsum(ys_sorted, axis=1)
-    left_n = np.arange(1, n)
-    valid = xs[:, 1:] > xs[:, :-1]
-    valid &= (left_n >= min_samples_leaf) & (n - left_n >= min_samples_leaf)
-    left_sum = csum[:, :-1]
+    rows: np.ndarray
+    depth: int
+    # The node's rows sorted (stably) by each feature, (d x m), kept as its
+    # first m-1 columns (contiguous: the rows left of each cut) and its last.
+    head: np.ndarray | None = None
+    last: np.ndarray | None = None
+    # Rows left and right of each cut, 1 .. m-1 and m-1 .. 1 (views).
+    left_n: np.ndarray | None = None
+    right_n: np.ndarray | None = None
+    # (d x m-1): cuts between equal values, or leaving a child too small.
+    invalid: np.ndarray | None = None
+    # Flat split index -> (feature, threshold, left child, right child).
+    children: dict[int, tuple[int, float, _Node, _Node]] | None = None
+
+
+def _best_split(node: _Node, y: np.ndarray, total_sum: float, total_sq: float) -> int | None:
+    """Flat index ``f * (m - 1) + k`` of the node's best SSE-reducing split
+    (between its k-th and (k+1)-th row sorted by feature f), or None.
+
+    ``total_sum`` and ``total_sq`` are the residuals' sum and sum of squares
+    over the node's m rows."""
+    m = node.rows.size
+    node_sse = total_sq - total_sum * total_sum / m
+    left_sum = np.add.accumulate(y[node.head], axis=1)
     right_sum = total_sum - left_sum
-    # SSE decomposes so the gain needs only the two child means.
-    gain = left_sum**2 / left_n + right_sum**2 / (n - left_n) - total_sum**2 / n
-    gain = np.where(valid, gain, -np.inf)
+    # SSE decomposes so the gain needs only the two child means:
+    # left_sum**2 / left_n + right_sum**2 / right_n - total_sum**2 / m,
+    # the same operations in the same order, in place.
+    right_sum *= right_sum
+    right_sum /= node.right_n
+    gain = left_sum
+    gain *= gain
+    gain /= node.left_n
+    gain += right_sum
+    gain -= total_sum**2 / m
+    gain[node.invalid] = -np.inf
     # The first maximum in row-major order: lowest feature, then lowest threshold.
-    f, k = divmod(int(np.argmax(gain)), n - 1)
-    if not gain[f, k] > max(_MIN_GAIN, _MIN_GAIN * node_sse):
+    best = int(gain.argmax())
+    if not gain.item(best) > max(_MIN_GAIN, _MIN_GAIN * node_sse):
         return None
-    return f, float((xs[f, k] + xs[f, k + 1]) / 2.0)
+    return best
 
 
-def _grow_tree(XT: np.ndarray, order: np.ndarray, xs: np.ndarray, y: np.ndarray,
-               max_depth: int, min_samples_leaf: int) -> tuple[RegressionTree, np.ndarray]:
-    """Grow one tree on the residuals ``y``; returns it with its in-sample
-    predictions. ``XT`` is X transposed, ``order`` its stable row-wise argsort
-    and ``xs`` the values of ``XT`` in that order."""
-    fitted = np.empty(y.size)
-    splits: dict[int, tuple[int, float]] = {}
-    leaves: list[tuple[int, int, float]] = []
+class _TreeGrower:
+    """Grows the trees of one fit, caching every node met (from the root, by
+    chosen splits) and every split structure grown, so that a round redoes
+    only the work that depends on the residuals."""
 
-    def build(node: int, rows: np.ndarray, srt: np.ndarray, xs: np.ndarray, depth: int) -> None:
-        # Sums over the node's rows in ascending row order, as ``mean`` takes them.
-        ys = y[rows]
-        total_sum = ys.sum()
-        value = float(total_sum / ys.size)
-        split = (
-            _best_split(xs, y[srt], total_sum, float(ys @ ys), min_samples_leaf)
-            if depth < max_depth
-            else None
-        )
-        if split is None:
-            leaves.append((node, depth, value))
-            fitted[rows] = value
-            return
-        splits[node] = split
-        f, thr = split
-        d = srt.shape[0]
-        go_left = XT[f, srt] <= thr
-        rows_left = XT[f, rows] <= thr
-        go_right = ~go_left
-        build(2 * node + 1, rows[rows_left], srt[go_left].reshape(d, -1),
-              xs[go_left].reshape(d, -1), depth + 1)
-        build(2 * node + 2, rows[~rows_left], srt[go_right].reshape(d, -1),
-              xs[go_right].reshape(d, -1), depth + 1)
+    def __init__(self, X: np.ndarray, max_depth: int, min_samples_leaf: int):
+        self.XT = np.ascontiguousarray(X.T)
+        self.max_depth = max_depth
+        self.min_samples_leaf = min_samples_leaf
+        # XT[features, srt]: each row of srt read on its own feature.
+        self.features = np.arange(X.shape[1])[:, None]
+        # Rows left and right of each cut of the root; a node's are views.
+        self.left_counts = np.arange(1.0, X.shape[0])
+        self.right_counts = self.left_counts[::-1]
+        order = np.argsort(self.XT, axis=1, kind="stable")
+        self.root = self._node(np.arange(X.shape[0]), order, 0)
+        # Chosen splits in pre-order (-1 at a leaf) -> the tree's heap feature
+        # and threshold, each heap leaf's leaf, and each row's leaf.
+        self.structures: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
 
-    build(0, np.arange(y.size), order, xs, 0)
-    tree_depth = max(depth for _, depth, _ in leaves)
-    feature = np.zeros(2**tree_depth - 1, dtype=np.int64)
-    threshold = np.full(2**tree_depth - 1, np.inf)
-    for node, (f, thr) in splits.items():
-        feature[node] = f
-        threshold[node] = thr
-    value = np.empty(2**tree_depth)
-    for node, depth, leaf_value in leaves:
-        # The leaf's copies fill the bottom level of its padded subtree.
-        span = 2 ** (tree_depth - depth)
-        first = (node + 1) * span - 1 - (2**tree_depth - 1)
-        value[first : first + span] = leaf_value
-    return RegressionTree(feature=feature, threshold=threshold, value=value), fitted
+    def _node(self, rows: np.ndarray, srt: np.ndarray, depth: int) -> _Node:
+        if depth == self.max_depth:
+            return _Node(rows, depth)
+        xs = self.XT[self.features, srt]
+        left_n = self.left_counts[: rows.size - 1]
+        right_n = self.right_counts[self.XT.shape[1] - rows.size :]
+        invalid = xs[:, 1:] <= xs[:, :-1]
+        invalid |= (left_n < self.min_samples_leaf) | (right_n < self.min_samples_leaf)
+        if invalid.all():
+            return _Node(rows, depth)
+        head = np.ascontiguousarray(srt[:, :-1])
+        return _Node(rows, depth, head, srt[:, -1].copy(), left_n, right_n, invalid, {})
+
+    def _partition(self, node: _Node, split: int) -> tuple[int, float, _Node, _Node]:
+        """The chosen split's feature, threshold and two children."""
+        srt = np.concatenate((node.head, node.last[:, None]), axis=1)
+        d, m = srt.shape
+        f, k = divmod(split, m - 1)
+        lo, hi = self.XT[f, srt[f, k : k + 2]]
+        # The midpoint of two adjacent doubles can round up to the upper one.
+        threshold = float((lo + hi) / 2.0)
+        if not threshold < hi:
+            threshold = float(lo)
+        go_left = self.XT[f, srt] <= threshold
+        rows_left = self.XT[f, node.rows] <= threshold
+        depth = node.depth + 1
+        left = self._node(node.rows[rows_left], srt[go_left].reshape(d, -1), depth)
+        right = self._node(node.rows[~rows_left], srt[~go_left].reshape(d, -1), depth)
+        return f, threshold, left, right
+
+    def _structure(self, path: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        """Heap feature and threshold (read-only), each heap leaf's leaf and
+        each row's leaf of the tree whose chosen splits are ``path``."""
+        splits, leaves = [], []
+        stack = [(self.root, 0)]
+        for split in path:
+            node, heap = stack.pop()
+            if split < 0:
+                leaves.append((heap, node.rows))
+                continue
+            f, threshold, left, right = node.children[split]
+            splits.append((heap, f, threshold))
+            stack += [(right, 2 * heap + 2), (left, 2 * heap + 1)]
+        depth = max(heap + 1 for heap, _ in leaves).bit_length() - 1
+        feature = np.zeros(2**depth - 1, dtype=np.int64)
+        threshold = np.full(2**depth - 1, np.inf)
+        for heap, f, thr in splits:
+            feature[heap] = f
+            threshold[heap] = thr
+        # A byte indexes the 2**MAX_DEPTH leaves, which keeps a fit's few
+        # hundred structures small.
+        slot = np.empty(2**depth, dtype=np.uint8)
+        row_leaf = np.empty(self.XT.shape[1], dtype=np.uint8)
+        for i, (heap, rows) in enumerate(leaves):
+            # The leaf's copies fill the bottom level of its padded subtree.
+            span = 2 ** (depth - ((heap + 1).bit_length() - 1))
+            first = (heap + 1) * span - 2**depth
+            slot[first : first + span] = i
+            row_leaf[rows] = i
+        feature.flags.writeable = threshold.flags.writeable = False
+        return feature, threshold, slot, row_leaf
+
+    def grow(self, y: np.ndarray) -> tuple[RegressionTree, np.ndarray]:
+        """One tree on the residuals ``y``, with its in-sample predictions."""
+        path: list[int] = []
+        leaf_values = []
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            # Sums over the node's rows in ascending row order, as ``mean`` takes them.
+            ys = y[node.rows]
+            total_sum = ys.sum()
+            split = None if node.head is None else _best_split(node, y, total_sum, float(ys @ ys))
+            if split is None:
+                path.append(-1)
+                leaf_values.append(total_sum / ys.size)
+                continue
+            path.append(split)
+            children = node.children.get(split)
+            if children is None:
+                children = node.children[split] = self._partition(node, split)
+            stack += (children[3], children[2])
+        key = tuple(path)
+        structure = self.structures.get(key)
+        if structure is None:
+            structure = self.structures[key] = self._structure(key)
+        feature, threshold, slot, row_leaf = structure
+        values = np.array(leaf_values)
+        return RegressionTree(feature, threshold, values.take(slot)), values.take(row_leaf)
 
 
 def _ranks(trees: list[RegressionTree], X: np.ndarray):
@@ -172,10 +277,38 @@ def _ranks(trees: list[RegressionTree], X: np.ndarray):
     ranks = np.empty((X.shape[1], X.shape[0]), dtype=np.min_scalar_type(top))
     limit = np.full(feature.size, top, dtype=ranks.dtype)
     for f, (c, on_f) in enumerate(zip(cuts, on)):
-        ranks[f] = np.searchsorted(c, X[:, f])
         limit[on_f] = np.searchsorted(c, threshold[on_f])
+    _count_below(cuts, X, ranks)
     bounds = np.cumsum([tree.feature.size for tree in trees])[:-1]
     return ranks, [c.size + 1 for c in cuts], np.split(limit, bounds)
+
+
+def _count_below(cuts: list[np.ndarray], X: np.ndarray, out: np.ndarray) -> None:
+    """``out[f, i]`` = the number of ``cuts[f]`` below ``X[i, f]``, as
+    ``np.searchsorted(cuts[f], X[i, f])`` gives it, by a branch-free binary
+    search over blocks of rows.
+
+    With the cuts padded by +inf to 2**L - 1 values, a position p starts at
+    0 and, at steps s = 2**(L-1), ..., 1, moves up by s where
+    ``padded[p + s - 1] < x``. Each level is a gather, a compare and a
+    scaled add over the block, which beats ``searchsorted``'s per-value
+    branches."""
+    searches = []
+    for c in cuts:
+        levels = c.size.bit_length()
+        padded = np.full(2**levels - 1, np.inf)
+        padded[: c.size] = c
+        # padded[s - 1:] gathered at p reads padded[p + s - 1].
+        searches.append([(1 << level, padded[(1 << level) - 1 :])
+                         for level in reversed(range(levels))])
+    for first in range(0, X.shape[0], _RANK_BLOCK):
+        columns = X[first : first + _RANK_BLOCK].T.copy()
+        for f, steps in enumerate(searches):
+            x = columns[f]
+            position = np.zeros(x.size, dtype=np.intp)
+            for step, shifted in steps:
+                position += (np.take(shifted, position) < x) * step
+            out[f, first : first + x.size] = position
 
 
 def _cells(ranks: np.ndarray, n_ranks: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -272,14 +405,10 @@ class BoostedTreesRegressor:
         self.n_features = X.shape[1]
         self.base_prediction = float(y.mean())
         self.trees = []
-        XT = np.ascontiguousarray(X.T)
-        order = np.argsort(XT, axis=1, kind="stable")
-        xs = np.take_along_axis(XT, order, axis=1)
+        grower = _TreeGrower(X, self.max_depth, self.min_samples_leaf)
         current = np.full(y.size, self.base_prediction)
         for _ in range(self.n_rounds):
-            tree, fitted = _grow_tree(
-                XT, order, xs, y - current, self.max_depth, self.min_samples_leaf
-            )
+            tree, fitted = grower.grow(y - current)
             self.trees.append(tree)
             current += self.learning_rate * fitted
         return self

@@ -37,8 +37,15 @@ def _ref_best_split(X, y, min_samples_leaf):
         gain = np.where(valid, gain, -np.inf)
         k = int(np.argmax(gain))
         if gain[k] > max(1e-12, 1e-12 * node_sse) and (best is None or gain[k] > best[0]):
-            best = (float(gain[k]), f, float((xs[k] + xs[k + 1]) / 2.0))
+            best = (float(gain[k]), f, _ref_midpoint(xs[k], xs[k + 1]))
     return best
+
+
+def _ref_midpoint(lo, hi):
+    """The midpoint of two sorted values, or the lower one where the midpoint
+    rounds up to the upper one (adjacent doubles)."""
+    mid = float((lo + hi) / 2.0)
+    return mid if mid < hi else float(lo)
 
 
 def _ref_grow_tree(X, y, max_depth, min_samples_leaf):
@@ -292,6 +299,50 @@ def test_a_simplex_pool_matches_the_reference():
     _assert_matches_reference(model, _ref_fit_like(model, X, y), pool)
 
 
+def _macro_ranks(rng, X):
+    """Search-like targets: each row's rank on every domain (a noisy score per
+    column of X), averaged over the domains, so multiples of 1/d with ties."""
+    scores = X + 0.1 * rng.normal(size=X.shape)
+    return (np.argsort(np.argsort(scores, axis=0), axis=0) + 1).mean(axis=1)
+
+
+@pytest.mark.parametrize("d", [3, 8])
+@pytest.mark.parametrize("n", [64, 96, 112])
+def test_a_full_length_fit_on_macro_ranks_matches_the_reference(n, d):
+    # The search's fits: 300 rounds over its evaluations so far, on macro
+    # ranks. Late rounds grow mostly trees met before.
+    from demix.mixture_search import _sample_rows
+
+    rng = np.random.default_rng(100 + n + d)
+    X = _sample_rows(rng, n, d)
+    y = _macro_ranks(rng, X)
+    assert np.array_equal(y * d, np.round(y * d)) and np.unique(y).size < n
+    model = BoostedTreesRegressor(n_rounds=300).fit(X, y)
+    pool = np.vstack([X, _sample_rows(rng, 2000, d)])
+    _assert_matches_reference(model, _ref_fit_like(model, X, y), pool)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(-5e-324, 0.0), (np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0))],
+    ids=["below-zero", "above-one"],
+)
+def test_a_split_between_adjacent_doubles_keeps_rows_on_both_sides(lo, hi):
+    # Their midpoint rounds to the upper value (or to -0.0, which equals 0.0),
+    # so it would send every row left and leave the right leaf empty.
+    assert not (lo + hi) / 2.0 < hi
+    X = np.array([[lo], [lo], [hi], [hi]])
+    y = np.array([0.0, 0.1, 1.0, 1.3])
+    model = BoostedTreesRegressor(n_rounds=20, min_samples_leaf=1).fit(X, y)
+    for tree in model.trees:
+        (threshold,) = tree.threshold
+        assert threshold == lo
+        # Rows on both sides: each leaf is the mean of real rows.
+        assert np.any(X[:, 0] <= threshold) and np.any(X[:, 0] > threshold)
+        assert np.all(np.isfinite(tree.value)) and tree.value[0] < tree.value[1]
+    _assert_matches_reference(model, _ref_fit_like(model, X, y), np.vstack([X, [[-1.0], [2.0]]]))
+
+
 def _stump(feature, threshold, left, right):
     return gbdt.RegressionTree(feature=np.array([feature]), threshold=np.array([threshold]),
                                value=np.array([left, right]))
@@ -339,7 +390,84 @@ def test_a_model_of_single_leaves_scores_every_row_alike():
     _assert_walk_matches(fitted, rng.random((50, 2)))
 
 
+@pytest.mark.parametrize("block", [7, gbdt._RANK_BLOCK], ids=["small-blocks", "one-block"])
+def test_pool_ranks_match_searchsorted(block, monkeypatch):
+    # One feature per cut count: none, one, a full and a just-too-full uint8
+    # range, and beyond; the rank array is uint16 then.
+    rng = np.random.default_rng(15)
+    counts = [0, 1, 2, 255, 256, 300]
+    cuts = [np.unique(rng.normal(size=c)) for c in counts]
+    cuts[2] = np.array([-0.0, 1.0])
+    cuts[3] = np.unique(np.concatenate([cuts[3][:254], [0.0]]))
+    X = rng.normal(size=(1000, len(counts)))
+    for f, c in enumerate(cuts):
+        # Values on the cuts, at both zeros, far beyond both ends, and just past them.
+        special = np.concatenate([c, [-0.0, 0.0, -1e300, 1e300]])
+        if c.size:
+            special = np.concatenate([special, np.nextafter(c, -np.inf), np.nextafter(c, np.inf)])
+        X[: special.size, f] = special
+        rng.shuffle(X[:, f])
+    ranks = np.empty((len(counts), X.shape[0]), dtype=np.min_scalar_type(max(c.size for c in cuts)))
+    assert ranks.dtype == np.uint16
+    monkeypatch.setattr(gbdt, "_RANK_BLOCK", block)
+    gbdt._count_below(cuts, X, ranks)
+    for f, c in enumerate(cuts):
+        assert np.array_equal(ranks[f], np.searchsorted(c, X[:, f], side="left"))
+
+
 # --- work and memory ----------------------------------------------------------
+
+
+def _search_fit_input(d, n=112, seed=16):
+    from demix.mixture_search import _sample_rows
+
+    rng = np.random.default_rng(seed + d)
+    X = _sample_rows(rng, n, d)
+    return X, _macro_ranks(rng, X)
+
+
+@pytest.mark.parametrize("d", [3, 8])
+def test_a_fit_partitions_each_node_once_per_split(d, monkeypatch):
+    X, y = _search_fit_input(d)
+    partitioned, met = [], set()
+    grown = 0
+    partition, best_split = gbdt._TreeGrower._partition, gbdt._best_split
+
+    def counting(self, node, split):
+        partitioned.append((id(node), split))
+        return partition(self, node, split)
+
+    def meeting(node, *args):
+        nonlocal grown
+        split = best_split(node, *args)
+        if split is not None:
+            met.add((id(node), split))
+            grown += 1
+        return split
+
+    monkeypatch.setattr(gbdt._TreeGrower, "_partition", counting)
+    monkeypatch.setattr(gbdt, "_best_split", meeting)
+    model = BoostedTreesRegressor(n_rounds=300).fit(X, y)
+    assert grown == sum(int(np.isfinite(tree.threshold).sum()) for tree in model.trees)
+    # Every (node, split) pair met is partitioned once, the first time.
+    assert len(partitioned) == len(set(partitioned)) and set(partitioned) == met
+    assert len(partitioned) < grown / 3
+
+
+@pytest.mark.parametrize("d", [3, 8])
+def test_a_search_sized_fit_stays_small(d):
+    import tracemalloc
+
+    X, y = _search_fit_input(d)
+    BoostedTreesRegressor(n_rounds=5).fit(X, y)
+    tracemalloc.start()
+    try:
+        BoostedTreesRegressor(n_rounds=300).fit(X, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The fit's node and structure caches, the trees and the temporaries.
+    assert peak < 4 * 2**20
 
 
 def test_each_cell_meets_each_split_structure_once(monkeypatch):
