@@ -207,7 +207,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    manifest = ExperimentManifest.load(args.manifest)
+    manifest, _ = ExperimentManifest.load(args.manifest)
     report = pipeline.load_report(manifest)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))

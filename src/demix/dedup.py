@@ -234,6 +234,8 @@ def dedup_corpus(
         raise ValidationError(f"dedup_corpus: unknown mode {mode!r}")
     if ngram < 1:
         raise ValidationError(f"dedup_corpus: ngram must be at least 1, got {ngram}")
+    if seed < 0:
+        raise ValidationError(f"dedup_corpus: seed must be non-negative, got {seed}")
     ids: list[str] = []
     texts: dict[str, str] = {}
     for doc_id, text in docs:

@@ -40,6 +40,9 @@ class SamplePlan:
         counts = [int(c) for c in self.per_iteration_counts]
         if not counts or any(c <= 0 for c in counts):
             raise ValidationError("sample plan: per-iteration counts must be positive")
+        if counts[0] < 2:
+            # The predictor is first fit on the first iteration's evaluations.
+            raise ValidationError("sample plan: the first plan count must be at least 2")
         if self.final_candidate_pool <= 0 or self.top_k_average <= 0:
             raise ValidationError("sample plan: pool and top-k must be positive")
         if self.top_k_average > self.final_candidate_pool:

@@ -104,16 +104,12 @@ class ExperimentManifest:
         _write_text(path, json.dumps(vars(self), indent=2, sort_keys=True))
 
     @classmethod
-    def load(cls, path) -> "ExperimentManifest":
-        """Read a manifest; its ``run_dir`` is the directory it is read from.
-        A ``files`` record of the wrong shape is dropped, so its file is
-        hashed again."""
-        return cls.load_with_document(path)[0]
-
-    @classmethod
-    def load_with_document(cls, path) -> tuple["ExperimentManifest", dict]:
-        """:meth:`load`, and the JSON document read from ``path`` as it is on
-        disk: a copy that changes to the manifest leave untouched."""
+    def load(cls, path) -> tuple["ExperimentManifest", dict]:
+        """The manifest in ``path``, whose ``run_dir`` is the directory it is
+        read from, and the JSON document as it is on disk: a copy that changes
+        to the manifest leave untouched. A manifest that lacks ``files``
+        loads with none, and a ``files`` record of the wrong shape is dropped,
+        so its file is hashed again."""
         doc = read_json(path, "cannot read manifest {path}: {reason}",
                         "{path}: not a demix manifest: {reason}")
         try:
@@ -121,16 +117,7 @@ class ExperimentManifest:
             manifest = cls(**json.loads(json.dumps(doc)))
         except TypeError as exc:
             raise PipelineError(f"{path}: not a demix manifest: {exc}") from exc
-        expected = {"config": dict, "stages": dict, "files": dict, "config_hash": str, "run_dir": str}
-        wrong = [k for k, kind in expected.items() if not isinstance(getattr(manifest, k), kind)]
-        if not wrong:
-            wrong = [
-                key
-                for name, record in manifest.stages.items()
-                for key in _bad_stage_keys(name, record)
-            ]
-        if wrong:
-            raise PipelineError(f"{path}: not a demix manifest: wrong type for {', '.join(wrong)}")
+        _check_types(vars(manifest), MANIFEST_TYPES, f"{path}: not a demix manifest")
         manifest.run_dir = str(Path(path).parent)
         manifest.files = {
             name: record for name, record in manifest.files.items()
@@ -140,17 +127,6 @@ class ExperimentManifest:
             and list(map(type, record["stamp"])) == [int] * 4
         }
         return manifest, doc
-
-
-def _bad_stage_keys(name: str, record) -> list[str]:
-    """The keys of a stage record that ``_execute`` could not use."""
-    if not isinstance(record, dict):
-        return [f"stages.{name}"]
-    usable = {
-        "status": isinstance(record.get("status"), str),
-        "hash": isinstance(record.get("hash"), (str, type(None))),
-    }
-    return [f"stages.{name}.{key}" for key, ok in usable.items() if not ok]
 
 
 def _file_hash(path: Path) -> str:
@@ -339,8 +315,14 @@ def check_consistency(
             f"scores {len(reference.models())} models"
         )
     proxy = score_table(functools.partial(proxy_scores, components, lab.tasks), ratios, lab)
+    try:
+        report = consistency_report(reference, proxy)
+    except ValidationError as exc:
+        # The proxy table is made from the lab, so the reference's files are at fault.
+        files = f"{run_dir / 'references.csv'} and {run_dir / 'domains.csv'}"
+        raise ValidationError(f"{files} do not match the lab: {exc}") from None
     write_score_csv(proxy, run_dir / "proxy_scores.csv")
-    dump_json(run_dir / "consistency.json", consistency_report(reference, proxy))
+    dump_json(run_dir / "consistency.json", report)
 
 
 def search_mixture(
@@ -415,7 +397,7 @@ def run_pipeline(config: ExperimentConfig, run_root: str | None = None) -> Exper
     manifest_path = run_dir / "manifest.json"
     on_disk = None
     if manifest_path.exists():
-        manifest, on_disk = ExperimentManifest.load_with_document(manifest_path)
+        manifest, on_disk = ExperimentManifest.load(manifest_path)
         if manifest.config_hash != config_hash:
             raise PipelineError("manifest in run directory belongs to a different config")
     else:
@@ -519,21 +501,18 @@ def _run_stages(config: ExperimentConfig, run_dir: Path, manifest: ExperimentMan
 
 
 def _wrong_types(doc, spec, key: str = "") -> list[str]:
-    """The keys at which ``doc`` lacks what ``spec`` asks for: a type or a
-    tuple of types; a dict of specs, for an object with those keys; or a
-    one-item list of types, for an object whose values all have them."""
-    if isinstance(spec, dict):
+    """The key paths at which ``doc`` lacks what ``spec`` asks for: a type or
+    a tuple of types; a dict of specs, for an object with those keys; or a
+    one-item list of a spec, for an object whose values all meet it."""
+    if isinstance(spec, (dict, list)):
         if not isinstance(doc, dict):
             return [key or "the whole document"]
+        items = spec.items() if isinstance(spec, dict) else ((k, spec[0]) for k in doc)
         return [
-            wrong for k, sub in spec.items()
-            for wrong in _wrong_types(doc.get(k), sub, f"{key}.{k}".lstrip("."))
+            wrong for k, sub in items
+            for wrong in _wrong_types(doc.get(k), sub, f"{key}.{k}" if key else k)
         ]
-    if isinstance(spec, list):
-        ok = isinstance(doc, dict) and all(isinstance(v, spec[0]) for v in doc.values())
-    else:
-        ok = isinstance(doc, spec)
-    return [] if ok else [key]
+    return [] if isinstance(doc, spec) else [key]
 
 
 def _check_types(doc, spec: dict, what: str) -> None:
@@ -542,7 +521,12 @@ def _check_types(doc, spec: dict, what: str) -> None:
         raise PipelineError(f"{what}: missing or of the wrong type: {', '.join(wrong)}")
 
 
-# The keys of each result file that the report stage or format_report reads.
+# The keys of the manifest that a run reads, and of each result file that the
+# report stage or format_report reads.
+MANIFEST_TYPES = {
+    "config": dict, "config_hash": str, "run_dir": str, "files": dict,
+    "stages": [{"status": str, "hash": (str, type(None))}],
+}
 _NUMBER = (int, float)
 SEARCH_RESULT_TYPES = {
     "best_mixture": [_NUMBER], "evaluations": int, "planned_evaluations": int,

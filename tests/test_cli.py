@@ -181,6 +181,17 @@ def test_dedup_with_ngram_below_one_is_a_usage_error(tmp_path, capsys, mode):
     assert not report.exists()
 
 
+def test_dedup_with_a_negative_seed_is_a_usage_error(tmp_path, capsys):
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text('{"id": "a", "text": "alpha beta gamma"}\n{"id": "b", "text": "..."}\n')
+    report = tmp_path / "report.json"
+    argv = ["dedup", "--in", str(docs), "--seed", "-1", "--report", str(report)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "seed must be non-negative" in err and "Traceback" not in err
+    assert not report.exists()
+
+
 class _FailsPartWay:
     """A binary file that takes its first ``budget`` bytes, then fails as a
     full disk would."""
@@ -496,6 +507,8 @@ def test_malformed_inputs_are_usage_errors(tmp_path, archives, capsys):
     cfg = tmp_path / "exp.cfg"
     for body, key in [("[search]\nplan = 4,x\n", "plan"), ("[search]\npool = 1e5\n", "pool"),
                       ("[experiment]\nseed = -1\n", "seed"),
+                      ("[search]\nplan = 1\n", "plan"),
+                      ("[search]\nplan = 1,8\n", "plan"),
                       ("[search]\ngbdt_rounds = 0\n", "n_rounds"),
                       ("[search]\nplan = 8,50\npool = 20\ntop_k = 4\n", "plan"),
                       ("[lab]\nfamily = mlp_1hidden\nhidden_units = -1\n", "hidden_units"),

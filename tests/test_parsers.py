@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from demix.cli import _parse_ratio, main
 from demix.config import SECTIONS, ExperimentConfig, _apply, _validate, load_config
-from demix.errors import DemixError
-from demix.pipeline import read_score_csv
+from demix.errors import DemixError, PipelineError
+from demix.pipeline import ExperimentManifest, read_score_csv
 from demix.toy_lab import load_lab
 
 CONFIG_KEYS = [("experiment", key) for key in ("name", "seed", "run_root")] + [
@@ -119,3 +119,43 @@ def test_any_bytes_as_a_lab_give_a_lab_or_a_typed_error(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("lab") / "lab.npz"
     path.write_bytes(data)
     value_or_typed_error(load_lab, path)
+
+
+# Any JSON value, and objects whose every field is either any JSON value or
+# a value of the field's type, so that many of them load.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+STAGE_RECORDS = st.fixed_dictionaries(
+    {"status": st.text(max_size=4)}, optional={"hash": st.none() | st.text(max_size=4)}
+)
+FILE_RECORDS = st.fixed_dictionaries(
+    {"digest": st.text(max_size=4), "stamp": st.lists(st.integers(), min_size=3, max_size=5)}
+)
+MANIFEST_FIELDS = {
+    "config": st.dictionaries(st.text(max_size=3), JSON_VALUES, max_size=2),
+    "config_hash": st.text(max_size=4),
+    "run_dir": st.text(max_size=4),
+    "stages": st.dictionaries(st.sampled_from(["lab", "search"]), STAGE_RECORDS | JSON_VALUES),
+    "files": st.dictionaries(st.text(max_size=3), FILE_RECORDS | JSON_VALUES, max_size=3),
+    "created_at": st.floats(),
+}
+MANIFEST_DOCS = JSON_VALUES | st.fixed_dictionaries(
+    {key: MANIFEST_FIELDS[key] | JSON_VALUES for key in ("config", "config_hash", "run_dir")},
+    optional={key: MANIFEST_FIELDS[key] | JSON_VALUES for key in ("stages", "files", "created_at")},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=MANIFEST_DOCS)
+def test_any_json_as_a_manifest_gives_a_manifest_or_a_pipeline_error(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("manifest") / "manifest.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        manifest = ExperimentManifest.load(path)[0]
+    except PipelineError:
+        return
+    assert all(isinstance(record["status"], str) for record in manifest.stages.values())
+    assert all(isinstance(record["digest"], str) for record in manifest.files.values())

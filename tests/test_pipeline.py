@@ -485,6 +485,34 @@ def test_a_hand_edited_run_file_is_a_pipeline_error_naming_it(config_path, warm_
         run_pipeline(load_config(config_path), run_root=warm_root)
 
 
+def test_a_best_mixture_weight_that_is_not_a_number_is_an_error_naming_its_key(config_path, warm_root):
+    (run_dir,) = warm_root.iterdir()
+    path = run_dir / "search_result.json"
+    doc = json.loads(path.read_text())
+    doc["best_mixture"]["dom1"] = "0.5"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(PipelineError, match=re.escape(
+            f"{path}: not a search result: missing or of the wrong type: best_mixture.dom1")):
+        run_pipeline(load_config(config_path), run_root=warm_root)
+
+
+@pytest.mark.parametrize(
+    "name, old, new",
+    [("references.csv", "mix_000,", "zzz_000,"), ("domains.csv", ",dom0\n", ",dom1\n")],
+    ids=["renamed-model", "remapped-benchmark"],
+)
+def test_a_reference_file_that_does_not_match_the_lab_is_an_error_naming_it(
+    config_path, warm_root, name, old, new
+):
+    (run_dir,) = warm_root.iterdir()
+    path = run_dir / name
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+    with pytest.raises(ValidationError, match=re.escape(str(path))):
+        run_pipeline(load_config(config_path), run_root=warm_root)
+
+
 def test_a_score_table_that_does_not_line_up_is_an_error_naming_its_file(config_path, warm_root):
     (run_dir,) = warm_root.iterdir()
     references = run_dir / "references.csv"
@@ -509,7 +537,7 @@ def test_a_repeated_score_csv_row_is_an_error_naming_its_line(config_path, warm_
 
 def test_manifest_round_trips(config_path, tmp_path):
     manifest = run_pipeline(load_config(config_path), run_root=tmp_path / "runs")
-    loaded = ExperimentManifest.load(Path(manifest.run_dir) / "manifest.json")
+    loaded, _ = ExperimentManifest.load(Path(manifest.run_dir) / "manifest.json")
     assert loaded.config_hash == manifest.config_hash
     assert set(loaded.stages) == set(manifest.stages)
     assert loaded.files == manifest.files
@@ -522,7 +550,8 @@ MANIFEST = {"config": {}, "config_hash": "h", "run_dir": ".", "stages": {}}
 def test_a_manifest_whose_files_is_not_an_object_is_a_pipeline_error(tmp_path, files):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps({**MANIFEST, "files": files}))
-    with pytest.raises(PipelineError, match=re.escape(f"{path}: not a demix manifest: wrong type for files")):
+    with pytest.raises(PipelineError, match=re.escape(
+            f"{path}: not a demix manifest: missing or of the wrong type: files")):
         ExperimentManifest.load(path)
 
 
@@ -540,9 +569,9 @@ def test_manifest_file_records_of_the_wrong_shape_are_dropped(tmp_path):
     }
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps({**MANIFEST, "files": files}))
-    assert ExperimentManifest.load(path).files == {"good": good}
+    assert ExperimentManifest.load(path)[0].files == {"good": good}
     path.write_text(json.dumps(MANIFEST))  # as written before files were recorded
-    assert ExperimentManifest.load(path).files == {}
+    assert ExperimentManifest.load(path)[0].files == {}
 
 
 @pytest.mark.parametrize("edit", ["drop-files", "bad-digests"])
