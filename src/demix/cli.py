@@ -68,6 +68,8 @@ def _cmd_tensor(args) -> int:
         return 0
     if args.other is None:
         raise ValidationError("demix tensor diff requires a second archive")
+    if not args.atol >= 0.0:  # also rejects NaN
+        raise ValidationError(f"demix tensor diff: --atol must be non-negative, not {args.atol}")
     a = load_archive(args.path)
     b = load_archive(args.other)
     if a.schema() != b.schema():

@@ -1,13 +1,12 @@
 """Experiment configuration: flat sectioned key = value files.
 
-Every knob has a default; an empty file is a valid experiment. The config is
-the one place where settings become runtime objects: its methods build the
-training config, the lab, the sample plan and the unfitted rank predictor,
-and ``load_config`` validates a file by building all but the lab, whose size
-it only checks. The lab's sizes and the predictor's tree shape are constants
-of ``toy_lab`` and ``gbdt``, not settings. The config hash that
-names run directories covers only result-affecting fields, so the same
-experiment resolves to the same artifacts wherever it is run.
+Every knob has a default; an empty file is a valid experiment. The
+``[search]`` section is :class:`mixture_search.SamplePlan` itself, and the
+one translation left is ``training_config``. ``load_config`` checks every
+section before any stage runs. The lab's sizes and the predictor's tree
+shape are constants of ``toy_lab`` and ``gbdt``, not settings. The config
+hash that names run directories covers only result-affecting fields, so the
+same experiment resolves to the same artifacts wherever it is run.
 """
 
 from __future__ import annotations
@@ -15,12 +14,11 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .errors import ValidationError
-from .gbdt import BoostedTreesRegressor
 from .mixture_search import SamplePlan
-from .toy_lab import ComponentTrainingConfig, ToyLab, check_lab_size, make_domains
+from .toy_lab import ComponentTrainingConfig, check_lab_size
 
 
 @dataclass
@@ -46,14 +44,6 @@ class ReferencesSection:
     count: int = 24
 
 
-@dataclass
-class SearchSection:
-    plan: list[int] = field(default_factory=lambda: [64, 32, 16])
-    pool: int = 100_000
-    top_k: int = 128
-    gbdt_rounds: int = 300
-
-
 SECTIONS = ("lab", "training", "references", "search")
 
 
@@ -65,7 +55,7 @@ class ExperimentConfig:
     lab: LabSection = field(default_factory=LabSection)
     training: TrainingSection = field(default_factory=TrainingSection)
     references: ReferencesSection = field(default_factory=ReferencesSection)
-    search: SearchSection = field(default_factory=SearchSection)
+    search: SamplePlan = field(default_factory=SamplePlan)
 
     def resolved(self) -> dict:
         doc = {name: asdict(getattr(self, name)) for name in SECTIONS}
@@ -91,20 +81,6 @@ class ExperimentConfig:
             base_steps=self.training.base_steps,
             full_batch=self.training.full_batch,
         )
-
-    def make_lab(self) -> ToyLab:
-        return make_domains(self.lab.n_domains, self.lab.feature_dim, self.seed)
-
-    def sample_plan(self) -> SamplePlan:
-        return SamplePlan(
-            per_iteration_counts=list(self.search.plan),
-            final_candidate_pool=self.search.pool,
-            top_k_average=self.search.top_k,
-            rng_seed=self.seed,
-        )
-
-    def predictor(self) -> BoostedTreesRegressor:
-        return BoostedTreesRegressor(n_rounds=self.search.gbdt_rounds)
 
 
 def _parse_bool(text: str) -> bool:
@@ -169,13 +145,14 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _validate(config: ExperimentConfig) -> None:
-    """Build every runtime object but the lab once, check the lab's size,
-    then check what none of them checks."""
+    """Check each section; ``_apply`` set the search keys past ``__post_init__``."""
     config.training_config()
     check_lab_size(config.lab.n_domains, config.lab.feature_dim)
-    config.sample_plan()
-    config.predictor()
+    config.search = replace(config.search)
     if config.seed < 0:
         raise ValidationError("config: seed must be non-negative")
+    if config.seed >= 2**64:
+        # The lab's random streams take the seed's low 64 bits only.
+        raise ValidationError("config: seed must be below 2**64")
     if config.references.count < 2:
         raise ValidationError("config: references.count must be at least 2")

@@ -3,12 +3,13 @@
 The search is one loop with one pass per plan entry. The first pass
 evaluates a batch of uniformly sampled mixture ratios; each later pass
 evaluates the rows the previous pass kept (the evaluator returns each
-ratio's per-benchmark scores). Every pass then refits the caller's
-boosted-tree regressor on the (lower-is-better) ranking scores of every
-evaluation so far, scores a large fresh pool of uniform samples from that
-pass's own random stream, and keeps the best-predicted rows: the next plan
-count, or on the last pass ``top_k_average`` rows, whose renormalized
-coordinatewise mean is the final mixture.
+ratio's per-benchmark scores). Every pass then refits one boosted-tree
+regressor of ``gbdt_rounds`` rounds on the (lower-is-better) ranking scores
+of every evaluation so far, scores a fresh pool of ``pool`` uniform samples
+from that pass's own random stream, and keeps the best-predicted rows: the
+next plan count, or on the last pass ``top_k`` rows, whose renormalized
+coordinatewise mean is the final mixture. :class:`SamplePlan` is the
+config's ``[search]`` section, so its fields are the keys a user writes.
 
 Ranking scores are macro-average ranks of the evaluated proxies among each
 other, recomputed over the whole population every time the regressor is fit.
@@ -29,34 +30,37 @@ from .merge_engine import MixtureRatio
 
 @dataclass
 class SamplePlan:
-    """Evaluation budget and pool sizes for the iterative search."""
+    """The ``[search]`` section: the evaluation budget per pass (``plan``),
+    the size of each scored pool (``pool``), the number of best-predicted
+    rows the final mixture averages (``top_k``) and the boosting rounds of
+    each fit (``gbdt_rounds``)."""
 
-    per_iteration_counts: list[int] = field(default_factory=lambda: [64, 32, 16])
-    final_candidate_pool: int = 100_000
-    top_k_average: int = 128
-    rng_seed: int = 0
+    plan: list[int] = field(default_factory=lambda: [64, 32, 16])
+    pool: int = 100_000
+    top_k: int = 128
+    gbdt_rounds: int = 300
 
     def __post_init__(self):
-        counts = [int(c) for c in self.per_iteration_counts]
+        counts = [int(c) for c in self.plan]
         if not counts or any(c <= 0 for c in counts):
-            raise ValidationError("sample plan: per-iteration counts must be positive")
+            raise ValidationError("search: plan counts must be positive")
         if counts[0] < 2:
             # The predictor is first fit on the first iteration's evaluations.
-            raise ValidationError("sample plan: the first plan count must be at least 2")
-        if self.final_candidate_pool <= 0 or self.top_k_average <= 0:
-            raise ValidationError("sample plan: pool and top-k must be positive")
-        if self.top_k_average > self.final_candidate_pool:
-            raise ValidationError("sample plan: top_k_average exceeds final_candidate_pool")
+            raise ValidationError("search: the first plan count must be at least 2")
+        if self.pool <= 0 or self.top_k <= 0:
+            raise ValidationError("search: pool and top_k must be positive")
+        if self.top_k > self.pool:
+            raise ValidationError("search: top_k exceeds pool")
         # Each later iteration evaluates the best members of one pool.
         for c in counts[1:]:
-            if c > self.final_candidate_pool:
-                raise ValidationError(
-                    f"sample plan: plan count {c} exceeds the pool of {self.final_candidate_pool}"
-                )
-        self.per_iteration_counts = counts
+            if c > self.pool:
+                raise ValidationError(f"search: plan count {c} exceeds the pool of {self.pool}")
+        if self.gbdt_rounds < 1:
+            raise ValidationError("search: gbdt_rounds must be at least 1")
+        self.plan = counts
 
     def total_evaluations(self) -> int:
-        return sum(self.per_iteration_counts)
+        return sum(self.plan)
 
 
 @dataclass
@@ -93,9 +97,14 @@ class SearchTranscript:
 
 def _sample_rows(rng: np.random.Generator, count: int, n_dims: int) -> np.ndarray:
     """Uniform draws from the simplex via normalized exponential coordinates."""
-    if n_dims == 1:
-        return np.ones((count, 1))
-    e = rng.standard_exponential((count, n_dims))
+    try:
+        if n_dims == 1:
+            return np.ones((count, 1))
+        e = rng.standard_exponential((count, n_dims))
+    except MemoryError:
+        raise ValidationError(
+            f"cannot hold {count} draws over {n_dims} candidates in memory"
+        ) from None
     # In place: the same division without a second pool-sized array.
     e /= e.sum(axis=1, keepdims=True)
     return e
@@ -132,7 +141,7 @@ def run_search(
     evaluator,
     candidate_ids: list[str],
     plan: SamplePlan,
-    predictor: BoostedTreesRegressor,
+    seed: int,
     benchmark_domains: dict[str, str],
 ) -> tuple[MixtureRatio, SearchTranscript]:
     """Run the full iterative search; returns the final mixture and transcript.
@@ -141,15 +150,18 @@ def run_search(
     ``dict[str, float]``) and must be pure: the same ratio always yields the
     same scores. Evaluator failures are re-raised as SearchError with the
     offending ratio attached. The number of evaluator calls is exactly
-    ``plan.total_evaluations()``. ``predictor`` is refit on every evaluation
-    so far after each batch, once per plan entry, on macro ranks over the
-    domains ``benchmark_domains`` maps the evaluator's benchmarks to.
+    ``plan.total_evaluations()``. One ``BoostedTreesRegressor`` of
+    ``plan.gbdt_rounds`` rounds is refit on every evaluation so far after
+    each batch, once per plan entry, on macro ranks over the domains
+    ``benchmark_domains`` maps the evaluator's benchmarks to. ``seed`` fixes
+    every draw, so the same arguments give the same search.
     """
     n_dims = len(candidate_ids)
     if n_dims < 1:
         raise ValidationError("run_search: need at least one candidate")
-    counts = plan.per_iteration_counts
-    streams = np.random.SeedSequence(plan.rng_seed).spawn(len(counts) + 1)
+    counts = plan.plan
+    predictor = BoostedTreesRegressor(n_rounds=plan.gbdt_rounds)
+    streams = np.random.SeedSequence(seed).spawn(len(counts) + 1)
     transcript = SearchTranscript()
     rows = _sample_rows(np.random.Generator(np.random.PCG64(streams[0])), counts[0], n_dims)
     for iteration, stream in enumerate(streams[1:]):
@@ -183,10 +195,8 @@ def run_search(
         # the last batch the rows the final mixture averages.
         targets = _ranking_targets(transcript.evaluations, benchmark_domains)
         predictor.fit(np.stack([rec.ratio.weights for rec in transcript.evaluations]), targets)
-        pool = _sample_rows(
-            np.random.Generator(np.random.PCG64(stream)), plan.final_candidate_pool, n_dims
-        )
-        keep = counts[iteration + 1] if iteration + 1 < len(counts) else plan.top_k_average
+        pool = _sample_rows(np.random.Generator(np.random.PCG64(stream)), plan.pool, n_dims)
+        keep = counts[iteration + 1] if iteration + 1 < len(counts) else plan.top_k
         rows = pool[np.argsort(predictor.predict(pool), kind="stable")[:keep]]
         del pool  # so two pools are never held at once
 

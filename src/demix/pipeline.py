@@ -255,7 +255,8 @@ def score_table(score, ratios: list[MixtureRatio], lab: toy_lab.ToyLab) -> Score
 
 def generate_lab(config: ExperimentConfig, path: Path) -> None:
     """The lab stage: generate the configured lab world and save it."""
-    toy_lab.save_lab(config.make_lab(), path)
+    lab = toy_lab.make_domains(config.lab.n_domains, config.lab.feature_dim, config.seed)
+    toy_lab.save_lab(lab, path)
 
 
 def train_components(config: ExperimentConfig, lab: toy_lab.ToyLab, out_dir: Path) -> None:
@@ -334,12 +335,11 @@ def search_mixture(
 ) -> dict:
     """The search stage: the iterative search over merged proxies. Writes the
     transcript and the result document, and returns the result."""
-    plan = config.sample_plan()
     best, transcript = mixture_search.run_search(
         functools.partial(proxy_scores, components, lab.tasks),
         [c.id for c in lab.candidates],
-        plan,
-        config.predictor(),
+        config.search,
+        config.seed,
         benchmark_domains=lab.domain_of_benchmarks(),
     )
     if transcript_path is not None:
@@ -347,16 +347,16 @@ def search_mixture(
     result = {
         "best_mixture": best.as_dict(),
         "evaluations": len(transcript.evaluations),
-        "planned_evaluations": plan.total_evaluations(),
+        "planned_evaluations": config.search.total_evaluations(),
         # run_search calls the evaluator once per evaluation, and refits on
         # every evaluation so far after each iteration.
         "evaluator_calls": len(transcript.evaluations),
         "fits": [
             {"after_iteration": i, "n_observations": n}
-            for i, n in enumerate(itertools.accumulate(plan.per_iteration_counts))
+            for i, n in enumerate(itertools.accumulate(config.search.plan))
         ],
-        "final_pool_size": plan.final_candidate_pool,
-        "final_top_k": plan.top_k_average,
+        "final_pool_size": config.search.pool,
+        "final_top_k": config.search.top_k,
     }
     dump_json(result_path, result)
     return result

@@ -60,6 +60,14 @@ def test_tensor_diff_without_the_second_archive_is_a_usage_error(archives, capsy
     assert "requires a second archive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("atol", ["nan", "-1"])
+def test_tensor_diff_with_a_nan_or_negative_atol_is_a_usage_error(archives, capsys, atol):
+    same = [str(archives[0]), str(archives[0])]
+    assert main(["tensor", "diff", *same, "--atol", "inf"]) == 0
+    assert main(["tensor", "diff", *same, "--atol", atol]) == 2
+    assert "--atol must be non-negative" in capsys.readouterr().err
+
+
 def test_merge_cli_linear(tmp_path, archives, capsys):
     out = tmp_path / "merged.dmxt"
     code = main(
@@ -507,9 +515,11 @@ def test_malformed_inputs_are_usage_errors(tmp_path, archives, capsys):
     cfg = tmp_path / "exp.cfg"
     for body, key in [("[search]\nplan = 4,x\n", "plan"), ("[search]\npool = 1e5\n", "pool"),
                       ("[experiment]\nseed = -1\n", "seed"),
+                      # The lab's streams keep the low 64 bits: this would be seed 0's lab.
+                      ("[experiment]\nseed = 18446744073709551616\n", "seed"),
                       ("[search]\nplan = 1\n", "plan"),
                       ("[search]\nplan = 1,8\n", "plan"),
-                      ("[search]\ngbdt_rounds = 0\n", "n_rounds"),
+                      ("[search]\ngbdt_rounds = 0\n", "gbdt_rounds"),
                       ("[search]\nplan = 8,50\npool = 20\ntop_k = 4\n", "plan"),
                       ("[lab]\nfamily = mlp_1hidden\nhidden_units = -1\n", "hidden_units"),
                       ("[lab]\nfeature_dim = 3\n", "feature_dim"),
@@ -533,6 +543,17 @@ def test_malformed_inputs_are_usage_errors(tmp_path, archives, capsys):
                  "--proxy", str(tmp_path / "scores.csv"), "--domains", str(tmp_path / "domains.csv"),
                  "--out", str(tmp_path / "c.json")]) == 2
     assert f"{tmp_path / 'scores.csv'}:2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", ["pool = 800", "count = 6"])  # [search], [references]
+def test_a_draw_too_large_to_hold_is_a_usage_error(tmp_path, capsys, setting):
+    # 10**15 rows are far beyond the address space, so numpy refuses the
+    # draw without allocating anything.
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(SMALL_CONFIG.replace(setting, f"{setting.split()[0]} = {10**15}"))
+    assert main(["run", "--config", str(cfg), "--run-root", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert f"{10**15} draws over 3 candidates" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

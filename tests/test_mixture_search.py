@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from demix import mixture_search
 from demix.errors import SearchError, ValidationError
 from demix.gbdt import BoostedTreesRegressor
 from demix.mixture_search import SamplePlan, run_search, sample_simplex
@@ -115,19 +116,15 @@ def make_evaluator(fn):
 
 
 def small_plan(**kw):
-    defaults = dict(per_iteration_counts=[8, 4], final_candidate_pool=500, top_k_average=16, rng_seed=0)
+    defaults = dict(plan=[8, 4], pool=500, top_k=16, gbdt_rounds=60)
     defaults.update(kw)
     return SamplePlan(**defaults)
 
 
-def fast_predictor():
-    return BoostedTreesRegressor(n_rounds=60)
-
-
 def test_single_iteration_structural_contract():
-    plan = SamplePlan(per_iteration_counts=[2], final_candidate_pool=10, top_k_average=2, rng_seed=1)
+    plan = small_plan(plan=[2], pool=10, top_k=2)
     best, transcript = run_search(
-        make_evaluator(lambda r: float(r.weights[0])), ["a", "b", "c"], plan, fast_predictor(), OBJECTIVE
+        make_evaluator(lambda r: float(r.weights[0])), ["a", "b", "c"], plan, 1, OBJECTIVE
     )
     assert len(transcript.evaluations) == 2
     assert best.weights.sum() == pytest.approx(1.0, abs=1e-9)
@@ -136,7 +133,7 @@ def test_single_iteration_structural_contract():
 def test_constant_evaluator_all_scores_equal():
     plan = small_plan()
     best, transcript = run_search(
-        make_evaluator(lambda r: 1.0), ["a", "b"], plan, fast_predictor(), OBJECTIVE
+        make_evaluator(lambda r: 1.0), ["a", "b"], plan, 0, OBJECTIVE
     )
     ranking_scores = {rec.ranking_score for rec in transcript.evaluations}
     assert len(ranking_scores) == 1
@@ -150,43 +147,38 @@ def test_evaluator_call_budget_is_exact():
         calls.append(ratio)
         return {"objective": float(ratio.weights[0])}
 
-    plan = small_plan(per_iteration_counts=[5, 3, 2])
-    run_search(evaluator, ["a", "b", "c"], plan, fast_predictor(), OBJECTIVE)
+    plan = small_plan(plan=[5, 3, 2])
+    run_search(evaluator, ["a", "b", "c"], plan, 0, OBJECTIVE)
     assert len(calls) == 10
 
 
 def test_search_is_reproducible():
-    plan = small_plan(per_iteration_counts=[6, 3])
+    plan = small_plan(plan=[6, 3])
     evaluator = make_evaluator(lambda r: float(np.abs(r.weights - [0.7, 0.3]).sum()))
-    best1, t1 = run_search(evaluator, ["a", "b"], plan, fast_predictor(), OBJECTIVE)
-    best2, t2 = run_search(evaluator, ["a", "b"], plan, fast_predictor(), OBJECTIVE)
+    best1, t1 = run_search(evaluator, ["a", "b"], plan, 0, OBJECTIVE)
+    best2, t2 = run_search(evaluator, ["a", "b"], plan, 0, OBJECTIVE)
     assert np.array_equal(best1.weights, best2.weights)
     assert t1.to_jsonl() == t2.to_jsonl()
 
 
-class RecordingRegressor(BoostedTreesRegressor):
-    """Keeps every pool it scores together with its predictions."""
+def test_selection_actually_selects(monkeypatch):
+    scored = []  # every pool the search scores, with its predictions
 
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
-        self.scored = []
+    class RecordingRegressor(BoostedTreesRegressor):
+        def predict(self, X):
+            preds = super().predict(X)
+            scored.append((np.array(X), preds))
+            return preds
 
-    def predict(self, X):
-        preds = super().predict(X)
-        self.scored.append((np.array(X), preds))
-        return preds
-
-
-def test_selection_actually_selects():
+    monkeypatch.setattr(mixture_search, "BoostedTreesRegressor", RecordingRegressor)
     counts = [8, 4, 4]
-    plan = small_plan(per_iteration_counts=counts, final_candidate_pool=400)
-    predictor = RecordingRegressor(n_rounds=60)
+    plan = small_plan(plan=counts, pool=400)
     _, transcript = run_search(
-        make_evaluator(lambda r: float(r.weights[0])), ["a", "b", "c"], plan, predictor, OBJECTIVE
+        make_evaluator(lambda r: float(r.weights[0])), ["a", "b", "c"], plan, 0, OBJECTIVE
     )
-    assert len(predictor.scored) == len(counts)  # one pool per later iteration, one final
+    assert len(scored) == len(counts)  # one pool per later iteration, one final
     for t in range(1, len(counts)):
-        pool, preds = predictor.scored[t - 1]
+        pool, preds = scored[t - 1]
         order = np.argsort(preds, kind="stable")
         picked, rest = order[: counts[t]], order[counts[t]:]
         evaluated = np.stack([r.ratio.weights for r in transcript.evaluations if r.iteration == t])
@@ -197,8 +189,8 @@ def test_selection_actually_selects():
 def test_later_iterations_concentrate_near_optimum():
     target = np.array([0.6, 0.3, 0.1])
     evaluator = make_evaluator(lambda r: float(np.abs(r.weights - target).sum()))
-    plan = small_plan(per_iteration_counts=[16, 8], final_candidate_pool=2000, top_k_average=32)
-    _, transcript = run_search(evaluator, ["a", "b", "c"], plan, fast_predictor(), OBJECTIVE)
+    plan = small_plan(plan=[16, 8], pool=2000, top_k=32)
+    _, transcript = run_search(evaluator, ["a", "b", "c"], plan, 0, OBJECTIVE)
     first = [r for r in transcript.evaluations if r.iteration == 0]
     last = [r for r in transcript.evaluations if r.iteration == 1]
     dist = lambda recs: np.mean([np.abs(r.ratio.weights - target).sum() for r in recs])
@@ -206,9 +198,9 @@ def test_later_iterations_concentrate_near_optimum():
 
 
 def test_ranking_scores_are_descending_ranks_of_final_population():
-    plan = small_plan(per_iteration_counts=[4, 2], final_candidate_pool=100, top_k_average=4)
+    plan = small_plan(plan=[4, 2], pool=100, top_k=4)
     evaluator = make_evaluator(lambda r: float(r.weights[0]))
-    _, transcript = run_search(evaluator, ["a", "b"], plan, fast_predictor(), OBJECTIVE)
+    _, transcript = run_search(evaluator, ["a", "b"], plan, 0, OBJECTIVE)
     scores = [rec.per_benchmark_scores["objective"] for rec in transcript.evaluations]
     got = [rec.ranking_score for rec in transcript.evaluations]
     # single benchmark: best score gets rank 1, and a full ranking sums to n(n+1)/2
@@ -226,13 +218,13 @@ def test_evaluator_failure_carries_the_ratio():
         raise RuntimeError("boom")
 
     with pytest.raises(SearchError) as err:
-        run_search(evaluator, ["a", "b"], small_plan(), fast_predictor(), OBJECTIVE)
+        run_search(evaluator, ["a", "b"], small_plan(), 0, OBJECTIVE)
     assert err.value.ratio is not None
 
 
 def test_transcript_jsonl_is_parseable():
-    plan = small_plan(per_iteration_counts=[3, 2])
-    _, transcript = run_search(make_evaluator(lambda r: 0.5), ["a", "b"], plan, fast_predictor(), OBJECTIVE)
+    plan = small_plan(plan=[3, 2])
+    _, transcript = run_search(make_evaluator(lambda r: 0.5), ["a", "b"], plan, 0, OBJECTIVE)
     lines = transcript.to_jsonl().strip().splitlines()
     assert len(lines) == 5
     for line in lines:
@@ -242,15 +234,17 @@ def test_transcript_jsonl_is_parseable():
 
 def test_plan_validation():
     with pytest.raises(ValidationError, match="positive"):
-        SamplePlan(per_iteration_counts=[0])
-    with pytest.raises(ValidationError, match="top_k_average"):
-        SamplePlan(per_iteration_counts=[2], final_candidate_pool=10, top_k_average=11)
+        SamplePlan(plan=[0])
+    with pytest.raises(ValidationError, match="top_k exceeds pool"):
+        SamplePlan(plan=[2], pool=10, top_k=11)
+    with pytest.raises(ValidationError, match="gbdt_rounds"):
+        SamplePlan(gbdt_rounds=0)
 
 
 def test_plan_counts_after_the_first_fit_in_the_pool():
     # The first batch is drawn directly, so only later counts are bounded.
-    SamplePlan(per_iteration_counts=[50, 20], final_candidate_pool=20, top_k_average=4)
+    SamplePlan(plan=[50, 20], pool=20, top_k=4)
     with pytest.raises(ValidationError, match="exceeds the pool"):
-        SamplePlan(per_iteration_counts=[8, 50], final_candidate_pool=20, top_k_average=4)
+        SamplePlan(plan=[8, 50], pool=20, top_k=4)
     with pytest.raises(ValidationError, match="exceeds the pool"):
-        SamplePlan(per_iteration_counts=[8, 4, 21], final_candidate_pool=20, top_k_average=4)
+        SamplePlan(plan=[8, 4, 21], pool=20, top_k=4)

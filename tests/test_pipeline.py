@@ -15,7 +15,7 @@ import pytest
 
 import demix
 from demix import pipeline, tensor_store, toy_lab
-from demix.config import ExperimentConfig, load_config
+from demix.config import ExperimentConfig, LabSection, load_config
 from demix.errors import PipelineError, ValidationError
 from demix.eval_metrics import consistency_report
 from demix.pipeline import (
@@ -311,6 +311,23 @@ def test_a_run_hashes_its_config_once(config_path, warm_root, monkeypatch):
     monkeypatch.setattr(ExperimentConfig, "content_hash", counting)
     assert recomputed_stages(run_pipeline(load_config(config_path), run_root=warm_root)) == []
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "lab, names",
+    [
+        ({}, ("7f01b0ec6f038809", "01ab897aa286f066")),
+        (
+            {"n_domains": 8, "feature_dim": 256, "family": "mlp_1hidden", "hidden_units": 64},
+            ("2b1ef9d2f2d5680e", "e27c184268d35f6c"),
+        ),
+    ],
+)
+def test_run_directory_names_are_pinned(lab, names):
+    # The content hash covers every section's field names, so renaming a key
+    # would orphan every run directory made before the rename.
+    got = tuple(ExperimentConfig(seed=seed, lab=LabSection(**lab)).content_hash() for seed in (0, 1))
+    assert got == names
 
 
 def test_a_changed_base_reruns_the_references_but_not_the_search(config_path, tmp_path):
