@@ -198,11 +198,9 @@ def _cmd_run(args) -> int:
     config = load_config(args.config)
     manifest = pipeline.run_pipeline(config, run_root=args.run_root)
     print(f"run dir: {manifest.run_dir}")
-    for name in pipeline.STAGE_VERSIONS:
-        if name in manifest.stages:
-            record = manifest.stages[name]
-            flag = "ran" if record.get("recomputed") else "cached"
-            print(f"  {name}: {record['status']} ({flag})")
+    for name, record in manifest.stages.items():
+        flag = "ran" if record.get("recomputed") else "cached"
+        print(f"  {name}: {record['status']} ({flag})")
     report = pipeline.load_report(manifest)
     print(pipeline.format_report(report))
     return 0

@@ -146,8 +146,7 @@ def load_config(path) -> ExperimentConfig:
 
 def _validate(config: ExperimentConfig) -> None:
     """Check each section; ``_apply`` set the search keys past ``__post_init__``."""
-    config.training_config()
-    check_lab_size(config.lab.n_domains, config.lab.feature_dim)
+    check_lab_size(config.lab.n_domains, config.lab.feature_dim, config.training_config())
     config.search = replace(config.search)
     if config.seed < 0:
         raise ValidationError("config: seed must be non-negative")

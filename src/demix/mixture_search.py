@@ -101,7 +101,7 @@ def _sample_rows(rng: np.random.Generator, count: int, n_dims: int) -> np.ndarra
         if n_dims == 1:
             return np.ones((count, 1))
         e = rng.standard_exponential((count, n_dims))
-    except MemoryError:
+    except (MemoryError, ValueError):  # numpy's "array is too big" is a ValueError
         raise ValidationError(
             f"cannot hold {count} draws over {n_dims} candidates in memory"
         ) from None

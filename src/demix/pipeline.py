@@ -21,16 +21,17 @@ stage build their score tables with one function, :func:`score_table`: the
 references score models trained on each mixture
 (:func:`toy_lab.trained_scores`), the consistency stage scores the
 components merged at it (:func:`proxy_scores`). The run directory is named
-by the config's content hash, so a stage is cached by a hash over its
-implementation version and the contents of the files it reads (the report
-also keys on the experiment name, which the content hash leaves out). It
-reruns when that hash changed or a file it writes is missing, so deleting an
-artifact recomputes only its stage and, where their inputs actually changed,
-the stages downstream of it. A finished experiment reruns without loading
-anything (a stage body loads the lab and the components on first use), and
-rewrites ``manifest.json`` only if something in it changed. The
-consistency and search stages merge the components linearly and benchmark
-the result; they never train and never read the shared base.
+by the config's content hash, so a stage is cached by a hash over the
+package's source code (:func:`_code_fingerprint`) and the contents of the
+files it reads (the report also keys on the experiment name, which the
+content hash leaves out). It reruns when that hash changed or a file it
+writes is missing, so any edit to the code recomputes every stage once, and
+deleting an artifact recomputes only its stage and, where their inputs
+actually changed, the stages downstream of it. A finished experiment reruns
+without loading anything (a stage body loads the lab and the components on
+first use), and rewrites ``manifest.json`` only if something in it changed.
+The consistency and search stages merge the components linearly and
+benchmark the result; they never train and never read the shared base.
 
 An input's digest is hashed once and then reused while the file is unchanged.
 The manifest's ``files`` records each input's stamp, ``(st_ino, st_size,
@@ -69,14 +70,6 @@ from .errors import PipelineError, ValidationError
 from .eval_metrics import ScoreTable, consistency_report
 from .merge_engine import MixtureRatio
 from .tensor_store import ParameterSet, atomic_write, load_archive, remove_leftover_temps, save_archive
-
-# Each stage's implementation version, part of its cache hash, in the order
-# the stages run. Bump a stage's version with any code change that alters
-# what it writes, so that run directories made by older code recompute it
-# instead of reusing its files.
-STAGE_VERSIONS = {
-    "lab": 3, "components": 1, "references": 1, "consistency": 1, "search": 1, "report": 1,
-}
 
 # How long before its hashing an input must have last changed for its stamp
 # to be recorded: longer than any filesystem's timestamp tick.
@@ -134,6 +127,20 @@ def _file_hash(path: Path) -> str:
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
+    return h.hexdigest()
+
+
+@functools.cache
+def _code_fingerprint() -> str:
+    """A digest of numpy's version and the name and bytes of every source
+    file of the package: part of every stage's hash, so that results made by
+    other code are never reused. Computed on the first run in a process, not
+    at import, and then kept, so warm reruns do not hash the sources again."""
+    h = hashlib.blake2b(np.__version__.encode("utf-8"), digest_size=16)
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        source = path.read_bytes()
+        h.update(f"\0{path.name}\0{len(source)}\0".encode("utf-8"))
+        h.update(source)
     return h.hexdigest()
 
 
@@ -395,20 +402,21 @@ def run_pipeline(config: ExperimentConfig, run_root: str | None = None) -> Exper
     run_dir = root / config_hash
     run_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = run_dir / "manifest.json"
-    on_disk = None
-    if manifest_path.exists():
-        manifest, on_disk = ExperimentManifest.load(manifest_path)
-        if manifest.config_hash != config_hash:
-            raise PipelineError("manifest in run directory belongs to a different config")
-    else:
-        manifest = ExperimentManifest(
-            config=config.resolved(),
-            config_hash=config_hash,
-            run_dir=str(run_dir),
-            created_at=time.time(),
-        )
-
     with _RunLock(run_dir):
+        # Read under the lock: a manifest read before taking it could be one
+        # that the run then holding the lock has since replaced.
+        on_disk = None
+        if manifest_path.exists():
+            manifest, on_disk = ExperimentManifest.load(manifest_path)
+            if manifest.config_hash != config_hash:
+                raise PipelineError("manifest in run directory belongs to a different config")
+        else:
+            manifest = ExperimentManifest(
+                config=config.resolved(),
+                config_hash=config_hash,
+                run_dir=str(run_dir),
+                created_at=time.time(),
+            )
         try:
             _run_stages(config, run_dir, manifest)
         finally:
@@ -487,17 +495,21 @@ def _run_stages(config: ExperimentConfig, run_dir: Path, manifest: ExperimentMan
     )
 
     # The run directory is named by the config's content hash, so a stage's
-    # hash needs to cover only its code version and its input files (each
-    # digested at most once per run, and not at all while its stamp holds).
+    # hash needs to cover only the code and its input files (each digested at
+    # most once per run, and not at all while its stamp holds).
+    code = _code_fingerprint()
     file_hash = functools.cache(lambda name: _input_digest(run_dir, name, manifest.files))
     for name, inputs, outputs, body in stages:
-        doc = {"inputs": {f: file_hash(f) for f in inputs}, "version": STAGE_VERSIONS[name]}
+        doc = {"code": code, "inputs": {f: file_hash(f) for f in inputs}}
         if name == "report":
             # The report shows the experiment name, the one field the run
             # directory's name leaves out.
             doc["name"] = config.name
         stage_hash = hashlib.blake2b(json.dumps(doc, sort_keys=True).encode("utf-8"), digest_size=16)
         _execute(manifest, run_dir, name, stage_hash.hexdigest(), outputs, body)
+    # In the order the stages run, which `demix run` lists them in; a
+    # manifest read back from disk has its keys sorted.
+    manifest.stages = {name: manifest.stages[name] for name, *_ in stages}
 
 
 def _wrong_types(doc, spec, key: str = "") -> list[str]:

@@ -144,11 +144,27 @@ def domain_ids(n_domains: int) -> list[str]:
     return [f"dom{k}" for k in range(n_domains)]
 
 
-def check_lab_size(n_domains: int, d: int) -> None:
+def check_lab_size(
+    n_domains: int, d: int, config: ComponentTrainingConfig | None = None
+) -> None:
     """Raise ValidationError unless a lab of ``n_domains`` domains over ``d``
-    features can be made."""
+    features can be made and, given ``config``, its models trained. Every
+    array the lab, a model or a training step holds is shaped by two of the
+    sizes below, so no two of them may multiply past what one numpy array
+    can address."""
     if n_domains < 2 or d < SHARED_DIMS:
         raise ValidationError(f"lab: need n_domains >= 2 and feature_dim >= {SHARED_DIMS}")
+    sizes = {"examples": max(EXAMPLES_PER_DOMAIN, GENERAL_EXAMPLES, BENCHMARK_EXAMPLES),
+             "feature_dim": d}
+    if config is not None:
+        sizes["batch_size"] = config.batch_size
+        if config.model_family == "mlp_1hidden":
+            sizes["hidden_units"] = config.hidden_units
+    (_, second), (key, largest) = sorted(sizes.items(), key=lambda item: item[1])[-2:]
+    if largest * second > np.iinfo(np.intp).max // 8:
+        raise ValidationError(
+            f"config: {key} = {largest} makes arrays too large for numpy to address"
+        )
 
 
 def make_domains(n_domains: int, d: int, seed: int) -> ToyLab:

@@ -389,9 +389,14 @@ def test_run_and_report_cli(tmp_path, capsys):
         "[references]\ncount = 8\n\n"
         "[search]\nplan = 6,3\npool = 800\ntop_k = 8\ngbdt_rounds = 40\n"
     )
-    assert main(["run", "--config", str(cfg), "--run-root", str(tmp_path / "runs")]) == 0
-    out = capsys.readouterr().out
-    assert "optimal mixture" in out
+    stages = ["lab", "components", "references", "consistency", "search", "report"]
+    for flag in ("ran", "cached"):
+        assert main(["run", "--config", str(cfg), "--run-root", str(tmp_path / "runs")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # In run order; the cached rerun reads its manifest back from JSON
+        # with sorted keys.
+        assert lines[1:7] == [f"  {stage}: done ({flag})" for stage in stages]
+        assert lines[7] == "experiment experiment (seed 1)" and "optimal mixture:" in lines
     run_dir = next((tmp_path / "runs").iterdir())
     assert main(["report", "--manifest", str(run_dir / "manifest.json"), "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -554,6 +559,32 @@ def test_a_draw_too_large_to_hold_is_a_usage_error(tmp_path, capsys, setting):
     assert main(["run", "--config", str(cfg), "--run-root", str(tmp_path / "runs")]) == 2
     err = capsys.readouterr().err
     assert f"{10**15} draws over 3 candidates" in err and "Traceback" not in err
+
+
+HUGE = 2**62
+
+
+@pytest.mark.parametrize(
+    "setting, sized, message",
+    [
+        ("pool = 800", f"pool = {HUGE}", f"{HUGE} draws over 3 candidates"),
+        ("plan = 6,3", f"plan = {HUGE}", f"{HUGE} draws over 3 candidates"),
+        ("count = 6", f"count = {HUGE}", f"{HUGE} draws over 3 candidates"),
+        ("[experiment]", f"[lab]\nfamily = mlp_1hidden\nhidden_units = {HUGE}\n\n[experiment]",
+         f"hidden_units = {HUGE}"),
+        ("base_steps = 40", f"base_steps = 40\nbatch_size = {HUGE}", f"batch_size = {HUGE}"),
+        ("[experiment]", f"[lab]\nfeature_dim = {HUGE}\n\n[experiment]", f"feature_dim = {HUGE}"),
+    ],
+    ids=["pool", "plan", "references-count", "hidden-units", "batch-size", "feature-dim"],
+)
+def test_a_size_numpy_cannot_address_is_a_usage_error(tmp_path, capsys, setting, sized, message):
+    # numpy refuses arrays of 2**62 rows before allocating anything; the lab,
+    # model and batch sizes are refused by load_config, before any stage runs.
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(SMALL_CONFIG.replace(setting, sized))
+    assert main(["run", "--config", str(cfg), "--run-root", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

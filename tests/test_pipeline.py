@@ -343,14 +343,82 @@ def test_a_changed_base_reruns_the_references_but_not_the_search(config_path, tm
     assert (run_dir / "search_result.json").read_bytes() == result
 
 
-def test_a_new_stage_version_recomputes_that_stage_only(config_path, tmp_path, monkeypatch):
-    manifest = run_pipeline(load_config(config_path), run_root=tmp_path / "runs")
-    result = (Path(manifest.run_dir) / "search_result.json").read_bytes()
-    monkeypatch.setitem(pipeline.STAGE_VERSIONS, "search", pipeline.STAGE_VERSIONS["search"] + 1)
-    again = run_pipeline(load_config(config_path), run_root=tmp_path / "runs")
-    # The report hashes its input files, which the rerun wrote byte for byte.
-    assert recomputed_stages(again) == ["search"]
-    assert (Path(manifest.run_dir) / "search_result.json").read_bytes() == result
+def test_a_new_code_fingerprint_recomputes_every_stage(config_path, warm_root, monkeypatch):
+    (run_dir,) = warm_root.iterdir()
+    before = {name: (run_dir / name).read_bytes() for name in PRODUCER}
+    monkeypatch.setattr(pipeline, "_code_fingerprint", lambda: "other code")
+    again = run_pipeline(load_config(config_path), run_root=warm_root)
+    assert recomputed_stages(again) == sorted(set(PRODUCER.values()))
+    # The code is the same, so it writes the same bytes.
+    assert {name: (run_dir / name).read_bytes() for name in PRODUCER} == before
+
+
+STAGES = ["lab", "components", "references", "consistency", "search", "report"]
+
+
+def demix_run(package_root: Path, config_path, run_root, hash_seed: str) -> list[str]:
+    """The stage lines that ``python -m demix.cli run`` prints in a fresh
+    interpreter that imports demix from ``package_root`` (runpy runs the
+    module as ``-m`` does, after a check of which demix was imported)."""
+    code = (
+        "import runpy, demix\n"
+        "print(demix.__file__, flush=True)\n"
+        "runpy.run_module('demix.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "run", "--config", str(config_path), "--run-root", str(run_root)],
+        env={**os.environ, "PYTHONPATH": str(package_root), "PYTHONHASHSEED": hash_seed},
+        cwd=run_root.parent, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported, _run_dir, *lines = proc.stdout.splitlines()
+    assert Path(imported) == package_root / "demix" / "__init__.py"
+    return lines[: len(STAGES)]
+
+
+def test_a_rerun_in_a_process_with_another_hash_seed_recomputes_nothing(config_path, tmp_path):
+    package_root = Path(demix.__file__).resolve().parents[1]
+    runs = tmp_path / "runs"
+    assert demix_run(package_root, config_path, runs, "1") == [f"  {s}: done (ran)" for s in STAGES]
+    assert demix_run(package_root, config_path, runs, "2") == [f"  {s}: done (cached)" for s in STAGES]
+
+
+def test_an_edit_to_the_code_recomputes_every_stage(config_path, warm_root, tmp_path):
+    (run_dir,) = warm_root.iterdir()
+    result = (run_dir / "search_result.json").read_bytes()
+    package_root = tmp_path / "edited"
+    shutil.copytree(
+        Path(demix.__file__).parent, package_root / "demix", ignore=shutil.ignore_patterns("__pycache__")
+    )
+    lab_code = package_root / "demix" / "toy_lab.py"
+    source = lab_code.read_text()
+    assert "\nNOISE_STD = 0.05\n" in source
+    lab_code.write_text(source.replace("\nNOISE_STD = 0.05\n", "\nNOISE_STD = 0.5\n"))
+    assert demix_run(package_root, config_path, warm_root, "1") == [f"  {s}: done (ran)" for s in STAGES]
+    assert (run_dir / "search_result.json").read_bytes() != result
+    assert demix_run(package_root, config_path, warm_root, "2") == [f"  {s}: done (cached)" for s in STAGES]
+
+
+def test_a_run_reads_the_manifest_after_taking_the_lock(config_path, warm_root, monkeypatch):
+    (run_dir,) = warm_root.iterdir()
+    result_path = run_dir / "search_result.json"
+    expected = result_path.read_bytes()
+    enter = _RunLock.__enter__
+
+    def another_run_finishes_first(self):
+        # What a run holding the lock could leave: a new search hash and result.
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        manifest["stages"]["search"]["hash"] = "0" * 32
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        result = json.loads(expected)
+        result["best_mixture"] = {"dom0": 1.0, "dom1": 0.0, "dom2": 0.0}
+        result_path.write_text(json.dumps(result))
+        return enter(self)
+
+    monkeypatch.setattr(_RunLock, "__enter__", another_run_finishes_first)
+    again = run_pipeline(load_config(config_path), run_root=warm_root)
+    assert "search" in recomputed_stages(again)
+    assert result_path.read_bytes() == expected
 
 
 def test_regenerated_artifacts_are_byte_identical_across_roots(config_path, tmp_path):
