@@ -5,9 +5,10 @@ pipeline's own stage functions and read their settings from `--config` (the
 defaults without one), so they write the same artifacts as `demix run`.
 
 Exit codes: 0 on success, otherwise the failing error class decides
-(validation 2, archive 3, training 4, metrics 5, search 6, pipeline 7;
+(validation 2, archive 3, training 4, metrics 5, search 6, pipeline 7);
+a size that memory cannot hold, such as a model too wide for it, exits 8.
 `tensor diff` exits 1 when the archives differ, and every command exits 1
-when the reader of its standard output goes away).
+when the reader of its standard output goes away.
 """
 
 from __future__ import annotations
@@ -305,6 +306,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 8
 
 
 if __name__ == "__main__":

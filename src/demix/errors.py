@@ -32,9 +32,14 @@ class ArchiveError(DemixError):
 
 
 class TrainingError(DemixError):
-    """Toy-lab training diverged or was misconfigured."""
+    """Toy-lab training diverged or was misconfigured; carries the index of
+    the diverged model among those trained together when there is one."""
 
     exit_code = 4
+
+    def __init__(self, message, model=None):
+        super().__init__(message)
+        self.model = model
 
 
 class MetricError(DemixError):

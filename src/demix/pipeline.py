@@ -17,14 +17,14 @@ files it reads and writes in the run directory:
 
 The stage bodies are module-level functions, which the matching `demix lab`
 and `demix search` subcommands call too. The references and the consistency
-stage build their score tables with one function, :func:`score_table`: the
-references score models trained on each mixture
-(:func:`toy_lab.trained_scores`), the consistency stage scores the
-components merged at it (:func:`proxy_scores`). The run directory is named
-by the config's content hash, so a stage is cached by a hash over the
-package's source code (:func:`_code_fingerprint`) and the contents of the
-files it reads (the report also keys on the experiment name, which the
-content hash leaves out). It reruns when that hash changed or a file it
+stage build their score tables with one function, :func:`score_table`, from
+one row of scores per mixture: the references score models trained on all
+the mixtures at once (:func:`toy_lab.trained_scores`), the consistency stage
+scores the components merged at each of them (:func:`proxy_scores`). The
+run directory is named by the config's content hash, so a stage is cached by
+a hash over the package's source code (:func:`_code_fingerprint`) and the
+contents of the files it reads (the report also keys on the experiment name,
+which the content hash leaves out). It reruns when that hash changed or a file it
 writes is missing, so any edit to the code recomputes every stage once, and
 deleting an artifact recomputes only its stage and, where their inputs
 actually changed, the stages downstream of it. A finished experiment reruns
@@ -252,12 +252,12 @@ def proxy_scores(components, tasks, ratio: MixtureRatio) -> dict[str, float]:
     return toy_lab.evaluate_model(merge_engine.merge(components, ratio), tasks)
 
 
-def score_table(score, ratios: list[MixtureRatio], lab: toy_lab.ToyLab) -> ScoreTable:
-    """The scores ``score(ratio)`` of each ratio as rows ``mix_000``,
-    ``mix_001``, ... in ratio order, so tables of trained and of merged
-    models over the same ratios line up row for row."""
-    rows = {f"mix_{j:03d}": score(ratio) for j, ratio in enumerate(ratios)}
-    return ScoreTable(rows=rows, domain_of=lab.domain_of_benchmarks())
+def score_table(rows: list[dict[str, float]], lab: toy_lab.ToyLab) -> ScoreTable:
+    """The score rows of a list of ratios as rows ``mix_000``, ``mix_001``,
+    ... in ratio order, so tables of trained and of merged models over the
+    same ratios line up row for row."""
+    named = {f"mix_{j:03d}": row for j, row in enumerate(rows)}
+    return ScoreTable(rows=named, domain_of=lab.domain_of_benchmarks())
 
 
 def generate_lab(config: ExperimentConfig, path: Path) -> None:
@@ -285,8 +285,8 @@ def load_components(directory: Path, lab: toy_lab.ToyLab) -> list[ParameterSet]:
 def train_references(
     config: ExperimentConfig, lab: toy_lab.ToyLab, base: ParameterSet, out_dir: Path
 ) -> None:
-    """The references stage: train one reference model per sampled ratio and
-    save the ratios and the reference score table."""
+    """The references stage: train one reference model per sampled ratio, all
+    in lockstep, and save the ratios and the reference score table."""
     candidate_ids = [c.id for c in lab.candidates]
     ratios = mixture_search.sample_simplex(
         len(candidate_ids),
@@ -295,8 +295,7 @@ def train_references(
         candidate_ids=candidate_ids,
     )
     dump_json(out_dir / "reference_ratios.json", [r.as_dict() for r in ratios])
-    trained = functools.partial(toy_lab.trained_scores, lab, base, config.training_config())
-    table = score_table(trained, ratios, lab)
+    table = score_table(toy_lab.trained_scores(lab, base, config.training_config(), ratios), lab)
     write_score_csv(table, out_dir / "references.csv", out_dir / "domains.csv")
 
 
@@ -322,7 +321,7 @@ def check_consistency(
             f"{path} holds {len(ratios)} ratios, but {run_dir / 'references.csv'} "
             f"scores {len(reference.models())} models"
         )
-    proxy = score_table(functools.partial(proxy_scores, components, lab.tasks), ratios, lab)
+    proxy = score_table([proxy_scores(components, lab.tasks, ratio) for ratio in ratios], lab)
     try:
         report = consistency_report(reference, proxy)
     except ValidationError as exc:

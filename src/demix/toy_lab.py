@@ -15,6 +15,10 @@ GENERAL_EXAMPLES and BENCHMARK_EXAMPLES hold its sizes.
 Every model trained from the base trains on one blend of general data and a
 mixture, :func:`reference_mixture`: a component at a one-hot mixture, and
 in :func:`trained_scores` the model whose scores a merge stands in for.
+Models trained from one start train together: :func:`train_lockstep` stacks
+their parameters and takes each gradient step for all of them at once, with
+each model's arithmetic the same, bit for bit, as when it trains alone.
+:func:`train` is its one-model case, which trains the base.
 """
 
 from __future__ import annotations
@@ -155,7 +159,7 @@ def check_lab_size(
     if n_domains < 2 or d < SHARED_DIMS:
         raise ValidationError(f"lab: need n_domains >= 2 and feature_dim >= {SHARED_DIMS}")
     sizes = {"examples": max(EXAMPLES_PER_DOMAIN, GENERAL_EXAMPLES, BENCHMARK_EXAMPLES),
-             "feature_dim": d}
+             "feature_dim": d, "n_domains": n_domains}
     if config is not None:
         sizes["batch_size"] = config.batch_size
         if config.model_family == "mlp_1hidden":
@@ -270,56 +274,72 @@ def _check_model(params: ParameterSet, dim: int, who: str) -> str:
 
 def _forward(arrays: dict, X: np.ndarray):
     """The model's predictions for inputs X, and the hidden layer for the MLP
-    (None otherwise)."""
+    (None otherwise). Parameters stacked along a leading axis of models give
+    each model's predictions on its own rows of a stacked X, or on a shared X;
+    each model's products are then the same BLAS calls as its own."""
     if "w" in arrays:
-        return X @ arrays["w"] + arrays["b"][0], None
-    hidden = np.tanh(X @ arrays["w1"] + arrays["b1"])
-    return hidden @ arrays["w2"] + arrays["b2"][0], hidden
+        return (X @ arrays["w"][..., None])[..., 0] + arrays["b"], None
+    hidden = np.tanh(X @ arrays["w1"] + arrays["b1"][..., None, :])
+    return (hidden @ arrays["w2"][..., None])[..., 0] + arrays["b2"], hidden
 
 
-# Divergence shows up as inf/nan loss and is reported by train(); keep numpy
-# quiet about the overflow itself.
-@np.errstate(over="ignore", invalid="ignore")
 def _loss_and_grads(arrays: dict, X: np.ndarray, y: np.ndarray):
-    m = X.shape[0]
+    """Each stacked model's half mean squared error on its rows of X and y
+    (or on shared ones), and its gradients, stacked like ``arrays``."""
+    m = X.shape[-2]
     out, hidden = _forward(arrays, X)
     err = out - y
-    loss = 0.5 * float(err @ err) / m
+    loss = 0.5 * (err[..., None, :] @ err[..., None])[..., 0, 0] / m
+    X_t = np.swapaxes(X, -1, -2)
     if hidden is None:
-        return loss, {"w": X.T @ err / m, "b": np.array([err.mean()])}
+        grad_w = (X_t @ err[..., None])[..., 0] / m
+        return loss, {"w": grad_w, "b": err.mean(axis=-1, keepdims=True)}
     g_out = err / m
-    g_w2 = hidden.T @ g_out
-    g_hidden = np.outer(g_out, arrays["w2"]) * (1.0 - hidden**2)
+    g_hidden = g_out[..., None] * arrays["w2"][..., None, :] * (1.0 - hidden**2)
     return loss, {
-        "w1": X.T @ g_hidden,
-        "b1": g_hidden.sum(axis=0),
-        "w2": g_w2,
-        "b2": np.array([g_out.sum()]),
+        "w1": X_t @ g_hidden,
+        "b1": g_hidden.sum(axis=-2),
+        "w2": (np.swapaxes(hidden, -1, -2) @ g_out[..., None])[..., 0],
+        "b2": g_out.sum(axis=-1, keepdims=True),
     }
 
 
 def _batch_allocations(weights: np.ndarray, batch: int, steps: int):
-    """Per-step dataset allocations with long-run proportions exactly equal to
-    the weights (cumulative largest-remainder rounding)."""
-    served = np.zeros(weights.size, dtype=np.int64)
+    """Per-step dataset allocations of each row of ``weights`` (one row per
+    model), with long-run proportions exactly equal to the row (cumulative
+    largest-remainder rounding). A dataset at weight 0 gets no rows."""
+    live = weights > 0.0
+    n_live = live.sum(axis=1)
+    models = np.arange(weights.shape[0])[:, None]
+    ranks = np.arange(weights.shape[1])
+    served = np.zeros(weights.shape, dtype=np.int64)
     for step in range(steps):
         raw = weights * batch * (step + 1) - served
         take = np.maximum(np.floor(raw).astype(np.int64), 0)
-        short = batch - int(take.sum())
-        if short > 0:
-            frac = raw - take
-            for i in np.argsort(-frac, kind="stable")[:short]:
-                take[i] += 1
-        elif short < 0:
-            frac = raw - take
-            for i in np.argsort(frac, kind="stable"):
-                if short == 0:
+        short = batch - take.sum(axis=1)
+        frac = raw - take
+        # Rows left over go one each to the live datasets with the largest
+        # remainders, the first of equal ones first.
+        order = np.argsort(np.where(live, -frac, np.inf), axis=1, kind="stable")
+        take[models, order] += ranks < np.minimum(short, n_live)[:, None]
+        for r in np.flatnonzero(short < 0):
+            # Over-allocated: one row back from each dataset that has one,
+            # smallest remainders first, until the batch fits.
+            for i in np.argsort(frac[r], kind="stable"):
+                if short[r] == 0:
                     break
-                if take[i] > 0:
-                    take[i] -= 1
-                    short += 1
+                if take[r, i] > 0:
+                    take[r, i] -= 1
+                    short[r] += 1
         served += take
         yield take
+
+
+# Working memory of one block of models that train_lockstep trains together:
+# their stacked parameters, gradients and activations, and the rows of as
+# many steps as fit beside them. More models than fit train block after
+# block, so this memory does not grow with their number.
+TRAIN_BLOCK_BYTES = 1 << 21
 
 
 def train(
@@ -327,74 +347,171 @@ def train(
     init: ParameterSet,
     config: ComponentTrainingConfig,
 ) -> ParameterSet:
-    """Mini-batch gradient descent on the weighted dataset blend.
+    """One model trained from ``init`` on the weighted dataset blend: the
+    one-model case of :func:`train_lockstep`."""
+    return train_lockstep([dataset_mixture], init, config)[0]
+
+
+def train_lockstep(
+    mixtures: list[list[tuple[CandidateDataset, float]]],
+    init: ParameterSet,
+    config: ComponentTrainingConfig,
+) -> list[ParameterSet]:
+    """One model per mixture, each trained from ``init`` by gradient descent
+    on its weighted blend of the same datasets, listed in the same order.
 
     Batches draw from each dataset proportionally to its weight (stratified,
     largest remainders, deterministic cursors); ``config.full_batch`` instead
-    uses the exact weighted mean gradient of the whole blend each step.
-    Raises TrainingError with the step index if the loss stops being finite.
+    uses the exact weighted mean gradient of the whole blend each step. The
+    models train in lockstep, their parameters stacked, in blocks that fit
+    :data:`TRAIN_BLOCK_BYTES`; each model's arithmetic is the same, bit for
+    bit, as when it trains alone. If a loss stops being finite, raises the
+    TrainingError that training the mixtures one by one would: the first
+    diverging mixture's, with its step index and its ``model`` index.
     """
-    if not dataset_mixture:
+    if not mixtures or not mixtures[0]:
         raise ValidationError("train: empty dataset mixture")
-    ids = [ds.id for ds, _ in dataset_mixture]
-    weights = MixtureRatio(
-        weights=[w for _, w in dataset_mixture], candidate_ids=ids
-    ).weights
-    dim = dataset_mixture[0][0].X.shape[1]
-    for ds, _ in dataset_mixture:
-        if ds.X.shape[1] != dim:
-            raise SchemaMismatchError("train: datasets have different feature dims")
+    datasets = [ds for ds, _ in mixtures[0]]
+    if any(len(mix) != len(datasets) or any(a is not b for (a, _), b in zip(mix, datasets))
+           for mix in mixtures):
+        raise ValidationError("train: the mixtures must blend the same datasets in the same order")
+    ids = [ds.id for ds in datasets]
+    given = np.array([[float(w) for _, w in mix] for mix in mixtures])
+    live = np.array([MixtureRatio(weights=row, candidate_ids=ids).weights > 0.0 for row in given])
+    dim = datasets[0].X.shape[1]
+    if any(ds.X.shape[1] != dim for ds in datasets):
+        raise SchemaMismatchError("train: datasets have different feature dims")
     family = _check_model(init, dim, "train: the initial model")
     if family != config.model_family:
         raise SchemaMismatchError(
             f"train: the initial model is {family}, but the config trains {config.model_family}"
         )
-    arrays = {name: init.entries[name].copy() for name in init.names()}
     if config.steps == 0:
-        return init.copy()
+        return [init.copy() for _ in mixtures]
 
-    live = [(ds, float(w)) for (ds, w), ok in zip(dataset_mixture, weights > 0.0) if ok]
-    live_weights = np.array([w for _, w in live])
-    live_weights = live_weights / live_weights.sum()
+    # Each row of weights as given, renormalized over its live datasets alone:
+    # a sum over zeros too can round differently.
+    weights = np.zeros(given.shape)
+    for row, ok, out in zip(given, live, weights):
+        out[ok] = row[ok] / row[ok].sum()
+    step_rows = max(map(len, datasets)) if config.full_batch else config.batch_size
+    hidden = config.hidden_units if family == "mlp_1hidden" else 0
+    model_bytes = 8 * (step_rows * (4 * hidden + 3) + 3 * init.num_values())
+    row_bytes = 8 * step_rows * (dim + 1)  # one model's rows of one step
+    block = max(1, TRAIN_BLOCK_BYTES // (model_bytes + row_bytes))
+    models = []
+    for start in range(0, len(weights), block):
+        part = weights[start : start + block]
+        chunk = max(1, (TRAIN_BLOCK_BYTES - len(part) * model_bytes) // (len(part) * row_bytes))
+        models += _train_block(datasets, part, init, config, start, chunk)
+    return models
 
-    def blended_loss_grads():
-        total_loss = 0.0
-        grads = {name: np.zeros_like(arr) for name, arr in arrays.items()}
-        for (ds, _), w in zip(live, live_weights):
-            loss, g = _loss_and_grads(arrays, ds.X, ds.y)
-            total_loss += w * loss
+
+# Divergence shows up as inf/nan loss and is reported as a TrainingError;
+# keep numpy quiet about the overflow itself, and about the models that
+# train on after it.
+@np.errstate(over="ignore", invalid="ignore")
+def _train_block(datasets, weights, init, config, first: int, chunk: int) -> list[ParameterSet]:
+    """:func:`train_lockstep` for one block of models, the first of which is
+    model ``first``, gathering the rows of ``chunk`` steps at a time.
+    Diverged models train on, unreported, while any model of the block has
+    not diverged."""
+    n_models = weights.shape[0]
+    params = {name: np.repeat(init.entries[name][None], n_models, axis=0) for name in init.names()}
+    if config.full_batch:
+        steps = _full_batch_steps(datasets, weights, params, config.steps)
+    else:
+        steps = _mini_batch_steps(datasets, weights, params, config, chunk)
+    failures: list[str | None] = [None] * n_models
+    for step, (loss, grads) in enumerate(steps):
+        for r in np.flatnonzero(~np.isfinite(loss)):
+            if failures[r] is None:
+                # The loss as training alone reports it: a float, or for the
+                # full batch the numpy scalar its weighted sum is.
+                value = loss[r] if config.full_batch else float(loss[r])
+                failures[r] = f"training diverged at step {step}: loss={value!r}"
+        if all(failures):
+            break
+        for name in params:
+            params[name] -= config.step_size * grads[name]
+    for r in range(n_models):
+        bad = [name for name, arr in params.items() if not np.all(np.isfinite(arr[r]))]
+        if failures[r] is None and bad:
+            failures[r] = f"training diverged: non-finite {bad[0]!r} after final step"
+    for r, failure in enumerate(failures):
+        if failure is not None:
+            raise TrainingError(failure, model=first + r)
+    return [
+        ParameterSet.from_arrays({name: arr[r].copy() for name, arr in params.items()})
+        for r in range(n_models)
+    ]
+
+
+def _full_batch_steps(datasets, weights, params: dict, steps: int):
+    """Each step's losses and gradients of the stacked models ``params`` on
+    their whole blends: each dataset's, weighted and summed in dataset order
+    over the models that use it."""
+    users = [np.flatnonzero(w > 0.0) for w in weights.T]
+    for _ in range(steps):
+        loss = np.zeros(weights.shape[0])
+        grads = {name: np.zeros_like(arr) for name, arr in params.items()}
+        for ds, live, w in zip(datasets, users, weights.T):
+            part, g = _loss_and_grads({n: a[live] for n, a in params.items()}, ds.X, ds.y)
+            loss[live] += w[live] * part
             for name in grads:
-                grads[name] += w * g[name]
-        return total_loss, grads
+                grads[name][live] += (g[name].T * w[live]).T
+        yield loss, grads
 
-    cursors = np.zeros(len(live), dtype=np.int64)
-    allocations = (
-        None
-        if config.full_batch
-        else _batch_allocations(live_weights, config.batch_size, config.steps)
-    )
-    for step in range(config.steps):
-        if config.full_batch:
-            loss, grads = blended_loss_grads()
-        else:
-            take = next(allocations)
-            xs, ys = [], []
-            for i, ((ds, _), count) in enumerate(zip(live, take)):
-                if count == 0:
-                    continue
-                idx = (cursors[i] + np.arange(count)) % len(ds)
-                cursors[i] += count
-                xs.append(ds.X[idx])
-                ys.append(ds.y[idx])
-            loss, grads = _loss_and_grads(arrays, np.concatenate(xs), np.concatenate(ys))
-        if not np.isfinite(loss):
-            raise TrainingError(f"training diverged at step {step}: loss={loss!r}")
-        for name in arrays:
-            arrays[name] = arrays[name] - config.step_size * grads[name]
-    for name, arr in arrays.items():
-        if not np.all(np.isfinite(arr)):
-            raise TrainingError(f"training diverged: non-finite {name!r} after final step")
-    return ParameterSet.from_arrays(arrays, model_id="")
+
+def _mini_batch_steps(datasets, weights, params: dict, config, chunk: int):
+    """Each step's losses and gradients of the stacked models ``params`` on
+    their batches. A model's batch is each dataset's next rows in turn, as
+    many as :func:`_batch_allocations` gives it; the batches of ``chunk``
+    steps are gathered at once, one index per dataset."""
+    n_models, n_data = weights.shape
+    allocations = _batch_allocations(weights, config.batch_size, config.steps)
+    cursors = np.zeros(weights.shape, dtype=np.int64)
+    X_rows = np.empty((chunk * n_models * config.batch_size, datasets[0].X.shape[1]))
+    y_rows = np.empty(X_rows.shape[0])
+    for start in range(0, config.steps, chunk):
+        takes = np.stack([next(allocations) for _ in range(min(chunk, config.steps - start))])
+        # One run of rows per (step, model, dataset), in that order.
+        counts = takes.reshape(-1)
+        total = counts.sum()
+        if total > len(X_rows):
+            X_rows, y_rows = np.empty((total, X_rows.shape[1])), np.empty(total)
+        first_row = (cursors + np.cumsum(takes, axis=0) - takes).reshape(-1)
+        at = np.cumsum(counts) - counts
+        source = np.repeat(first_row - at, counts) + np.arange(total)
+        dataset = np.repeat(np.tile(np.arange(n_data), len(counts) // n_data), counts)
+        for i, ds in enumerate(datasets):
+            rows = np.flatnonzero(dataset == i)
+            X_rows[rows] = ds.X[source[rows] % len(ds)]
+            y_rows[rows] = ds.y[source[rows] % len(ds)]
+        cursors += takes.sum(axis=0)
+        sizes = takes.sum(axis=2)
+        if (sizes == config.batch_size).all():
+            shape = (len(takes), n_models, config.batch_size)
+            X_steps = X_rows[:total].reshape(*shape, -1)
+            for X, y in zip(X_steps, y_rows[:total].reshape(shape)):
+                yield _loss_and_grads(params, X, y)
+            continue
+        # A row the allocator took rows back from can leave a batch of
+        # another size; such steps go one model at a time.
+        ends = np.cumsum(sizes).reshape(sizes.shape)
+        for step_ends, step_sizes in zip(ends, sizes):
+            parts = [
+                _loss_and_grads(
+                    {name: arr[r : r + 1] for name, arr in params.items()},
+                    X_rows[None, end - size : end],
+                    y_rows[None, end - size : end],
+                )
+                for r, (end, size) in enumerate(zip(step_ends, step_sizes))
+            ]
+            yield (
+                np.concatenate([loss for loss, _ in parts]),
+                {name: np.concatenate([g[name] for _, g in parts]) for name in params},
+            )
 
 
 def evaluate_model(model: ParameterSet, tasks: list[BenchmarkTask]) -> dict[str, float]:
@@ -415,20 +532,22 @@ def prepare_components(
     config: ComponentTrainingConfig,
 ) -> tuple[ParameterSet, list[ParameterSet]]:
     """Two-step protocol: train the shared base on general data, then one
-    component per candidate on the blend of its one-hot mixture."""
+    component per candidate, all in lockstep, on the blend of its one-hot
+    mixture."""
     base_steps = config.steps if config.base_steps is None else config.base_steps
     start = init_params(config, general.X.shape[1])
     base = train([(general, 1.0)], start, replace(config, steps=base_steps))
     base = base.copy(model_id="base")
     ids = [c.id for c in candidates]
-    components = []
-    for cid, one_hot in zip(ids, np.eye(len(ids))):
-        mixture = reference_mixture(
+    mixtures = [
+        reference_mixture(
             candidates, general, MixtureRatio(weights=one_hot, candidate_ids=ids),
             config.general_mix_beta,
         )
-        components.append(train(mixture, base, config).copy(model_id=f"component_{cid}"))
-    return base, components
+        for one_hot in np.eye(len(ids))
+    ]
+    components = train_lockstep(mixtures, base, config)
+    return base, [comp.copy(model_id=f"component_{cid}") for cid, comp in zip(ids, components)]
 
 
 def reference_mixture(
@@ -449,17 +568,22 @@ def reference_mixture(
 
 
 def trained_scores(
-    lab: ToyLab, base: ParameterSet, config: ComponentTrainingConfig, ratio: MixtureRatio
-) -> dict[str, float]:
-    """The benchmark scores of a model trained from ``base`` on the blend of
-    mixture ``ratio``: what a merge of the components at ``ratio`` stands in
-    for. A TrainingError names the ratio."""
-    mixture = reference_mixture(lab.candidates, lab.general, ratio, config.general_mix_beta)
+    lab: ToyLab, base: ParameterSet, config: ComponentTrainingConfig, ratios: list[MixtureRatio]
+) -> list[dict[str, float]]:
+    """The benchmark scores of models trained, in lockstep, from ``base`` on
+    the blend of each mixture in ``ratios``: what merges of the components at
+    those ratios stand in for. A TrainingError names the first ratio whose
+    training diverged."""
+    mixtures = [
+        reference_mixture(lab.candidates, lab.general, ratio, config.general_mix_beta)
+        for ratio in ratios
+    ]
     try:
-        model = train(mixture, base, config)
+        models = train_lockstep(mixtures, base, config)
     except TrainingError as exc:
-        raise TrainingError(f"training at ratio {ratio.as_dict()}: {exc}") from exc
-    return evaluate_model(model, lab.tasks)
+        ratio = ratios[exc.model].as_dict()
+        raise TrainingError(f"training at ratio {ratio}: {exc}", model=exc.model) from exc
+    return [evaluate_model(model, lab.tasks) for model in models]
 
 
 # --- persistence ----------------------------------------------------------

@@ -351,8 +351,8 @@ def test_eval_cli(tmp_path, capsys):
 
     ids = [c.id for c in lab.candidates]
     ratios = sample_simplex(2, 8, seed=4, candidate_ids=ids)
-    reference = score_table(lambda ratio: trained_scores(lab, base, config, ratio), ratios, lab)
-    proxy = score_table(lambda ratio: proxy_scores(comps, lab.tasks, ratio), ratios, lab)
+    reference = score_table(trained_scores(lab, base, config, ratios), lab)
+    proxy = score_table([proxy_scores(comps, lab.tasks, ratio) for ratio in ratios], lab)
     write_score_csv(reference, tmp_path / "ref.csv", tmp_path / "domains.csv")
     write_score_csv(proxy, tmp_path / "proxy.csv")
     out = tmp_path / "consistency.json"
@@ -574,8 +574,10 @@ HUGE = 2**62
          f"hidden_units = {HUGE}"),
         ("base_steps = 40", f"base_steps = 40\nbatch_size = {HUGE}", f"batch_size = {HUGE}"),
         ("[experiment]", f"[lab]\nfeature_dim = {HUGE}\n\n[experiment]", f"feature_dim = {HUGE}"),
+        ("[experiment]", f"[lab]\nn_domains = {HUGE}\n\n[experiment]", f"n_domains = {HUGE}"),
     ],
-    ids=["pool", "plan", "references-count", "hidden-units", "batch-size", "feature-dim"],
+    ids=["pool", "plan", "references-count", "hidden-units", "batch-size", "feature-dim",
+         "n-domains"],
 )
 def test_a_size_numpy_cannot_address_is_a_usage_error(tmp_path, capsys, setting, sized, message):
     # numpy refuses arrays of 2**62 rows before allocating anything; the lab,
@@ -585,6 +587,19 @@ def test_a_size_numpy_cannot_address_is_a_usage_error(tmp_path, capsys, setting,
     assert main(["run", "--config", str(cfg), "--run-root", str(tmp_path / "runs")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err and "Traceback" not in err
+
+
+def test_a_size_memory_cannot_hold_is_an_error_not_a_traceback(tmp_path, capsys):
+    # numpy can address 2**50 hidden units, but it refuses the 104 PiB that
+    # the initial model's first layer needs before touching any memory.
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"[lab]\nfamily = mlp_1hidden\nhidden_units = {2**50}\n\n" + SMALL_CONFIG)
+    assert main(["run", "--config", str(cfg), "--run-root", str(tmp_path / "runs")]) == 8
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory:") and "Traceback" not in err
+    (manifest,) = (tmp_path / "runs").glob("*/manifest.json")
+    stages = json.loads(manifest.read_text())["stages"]
+    assert stages["lab"]["status"] == "done" and stages["components"]["status"] == "failed"
 
 
 @pytest.mark.parametrize(

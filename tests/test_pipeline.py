@@ -1,6 +1,5 @@
 """Tests for the pipeline orchestrator: caching, determinism, reports."""
 
-import functools
 import json
 import os
 import re
@@ -691,7 +690,7 @@ def test_score_csv_round_trip(tmp_path):
         MixtureRatio(weights=rng.dirichlet(np.ones(2)), candidate_ids=["dom0", "dom1"])
         for _ in range(3)
     ]
-    table = score_table(functools.partial(proxy_scores, comps, lab.tasks), ratios, lab)
+    table = score_table([proxy_scores(comps, lab.tasks, ratio) for ratio in ratios], lab)
     write_score_csv(table, tmp_path / "scores.csv", tmp_path / "domains.csv")
     loaded = read_score_csv(tmp_path / "scores.csv", tmp_path / "domains.csv")
     assert loaded.rows == table.rows
@@ -706,8 +705,8 @@ def test_consistency_helper_reports_recovery():
 
     ids = [c.id for c in lab.candidates]
     ratios = sample_simplex(3, 10, seed=9, candidate_ids=ids)
-    reference = score_table(functools.partial(toy_lab.trained_scores, lab, base, config), ratios, lab)
-    proxy = score_table(functools.partial(proxy_scores, comps, lab.tasks), ratios, lab)
+    reference = score_table(toy_lab.trained_scores(lab, base, config, ratios), lab)
+    proxy = score_table([proxy_scores(comps, lab.tasks, ratio) for ratio in ratios], lab)
     report = consistency_report(reference, proxy)
     assert set(report["per_domain_rho"]) == {"dom0", "dom1", "dom2"}
     assert report["mean_capability_recovery"] > 0.5

@@ -250,14 +250,14 @@ def test_reference_set_shape_and_determinism(default_lab, prepared):
     ids = [c.id for c in default_lab.candidates]
     ratios = sample_simplex(3, 2, seed=10, candidate_ids=ids)
 
-    def trained(ratio):
-        return trained_scores(default_lab, base, config, ratio)
+    def trained(ratios):
+        return score_table(trained_scores(default_lab, base, config, ratios), default_lab)
 
-    one = score_table(trained, ratios, default_lab)
-    two = score_table(trained, ratios, default_lab)
+    one = trained(ratios)
+    two = trained(ratios)
     assert one.models() == ["mix_000", "mix_001"]
     assert one.rows == two.rows
-    duplicated = score_table(trained, [ratios[0], ratios[0]], default_lab)
+    duplicated = trained([ratios[0], ratios[0]])
     assert duplicated.rows["mix_000"] == duplicated.rows["mix_001"]
 
 
@@ -266,11 +266,9 @@ def test_trained_scores_at_a_one_hot_ratio_are_the_components_scores(default_lab
     config = ComponentTrainingConfig(seed=2, steps=40, base_steps=40, general_mix_beta=beta)
     base, components = prepare_components(default_lab.candidates, default_lab.general, config)
     ids = [c.id for c in default_lab.candidates]
-    for one_hot, component in zip(np.eye(len(ids)), components):
-        ratio = MixtureRatio(weights=one_hot, candidate_ids=ids)
-        assert trained_scores(default_lab, base, config, ratio) == evaluate_model(
-            component, default_lab.tasks
-        )
+    ratios = [MixtureRatio(weights=one_hot, candidate_ids=ids) for one_hot in np.eye(len(ids))]
+    rows = trained_scores(default_lab, base, config, ratios)
+    assert rows == [evaluate_model(component, default_lab.tasks) for component in components]
 
 
 def test_trained_scores_name_the_ratio_that_diverged(default_lab, prepared):
@@ -278,4 +276,4 @@ def test_trained_scores_name_the_ratio_that_diverged(default_lab, prepared):
     config = ComponentTrainingConfig(seed=6, steps=200, step_size=50.0, full_batch=True)
     ratio = MixtureRatio(weights=[0.5, 0.25, 0.25], candidate_ids=["dom0", "dom1", "dom2"])
     with pytest.raises(TrainingError, match=r"ratio \{'dom0': 0\.5, 'dom1': 0\.25, 'dom2': 0\.25\}"):
-        trained_scores(default_lab, base, config, ratio)
+        trained_scores(default_lab, base, config, [ratio])
