@@ -137,6 +137,15 @@ def _ranking_targets(
     return np.array([ranked[f"e{rec.index:05d}"][1] for rec in records])
 
 
+def _lowest(values: np.ndarray, keep: int) -> np.ndarray:
+    """The indices of the ``keep`` lowest of the finite ``values``, lowest
+    first and ties in index order: ``np.argsort(values, kind="stable")[:keep]``,
+    without sorting the values above the ``keep``-th lowest."""
+    cut = np.partition(values, keep - 1)[keep - 1]
+    below = np.flatnonzero(values <= cut)  # every tie with the keep-th lowest, in index order
+    return below[np.argsort(values[below], kind="stable")[:keep]]
+
+
 def run_search(
     evaluator,
     candidate_ids: list[str],
@@ -197,7 +206,7 @@ def run_search(
         predictor.fit(np.stack([rec.ratio.weights for rec in transcript.evaluations]), targets)
         pool = _sample_rows(np.random.Generator(np.random.PCG64(stream)), plan.pool, n_dims)
         keep = counts[iteration + 1] if iteration + 1 < len(counts) else plan.top_k
-        rows = pool[np.argsort(predictor.predict(pool), kind="stable")[:keep]]
+        rows = pool[_lowest(predictor.predict(pool), keep)]
         del pool  # so two pools are never held at once
 
     mean = rows.mean(axis=0)

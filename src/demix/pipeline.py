@@ -33,6 +33,23 @@ first use), and rewrites ``manifest.json`` only if something in it changed.
 The consistency and search stages merge the components linearly and
 benchmark the result; they never train and never read the shared base.
 
+The search reads nothing that the references and consistency stages write,
+so a cold run forks one child that runs those two stages, in that order,
+while the parent runs the search. It forks only when both that branch and
+the search must be recomputed, and only if the process can fork safely: it
+runs on Linux, has a single OS thread (``/proc/self/task``, so BLAS threads
+count; ``OPENBLAS_NUM_THREADS=1`` gives one), and may run on at least two
+CPUs (``os.sched_getaffinity``). Otherwise (warm or partial reruns,
+multi-threaded BLAS) the stages run in table order in this process. Either
+way the same :func:`_execute` calls run them. The child writes only its own
+stages' outputs, never ``manifest.json``: it sends its two stage records, the
+``files`` records it added or dropped and its exception, if any, pickled up a
+pipe, and the parent reaps it and merges them before the run lock is
+released, then raises the first failure in stage order. The child dies with
+its parent (``PR_SET_PDEATHSIG``), so a killed run leaves no child writing,
+and :func:`remove_leftover_temps` removes the child's ``<name>.<pid>.tmp``
+files at the next run.
+
 An input's digest is hashed once and then reused while the file is unchanged.
 The manifest's ``files`` records each input's stamp, ``(st_ino, st_size,
 st_mtime_ns, st_ctime_ns)``, beside its digest, and a rerun whose stat returns
@@ -58,6 +75,8 @@ import hashlib
 import itertools
 import json
 import os
+import pickle
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -427,20 +446,29 @@ def run_pipeline(config: ExperimentConfig, run_root: str | None = None) -> Exper
     return manifest
 
 
-def _execute(manifest, run_dir: Path, name: str, stage_hash: str, outputs: list[str], fn) -> None:
-    """Run one stage unless its hash matches and its outputs are present."""
-    record = manifest.stage(name)
-    if (
+def _is_current(record: dict, stage_hash: str, run_dir: Path, outputs: list[str]) -> bool:
+    """Whether a stage record is done at ``stage_hash`` with its outputs present."""
+    return (
         record["status"] == "done"
         and record.get("hash") == stage_hash
         and all((run_dir / output).exists() for output in outputs)
-    ):
+    )
+
+
+def _execute(
+    manifest, run_dir: Path, name: str, stage_hash: str, outputs: list[str], fn, save: bool = True
+) -> None:
+    """Run one stage unless its hash matches and its outputs are present.
+    With ``save``, the manifest marking the stage running is saved first."""
+    record = manifest.stage(name)
+    if _is_current(record, stage_hash, run_dir, outputs):
         record["recomputed"] = False
         return
     record.update(status="running", hash=stage_hash, recomputed=True, started_at=time.time())
     # On disk before the stage writes anything, so a run killed inside the
     # stage leaves it marked running and the next run recomputes it.
-    manifest.save(run_dir / "manifest.json")
+    if save:
+        manifest.save(run_dir / "manifest.json")
     try:
         fn()
     except Exception as exc:
@@ -448,6 +476,109 @@ def _execute(manifest, run_dir: Path, name: str, stage_hash: str, outputs: list[
         record["error"] = f"{type(exc).__name__}: {exc}"
         raise
     record.update(status="done", error=None, finished_at=time.time())
+
+
+def _can_fork() -> bool:
+    """Whether this process can run stages in a forked child beside others:
+    it is on Linux, has one OS thread (a fork copies only the calling thread,
+    and BLAS worker threads count), and may run on at least two CPUs."""
+    return (
+        sys.platform == "linux"
+        and len(os.listdir("/proc/self/task")) == 1
+        and len(os.sched_getaffinity(0)) >= 2
+    )
+
+
+def _fork(work) -> tuple[int, int]:
+    """Start a child that calls ``work()`` and writes the bytes it returns to
+    a pipe; returns the child's pid and the pipe's read end. The child dies
+    with its parent, never returns, and leaves by ``os._exit``, so it runs
+    none of the parent's cleanup."""
+    parent = os.getpid()
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    code = 1
+    try:
+        import ctypes
+        import signal
+
+        os.close(read_fd)
+        ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+        if os.getppid() == parent:  # else the parent died before prctl
+            with os.fdopen(write_fd, "wb") as fh:
+                fh.write(work())
+            code = 0
+    finally:
+        os._exit(code)
+
+
+def _join(pid: int, read_fd: int) -> tuple[bytes, int]:
+    """What a child from :func:`_fork` wrote, and its wait status once it is
+    reaped."""
+    try:
+        with os.fdopen(read_fd, "rb") as fh:
+            data = fh.read()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    return data, status
+
+
+def _run_beside(
+    manifest, run_dir: Path, branch: list[str], pending: str, run_branch, run_search
+) -> None:
+    """Run the stages ``branch`` by ``run_branch()`` in a forked child while
+    this process runs ``run_search()``, then merge what the child sends back:
+    its stage records, the ``files`` records it added or dropped, and its
+    exception, if any. ``pending``, the branch's first stale stage, is saved
+    as running before the fork, since the child never saves the manifest. The
+    first failure in stage order is raised, the child's before the search's."""
+    record = manifest.stage(pending)
+    record["status"] = "running"
+    manifest.save(run_dir / "manifest.json")
+
+    def in_child() -> bytes:
+        files = dict(manifest.files)
+        error = None
+        try:
+            run_branch()
+        except BaseException as exc:
+            error = exc
+        records = {name: manifest.stages[name] for name in branch if name in manifest.stages}
+        changed = {
+            name: manifest.files.get(name) for name in files.keys() | manifest.files.keys()
+            if files.get(name) != manifest.files.get(name)
+        }
+        try:
+            data = pickle.dumps((records, changed, error))
+            pickle.loads(data)
+        except Exception:  # an exception that does not survive pickling
+            data = pickle.dumps((records, changed, PipelineError(f"{type(error).__name__}: {error}")))
+        return data
+
+    pid, read_fd = _fork(in_child)
+    try:
+        run_search()
+    finally:
+        data, status = _join(pid, read_fd)
+        if data:
+            records, changed, error = pickle.loads(data)
+            manifest.stages.update(records)
+            for name, file_record in changed.items():
+                if file_record is None:
+                    manifest.files.pop(name, None)
+                else:
+                    manifest.files[name] = file_record
+        else:
+            code = os.waitstatus_to_exitcode(status)
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+            stages = " and ".join(branch)
+            error = PipelineError(f"{pending}: the process running the {stages} stages {how}")
+            record.update(status="failed", error=f"PipelineError: {error}")
+        if error is not None:
+            raise error
 
 
 def _run_stages(config: ExperimentConfig, run_dir: Path, manifest: ExperimentManifest) -> None:
@@ -460,6 +591,8 @@ def _run_stages(config: ExperimentConfig, run_dir: Path, manifest: ExperimentMan
     references = ["reference_ratios.json", "references.csv", "domains.csv"]
 
     # (name, input files, output files, body), in the order the stages run.
+    # References and consistency may run in a forked child beside the search
+    # (see the module docstring); lab, components and report run alone.
     stages = [
         ("lab", [], ["lab.npz"], lambda: generate_lab(config, run_dir / "lab.npz")),
         (
@@ -498,14 +631,38 @@ def _run_stages(config: ExperimentConfig, run_dir: Path, manifest: ExperimentMan
     # most once per run, and not at all while its stamp holds).
     code = _code_fingerprint()
     file_hash = functools.cache(lambda name: _input_digest(run_dir, name, manifest.files))
-    for name, inputs, outputs, body in stages:
+
+    def stage_hash(name: str, inputs: list[str]) -> str:
         doc = {"code": code, "inputs": {f: file_hash(f) for f in inputs}}
         if name == "report":
             # The report shows the experiment name, the one field the run
             # directory's name leaves out.
             doc["name"] = config.name
-        stage_hash = hashlib.blake2b(json.dumps(doc, sort_keys=True).encode("utf-8"), digest_size=16)
-        _execute(manifest, run_dir, name, stage_hash.hexdigest(), outputs, body)
+        digest = hashlib.blake2b(json.dumps(doc, sort_keys=True).encode("utf-8"), digest_size=16)
+        return digest.hexdigest()
+
+    def stale(entry) -> bool:
+        name, inputs, outputs, _ = entry
+        return not _is_current(manifest.stage(name), stage_hash(name, inputs), run_dir, outputs)
+
+    def run(entries, save: bool = True) -> None:
+        for name, inputs, outputs, body in entries:
+            _execute(manifest, run_dir, name, stage_hash(name, inputs), outputs, body, save)
+
+    run(stages[:2])
+    branch, search = stages[2:4], stages[4]
+    # The search is checked first: on a warm rerun it is current, so the
+    # branch is not checked twice. `pending` is the branch's first stale
+    # stage; checking stops at the references stage when it is stale, as it
+    # rewrites files that the consistency stage's hash reads.
+    pending = stale(search) and next((entry[0] for entry in branch if stale(entry)), None)
+    if pending and _can_fork():
+        components()  # loaded before the fork, so the child need not load them
+        _run_beside(manifest, run_dir, [entry[0] for entry in branch], pending,
+                    lambda: run(branch, save=False), lambda: run([search]))
+    else:
+        run([*branch, search])
+    run(stages[5:])
     # In the order the stages run, which `demix run` lists them in; a
     # manifest read back from disk has its keys sorted.
     manifest.stages = {name: manifest.stages[name] for name, *_ in stages}

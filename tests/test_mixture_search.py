@@ -186,6 +186,22 @@ def test_selection_actually_selects(monkeypatch):
         assert preds[picked].max() <= preds[rest].min()
 
 
+@pytest.mark.parametrize("keep", [1, 7, 8, 9, 40, 199, 200])
+def test_partial_selection_is_the_stable_argsort_prefix(keep):
+    # Few distinct values, so every keep cuts through a run of ties; keep 8
+    # ends exactly on the last of the eight lowest values, keep 9 and 40 cut
+    # a tie run part-way.
+    rng = np.random.default_rng(4)
+    values = rng.integers(0, 6, size=200).astype(float)
+    values[rng.permutation(200)[:8]] = -1.0
+    values[values == 0.0] = 5.0
+    expected = np.argsort(values, kind="stable")[:keep]
+    assert np.array_equal(mixture_search._lowest(values, keep), expected)
+    # Tied predictions of a fitted predictor: GBDT leaves repeat values.
+    preds = np.round(rng.standard_normal(1000), 1)
+    assert np.array_equal(mixture_search._lowest(preds, keep), np.argsort(preds, kind="stable")[:keep])
+
+
 def test_later_iterations_concentrate_near_optimum():
     target = np.array([0.6, 0.3, 0.1])
     evaluator = make_evaluator(lambda r: float(np.abs(r.weights - target).sum()))

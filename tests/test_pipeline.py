@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 import demix
-from demix import pipeline, tensor_store, toy_lab
+from demix import cli, mixture_search, pipeline, tensor_store, toy_lab
 from demix.config import ExperimentConfig, LabSection, load_config
-from demix.errors import PipelineError, ValidationError
+from demix.errors import PipelineError, SearchError, TrainingError, ValidationError
 from demix.eval_metrics import consistency_report
 from demix.pipeline import (
     ExperimentManifest,
@@ -203,6 +203,7 @@ def test_a_same_size_rewrite_with_its_old_mtime_recomputes_consistency(
     config_path, tmp_path, monkeypatch
 ):
     monkeypatch.setattr(pipeline, "RACY_WINDOW_NS", 0)
+    # Cold: where the process can fork, the child records domains.csv's stamp.
     manifest = run_pipeline(load_config(config_path), run_root=tmp_path / "runs")
     assert "domains.csv" in manifest.files
     domains = Path(manifest.run_dir) / "domains.csv"
@@ -346,6 +347,7 @@ def test_a_new_code_fingerprint_recomputes_every_stage(config_path, warm_root, m
     (run_dir,) = warm_root.iterdir()
     before = {name: (run_dir / name).read_bytes() for name in PRODUCER}
     monkeypatch.setattr(pipeline, "_code_fingerprint", lambda: "other code")
+    # Every stage is stale, so where the process can fork the child sees the patch too.
     again = run_pipeline(load_config(config_path), run_root=warm_root)
     assert recomputed_stages(again) == sorted(set(PRODUCER.values()))
     # The code is the same, so it writes the same bytes.
@@ -438,7 +440,7 @@ def test_search_stage_never_trains(config_path, tmp_path, monkeypatch):
         raise AssertionError("search stage must not train")
 
     monkeypatch.setattr(toy_lab, "train", forbidden)
-    again = run_pipeline(config, run_root=run_root)
+    again = run_pipeline(config, run_root=run_root)  # only the search is stale: no child
     assert "search" in recomputed_stages(again)
 
 
@@ -541,6 +543,177 @@ def test_a_write_killed_part_way_leaves_no_temp_file_after_the_next_run(config_p
     assert "search" in recomputed_stages(again)
     assert list(run_dir.glob("*.tmp")) == []
     assert (run_dir / "search_result.json").read_bytes() == expected
+
+
+# A cold run forks a child for the references and consistency stages only in
+# a single-threaded process (OPENBLAS_NUM_THREADS=1) with two CPUs; the tests
+# that need the child skip elsewhere, and every other test covers whichever
+# path the process takes.
+needs_fork = pytest.mark.skipif(
+    not pipeline._can_fork(), reason="forks only from a single-threaded process with two CPUs"
+)
+
+
+@pytest.fixture()
+def forks(monkeypatch) -> list[int]:
+    """The pids of the children that ``os.fork`` starts from now on."""
+    pids = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+def in_child_only(fn):
+    """``fn`` wrapped to run only in a forked child, never in the test process."""
+    test_pid = os.getpid()
+
+    def wrapped(*args, **kwargs):
+        assert os.getpid() != test_pid, "the stage ran in the test process"
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+@needs_fork
+def test_a_forked_run_writes_the_same_files_as_an_in_process_run(config_path, tmp_path, forks, monkeypatch):
+    forked = run_pipeline(load_config(config_path), run_root=tmp_path / "forked")
+    assert len(forks) == 1
+    monkeypatch.setattr(pipeline, "_can_fork", lambda: False)
+    in_process = run_pipeline(load_config(config_path), run_root=tmp_path / "in_process")
+    assert len(forks) == 1
+    one, two = Path(forked.run_dir), Path(in_process.run_dir)
+    assert sorted(p.name for p in one.iterdir()) == sorted(p.name for p in two.iterdir())
+    for name in PRODUCER:
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
+    fields = lambda manifest: {
+        name: (rec["status"], rec["hash"], rec["recomputed"]) for name, rec in manifest.stages.items()
+    }
+    assert list(forked.stages) == STAGES and fields(forked) == fields(in_process)
+    assert sorted(forked.files) == sorted(in_process.files)
+    assert forked.stages["references"]["started_at"] < forked.stages["search"]["finished_at"]
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-process"])
+def test_a_failed_references_stage_is_the_same_error_with_or_without_the_child(
+    tmp_path, capsys, monkeypatch, fork
+):
+    if fork and not pipeline._can_fork():
+        pytest.skip("forks only from a single-threaded process with two CPUs")
+    monkeypatch.setattr(pipeline, "_can_fork", lambda: fork)
+
+    def diverges(lab, base, config, ratios):
+        raise TrainingError(f"training at ratio {ratios[1].as_dict()}: loss diverged", model=1)
+
+    monkeypatch.setattr(toy_lab, "trained_scores", in_child_only(diverges) if fork else diverges)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(SMALL_CONFIG)
+    assert cli.main(["run", "--config", str(cfg), "--run-root", str(tmp_path / "cli")]) == 4
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: training at ratio \{'dom0': .*\}: loss diverged\n", err)
+    with pytest.raises(TrainingError, match="loss diverged") as raised:
+        run_pipeline(load_config(cfg), run_root=tmp_path / "runs")
+    assert raised.value.model == 1 and f"error: {raised.value}\n" == err
+    (manifest_path,) = (tmp_path / "runs").glob("*/manifest.json")
+    references = json.loads(manifest_path.read_text())["stages"]["references"]
+    assert references["status"] == "failed"
+    assert references["error"] == f"TrainingError: {raised.value}"
+
+
+class TwoPartError(Exception):
+    """An exception that pickles but cannot be unpickled: its args are not
+    the arguments of its constructor."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+@needs_fork
+def test_a_child_error_that_cannot_be_unpickled_is_a_pipeline_error_naming_it(
+    config_path, tmp_path, monkeypatch
+):
+    def fails(*args):
+        raise TwoPartError("no references", "mix_000")
+
+    monkeypatch.setattr(toy_lab, "trained_scores", in_child_only(fails))
+    with pytest.raises(PipelineError, match="^TwoPartError: no references at mix_000$"):
+        run_pipeline(load_config(config_path), run_root=tmp_path / "runs")
+    (manifest_path,) = (tmp_path / "runs").glob("*/manifest.json")
+    references = json.loads(manifest_path.read_text())["stages"]["references"]
+    assert references["error"] == "TwoPartError: no references at mix_000"
+
+
+@needs_fork
+def test_a_killed_child_is_a_pipeline_error_and_the_next_run_recomputes_its_stages(
+    config_path, tmp_path, forks, monkeypatch
+):
+    trained_scores = toy_lab.trained_scores
+
+    def killed(*args):
+        # Killed only if the manifest on disk marks the stage running, as the
+        # next run must find it after a kill; otherwise the stage fails.
+        (manifest_path,) = (tmp_path / "runs").glob("*/manifest.json")
+        if json.loads(manifest_path.read_text())["stages"]["references"]["status"] == "running":
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(toy_lab, "trained_scores", in_child_only(killed))
+    with pytest.raises(PipelineError, match=r"^references: .* killed by signal 9$"):
+        run_pipeline(load_config(config_path), run_root=tmp_path / "runs")
+    assert len(forks) == 1
+    (manifest_path,) = (tmp_path / "runs").glob("*/manifest.json")
+    stages = json.loads(manifest_path.read_text())["stages"]
+    assert stages["references"]["status"] == "failed" and stages["search"]["status"] == "done"
+    monkeypatch.setattr(toy_lab, "trained_scores", trained_scores)
+    again = run_pipeline(load_config(config_path), run_root=tmp_path / "runs")
+    assert recomputed_stages(again) == ["consistency", "references", "report"]
+
+
+@needs_fork
+@pytest.mark.parametrize("child_fails", [False, True])
+def test_the_child_is_reaped_when_the_search_fails(
+    config_path, tmp_path, forks, monkeypatch, child_fails
+):
+    def search_fails(*args, **kwargs):
+        raise SearchError("no search today")
+
+    def references_fail(*args):
+        raise TrainingError("no references today")
+
+    monkeypatch.setattr(mixture_search, "run_search", search_fails)
+    if child_fails:
+        monkeypatch.setattr(toy_lab, "trained_scores", in_child_only(references_fail))
+    # The first failure in stage order is the one raised.
+    error = (TrainingError, "no references") if child_fails else (SearchError, "no search")
+    with pytest.raises(error[0], match=error[1]):
+        run_pipeline(load_config(config_path), run_root=tmp_path / "runs")
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    (manifest_path,) = (tmp_path / "runs").glob("*/manifest.json")
+    stages = json.loads(manifest_path.read_text())["stages"]
+    statuses = ["failed", None] if child_fails else ["done", "done"]  # None: never reached
+    assert [stages.get(name, {}).get("status") for name in STAGES[2:5]] == [*statuses, "failed"]
+
+
+@pytest.mark.parametrize("stale", [[], ["search_result.json"], ["consistency.json"],
+                                   ["references.csv"]])
+def test_a_rerun_with_one_branch_or_none_stale_never_forks(config_path, warm_root, monkeypatch, stale):
+    def forbidden():
+        raise AssertionError("forked although at most one branch is stale")
+
+    monkeypatch.setattr(pipeline, "_can_fork", lambda: True)
+    monkeypatch.setattr(os, "fork", forbidden)
+    (run_dir,) = warm_root.iterdir()
+    for name in stale:
+        (run_dir / name).unlink()
+    again = run_pipeline(load_config(config_path), run_root=warm_root)
+    assert recomputed_stages(again) == sorted(PRODUCER[name] for name in stale)
 
 
 @pytest.mark.parametrize(
