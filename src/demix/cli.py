@@ -275,7 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
     lab.add_argument("--model", help="model archive (evaluate)")
     lab.set_defaults(fn=_cmd_lab)
 
-    run = sub.add_parser("run", help="run the full pipeline from a config file")
+    run = sub.add_parser("run", help="run the full pipeline from a config file", description=(
+        "Run the full pipeline from a config file. On a Linux host with two or more CPUs the "
+        "references and consistency stages run beside the search, but only in a process with one "
+        "OS thread. numpy's OpenBLAS starts a thread on import there, so a plain `demix run` runs "
+        "them one after another; OPENBLAS_NUM_THREADS=1 enables the overlap."))
     run.add_argument("--config", required=True)
     run.add_argument("--run-root", help="override the run directory root")
     run.set_defaults(fn=_cmd_run)

@@ -36,6 +36,8 @@ class TrainingSection:
     base_steps: int = 100
     step_size: float = 0.2
     batch_size: int = 64
+    # False is its only legal value, as training is mini-batch only. The key stays
+    # because run-directory names hash every key, and the benchmark reads it.
     full_batch: bool = False
 
 

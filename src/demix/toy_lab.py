@@ -16,9 +16,10 @@ Every model trained from the base trains on one blend of general data and a
 mixture, :func:`reference_mixture`: a component at a one-hot mixture, and
 in :func:`trained_scores` the model whose scores a merge stands in for.
 Models trained from one start train together: :func:`train_lockstep` stacks
-their parameters and takes each gradient step for all of them at once, with
-each model's arithmetic the same, bit for bit, as when it trains alone.
-:func:`train` is its one-model case, which trains the base.
+their parameters and takes each mini-batch gradient step for all of them at
+once, with each model's arithmetic the same, bit for bit, as when it trains
+alone. Every batch holds exactly ``batch_size`` rows; there is no full-batch
+rule. :func:`train` is its one-model case, which trains the base.
 """
 
 from __future__ import annotations
@@ -105,6 +106,8 @@ class ComponentTrainingConfig:
             raise ValidationError(f"config: unknown model family {self.model_family!r}")
         if self.hidden_units < 1:
             raise ValidationError("config: hidden_units must be at least 1")
+        if self.full_batch:
+            raise ValidationError("config: full_batch must be false; training is mini-batch only")
 
 
 @dataclass
@@ -275,8 +278,8 @@ def _check_model(params: ParameterSet, dim: int, who: str) -> str:
 def _forward(arrays: dict, X: np.ndarray):
     """The model's predictions for inputs X, and the hidden layer for the MLP
     (None otherwise). Parameters stacked along a leading axis of models give
-    each model's predictions on its own rows of a stacked X, or on a shared X;
-    each model's products are then the same BLAS calls as its own."""
+    each model's predictions on its own rows of a stacked X; each model's
+    products are then the same BLAS calls as its own."""
     if "w" in arrays:
         return (X @ arrays["w"][..., None])[..., 0] + arrays["b"], None
     hidden = np.tanh(X @ arrays["w1"] + arrays["b1"][..., None, :])
@@ -284,8 +287,8 @@ def _forward(arrays: dict, X: np.ndarray):
 
 
 def _loss_and_grads(arrays: dict, X: np.ndarray, y: np.ndarray):
-    """Each stacked model's half mean squared error on its rows of X and y
-    (or on shared ones), and its gradients, stacked like ``arrays``."""
+    """Each stacked model's half mean squared error on its rows of X and y,
+    and its gradients, stacked like ``arrays``."""
     m = X.shape[-2]
     out, hidden = _forward(arrays, X)
     err = out - y
@@ -307,7 +310,9 @@ def _loss_and_grads(arrays: dict, X: np.ndarray, y: np.ndarray):
 def _batch_allocations(weights: np.ndarray, batch: int, steps: int):
     """Per-step dataset allocations of each row of ``weights`` (one row per
     model), with long-run proportions exactly equal to the row (cumulative
-    largest-remainder rounding). A dataset at weight 0 gets no rows."""
+    largest-remainder rounding). A dataset at weight 0 gets no rows. For rows
+    that sum to 1, as :func:`train_lockstep` passes them, every allocation
+    sums to exactly ``batch``."""
     live = weights > 0.0
     n_live = live.sum(axis=1)
     models = np.arange(weights.shape[0])[:, None]
@@ -322,15 +327,14 @@ def _batch_allocations(weights: np.ndarray, batch: int, steps: int):
         # remainders, the first of equal ones first.
         order = np.argsort(np.where(live, -frac, np.inf), axis=1, kind="stable")
         take[models, order] += ranks < np.minimum(short, n_live)[:, None]
-        for r in np.flatnonzero(short < 0):
+        while (short < 0).any():
             # Over-allocated: one row back from each dataset that has one,
-            # smallest remainders first, until the batch fits.
-            for i in np.argsort(frac[r], kind="stable"):
-                if short[r] == 0:
-                    break
-                if take[r, i] > 0:
-                    take[r, i] -= 1
-                    short[r] += 1
+            # smallest remainders first, pass after pass until the batch fits.
+            order = np.argsort(frac, axis=1, kind="stable")
+            has = take[models, order] > 0
+            back = has & (np.cumsum(has, axis=1) <= -short[:, None])
+            take[models, order] -= back
+            short += back.sum(axis=1)
         served += take
         yield take
 
@@ -360,14 +364,14 @@ def train_lockstep(
     """One model per mixture, each trained from ``init`` by gradient descent
     on its weighted blend of the same datasets, listed in the same order.
 
-    Batches draw from each dataset proportionally to its weight (stratified,
-    largest remainders, deterministic cursors); ``config.full_batch`` instead
-    uses the exact weighted mean gradient of the whole blend each step. The
-    models train in lockstep, their parameters stacked, in blocks that fit
-    :data:`TRAIN_BLOCK_BYTES`; each model's arithmetic is the same, bit for
-    bit, as when it trains alone. If a loss stops being finite, raises the
-    TrainingError that training the mixtures one by one would: the first
-    diverging mixture's, with its step index and its ``model`` index.
+    Each step's batch holds exactly ``config.batch_size`` rows, drawn from
+    each dataset proportionally to its weight (stratified, largest
+    remainders, deterministic cursors). The models train in lockstep, their
+    parameters stacked, in blocks that fit :data:`TRAIN_BLOCK_BYTES`; each
+    model's arithmetic is the same, bit for bit, as when it trains alone. If
+    a loss stops being finite, raises the TrainingError that training the
+    mixtures one by one would: the first diverging mixture's, with its step
+    index and its ``model`` index.
     """
     if not mixtures or not mixtures[0]:
         raise ValidationError("train: empty dataset mixture")
@@ -394,10 +398,9 @@ def train_lockstep(
     weights = np.zeros(given.shape)
     for row, ok, out in zip(given, live, weights):
         out[ok] = row[ok] / row[ok].sum()
-    step_rows = max(map(len, datasets)) if config.full_batch else config.batch_size
     hidden = config.hidden_units if family == "mlp_1hidden" else 0
-    model_bytes = 8 * (step_rows * (4 * hidden + 3) + 3 * init.num_values())
-    row_bytes = 8 * step_rows * (dim + 1)  # one model's rows of one step
+    model_bytes = 8 * (config.batch_size * (4 * hidden + 3) + 3 * init.num_values())
+    row_bytes = 8 * config.batch_size * (dim + 1)  # one model's rows of one step
     block = max(1, TRAIN_BLOCK_BYTES // (model_bytes + row_bytes))
     models = []
     for start in range(0, len(weights), block):
@@ -418,18 +421,12 @@ def _train_block(datasets, weights, init, config, first: int, chunk: int) -> lis
     not diverged."""
     n_models = weights.shape[0]
     params = {name: np.repeat(init.entries[name][None], n_models, axis=0) for name in init.names()}
-    if config.full_batch:
-        steps = _full_batch_steps(datasets, weights, params, config.steps)
-    else:
-        steps = _mini_batch_steps(datasets, weights, params, config, chunk)
+    steps = _mini_batch_steps(datasets, weights, params, config, chunk)
     failures: list[str | None] = [None] * n_models
     for step, (loss, grads) in enumerate(steps):
         for r in np.flatnonzero(~np.isfinite(loss)):
             if failures[r] is None:
-                # The loss as training alone reports it: a float, or for the
-                # full batch the numpy scalar its weighted sum is.
-                value = loss[r] if config.full_batch else float(loss[r])
-                failures[r] = f"training diverged at step {step}: loss={value!r}"
+                failures[r] = f"training diverged at step {step}: loss={float(loss[r])!r}"
         if all(failures):
             break
         for name in params:
@@ -447,27 +444,11 @@ def _train_block(datasets, weights, init, config, first: int, chunk: int) -> lis
     ]
 
 
-def _full_batch_steps(datasets, weights, params: dict, steps: int):
-    """Each step's losses and gradients of the stacked models ``params`` on
-    their whole blends: each dataset's, weighted and summed in dataset order
-    over the models that use it."""
-    users = [np.flatnonzero(w > 0.0) for w in weights.T]
-    for _ in range(steps):
-        loss = np.zeros(weights.shape[0])
-        grads = {name: np.zeros_like(arr) for name, arr in params.items()}
-        for ds, live, w in zip(datasets, users, weights.T):
-            part, g = _loss_and_grads({n: a[live] for n, a in params.items()}, ds.X, ds.y)
-            loss[live] += w[live] * part
-            for name in grads:
-                grads[name][live] += (g[name].T * w[live]).T
-        yield loss, grads
-
-
 def _mini_batch_steps(datasets, weights, params: dict, config, chunk: int):
     """Each step's losses and gradients of the stacked models ``params`` on
-    their batches. A model's batch is each dataset's next rows in turn, as
-    many as :func:`_batch_allocations` gives it; the batches of ``chunk``
-    steps are gathered at once, one index per dataset."""
+    their batches: each dataset's next rows in turn, as many as
+    :func:`_batch_allocations` gives it, ``config.batch_size`` in all. The
+    batches of ``chunk`` steps are gathered at once, one index per dataset."""
     n_models, n_data = weights.shape
     allocations = _batch_allocations(weights, config.batch_size, config.steps)
     cursors = np.zeros(weights.shape, dtype=np.int64)
@@ -478,8 +459,6 @@ def _mini_batch_steps(datasets, weights, params: dict, config, chunk: int):
         # One run of rows per (step, model, dataset), in that order.
         counts = takes.reshape(-1)
         total = counts.sum()
-        if total > len(X_rows):
-            X_rows, y_rows = np.empty((total, X_rows.shape[1])), np.empty(total)
         first_row = (cursors + np.cumsum(takes, axis=0) - takes).reshape(-1)
         at = np.cumsum(counts) - counts
         source = np.repeat(first_row - at, counts) + np.arange(total)
@@ -489,29 +468,9 @@ def _mini_batch_steps(datasets, weights, params: dict, config, chunk: int):
             X_rows[rows] = ds.X[source[rows] % len(ds)]
             y_rows[rows] = ds.y[source[rows] % len(ds)]
         cursors += takes.sum(axis=0)
-        sizes = takes.sum(axis=2)
-        if (sizes == config.batch_size).all():
-            shape = (len(takes), n_models, config.batch_size)
-            X_steps = X_rows[:total].reshape(*shape, -1)
-            for X, y in zip(X_steps, y_rows[:total].reshape(shape)):
-                yield _loss_and_grads(params, X, y)
-            continue
-        # A row the allocator took rows back from can leave a batch of
-        # another size; such steps go one model at a time.
-        ends = np.cumsum(sizes).reshape(sizes.shape)
-        for step_ends, step_sizes in zip(ends, sizes):
-            parts = [
-                _loss_and_grads(
-                    {name: arr[r : r + 1] for name, arr in params.items()},
-                    X_rows[None, end - size : end],
-                    y_rows[None, end - size : end],
-                )
-                for r, (end, size) in enumerate(zip(step_ends, step_sizes))
-            ]
-            yield (
-                np.concatenate([loss for loss, _ in parts]),
-                {name: np.concatenate([g[name] for _, g in parts]) for name in params},
-            )
+        shape = (len(takes), n_models, config.batch_size)
+        for X, y in zip(X_rows[:total].reshape(*shape, -1), y_rows[:total].reshape(shape)):
+            yield _loss_and_grads(params, X, y)
 
 
 def evaluate_model(model: ParameterSet, tasks: list[BenchmarkTask]) -> dict[str, float]:

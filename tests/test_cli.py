@@ -14,6 +14,7 @@ import pytest
 import demix
 from demix import merge_engine, tensor_store
 from demix.cli import main
+from demix.config import load_config
 from demix.tensor_store import ParameterSet, load_archive, read_header, save_archive
 from demix.toy_lab import (
     ComponentTrainingConfig,
@@ -439,6 +440,18 @@ def test_removed_merge_keys_and_options_are_usage_errors(tmp_path, archives, cap
         assert exc.value.code == 2, extra
     assert not (tmp_path / "x.dmxt").exists()
     assert not (tmp_path / "runs").exists()
+
+
+def test_full_batch_training_is_a_usage_error(tmp_path, capsys):
+    # Training is mini-batch only; the key keeps false as its one legal value.
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[training]\nfull_batch = true\n")
+    assert main(["run", "--config", str(cfg), "--run-root", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "full_batch" in err and "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+    cfg.write_text("[training]\nfull_batch = false\n")
+    assert load_config(cfg).training_config().full_batch is False
 
 
 SMALL_CONFIG = (

@@ -80,7 +80,7 @@ def per_model_allocations(weights, batch, steps, over_allocated=None):
         yield take
 
 
-def per_model_train(dataset_mixture, init, config, allocations=per_model_allocations):
+def per_model_train(dataset_mixture, init, config):
     """One model, trained the way `train` trained it before lockstep."""
     weights = MixtureRatio(
         weights=[w for _, w in dataset_mixture], candidate_ids=[ds.id for ds, _ in dataset_mixture]
@@ -91,35 +91,19 @@ def per_model_train(dataset_mixture, init, config, allocations=per_model_allocat
     live = [(ds, float(w)) for (ds, w), ok in zip(dataset_mixture, weights > 0.0) if ok]
     live_weights = np.array([w for _, w in live])
     live_weights = live_weights / live_weights.sum()
-
-    def blended_loss_grads():
-        total_loss = 0.0
-        grads = {name: np.zeros_like(arr) for name, arr in arrays.items()}
-        for (ds, _), w in zip(live, live_weights):
-            loss, g = _loss_and_grads(arrays, ds.X, ds.y)
-            total_loss += w * loss
-            for name in grads:
-                grads[name] += w * g[name]
-        return total_loss, grads
-
     cursors = np.zeros(len(live), dtype=np.int64)
-    batches = None if config.full_batch else allocations(
-        live_weights, config.batch_size, config.steps
-    )
+    batches = per_model_allocations(live_weights, config.batch_size, config.steps)
     for step in range(config.steps):
-        if config.full_batch:
-            loss, grads = blended_loss_grads()
-        else:
-            take = next(batches)
-            xs, ys = [], []
-            for i, ((ds, _), count) in enumerate(zip(live, take)):
-                if count == 0:
-                    continue
-                idx = (cursors[i] + np.arange(count)) % len(ds)
-                cursors[i] += count
-                xs.append(ds.X[idx])
-                ys.append(ds.y[idx])
-            loss, grads = _loss_and_grads(arrays, np.concatenate(xs), np.concatenate(ys))
+        take = next(batches)
+        xs, ys = [], []
+        for i, ((ds, _), count) in enumerate(zip(live, take)):
+            if count == 0:
+                continue
+            idx = (cursors[i] + np.arange(count)) % len(ds)
+            cursors[i] += count
+            xs.append(ds.X[idx])
+            ys.append(ds.y[idx])
+        loss, grads = _loss_and_grads(arrays, np.concatenate(xs), np.concatenate(ys))
         if not np.isfinite(loss):
             raise TrainingError(f"training diverged at step {step}: loss={loss!r}")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -176,12 +160,35 @@ def test_lockstep_allocations_match_the_per_model_allocator():
         _assert_allocations_match(rows, batch=int(rng.integers(1, 100)), steps=50)
 
 
-def test_lockstep_allocations_match_on_rows_that_do_not_sum_to_one():
-    # No normalized row is known to over-allocate; a row summing above 1 does.
-    # One summing below 1 leaves more rows over than it has live datasets.
-    rows = np.array([[0.3, 0.702, 0.0], [0.3, 0.0, 0.702], [0.0, 0.3, 0.6], [0.5, 0.25, 0.25]])
-    reached = _assert_allocations_match(rows, batch=64, steps=40)
-    assert 9 in reached
+def test_lockstep_allocations_match_on_a_row_that_sums_to_one_and_over_allocates():
+    # At step 43 three small datasets are served ahead of their targets. No
+    # dataset gets fewer than 0 rows, so the other two get 3, one over the batch.
+    rows = np.array([[0.006738284228780088, 0.7272818587400309, 0.0, 0.0, 0.007190128851403264,
+                      0.25069136950835574, 0.008098358671429969]])
+    reached = _assert_allocations_match(rows, batch=2, steps=60)
+    assert 43 in reached
+    assert (np.stack(list(toy_lab._batch_allocations(rows, 2, 60))).sum(axis=2) == 2).all()
+
+
+def test_the_take_back_repeats_until_the_batch_fits():
+    # This row sums above 1, so its floors can run more rows over the batch
+    # than it has datasets with rows, and one pass does not take enough back.
+    takes = np.stack(list(toy_lab._batch_allocations(np.array([[0.3, 0.702, 0.0]]), 64, 40)))
+    assert (takes.sum(axis=2) == 64).all()
+
+
+def test_every_allocation_of_a_row_that_sums_to_one_fills_the_batch_exactly():
+    rng = np.random.default_rng(24)
+    for _ in range(20):
+        n = int(rng.integers(2, 15))
+        batch = int(rng.integers(1, 100))
+        rows = rng.dirichlet(np.full(n, 0.5), size=200)
+        rows[rng.random(rows.shape) < 0.3] = 0.0
+        rows[~rows.any(axis=1), 0] = 1.0
+        rows /= rows.sum(axis=1, keepdims=True)
+        takes = np.stack(list(toy_lab._batch_allocations(rows, batch, 300)))
+        assert (takes.sum(axis=2) == batch).all()
+        assert (takes >= 0).all() and not takes[:, rows == 0.0].any()
 
 
 # --- training, bit for bit --------------------------------------------------------------
@@ -200,14 +207,11 @@ def _reference_mixtures(lab, count, seed, beta=0.5):
 
 
 @pytest.mark.parametrize("family", ["linear_regression", "mlp_1hidden"])
-@pytest.mark.parametrize("full_batch", [False, True])
 @pytest.mark.parametrize("count", [1, 3, 24])
-def test_lockstep_training_is_the_per_model_training_bit_for_bit(
-    default_lab, family, full_batch, count
-):
+def test_lockstep_training_is_the_per_model_training_bit_for_bit(default_lab, family, count):
     config = ComponentTrainingConfig(
         seed=3, steps=40, step_size=0.2 if family == "linear_regression" else 0.1,
-        model_family=family, full_batch=full_batch,
+        model_family=family,
     )
     init = init_params(config, 13)
     # count - 1 sampled mixtures, then a one-hot one, whose zero weights mask datasets.
@@ -251,43 +255,6 @@ def test_lockstep_training_is_bit_for_bit_at_any_block_budget(default_lab, monke
     assert_bit_identical(models, [per_model_train(mix, init, config) for mix in mixtures])
 
 
-def test_lockstep_training_with_batches_of_another_size_is_bit_for_bit(default_lab, monkeypatch):
-    # No normalized row is known to make such batches, so the allocations
-    # here are made: the even models' batches grow by one row at step 3.
-    def uneven(weights, batch, steps, grow=lambda step: step == 3):
-        served = np.zeros(weights.size, dtype=np.int64)
-        for step in range(steps):
-            take = np.floor(weights * batch * (step + 1)).astype(np.int64) - served
-            take[np.argmax(weights)] += batch - take.sum() + (1 if grow(step) else 0)
-            served += take
-            yield take
-
-    def uneven_rows(weights, batch, steps):
-        per_row = [uneven(row, batch, steps, lambda step, r=r: step == 3 and r % 2 == 0)
-                   for r, row in enumerate(weights)]
-        for takes in zip(*per_row):
-            yield np.stack(takes)
-
-    monkeypatch.setattr(toy_lab, "_batch_allocations", uneven_rows)
-    config = ComponentTrainingConfig(seed=6, steps=8)
-    init = init_params(config, 13)
-    mixtures = _reference_mixtures(default_lab, 3, seed=12)[:4]
-    models = train_lockstep(mixtures, init, config)
-    expected = []
-    for r, mix in enumerate(mixtures):
-        weights = np.array([w for _, w in mix])
-        live = weights > 0.0
-
-        def allocations(live_weights, batch, steps, r=r, live=live):
-            full = np.zeros(live.size)
-            full[live] = live_weights
-            for take in uneven(full, batch, steps, lambda step: step == 3 and r % 2 == 0):
-                yield take[live]
-
-        expected.append(per_model_train(mix, init, config, allocations))
-    assert_bit_identical(models, expected)
-
-
 def test_zero_steps_return_copies_of_the_start(default_lab):
     config = ComponentTrainingConfig(seed=2, steps=0)
     init = init_params(config, 13)
@@ -317,9 +284,8 @@ def _loud_mixtures():
     return [[(quiet, 1.0 - w), (loud, w)] for w in (0.0, 0.3, 0.9, 0.0)]
 
 
-@pytest.mark.parametrize("full_batch", [False, True])
-def test_lockstep_divergence_reports_the_first_diverging_mixture(full_batch):
-    config = ComponentTrainingConfig(seed=1, steps=300, step_size=1.0, full_batch=full_batch)
+def test_lockstep_divergence_reports_the_first_diverging_mixture():
+    config = ComponentTrainingConfig(seed=1, steps=300, step_size=1.0)
     init = init_params(config, 8)
     mixtures = _loud_mixtures()
     failures = [first_failure([mix], init, config) for mix in mixtures]
@@ -329,7 +295,7 @@ def test_lockstep_divergence_reports_the_first_diverging_mixture(full_batch):
     with pytest.raises(TrainingError) as caught:
         train_lockstep(mixtures, init, config)
     assert (caught.value.model, str(caught.value)) == first_failure(mixtures, init, config)
-    assert str(caught.value).endswith("loss=np.float64(inf)" if full_batch else "loss=inf")
+    assert str(caught.value).endswith("loss=inf")
 
 
 def test_lockstep_divergence_after_the_final_step_is_reported_as_before():
