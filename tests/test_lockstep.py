@@ -160,6 +160,16 @@ def test_lockstep_allocations_match_the_per_model_allocator():
         _assert_allocations_match(rows, batch=int(rng.integers(1, 100)), steps=50)
 
 
+def test_lockstep_allocations_match_on_rows_that_do_not_sum_to_one():
+    # A row summing above 1 over-allocates; this one needs a single take-back
+    # pass each time, so the per-model loop still allocates as it does. One
+    # summing below 1 leaves more rows over than it has live datasets.
+    rows = np.array([[0.2, 0.2, 0.2, 0.2, 0.202], [0.0, 0.3, 0.6, 0.0, 0.0],
+                     [0.5, 0.25, 0.25, 0.0, 0.0]])
+    reached = _assert_allocations_match(rows, batch=64, steps=40)
+    assert 9 in reached
+
+
 def test_lockstep_allocations_match_on_a_row_that_sums_to_one_and_over_allocates():
     # At step 43 three small datasets are served ahead of their targets. No
     # dataset gets fewer than 0 rows, so the other two get 3, one over the batch.
@@ -207,11 +217,15 @@ def _reference_mixtures(lab, count, seed, beta=0.5):
 
 
 @pytest.mark.parametrize("family", ["linear_regression", "mlp_1hidden"])
+@pytest.mark.parametrize("batch_size", [1, 64])
 @pytest.mark.parametrize("count", [1, 3, 24])
-def test_lockstep_training_is_the_per_model_training_bit_for_bit(default_lab, family, count):
+def test_lockstep_training_is_the_per_model_training_bit_for_bit(
+    default_lab, family, batch_size, count
+):
+    # At batch size 1 each step draws its one row from a single dataset.
     config = ComponentTrainingConfig(
         seed=3, steps=40, step_size=0.2 if family == "linear_regression" else 0.1,
-        model_family=family,
+        model_family=family, batch_size=batch_size,
     )
     init = init_params(config, 13)
     # count - 1 sampled mixtures, then a one-hot one, whose zero weights mask datasets.
@@ -284,7 +298,10 @@ def _loud_mixtures():
     return [[(quiet, 1.0 - w), (loud, w)] for w in (0.0, 0.3, 0.9, 0.0)]
 
 
-def test_lockstep_divergence_reports_the_first_diverging_mixture():
+@pytest.mark.parametrize("one_model_per_block", [False, True])
+def test_lockstep_divergence_reports_the_first_diverging_mixture(monkeypatch, one_model_per_block):
+    if one_model_per_block:
+        monkeypatch.setattr(toy_lab, "TRAIN_BLOCK_BYTES", 1)
     config = ComponentTrainingConfig(seed=1, steps=300, step_size=1.0)
     init = init_params(config, 8)
     mixtures = _loud_mixtures()

@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -116,6 +117,24 @@ def test_zero_base_steps_leave_the_base_untrained(default_lab):
     start = init_params(config, 13)
     for name in start.names():
         assert np.array_equal(base.entries[name], start.entries[name])
+
+
+def test_full_batch_quadratic_descent_is_monotone(default_lab):
+    # A batch the size of a one-dataset mixture's dataset holds every row
+    # each step, so the mini-batch step is plain gradient descent.
+    ds = default_lab.candidates[0]
+    Z = np.hstack([ds.X, np.ones((len(ds), 1))])
+    L = float(np.linalg.eigvalsh(Z.T @ Z / len(ds))[-1])  # Lipschitz constant of the gradient
+    config = ComponentTrainingConfig(seed=3, step_size=0.9 / L, batch_size=len(ds))
+    start = init_params(config, 13)
+
+    def half_mse(model):
+        err = ds.X @ model.entries["w"] + model.entries["b"][0] - ds.y
+        return 0.5 * float(err @ err) / len(ds)
+
+    losses = [half_mse(train([(ds, 1.0)], start, replace(config, steps=k))) for k in range(81)]
+    assert losses[-1] < losses[0]
+    assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
 def test_degenerate_mixture_equals_direct_training(default_lab):
