@@ -27,10 +27,9 @@ every cut and which cuts are invalid (between equal values, or leaving a
 child under ``min_samples_leaf``). A round only gathers the residuals, sums
 them and scores the gains; a node is partitioned the first time a round
 chooses its split (a 300-round fit on 112 search rows partitions 270-290
-nodes for 1,700-1,900 splits). Trees of the same chosen splits share one
-structure: heap features and thresholds (read-only), and the leaf of each
-heap slot and of each training row, so a round's leaf values and in-sample
-predictions are two gathers.
+nodes for 1,700-1,900 splits). A round's one depth-first pass over the
+cached nodes writes the tree's heap arrays and, at each leaf, the leaf's
+value to its rows' in-sample predictions.
 
 Scoring walks no tree and scores no cell twice. Each tree is stored
 complete, in heap order, down to its own depth: a leaf above the last level
@@ -87,8 +86,6 @@ class RegressionTree:
     Split node ``i`` (``0 <= i < 2**depth - 1``) sends rows with
     ``x[feature[i]] <= threshold[i]`` to node ``2i + 1`` and the rest to
     ``2i + 2``; node ``2**depth - 1 + j`` is the leaf holding ``value[j]``.
-    Fitted trees of one split structure share ``feature`` and ``threshold``,
-    which are read-only.
     """
 
     feature: np.ndarray
@@ -150,8 +147,8 @@ def _best_split(node: _Node, y: np.ndarray, total_sum: float, total_sq: float) -
 
 class _TreeGrower:
     """Grows the trees of one fit, caching every node met (from the root, by
-    chosen splits) and every split structure grown, so that a round redoes
-    only the work that depends on the residuals."""
+    chosen splits), so that a round redoes only the work that depends on the
+    residuals."""
 
     def __init__(self, X: np.ndarray, max_depth: int, min_samples_leaf: int):
         self.XT = np.ascontiguousarray(X.T)
@@ -164,9 +161,6 @@ class _TreeGrower:
         self.right_counts = self.left_counts[::-1]
         order = np.argsort(self.XT, axis=1, kind="stable")
         self.root = self._node(np.arange(X.shape[0]), order, 0)
-        # Chosen splits in pre-order (-1 at a leaf) -> the tree's heap feature
-        # and threshold, each heap leaf's leaf, and each row's leaf.
-        self.structures: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
 
     def _node(self, rows: np.ndarray, srt: np.ndarray, depth: int) -> _Node:
         if depth == self.max_depth:
@@ -198,65 +192,39 @@ class _TreeGrower:
         right = self._node(node.rows[~rows_left], srt[~go_left].reshape(d, -1), depth)
         return f, threshold, left, right
 
-    def _structure(self, path: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-        """Heap feature and threshold (read-only), each heap leaf's leaf and
-        each row's leaf of the tree whose chosen splits are ``path``."""
-        splits, leaves = [], []
-        stack = [(self.root, 0)]
-        for split in path:
-            node, heap = stack.pop()
-            if split < 0:
-                leaves.append((heap, node.rows))
-                continue
-            f, threshold, left, right = node.children[split]
-            splits.append((heap, f, threshold))
-            stack += [(right, 2 * heap + 2), (left, 2 * heap + 1)]
-        depth = max(heap + 1 for heap, _ in leaves).bit_length() - 1
-        feature = np.zeros(2**depth - 1, dtype=np.int64)
-        threshold = np.full(2**depth - 1, np.inf)
-        for heap, f, thr in splits:
-            feature[heap] = f
-            threshold[heap] = thr
-        # A byte indexes the 2**MAX_DEPTH leaves, which keeps a fit's few
-        # hundred structures small.
-        slot = np.empty(2**depth, dtype=np.uint8)
-        row_leaf = np.empty(self.XT.shape[1], dtype=np.uint8)
-        for i, (heap, rows) in enumerate(leaves):
-            # The leaf's copies fill the bottom level of its padded subtree.
-            span = 2 ** (depth - ((heap + 1).bit_length() - 1))
-            first = (heap + 1) * span - 2**depth
-            slot[first : first + span] = i
-            row_leaf[rows] = i
-        feature.flags.writeable = threshold.flags.writeable = False
-        return feature, threshold, slot, row_leaf
-
     def grow(self, y: np.ndarray) -> tuple[RegressionTree, np.ndarray]:
         """One tree on the residuals ``y``, with its in-sample predictions."""
-        path: list[int] = []
-        leaf_values = []
-        stack = [self.root]
+        top = 2**self.max_depth
+        feature = np.zeros(top - 1, dtype=np.int64)
+        threshold = np.full(top - 1, np.inf)
+        value = np.empty(top)
+        fitted = np.empty(y.size)
+        depth = 0
+        stack = [(self.root, 0)]
         while stack:
-            node = stack.pop()
+            node, heap = stack.pop()
             # Sums over the node's rows in ascending row order, as ``mean`` takes them.
             ys = y[node.rows]
             total_sum = ys.sum()
             split = None if node.head is None else _best_split(node, y, total_sum, float(ys @ ys))
             if split is None:
-                path.append(-1)
-                leaf_values.append(total_sum / ys.size)
+                # The leaf's copies fill the bottom level of its padded subtree.
+                span = top >> node.depth
+                first = (heap + 1) * span - top
+                value[first : first + span] = fitted[node.rows] = total_sum / ys.size
+                depth = max(depth, node.depth)
                 continue
-            path.append(split)
             children = node.children.get(split)
             if children is None:
                 children = node.children[split] = self._partition(node, split)
-            stack += (children[3], children[2])
-        key = tuple(path)
-        structure = self.structures.get(key)
-        if structure is None:
-            structure = self.structures[key] = self._structure(key)
-        feature, threshold, slot, row_leaf = structure
-        values = np.array(leaf_values)
-        return RegressionTree(feature, threshold, values.take(slot)), values.take(row_leaf)
+            feature[heap], threshold[heap], left, right = children
+            stack += [(right, 2 * heap + 2), (left, 2 * heap + 1)]
+        # Down to the tree's own depth: its first levels, and every
+        # (top / 2**depth)-th slot of the bottom level.
+        size = 2**depth
+        tree = RegressionTree(feature[: size - 1].copy(), threshold[: size - 1].copy(),
+                              value[:: top // size].copy())
+        return tree, fitted
 
 
 def _ranks(trees: list[RegressionTree], X: np.ndarray):

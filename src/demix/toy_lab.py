@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import zipfile
 from dataclasses import dataclass, replace
 
@@ -158,7 +159,9 @@ def check_lab_size(
     features can be made and, given ``config``, its models trained. Every
     array the lab, a model or a training step holds is shaped by two of the
     sizes below, so no two of them may multiply past what one numpy array
-    can address."""
+    can address. Raise MemoryError if the lab's arrays (features and
+    targets of its candidates, benchmarks and general blend) need more bytes
+    than the machine's physical memory."""
     if n_domains < 2 or d < SHARED_DIMS:
         raise ValidationError(f"lab: need n_domains >= 2 and feature_dim >= {SHARED_DIMS}")
     sizes = {"examples": max(EXAMPLES_PER_DOMAIN, GENERAL_EXAMPLES, BENCHMARK_EXAMPLES),
@@ -172,16 +175,21 @@ def check_lab_size(
         raise ValidationError(
             f"config: {key} = {largest} makes arrays too large for numpy to address"
         )
+    examples = n_domains * (EXAMPLES_PER_DOMAIN + BENCHMARK_EXAMPLES) + GENERAL_EXAMPLES
+    lab_bytes = 8 * (d + 1) * examples
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if lab_bytes > memory:
+        raise MemoryError(
+            f"config: n_domains = {n_domains} and feature_dim = {d} make a lab of"
+            f" {lab_bytes} bytes, more than the machine's {memory} bytes of memory"
+        )
 
 
 def make_domains(n_domains: int, d: int, seed: int) -> ToyLab:
     """Generate candidate datasets, the general blend, and benchmark tasks."""
     check_lab_size(n_domains, d)
     domains = domain_ids(n_domains)
-    own_coords = {
-        k: [SHARED_DIMS + i for i in range(d - SHARED_DIMS) if i % n_domains == k]
-        for k in range(n_domains)
-    }
+    own_coords = {k: list(range(SHARED_DIMS + k, d, n_domains)) for k in range(n_domains)}
 
     shared_dirs = _shared_directions(n_domains, _rng_for(seed, "target", "shared"))
     scales = {}
@@ -492,10 +500,14 @@ def prepare_components(
 ) -> tuple[ParameterSet, list[ParameterSet]]:
     """Two-step protocol: train the shared base on general data, then one
     component per candidate, all in lockstep, on the blend of its one-hot
-    mixture."""
+    mixture. A TrainingError names the base or the first component whose
+    training diverged."""
     base_steps = config.steps if config.base_steps is None else config.base_steps
     start = init_params(config, general.X.shape[1])
-    base = train([(general, 1.0)], start, replace(config, steps=base_steps))
+    try:
+        base = train([(general, 1.0)], start, replace(config, steps=base_steps))
+    except TrainingError as exc:
+        raise TrainingError(f"training the base: {exc}", model=exc.model) from exc
     base = base.copy(model_id="base")
     ids = [c.id for c in candidates]
     mixtures = [
@@ -505,7 +517,10 @@ def prepare_components(
         )
         for one_hot in np.eye(len(ids))
     ]
-    components = train_lockstep(mixtures, base, config)
+    try:
+        components = train_lockstep(mixtures, base, config)
+    except TrainingError as exc:
+        raise TrainingError(f"training component {ids[exc.model]}: {exc}", model=exc.model) from exc
     return base, [comp.copy(model_id=f"component_{cid}") for cid, comp in zip(ids, components)]
 
 

@@ -615,6 +615,28 @@ def test_a_size_memory_cannot_hold_is_an_error_not_a_traceback(tmp_path, capsys)
     assert stages["lab"]["status"] == "done" and stages["components"]["status"] == "failed"
 
 
+def test_a_lab_larger_than_memory_exits_8_before_any_run_directory(tmp_path):
+    # 2**40 domains pass the address check. Under an address-space limit set
+    # on the child alone, a lab built anyway fails there, not on the host.
+    import resource
+
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"[lab]\nn_domains = {2**40}\n\n" + SMALL_CONFIG)
+    limit = 2 * 2**30
+    src = str(Path(demix.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "demix.cli", "run", "--config", str(cfg),
+         "--run-root", str(tmp_path / "runs")],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 8
+    assert proc.stderr.startswith("error: out of memory:")
+    assert f"n_domains = {2**40}" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize(
     "action, given, missing",
     [

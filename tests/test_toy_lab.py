@@ -12,8 +12,10 @@ from demix.merge_engine import MixtureRatio
 from demix.pipeline import score_table
 from demix.tensor_store import ParameterSet
 from demix.toy_lab import (
+    SHARED_DIMS,
     CandidateDataset,
     ComponentTrainingConfig,
+    check_lab_size,
     evaluate_model,
     init_params,
     load_lab,
@@ -57,6 +59,27 @@ def test_generation_validates_sizes():
         make_domains(1, 13, seed=0)
     with pytest.raises(ValidationError):
         make_domains(3, 1, seed=0)
+
+
+def test_a_lab_larger_than_memory_is_refused_before_allocating():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match=rf"n_domains = {2**40} and feature_dim = 13"):
+            check_lab_size(2**40, 13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
+@pytest.mark.parametrize("n_domains, d", [(3, 13), (8, 256)])
+def test_each_domain_samples_the_shared_block_and_every_n_th_coordinate_after_it(n_domains, d):
+    lab = make_domains(n_domains, d, seed=0)
+    for k, candidate in enumerate(lab.candidates):
+        owned = list(range(SHARED_DIMS)) + list(range(SHARED_DIMS + k, d, n_domains))
+        assert np.flatnonzero(np.any(candidate.X != 0.0, axis=0)).tolist() == owned
 
 
 def test_ground_truth_scores_maximally_on_its_own_benchmark(default_lab):
@@ -279,3 +302,18 @@ def test_trained_scores_name_the_ratio_that_diverged(default_lab, prepared):
     ratio = MixtureRatio(weights=[0.5, 0.25, 0.25], candidate_ids=["dom0", "dom1", "dom2"])
     with pytest.raises(TrainingError, match=r"ratio \{'dom0': 0\.5, 'dom1': 0\.25, 'dom2': 0\.25\}"):
         trained_scores(default_lab, base, config, [ratio])
+
+
+def test_prepare_components_names_the_model_that_diverged(default_lab):
+    config = ComponentTrainingConfig(seed=6, steps=200, step_size=50.0)
+    with pytest.raises(TrainingError, match=r"^training the base: training diverged at step") as exc:
+        prepare_components(default_lab.candidates, default_lab.general, config)
+    assert exc.value.model == 0
+    # Ten times the features of dom2 make its steps ten times too steep for
+    # the default step size, while the base and the other components train.
+    dom0, dom1, dom2 = default_lab.candidates
+    steep = CandidateDataset(id=dom2.id, X=10.0 * dom2.X, y=dom2.y)
+    config = ComponentTrainingConfig(seed=6, steps=200, base_steps=20)
+    with pytest.raises(TrainingError, match=r"^training component dom2: training diverged") as exc:
+        prepare_components([dom0, dom1, steep], default_lab.general, config)
+    assert exc.value.model == 2
