@@ -130,7 +130,9 @@ def _apply(target, items, section: str) -> None:
 
 
 def load_config(path) -> ExperimentConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # No header can name the section "", so [DEFAULT] is an ordinary section,
+    # refused below like any unknown one, and seeds no keys into the others.
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
     config = ExperimentConfig()
     try:
         if not parser.read(path, encoding="utf-8"):

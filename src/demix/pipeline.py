@@ -15,8 +15,7 @@ files it reads and writes in the run directory:
     search        lab.npz, component_<id>.dmxt          search_result.json, transcript.jsonl
     report        search_result.json, consistency.json  report.json
 
-The stage bodies are module-level functions, which the matching `demix lab`
-and `demix search` subcommands call too. The references and the consistency
+The stage bodies are module-level functions. The references and the consistency
 stage build their score tables with one function, :func:`score_table`, from
 one row of scores per mixture: the references score models trained on all
 the mixtures at once (:func:`toy_lab.trained_scores`), the consistency stage
@@ -356,10 +355,10 @@ def search_mixture(
     lab: toy_lab.ToyLab,
     components: list[ParameterSet],
     result_path: Path,
-    transcript_path: Path | None = None,
-) -> dict:
+    transcript_path: Path,
+) -> None:
     """The search stage: the iterative search over merged proxies. Writes the
-    transcript and the result document, and returns the result."""
+    transcript and the result document."""
     best, transcript = mixture_search.run_search(
         functools.partial(proxy_scores, components, lab.tasks),
         [c.id for c in lab.candidates],
@@ -367,8 +366,7 @@ def search_mixture(
         config.seed,
         benchmark_domains=lab.domain_of_benchmarks(),
     )
-    if transcript_path is not None:
-        _write_text(transcript_path, transcript.to_jsonl())
+    _write_text(transcript_path, transcript.to_jsonl())
     result = {
         "best_mixture": best.as_dict(),
         "evaluations": len(transcript.evaluations),
@@ -384,7 +382,6 @@ def search_mixture(
         "final_top_k": config.search.top_k,
     }
     dump_json(result_path, result)
-    return result
 
 
 class _RunLock:

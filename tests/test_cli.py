@@ -1,4 +1,5 @@
-"""End-to-end tests of the demix command line."""
+"""End-to-end tests of the demix command line, and direct tests of the input
+checks of the stage functions that `demix run` calls."""
 
 import errno
 import json
@@ -12,16 +13,18 @@ import numpy as np
 import pytest
 
 import demix
-from demix import merge_engine, tensor_store
+from demix import merge_engine, pipeline, tensor_store
 from demix.cli import main
-from demix.config import load_config
+from demix.config import ExperimentConfig, load_config
+from demix.errors import SchemaMismatchError, ValidationError
+from demix.mixture_search import SamplePlan
+from demix.pipeline import read_score_csv
 from demix.tensor_store import ParameterSet, load_archive, read_header, save_archive
 from demix.toy_lab import (
     ComponentTrainingConfig,
     load_lab,
     make_domains,
     prepare_components,
-    save_lab,
 )
 
 
@@ -48,6 +51,15 @@ def test_tensor_inspect_checksum_diff(tmp_path, archives, capsys):
 
     assert main(["tensor", "diff", str(archives[0]), str(archives[0])]) == 0
     assert main(["tensor", "diff", str(archives[0]), str(archives[1])]) == 1
+
+
+def test_tensor_diff_of_values_further_apart_than_a_float64_holds_is_inf(tmp_path, capsys):
+    for name, value in (("a", 1e308), ("b", -1e308)):
+        save_archive(ParameterSet.from_arrays({"w": np.array([value])}), tmp_path / f"{name}.dmxt")
+    argv = ["tensor", "diff", str(tmp_path / "a.dmxt"), str(tmp_path / "b.dmxt")]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == "w: max abs diff inf\n"
+    assert main(argv + ["--atol", "inf"]) == 0
 
 
 def test_tensor_errors_use_exit_codes(tmp_path, capsys):
@@ -231,24 +243,13 @@ class _FailsPartWay:
         self._fh.close()
 
 
-@pytest.mark.parametrize("command", ["dedup", "merge", "lab-gen", "eval", "search"])
+@pytest.mark.parametrize("command", ["dedup", "merge", "lab-gen", "search"])
 def test_an_output_write_that_fails_part_way_leaves_the_old_file_and_no_temp_file(
     tmp_path, archives, capsys, monkeypatch, command
 ):
     docs = tmp_path / "docs.jsonl"
     docs.write_text("".join(json.dumps({"id": f"d{i}", "text": f"words of doc {i}"}) + "\n"
                             for i in range(20)))
-    scores = tmp_path / "scores.csv"
-    scores.write_text("model_id,benchmark_id,score\n"
-                      + "".join(f"m{i},b0,{i + 1}.0\nm{i},b1,{3 * i % 4 + 1}.0\n" for i in range(4)))
-    (tmp_path / "domains.csv").write_text("benchmark_id,domain\nb0,d0\nb1,d1\n")
-    if command == "search":
-        lab = make_domains(2, 8, seed=3)
-        save_lab(lab, tmp_path / "lab.npz")
-        _, comps = prepare_components(lab.candidates, lab.general, ComponentTrainingConfig(steps=5))
-        for cand, comp in zip(lab.candidates, comps):
-            save_archive(comp, tmp_path / f"component_{cand.id}.dmxt")
-        (tmp_path / "exp.cfg").write_text("[search]\nplan = 4,2\npool = 50\ntop_k = 4\n")
     out = tmp_path / "out" / "result"
     out.parent.mkdir()
     out.write_bytes(b"old contents\n")
@@ -256,24 +257,37 @@ def test_an_output_write_that_fails_part_way_leaves_the_old_file_and_no_temp_fil
         "dedup": ["dedup", "--in", str(docs), "--report", str(tmp_path / "r.json"), "--out", str(out)],
         "merge": ["merge", "--ratio", "0.2,0.3,0.5", "--out", str(out),
                   "--components", ",".join(str(p) for p in archives)],
-        "lab-gen": ["lab", "gen", "--out", str(out)],
-        "eval": ["eval", "--reference", str(scores), "--proxy", str(scores),
-                 "--domains", str(tmp_path / "domains.csv"), "--out", str(out)],
-        "search": ["search", "--config", str(tmp_path / "exp.cfg"), "--components", str(tmp_path),
-                   "--benchmarks", str(tmp_path / "lab.npz"), "--out", str(out)],
-    }[command]
+    }.get(command)
+    if command == "lab-gen":
+        def write():
+            pipeline.generate_lab(ExperimentConfig(), out)
+    elif command == "search":
+        lab = make_domains(2, 8, seed=3)
+        _, comps = prepare_components(lab.candidates, lab.general, ComponentTrainingConfig(steps=5))
+        config = ExperimentConfig(search=SamplePlan(plan=[4, 2], pool=50, top_k=4))
+
+        def write():
+            pipeline.search_mixture(config, lab, comps, out, tmp_path / "transcript.jsonl")
 
     def opener(path, mode="r", *args, **kwargs):
         fh = open(path, mode, *args, **kwargs)
         return _FailsPartWay(fh, 64) if Path(path).name.startswith(out.name) else fh
 
     monkeypatch.setattr(tensor_store, "open", opener, raising=False)
-    assert main(argv) == 3
-    assert "No space left on device" in capsys.readouterr().err
+    if argv:
+        assert main(argv) == 3
+        assert "No space left on device" in capsys.readouterr().err
+    else:
+        with pytest.raises(OSError, match="No space left on device"):
+            write()
     assert out.read_bytes() == b"old contents\n"
     assert [p.name for p in out.parent.iterdir()] == ["result"]
     monkeypatch.undo()
-    assert main(argv) == 0 and out.read_bytes() != b"old contents\n"
+    if argv:
+        assert main(argv) == 0
+    else:
+        write()
+    assert out.read_bytes() != b"old contents\n"
     assert [p.name for p in out.parent.iterdir()] == ["result"]
 
 
@@ -298,88 +312,32 @@ def test_malformed_corpus_is_a_usage_error(tmp_path, capsys, bad_line, problem):
     assert not report.exists()
 
 
-def test_lab_and_search_cli_flow(tmp_path, capsys):
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text(
-        "[experiment]\nseed = 2\n\n"
-        "[training]\nsteps = 40\nbase_steps = 40\n\n[references]\ncount = 4\n\n"
-        "[search]\nplan = 6,3\npool = 800\ntop_k = 8\n"
-    )
-    lab_path = tmp_path / "lab.npz"
-    assert main(["lab", "gen", "--config", str(cfg), "--out", str(lab_path)]) == 0
-    comp_dir = tmp_path / "components"
-    assert main(
-        ["lab", "train-components", "--config", str(cfg), "--lab", str(lab_path),
-         "--out-dir", str(comp_dir)]
-    ) == 0
-    assert (comp_dir / "base.dmxt").exists()
-
-    ref_dir = tmp_path / "refs"
-    assert main(
-        ["lab", "train-references", "--config", str(cfg), "--lab", str(lab_path),
-         "--base", str(comp_dir / "base.dmxt"), "--out-dir", str(ref_dir)]
-    ) == 0
-    assert (ref_dir / "references.csv").exists()
-
-    capsys.readouterr()
-    assert main(
-        ["lab", "evaluate", "--lab", str(lab_path), "--model", str(comp_dir / "base.dmxt")]
-    ) == 0
-    row = json.loads(capsys.readouterr().out)
-    assert all(0.0 <= v <= 100.0 for v in row.values())
-
-    (comp_dir / "base.dmxt").unlink()  # the search merges components only
-    out = tmp_path / "result.json"
-    transcript = tmp_path / "transcript.jsonl"
-    code = main(
-        ["search", "--config", str(cfg), "--components", str(comp_dir),
-         "--benchmarks", str(lab_path), "--out", str(out), "--transcript", str(transcript)]
-    )
-    assert code == 0
-    result = json.loads(out.read_text())
-    assert result["evaluations"] == 9
-    assert sum(result["best_mixture"].values()) == pytest.approx(1.0, abs=1e-9)
-    assert len(transcript.read_text().splitlines()) == 9
-
-
-def test_eval_cli(tmp_path, capsys):
-    lab = make_domains(2, 8, seed=3)
-    config = ComponentTrainingConfig(seed=3, steps=30)
-    base, comps = prepare_components(lab.candidates, lab.general, config)
-    from demix.mixture_search import sample_simplex
-    from demix.pipeline import proxy_scores, score_table, write_score_csv
-    from demix.toy_lab import trained_scores
-
-    ids = [c.id for c in lab.candidates]
-    ratios = sample_simplex(2, 8, seed=4, candidate_ids=ids)
-    reference = score_table(trained_scores(lab, base, config, ratios), lab)
-    proxy = score_table([proxy_scores(comps, lab.tasks, ratio) for ratio in ratios], lab)
-    write_score_csv(reference, tmp_path / "ref.csv", tmp_path / "domains.csv")
-    write_score_csv(proxy, tmp_path / "proxy.csv")
-    out = tmp_path / "consistency.json"
-    code = main(
-        ["eval", "--reference", str(tmp_path / "ref.csv"), "--proxy", str(tmp_path / "proxy.csv"),
-         "--domains", str(tmp_path / "domains.csv"), "--out", str(out)]
-    )
-    assert code == 0
-    doc = json.loads(out.read_text())
-    assert set(doc["per_domain_rho"]) == {"dom0", "dom1"}
-
-
-def test_eval_cli_rejects_repeated_rows(tmp_path, capsys):
+def test_score_csv_rejects_repeated_rows(tmp_path):
     ref, domains = tmp_path / "ref.csv", tmp_path / "domains.csv"
-    argv = ["eval", "--reference", str(ref), "--proxy", str(ref), "--domains", str(domains),
-            "--out", str(tmp_path / "c.json")]
     rows = "".join(f"m{i},x,{i}.0\nm{i},y,{i % 3}.0\n" for i in range(4))
     ref.write_text("model_id,benchmark_id,score\n" + rows + "m0,x,9.0\n")
     domains.write_text("benchmark_id,domain\nx,d1\ny,d2\n")
-    assert main(argv) == 2
-    assert f"{ref}:10: repeated model_id,benchmark_id 'm0,x', first on line 2" in capsys.readouterr().err
+    with pytest.raises(ValidationError) as exc:
+        read_score_csv(ref, domains)
+    assert f"{ref}:10: repeated model_id,benchmark_id 'm0,x', first on line 2" in str(exc.value)
     ref.write_text("model_id,benchmark_id,score\n" + rows)
     domains.write_text("benchmark_id,domain\nx,d1\ny,d2\nx,d2\n")
-    assert main(argv) == 2
-    assert f"{domains}:4: repeated benchmark_id 'x', first on line 2" in capsys.readouterr().err
-    assert not (tmp_path / "c.json").exists()
+    with pytest.raises(ValidationError) as exc:
+        read_score_csv(ref, domains)
+    assert f"{domains}:4: repeated benchmark_id 'x', first on line 2" in str(exc.value)
+
+
+def test_help_lists_the_five_commands_and_no_stage_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "{tensor,merge,dedup,run,report}" in capsys.readouterr().out
+    # `demix run` is the one way to run a stage.
+    for argv in (["lab", "gen"], ["search"], ["eval"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_run_and_report_cli(tmp_path, capsys):
@@ -414,6 +372,12 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
     cfg.write_text("[references]\nenabled = true\n")  # every run trains the references
     assert main(["run", "--config", str(cfg)]) == 2
     assert "unknown key 'enabled' in [references]" in capsys.readouterr().err
+    # configparser's defaults section would set keys silently, or in every section.
+    for body in ("[DEFAULT]\nseed = 3\nbananas = 1\n", "[DEFAULT]\nsteps = 7\n[training]\n"):
+        cfg.write_text(body)
+        assert main(["run", "--config", str(cfg), "--run-root", str(tmp_path / "runs")]) == 2
+        assert "unknown section [DEFAULT]" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_removed_merge_keys_and_options_are_usage_errors(tmp_path, archives, capsys):
@@ -462,29 +426,20 @@ SMALL_CONFIG = (
 )
 
 
-@pytest.mark.parametrize("n_domains", [3, 11])  # from 11 on, dom10 sorts before dom2
-def test_stage_commands_write_the_same_artifacts_as_run(tmp_path, capsys, n_domains):
+def test_a_run_over_eleven_domains_keys_every_component_by_its_id(tmp_path):
+    # From 11 domains on, dom10 sorts before dom2.
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(f"[lab]\nn_domains = {n_domains}\n" + SMALL_CONFIG)
-    out = tmp_path / "stages"
-    lab = str(out / "lab.npz")
-    out.mkdir()
-    assert main(["lab", "gen", "--config", str(cfg), "--out", lab]) == 0
-    assert main(["lab", "train-components", "--config", str(cfg), "--lab", lab,
-                 "--out-dir", str(out)]) == 0
-    assert main(["lab", "train-references", "--config", str(cfg), "--lab", lab,
-                 "--base", str(out / "base.dmxt"), "--out-dir", str(out)]) == 0
-    assert main(["search", "--config", str(cfg), "--components", str(out), "--benchmarks", lab,
-                 "--out", str(out / "search_result.json"),
-                 "--transcript", str(out / "transcript.jsonl")]) == 0
-    assert main(["run", "--config", str(cfg), "--run-root", str(tmp_path / "runs")]) == 0
-    run_dir = next((tmp_path / "runs").iterdir())
-    names = ["lab.npz", "base.dmxt", "reference_ratios.json", "references.csv", "domains.csv",
-             "search_result.json", "transcript.jsonl"]
-    names += sorted(p.name for p in out.glob("component_*.dmxt"))
-    assert len(names) == 7 + n_domains
-    for name in names:
-        assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
+    cfg.write_text("[lab]\nn_domains = 11\n" + SMALL_CONFIG)
+    config = load_config(cfg)
+    manifest = pipeline.run_pipeline(config, run_root=tmp_path / "runs")
+    run_dir = Path(manifest.run_dir)
+    ids = [f"dom{k}" for k in range(11)]
+    assert all((run_dir / f"component_{i}.dmxt").exists() for i in ids)
+    best = json.loads((run_dir / "search_result.json").read_text())["best_mixture"]
+    assert sorted(best) == sorted(ids)
+    assert sum(best.values()) == pytest.approx(1.0, abs=1e-9)
+    again = pipeline.run_pipeline(config, run_root=tmp_path / "runs")
+    assert not any(record.get("recomputed") for record in again.stages.values())
 
 
 def test_report_reads_the_run_directory_its_manifest_is_in(tmp_path, capsys):
@@ -552,15 +507,13 @@ def test_malformed_inputs_are_usage_errors(tmp_path, archives, capsys):
     cfg.write_bytes(b"[experiment]\nname = \xff\n")
     assert main(["run", "--config", str(cfg)]) == 2
     (tmp_path / "scores.csv").write_bytes(b"model_id,benchmark_id,score\nm0,b0,\xff\n")
-    assert main(["eval", "--reference", str(tmp_path / "scores.csv"),
-                 "--proxy", str(tmp_path / "scores.csv"), "--domains", str(tmp_path / "scores.csv"),
-                 "--out", str(tmp_path / "c.json")]) == 2
+    with pytest.raises(ValidationError):
+        read_score_csv(tmp_path / "scores.csv", tmp_path / "scores.csv")
     (tmp_path / "scores.csv").write_text("model_id,benchmark_id,score\nm0,b0\n")
     (tmp_path / "domains.csv").write_text("benchmark_id,domain\nb0,d0\n")
-    assert main(["eval", "--reference", str(tmp_path / "scores.csv"),
-                 "--proxy", str(tmp_path / "scores.csv"), "--domains", str(tmp_path / "domains.csv"),
-                 "--out", str(tmp_path / "c.json")]) == 2
-    assert f"{tmp_path / 'scores.csv'}:2:" in capsys.readouterr().err
+    with pytest.raises(ValidationError) as exc:
+        read_score_csv(tmp_path / "scores.csv", tmp_path / "domains.csv")
+    assert f"{tmp_path / 'scores.csv'}:2:" in str(exc.value)
 
 
 @pytest.mark.parametrize("setting", ["pool = 800", "count = 6"])  # [search], [references]
@@ -637,40 +590,16 @@ def test_a_lab_larger_than_memory_exits_8_before_any_run_directory(tmp_path):
     assert not (tmp_path / "runs").exists()
 
 
-@pytest.mark.parametrize(
-    "action, given, missing",
-    [
-        ("gen", [], "--out"),
-        ("train-components", ["--out-dir"], "--lab"),
-        ("train-components", ["--lab"], "--out-dir"),
-        ("train-references", ["--lab", "--out-dir"], "--base"),
-        ("evaluate", ["--lab"], "--model"),
-    ],
-    ids=["gen", "components-lab", "components-out-dir", "references", "evaluate"],
-)
-def test_lab_action_without_its_option_is_a_usage_error(tmp_path, capsys, action, given, missing):
-    lab = tmp_path / "lab.npz"
-    save_lab(make_domains(2, 8, seed=0), lab)
-    values = {"--lab": str(lab), "--out-dir": str(tmp_path / "out")}
-    argv = ["lab", action] + [item for option in given for item in (option, values[option])]
-    assert main(argv) == 2
-    assert f"requires {missing}" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-def test_malformed_lab_files_are_usage_errors_naming_the_path(tmp_path, archives, capsys):
+def test_malformed_lab_files_are_usage_errors_naming_the_path(tmp_path):
     not_npz = tmp_path / "not_npz"
     not_npz.write_text("no lab here\n")
     no_meta = tmp_path / "no_meta.npz"
     with open(no_meta, "wb") as fh:
         np.savez(fh, general_X=np.zeros((2, 2)))
     for lab in (not_npz, no_meta, tmp_path / "missing.npz"):
-        for argv in (["lab", "evaluate", "--lab", str(lab), "--model", str(archives[0])],
-                     ["search", "--components", str(tmp_path), "--benchmarks", str(lab),
-                      "--out", str(tmp_path / "result.json")]):
-            assert main(argv) == 2, argv
-            assert str(lab) in capsys.readouterr().err
-    assert not (tmp_path / "result.json").exists()
+        with pytest.raises(ValidationError) as exc:
+            load_lab(lab)
+        assert str(lab) in str(exc.value)
 
 
 @pytest.mark.parametrize(
@@ -682,19 +611,17 @@ def test_malformed_lab_files_are_usage_errors_naming_the_path(tmp_path, archives
     ],
     ids=["other-family", "other-input-dim"],
 )
-def test_a_base_of_the_wrong_schema_is_a_usage_error(tmp_path, capsys, base, problem):
-    lab = tmp_path / "lab.npz"
-    assert main(["lab", "gen", "--out", str(lab)]) == 0
-    save_archive(ParameterSet.from_arrays(base), tmp_path / "base.dmxt")
-    capsys.readouterr()
-    assert main(["lab", "train-references", "--lab", str(lab), "--base",
-                 str(tmp_path / "base.dmxt"), "--out-dir", str(tmp_path / "refs")]) == 2
-    assert problem in capsys.readouterr().err
+def test_a_base_of_the_wrong_schema_is_a_usage_error(tmp_path, base, problem):
+    config = ExperimentConfig()
+    lab = make_domains(config.lab.n_domains, config.lab.feature_dim, config.seed)
+    with pytest.raises(SchemaMismatchError) as exc:  # a ValidationError, exit code 2
+        pipeline.train_references(config, lab, ParameterSet.from_arrays(base), tmp_path)
+    assert problem in str(exc.value)
 
 
-def test_lab_gen_writes_the_path_it_is_given(tmp_path, capsys):
+def test_lab_gen_writes_the_path_it_is_given(tmp_path):
     out = tmp_path / "labx"
-    assert main(["lab", "gen", "--out", str(out)]) == 0
+    pipeline.generate_lab(ExperimentConfig(), out)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["labx"]
     assert len(load_lab(out).candidates) == 3
 
@@ -741,11 +668,12 @@ def test_missing_input_files_have_the_exit_code_of_their_input(tmp_path, capsys)
     for argv, code in [
         (["report", "--manifest", str(missing)], 7),
         (["dedup", "--in", str(missing), "--report", str(tmp_path / "r.json")], 2),
-        (["eval", "--reference", str(missing), "--proxy", str(missing),
-          "--domains", str(tmp_path / "domains.csv"), "--out", str(tmp_path / "c.json")], 2),
     ]:
         assert main(argv) == code, argv
         assert str(missing) in capsys.readouterr().err
+    with pytest.raises(ValidationError) as exc:
+        read_score_csv(missing, tmp_path / "domains.csv")
+    assert str(missing) in str(exc.value)
 
 
 WELL_TYPED_REPORT = {

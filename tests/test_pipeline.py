@@ -496,7 +496,7 @@ def test_a_stage_killed_after_a_partial_write_is_recomputed(config_path, tmp_pat
         "import os, sys\n"
         "from demix import pipeline\n"
         "from demix.config import load_config\n"
-        "def search_then_die(config, lab, components, result_path, transcript_path=None):\n"
+        "def search_then_die(config, lab, components, result_path, transcript_path):\n"
         "    result_path.write_text('{\"best_mixture\": {')\n"
         "    os._exit(9)\n"
         "pipeline.search_mixture = search_then_die\n"
@@ -524,7 +524,7 @@ def test_a_write_killed_part_way_leaves_no_temp_file_after_the_next_run(config_p
         "import os, sys\n"
         "from demix import pipeline, tensor_store\n"
         "from demix.config import load_config\n"
-        "def search_then_die(config, lab, components, result_path, transcript_path=None):\n"
+        "def search_then_die(config, lab, components, result_path, transcript_path):\n"
         "    with tensor_store.atomic_write(result_path) as fh:\n"
         "        fh.write(b'{\"best_mixture\": {')\n"
         "        fh.flush()\n"
