@@ -5,6 +5,9 @@ Exit codes: 0 on success, otherwise the failing error class decides
 a size that memory cannot hold, such as a model too wide for it, exits 8.
 `tensor diff` exits 1 when the archives differ, and every command exits 1
 when the reader of its standard output goes away.
+
+Importing this module before numpy sets OPENBLAS_NUM_THREADS=1 for the process
+and its children, unless the variable is already set, so `demix run` can fork.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import os
 import sys
 from pathlib import Path
 
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read when numpy loads OpenBLAS
 import numpy as np
 
 from . import __version__, merge_engine, pipeline
@@ -193,10 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     dedup.set_defaults(fn=_cmd_dedup)
 
     run = sub.add_parser("run", help="run the full pipeline from a config file", description=(
-        "Run the full pipeline from a config file. On a Linux host with two or more CPUs the "
-        "references and consistency stages run beside the search, but only in a process with one "
-        "OS thread. numpy's OpenBLAS starts a thread on import there, so a plain `demix run` runs "
-        "them one after another; OPENBLAS_NUM_THREADS=1 enables the overlap."))
+        "Run the full pipeline from a config file. BLAS gets one thread unless "
+        "OPENBLAS_NUM_THREADS is set; with one, on Linux with two or more CPUs, a forked child "
+        "runs the references and consistency stages beside the search."))
     run.add_argument("--config", required=True)
     run.add_argument("--run-root", help="override the run directory root")
     run.set_defaults(fn=_cmd_run)

@@ -37,17 +37,17 @@ so a cold run forks one child that runs those two stages, in that order,
 while the parent runs the search. It forks only when both that branch and
 the search must be recomputed, and only if the process can fork safely: it
 runs on Linux, has a single OS thread (``/proc/self/task``, so BLAS threads
-count; ``OPENBLAS_NUM_THREADS=1`` gives one), and may run on at least two
-CPUs (``os.sched_getaffinity``). Otherwise (warm or partial reruns,
-multi-threaded BLAS) the stages run in table order in this process. Either
-way the same :func:`_execute` calls run them. The child writes only its own
-stages' outputs, never ``manifest.json``: it sends its two stage records, the
-``files`` records it added or dropped and its exception, if any, pickled up a
-pipe, and the parent reaps it and merges them before the run lock is
-released, then raises the first failure in stage order. The child dies with
-its parent (``PR_SET_PDEATHSIG``), so a killed run leaves no child writing,
-and :func:`remove_leftover_temps` removes the child's ``<name>.<pid>.tmp``
-files at the next run.
+count, and the CLI pins BLAS to one), and may run on at least two CPUs
+(``os.sched_getaffinity``). Otherwise (warm or partial reruns, more BLAS
+threads, a failed fork) the stages run in table order in this process.
+Either way the same :func:`_execute` calls run them. The child writes only
+its own stages' outputs, never ``manifest.json``: it sends its two stage
+records, the ``files`` records it added or dropped and its exception, if
+any, pickled up a pipe, and the parent reaps it and merges them before the
+run lock is released, then raises the first failure in stage order. The
+child dies with its parent (``PR_SET_PDEATHSIG``), so a killed run leaves no
+child writing, and :func:`remove_leftover_temps` removes the child's
+``<name>.<pid>.tmp`` files at the next run.
 
 An input's digest is hashed once and then reused while the file is unchanged.
 The manifest's ``files`` records each input's stamp, ``(st_ino, st_size,
@@ -478,7 +478,8 @@ def _execute(
 def _can_fork() -> bool:
     """Whether this process can run stages in a forked child beside others:
     it is on Linux, has one OS thread (a fork copies only the calling thread,
-    and BLAS worker threads count), and may run on at least two CPUs."""
+    and BLAS worker threads count, so the CLI pins BLAS to one), and may run
+    on at least two CPUs."""
     return (
         sys.platform == "linux"
         and len(os.listdir("/proc/self/task")) == 1
@@ -486,14 +487,19 @@ def _can_fork() -> bool:
     )
 
 
-def _fork(work) -> tuple[int, int]:
+def _fork(work) -> tuple[int, int] | None:
     """Start a child that calls ``work()`` and writes the bytes it returns to
-    a pipe; returns the child's pid and the pipe's read end. The child dies
-    with its parent, never returns, and leaves by ``os._exit``, so it runs
-    none of the parent's cleanup."""
+    a pipe; returns the child's pid and the pipe's read end, or None if the
+    fork failed. The child dies with its parent, never returns, and leaves by
+    ``os._exit``, so it runs none of the parent's cleanup."""
     parent = os.getpid()
     read_fd, write_fd = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:  # EAGAIN at a process limit, or ENOMEM: see fork(2)
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
     if pid:
         os.close(write_fd)
         return pid, read_fd
@@ -512,26 +518,16 @@ def _fork(work) -> tuple[int, int]:
         os._exit(code)
 
 
-def _join(pid: int, read_fd: int) -> tuple[bytes, int]:
-    """What a child from :func:`_fork` wrote, and its wait status once it is
-    reaped."""
-    try:
-        with os.fdopen(read_fd, "rb") as fh:
-            data = fh.read()
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    return data, status
-
-
 def _run_beside(
     manifest, run_dir: Path, branch: list[str], pending: str, run_branch, run_search
-) -> None:
+) -> bool:
     """Run the stages ``branch`` by ``run_branch()`` in a forked child while
     this process runs ``run_search()``, then merge what the child sends back:
     its stage records, the ``files`` records it added or dropped, and its
     exception, if any. ``pending``, the branch's first stale stage, is saved
     as running before the fork, since the child never saves the manifest. The
-    first failure in stage order is raised, the child's before the search's."""
+    first failure in stage order is raised, the child's before the search's.
+    Returns False, having run nothing, if the fork failed."""
     record = manifest.stage(pending)
     record["status"] = "running"
     manifest.save(run_dir / "manifest.json")
@@ -555,11 +551,18 @@ def _run_beside(
             data = pickle.dumps((records, changed, PipelineError(f"{type(error).__name__}: {error}")))
         return data
 
-    pid, read_fd = _fork(in_child)
+    child = _fork(in_child)
+    if child is None:
+        return False
+    pid, read_fd = child
     try:
         run_search()
     finally:
-        data, status = _join(pid, read_fd)
+        try:
+            with os.fdopen(read_fd, "rb") as fh:
+                data = fh.read()
+        finally:
+            status = os.waitpid(pid, 0)[1]  # reaped whatever happens
         if data:
             records, changed, error = pickle.loads(data)
             manifest.stages.update(records)
@@ -576,6 +579,7 @@ def _run_beside(
             record.update(status="failed", error=f"PipelineError: {error}")
         if error is not None:
             raise error
+    return True
 
 
 def _run_stages(config: ExperimentConfig, run_dir: Path, manifest: ExperimentManifest) -> None:
@@ -653,11 +657,12 @@ def _run_stages(config: ExperimentConfig, run_dir: Path, manifest: ExperimentMan
     # stage; checking stops at the references stage when it is stale, as it
     # rewrites files that the consistency stage's hash reads.
     pending = stale(search) and next((entry[0] for entry in branch if stale(entry)), None)
+    forked = False
     if pending and _can_fork():
         components()  # loaded before the fork, so the child need not load them
-        _run_beside(manifest, run_dir, [entry[0] for entry in branch], pending,
-                    lambda: run(branch, save=False), lambda: run([search]))
-    else:
+        forked = _run_beside(manifest, run_dir, [entry[0] for entry in branch], pending,
+                             lambda: run(branch, save=False), lambda: run([search]))
+    if not forked:
         run([*branch, search])
     run(stages[5:])
     # In the order the stages run, which `demix run` lists them in; a

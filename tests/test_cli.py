@@ -340,6 +340,36 @@ def test_help_lists_the_five_commands_and_no_stage_command(capsys):
         assert "invalid choice" in capsys.readouterr().err
 
 
+def run_python(code: str, **env) -> str:
+    """What ``code`` prints in a fresh interpreter that imports this demix,
+    with the environment changed by ``env`` (None unsets a variable)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(demix.__file__).resolve().parents[1]), **env}
+    env = {key: value for key, value in env.items() if value is not None}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_importing_demix_loads_no_numpy():
+    code = "import sys, demix\nassert 'numpy' not in sys.modules, 'numpy loaded'\nprint(demix.__version__)"
+    assert run_python(code) == f"{demix.__version__}\n"
+
+
+@pytest.mark.parametrize("value, kept", [(None, "1"), ("2", "2")], ids=["unset", "set"])
+def test_the_cli_pins_blas_to_one_thread_unless_the_variable_is_set(value, kept):
+    code = (
+        "import os, demix.cli\n"
+        "from demix import pipeline\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'], pipeline._can_fork())"
+    )
+    pinned, can_fork = run_python(code, OPENBLAS_NUM_THREADS=value).split()
+    assert pinned == kept
+    # Pinned before numpy loads, BLAS starts no thread and the process may fork.
+    two_cpus = sys.platform == "linux" and len(os.sched_getaffinity(0)) >= 2
+    assert can_fork == str(value is None and two_cpus)
+
+
 def test_run_and_report_cli(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(

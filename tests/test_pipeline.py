@@ -1,5 +1,6 @@
 """Tests for the pipeline orchestrator: caching, determinism, reports."""
 
+import errno
 import json
 import os
 import re
@@ -546,9 +547,9 @@ def test_a_write_killed_part_way_leaves_no_temp_file_after_the_next_run(config_p
 
 
 # A cold run forks a child for the references and consistency stages only in
-# a single-threaded process (OPENBLAS_NUM_THREADS=1) with two CPUs; the tests
-# that need the child skip elsewhere, and every other test covers whichever
-# path the process takes.
+# a single-threaded process (one BLAS thread, as conftest.py sets unless the
+# environment says otherwise) with two CPUs; the tests that need the child
+# skip elsewhere, and every other test covers whichever path the process takes.
 needs_fork = pytest.mark.skipif(
     not pipeline._can_fork(), reason="forks only from a single-threaded process with two CPUs"
 )
@@ -699,6 +700,42 @@ def test_the_child_is_reaped_when_the_search_fails(
     stages = json.loads(manifest_path.read_text())["stages"]
     statuses = ["failed", None] if child_fails else ["done", "done"]  # None: never reached
     assert [stages.get(name, {}).get("status") for name in STAGES[2:5]] == [*statuses, "failed"]
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2, reason="forks only with two CPUs"
+)
+def test_a_plain_demix_run_runs_the_search_beside_the_consistency_stage(config_path, tmp_path):
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(demix.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "demix.cli", "run", "--config", str(config_path),
+         "--run-root", str(tmp_path / "runs")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (manifest_path,) = (tmp_path / "runs").glob("*/manifest.json")
+    stages = json.loads(manifest_path.read_text())["stages"]
+    # In one process the search starts only after the consistency stage ends.
+    assert stages["search"]["started_at"] < stages["consistency"]["finished_at"]
+
+
+def test_a_fork_that_fails_runs_the_stages_in_this_process(config_path, tmp_path, monkeypatch):
+    def fails():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(pipeline, "_can_fork", lambda: True)
+    monkeypatch.setattr(os, "fork", fails)
+    open_fds = len(os.listdir("/proc/self/fd"))
+    fallen_back = run_pipeline(load_config(config_path), run_root=tmp_path / "fallen_back")
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+    assert {name: rec["status"] for name, rec in fallen_back.stages.items()} == dict.fromkeys(STAGES, "done")
+    assert recomputed_stages(fallen_back) == sorted(STAGES)
+    monkeypatch.setattr(pipeline, "_can_fork", lambda: False)
+    in_process = run_pipeline(load_config(config_path), run_root=tmp_path / "in_process")
+    one, two = Path(fallen_back.run_dir), Path(in_process.run_dir)
+    for name in PRODUCER:
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("stale", [[], ["search_result.json"], ["consistency.json"],
