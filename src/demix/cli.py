@@ -3,8 +3,7 @@
 Exit codes: 0 on success, otherwise the failing error class decides
 (validation 2, archive 3, training 4, metrics 5, search 6, pipeline 7);
 a size that memory cannot hold, such as a model too wide for it, exits 8.
-`tensor diff` exits 1 when the archives differ, and every command exits 1
-when the reader of its standard output goes away.
+Every command exits 1 when the reader of its standard output goes away.
 
 Importing this module before numpy sets OPENBLAS_NUM_THREADS=1 for the process
 and its children, unless the variable is already set, so `demix run` can fork.
@@ -19,16 +18,15 @@ import os
 import sys
 from pathlib import Path
 
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read when numpy loads OpenBLAS
-import numpy as np
+# Read when numpy loads OpenBLAS, which the import of `pipeline` below does.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__, merge_engine, pipeline
 from .config import load_config
 from .dedup import dedup_corpus
 from .errors import DemixError, ValidationError
 from .merge_engine import MixtureRatio
-from .pipeline import ExperimentManifest
-from .tensor_store import atomic_write, load_archive, read_header, save_archive
+from .tensor_store import atomic_write, load_archive, save_archive
 
 
 def _parse_ratio(text: str, candidate_ids: list[str]) -> MixtureRatio:
@@ -37,48 +35,6 @@ def _parse_ratio(text: str, candidate_ids: list[str]) -> MixtureRatio:
     except ValueError:
         raise ValidationError(f"--ratio expects comma-separated numbers, got {text!r}") from None
     return MixtureRatio(weights=weights, candidate_ids=candidate_ids)
-
-
-def _cmd_tensor(args) -> int:
-    if args.action == "inspect":
-        header = read_header(args.path)
-        doc = {
-            "format_version": header.format_version,
-            "metadata": header.metadata,
-            "tensors": [
-                {"name": n, "shape": list(s), "offset": o, "length": l}
-                for n, s, o, l in header.index
-            ],
-        }
-        if args.json:
-            print(json.dumps(doc, indent=2, sort_keys=True))
-        else:
-            print(f"format version {doc['format_version']}")
-            for key, value in sorted(header.metadata.items()):
-                print(f"  {key} = {value}")
-            for t in doc["tensors"]:
-                print(f"  {t['name']}  shape={t['shape']}  bytes={t['length']}")
-        return 0
-    if args.action == "checksum":
-        print(load_archive(args.path).checksum())
-        return 0
-    if args.other is None:
-        raise ValidationError("demix tensor diff requires a second archive")
-    if not args.atol >= 0.0:  # also rejects NaN
-        raise ValidationError(f"demix tensor diff: --atol must be non-negative, not {args.atol}")
-    a = load_archive(args.path)
-    b = load_archive(args.other)
-    if a.schema() != b.schema():
-        print("schemas differ", file=sys.stderr)
-        return 1
-    worst = 0.0
-    for name in a.names():
-        x, y = a.entries[name], b.entries[name]
-        with np.errstate(over="ignore"):  # two finite values can differ by more than float64 holds
-            diff = float(np.max(np.abs(x - y))) if x.size else 0.0
-        worst = max(worst, diff)
-        print(f"{name}: max abs diff {diff:.3e}")
-    return 0 if worst <= args.atol else 1
 
 
 def _cmd_merge(args) -> int:
@@ -153,28 +109,10 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    manifest, _ = ExperimentManifest.load(args.manifest)
-    report = pipeline.load_report(manifest)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(pipeline.format_report(report))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="demix", description=__doc__)
     parser.add_argument("--version", action="version", version=f"demix {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    tensor = sub.add_parser("tensor", help="inspect, diff or checksum tensor archives")
-    tensor.add_argument("action", choices=["inspect", "diff", "checksum"])
-    tensor.add_argument("path")
-    tensor.add_argument("other", nargs="?", help="second archive (diff only)")
-    tensor.add_argument("--atol", type=float, default=0.0)
-    tensor.add_argument("--json", action="store_true")
-    tensor.set_defaults(fn=_cmd_tensor)
 
     merge = sub.add_parser("merge", help="merge component archives at a mixture ratio")
     merge.add_argument(
@@ -199,15 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run the full pipeline from a config file", description=(
         "Run the full pipeline from a config file. BLAS gets one thread unless "
         "OPENBLAS_NUM_THREADS is set; with one, on Linux with two or more CPUs, a forked child "
-        "runs the references and consistency stages beside the search."))
+        "runs the references and consistency stages beside the search. It prints the "
+        "report; report.json in the run directory holds it in machine-readable form."))
     run.add_argument("--config", required=True)
     run.add_argument("--run-root", help="override the run directory root")
     run.set_defaults(fn=_cmd_run)
-
-    report = sub.add_parser("report", help="print the report for a finished run")
-    report.add_argument("--manifest", required=True)
-    report.add_argument("--json", action="store_true")
-    report.set_defaults(fn=_cmd_report)
     return parser
 
 

@@ -86,12 +86,10 @@ class ExperimentConfig:
 
 
 def _parse_bool(text: str) -> bool:
-    value = text.strip().lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    raise ValidationError(f"config: cannot parse boolean {text!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValidationError(f"config: cannot parse boolean {text!r}") from None
 
 
 def _parse_plan(text: str) -> list[int]:

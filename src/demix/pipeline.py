@@ -741,11 +741,8 @@ def _build_report(config: ExperimentConfig, run_dir: Path) -> dict:
 
 
 def load_report(manifest: ExperimentManifest) -> dict:
-    """Read the machine-readable summary for a manifest's run. A report that
-    :func:`format_report` cannot render raises PipelineError naming its file."""
-    stage = manifest.stages.get("report")
-    if not stage or stage.get("status") != "done":
-        raise PipelineError("report: pipeline has not completed the report stage")
+    """Read the machine-readable summary of a manifest's finished run. A report
+    that :func:`format_report` cannot render raises PipelineError naming its file."""
     path = Path(manifest.run_dir) / "report.json"
     report = read_json(
         path,

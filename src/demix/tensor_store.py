@@ -8,8 +8,7 @@ format version, little-endian u64 header length, UTF-8 JSON header (tensor
 index plus free-form string metadata), then the raw payload of little-endian
 float64 values in C order. Tensors are stored in lexicographic name order and
 offsets in the index are relative to the payload start, so files are
-deterministic for a given parameter set. :func:`read_header` reads only the
-preamble and the header, and checks the index against the file size.
+deterministic for a given parameter set.
 """
 
 from __future__ import annotations
@@ -21,9 +20,10 @@ import os
 import re
 import struct
 import sys
-import zlib
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -36,28 +36,32 @@ _PREAMBLE = struct.Struct("<4sIQ")
 _TEMP_NAME = re.compile(r"(.+)\.[0-9]+\.tmp")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParameterSet:
     """A model's parameters: named float64 tensors, each an array in its own
     shape; that array is the only record of the shape. NaN and Inf are
-    rejected on construction. Immutable by convention after construction.
+    rejected on construction, and what was checked stays as it was: the set,
+    its mapping and its arrays are read-only, so nothing checks them again.
+    The arrays are views of the ones passed in, which stay writable to their
+    owner; demix never writes into an array it has passed in.
     """
 
-    entries: dict[str, np.ndarray]
+    entries: Mapping[str, np.ndarray]
     model_id: str = ""
 
     def __post_init__(self):
         entries = {}
         for name, values in self.entries.items():
-            arr = np.asarray(values, dtype=np.float64)
+            arr = np.asarray(values, dtype=np.float64).view()
             if not np.all(np.isfinite(arr)):
                 raise NonFiniteError(f"tensor {name!r}: non-finite value")
+            arr.flags.writeable = False
             entries[name] = arr
-        self.entries = entries
+        object.__setattr__(self, "entries", MappingProxyType(entries))
 
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray], model_id: str = "") -> "ParameterSet":
-        return cls(entries=dict(arrays), model_id=model_id)
+        return cls(entries=arrays, model_id=model_id)
 
     def names(self) -> list[str]:
         return sorted(self.entries)
@@ -74,15 +78,6 @@ class ParameterSet:
             model_id=self.model_id if model_id is None else model_id,
         )
 
-    def checksum(self) -> str:
-        """CRC32 over names, shapes and raw little-endian payload bytes."""
-        crc = 0
-        for name in self.names():
-            crc = zlib.crc32(name.encode("utf-8"), crc)
-            crc = zlib.crc32(repr(self.entries[name].shape).encode("ascii"), crc)
-            crc = zlib.crc32(_payload(self.entries[name]), crc)
-        return f"{crc:08x}"
-
 
 def _payload(arr: np.ndarray) -> np.ndarray:
     """``arr``'s values as a C-contiguous little-endian float64 buffer: the
@@ -92,9 +87,8 @@ def _payload(arr: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ArchiveHeader:
-    """Parsed archive header: version, tensor index and string metadata."""
+    """Parsed archive header: tensor index and string metadata."""
 
-    format_version: int
     index: list[tuple[str, tuple[int, ...], int, int]]  # (name, shape, offset, length)
     metadata: dict[str, str] = field(default_factory=dict)
 
@@ -154,9 +148,6 @@ def remove_leftover_temps(directory: Path, names) -> None:
 
 def save_archive(params: ParameterSet, path, metadata: dict[str, str] | None = None) -> None:
     """Write ``params`` to ``path`` so that :func:`load_archive` round-trips bit-exactly."""
-    for name, arr in params.entries.items():
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteError(f"tensor {name!r}: non-finite value")
     meta = {"model_id": params.model_id}
     if metadata:
         meta.update({str(k): str(v) for k, v in metadata.items()})
@@ -200,18 +191,6 @@ def load_archive(path) -> ParameterSet:
         raise ArchiveError(f"invalid archive {path}: {exc}") from exc
 
 
-def read_header(path) -> ArchiveHeader:
-    """Parse and validate only the archive header; the payload is never read.
-    Every error names ``path``."""
-    try:
-        with open(path, "rb") as fh:
-            return _read_header(fh)
-    except OSError as exc:
-        raise ArchiveError(f"cannot read archive {path}: {exc}") from exc
-    except ArchiveError as exc:
-        raise ArchiveError(f"invalid archive {path}: {exc}") from exc
-
-
 def _read_header(fh) -> ArchiveHeader:
     """Read the preamble and header from ``fh``, leaving it at the payload start,
     and check the index against the payload size the file actually has."""
@@ -239,6 +218,6 @@ def _read_header(fh) -> ArchiveHeader:
     for name, *_ in index:
         if not isinstance(name, str):
             raise ArchiveError(f"corrupt header: tensor name {name!r} is not a string")
-    header = ArchiveHeader(format_version=version, index=index, metadata=metadata)
+    header = ArchiveHeader(index=index, metadata=metadata)
     header.validate(file_size - header_end)
     return header

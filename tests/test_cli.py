@@ -5,6 +5,7 @@ import errno
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -16,10 +17,10 @@ import demix
 from demix import merge_engine, pipeline, tensor_store
 from demix.cli import main
 from demix.config import ExperimentConfig, load_config
-from demix.errors import SchemaMismatchError, ValidationError
+from demix.errors import PipelineError, SchemaMismatchError, ValidationError
 from demix.mixture_search import SamplePlan
-from demix.pipeline import read_score_csv
-from demix.tensor_store import ParameterSet, load_archive, read_header, save_archive
+from demix.pipeline import ExperimentManifest, read_score_csv
+from demix.tensor_store import ParameterSet, load_archive, save_archive
 from demix.toy_lab import (
     ComponentTrainingConfig,
     load_lab,
@@ -40,45 +41,13 @@ def archives(tmp_path):
     return paths
 
 
-def test_tensor_inspect_checksum_diff(tmp_path, archives, capsys):
-    assert main(["tensor", "inspect", str(archives[0]), "--json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert {t["name"] for t in doc["tensors"]} == {"w", "b"}
-
-    assert main(["tensor", "checksum", str(archives[0])]) == 0
-    checksum = capsys.readouterr().out.strip()
-    assert checksum == load_archive(archives[0]).checksum()
-
-    assert main(["tensor", "diff", str(archives[0]), str(archives[0])]) == 0
-    assert main(["tensor", "diff", str(archives[0]), str(archives[1])]) == 1
-
-
-def test_tensor_diff_of_values_further_apart_than_a_float64_holds_is_inf(tmp_path, capsys):
-    for name, value in (("a", 1e308), ("b", -1e308)):
-        save_archive(ParameterSet.from_arrays({"w": np.array([value])}), tmp_path / f"{name}.dmxt")
-    argv = ["tensor", "diff", str(tmp_path / "a.dmxt"), str(tmp_path / "b.dmxt")]
-    assert main(argv) == 1
-    assert capsys.readouterr().out == "w: max abs diff inf\n"
-    assert main(argv + ["--atol", "inf"]) == 0
-
-
-def test_tensor_errors_use_exit_codes(tmp_path, capsys):
+def test_tensor_errors_use_exit_codes(tmp_path, archives, capsys):
     missing = tmp_path / "nope.dmxt"
-    assert main(["tensor", "inspect", str(missing)]) == 3
-    assert "error" in capsys.readouterr().err
-
-
-def test_tensor_diff_without_the_second_archive_is_a_usage_error(archives, capsys):
-    assert main(["tensor", "diff", str(archives[0])]) == 2
-    assert "requires a second archive" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("atol", ["nan", "-1"])
-def test_tensor_diff_with_a_nan_or_negative_atol_is_a_usage_error(archives, capsys, atol):
-    same = [str(archives[0]), str(archives[0])]
-    assert main(["tensor", "diff", *same, "--atol", "inf"]) == 0
-    assert main(["tensor", "diff", *same, "--atol", atol]) == 2
-    assert "--atol must be non-negative" in capsys.readouterr().err
+    components = ",".join(map(str, [archives[0], missing, archives[2]]))
+    out = tmp_path / "merged.dmxt"
+    assert main(["merge", "--ratio", "0.2,0.5,0.3", "--components", components, "--out", str(out)]) == 3
+    assert f"error: cannot read archive {missing}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_merge_cli_linear(tmp_path, archives, capsys):
@@ -107,7 +76,11 @@ def test_merge_cli_writes_the_library_merge_with_its_method_and_ratio(tmp_path, 
     out = tmp_path / "merged.dmxt"
     components = ",".join(str(p) for p in archives)
     assert main(["merge", "--ratio", "0.2,0.5,0.3", "--components", components, "--out", str(out)]) == 0
-    assert read_header(out).metadata == {"model_id": "merged", "method": "linear", "ratio": "0.2,0.5,0.3"}
+    # The header as the archive layout defines it: magic, version, u64 length, JSON.
+    blob = out.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", blob, 8)
+    metadata = json.loads(blob[16 : 16 + header_len])["metadata"]
+    assert metadata == {"model_id": "merged", "method": "linear", "ratio": "0.2,0.5,0.3"}
     ratio = merge_engine.MixtureRatio(weights=[0.2, 0.5, 0.3], candidate_ids=[p.stem for p in archives])
     expected = merge_engine.merge([load_archive(p) for p in archives], ratio)
     merged = load_archive(out)
@@ -327,13 +300,14 @@ def test_score_csv_rejects_repeated_rows(tmp_path):
     assert f"{domains}:4: repeated benchmark_id 'x', first on line 2" in str(exc.value)
 
 
-def test_help_lists_the_five_commands_and_no_stage_command(capsys):
+def test_help_lists_the_three_commands_and_no_stage_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
-    assert "{tensor,merge,dedup,run,report}" in capsys.readouterr().out
-    # `demix run` is the one way to run a stage.
-    for argv in (["lab", "gen"], ["search"], ["eval"]):
+    assert "{merge,dedup,run}" in capsys.readouterr().out
+    # `demix run` is the one way to run a stage, and it prints the report.
+    for argv in (["lab", "gen"], ["search"], ["eval"], ["report", "--manifest", "m.json"],
+                 ["tensor", "inspect", "a.dmxt"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -386,10 +360,10 @@ def test_run_and_report_cli(tmp_path, capsys):
         # with sorted keys.
         assert lines[1:7] == [f"  {stage}: done ({flag})" for stage in stages]
         assert lines[7] == "experiment experiment (seed 1)" and "optimal mixture:" in lines
-    run_dir = next((tmp_path / "runs").iterdir())
-    assert main(["report", "--manifest", str(run_dir / "manifest.json"), "--json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    doc = json.loads((run_dir / "report.json").read_text())
     assert doc["proxy_budget"]["used"] == 9
+    assert "\n".join(lines[7:]) == pipeline.format_report(doc)
 
 
 def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
@@ -448,6 +422,17 @@ def test_full_batch_training_is_a_usage_error(tmp_path, capsys):
     assert load_config(cfg).training_config().full_batch is False
 
 
+def test_a_value_that_is_not_a_boolean_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[training]\nfull_batch = maybe\n")
+    assert main(["run", "--config", str(cfg), "--run-root", str(tmp_path / "runs")]) == 2
+    assert "config: cannot parse boolean 'maybe'" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+    for text in ("No", "OFF", "0"):
+        cfg.write_text(f"[training]\nfull_batch = {text}\n")
+        assert load_config(cfg).training.full_batch is False
+
+
 SMALL_CONFIG = (
     "[experiment]\nseed = 1\n\n"
     "[training]\nsteps = 40\nbase_steps = 40\n\n"
@@ -477,10 +462,15 @@ def test_report_reads_the_run_directory_its_manifest_is_in(tmp_path, capsys):
     cfg.write_text(SMALL_CONFIG)
     assert main(["run", "--config", str(cfg), "--run-root", str(tmp_path / "runs")]) == 0
     (run_dir,) = (tmp_path / "runs").iterdir()
-    moved = run_dir.rename(tmp_path / "moved")  # the original directory is gone
+    (tmp_path / "moved").mkdir()
+    moved = run_dir.rename(tmp_path / "moved" / run_dir.name)  # the original directory is gone
+    report = json.loads((moved / "report.json").read_text())
+    report["experiment"]["name"] = "moved"  # the run keeps a report it finds
+    (moved / "report.json").write_text(json.dumps(report))
     capsys.readouterr()
-    assert main(["report", "--manifest", str(moved / "manifest.json"), "--json"]) == 0
-    assert json.loads(capsys.readouterr().out) == json.loads((moved / "report.json").read_text())
+    assert main(["run", "--config", str(cfg), "--run-root", str(tmp_path / "moved")]) == 0
+    out = capsys.readouterr().out
+    assert "(ran)" not in out and pipeline.format_report(report) in out
 
 
 def test_report_shows_the_name_of_the_config_that_ran(tmp_path, capsys):
@@ -669,9 +659,12 @@ WELL_TYPED = {"config": {}, "config_hash": "h", "run_dir": ".", "stages": {}}
         ("stages", {"lab": {"status": "done", "hash": 5}})]],
 )
 def test_malformed_manifest_is_a_pipeline_error(tmp_path, capsys, text):
-    manifest = tmp_path / "manifest.json"
-    manifest.write_text(text)
-    assert main(["report", "--manifest", str(manifest)]) == 7
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(SMALL_CONFIG)
+    run_dir = tmp_path / "runs" / load_config(cfg).content_hash()
+    run_dir.mkdir(parents=True)
+    (run_dir / "manifest.json").write_text(text)
+    assert main(["run", "--config", str(cfg), "--run-root", str(tmp_path / "runs")]) == 7
     err = capsys.readouterr().err
     assert "not a demix manifest" in err
     if '"lab"' in text:
@@ -696,7 +689,7 @@ def test_missing_input_files_have_the_exit_code_of_their_input(tmp_path, capsys)
     missing = tmp_path / "missing"
     (tmp_path / "domains.csv").write_text("benchmark_id,domain\nb0,d0\n")
     for argv, code in [
-        (["report", "--manifest", str(missing)], 7),
+        (["run", "--config", str(missing)], 2),
         (["dedup", "--in", str(missing), "--report", str(tmp_path / "r.json")], 2),
     ]:
         assert main(argv) == code, argv
@@ -726,13 +719,25 @@ WELL_TYPED_REPORT = {
          "consistency-not-an-object", "without-consistency"],
 )
 def test_unreadable_report_is_a_pipeline_error(tmp_path, capsys, report_text, problem):
-    manifest = tmp_path / "manifest.json"
-    stages = {"report": {"status": "done", "outputs": {"report": "report.json"}}}
-    manifest.write_text(json.dumps({**WELL_TYPED, "run_dir": str(tmp_path), "stages": stages}))
-    if report_text is not None:
-        (tmp_path / "report.json").write_text(report_text)
-    assert main(["report", "--manifest", str(manifest)]) == 7
-    err = capsys.readouterr().err
-    assert problem in err and str(tmp_path / "report.json") in err
-    (tmp_path / "report.json").write_text(json.dumps(WELL_TYPED_REPORT))
-    assert main(["report", "--manifest", str(manifest)]) == 0
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(SMALL_CONFIG)
+    argv = ["run", "--config", str(cfg), "--run-root", str(tmp_path / "runs")]
+    assert main(argv) == 0
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    path = run_dir / "report.json"
+    capsys.readouterr()
+    if report_text is None:
+        # `demix run` rebuilds a missing report; reading it directly names the file.
+        path.unlink()
+        with pytest.raises(PipelineError) as exc:
+            pipeline.load_report(ExperimentManifest.load(run_dir / "manifest.json")[0])
+        err = str(exc.value)
+    else:
+        # A finished run keeps its report.json as it finds it, so an edited one is read.
+        path.write_text(report_text)
+        assert main(argv) == 7
+        err = capsys.readouterr().err
+    assert problem in err and str(path) in err
+    path.write_text(json.dumps(WELL_TYPED_REPORT))
+    assert main(argv) == 0
+    assert pipeline.format_report(WELL_TYPED_REPORT) in capsys.readouterr().out

@@ -153,14 +153,11 @@ def test_merge_rejects_components_with_different_tensor_names():
 def test_merge_returns_new_arrays_under_the_given_model_id():
     rng = np.random.default_rng(5)
     comps = [random_set(rng) for _ in range(2)]
-    before = [c.copy() for c in comps]
     out = merge(comps, ratio([1.0, 0.0]), model_id="proxy")
     assert out.model_id == "proxy"
     for name in out.names():
-        out.entries[name][...] = 0.0
-    for comp, kept in zip(comps, before):
-        for name in comp.names():
-            assert np.array_equal(comp.entries[name], kept.entries[name])
+        assert np.array_equal(out.entries[name], comps[0].entries[name])
+        assert not any(np.shares_memory(out.entries[name], c.entries[name]) for c in comps)
 
 
 def test_a_zero_weight_component_leaves_the_merge_unchanged_bit_exact():
