@@ -9,6 +9,10 @@ index plus free-form string metadata), then the raw payload of little-endian
 float64 values in C order. Tensors are stored in lexicographic name order and
 offsets in the index are relative to the payload start, so files are
 deterministic for a given parameter set.
+
+Loading maps the file read-only instead of copying it: a loaded set's arrays
+are views of the map, read straight from the page cache, and the finiteness
+check that builds the set is the first pass over their values.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import mmap
 import os
 import re
 import struct
@@ -43,7 +48,8 @@ class ParameterSet:
     rejected on construction, and what was checked stays as it was: the set,
     its mapping and its arrays are read-only, so nothing checks them again.
     The arrays are views of the ones passed in, which stay writable to their
-    owner; demix never writes into an array it has passed in.
+    owner; demix never writes into an array it has passed in. A loaded set's
+    arrays are views of its archive's read-only map (see :func:`load_archive`).
     """
 
     entries: Mapping[str, np.ndarray]
@@ -172,18 +178,34 @@ def save_archive(params: ParameterSet, path, metadata: dict[str, str] | None = N
 
 
 def load_archive(path) -> ParameterSet:
-    """Read an archive, validating magic, version, index and payload bounds.
-    Every error names ``path``."""
-    entries = {}
+    """Map an archive read-only, validating magic, version, index and payload
+    bounds. Every error names ``path``.
+
+    The set's arrays are read-only views of the map, not copies. Their values
+    sit at the file's own offsets, which are not 8-byte aligned unless the
+    header's length makes them so; numpy reads unaligned values exactly, if a
+    little more slowly. The map lives as long as any of the arrays, and on
+    Python before 3.13 it holds a duplicate of the file's descriptor as long.
+
+    demix replaces an archive only by renaming a new file over it
+    (:func:`atomic_write`), which leaves the mapped file's pages as they were,
+    so a loaded set keeps its values. A program that truncates a mapped file
+    in place can make a later read of the set fail with SIGBUS.
+    """
     try:
         with open(path, "rb") as fh:
             header = _read_header(fh)
-            # The payload follows the header, tensors back to back in index order.
-            for name, shape, _offset, length in header.index:
-                flat = np.empty(length // 8, dtype="<f8")
-                if fh.readinto(flat) != length:
-                    raise ArchiveError("truncated payload")
-                entries[name] = flat.reshape(shape)
+            start = fh.tell()
+            size = start + sum(length for *_, length in header.index)
+            try:
+                # Mapping the validated size fails if the file has shrunk since.
+                buffer = mmap.mmap(fh.fileno(), size, access=mmap.ACCESS_READ)
+            except ValueError:
+                raise ArchiveError("truncated payload") from None
+        entries = {
+            name: np.frombuffer(buffer, "<f8", length // 8, start + offset).reshape(shape)
+            for name, shape, offset, length in header.index
+        }
         return ParameterSet(entries=entries, model_id=header.metadata.get("model_id", ""))
     except OSError as exc:
         raise ArchiveError(f"cannot read archive {path}: {exc}") from exc

@@ -3,6 +3,7 @@ checks of the stage functions that `demix run` calls."""
 
 import errno
 import json
+import mmap
 import os
 import shutil
 import struct
@@ -102,6 +103,30 @@ def test_merge_cli_merges_archives_of_the_same_name_from_different_directories(
     for name in merged.names():
         expected = sum(w * load_archive(p).entries[name] for w, p in zip([0.2, 0.5, 0.3], archives))
         assert np.allclose(merged.entries[name], expected, rtol=0, atol=1e-12)
+
+
+def test_merge_cli_may_write_over_one_of_its_components(tmp_path, archives, capsys):
+    components = ",".join(str(p) for p in archives)
+    elsewhere = tmp_path / "merged.dmxt"
+    assert main(["merge", "--ratio", "0.2,0.5,0.3", "--components", components, "--out", str(elsewhere)]) == 0
+    assert main(["merge", "--ratio", "0.2,0.5,0.3", "--components", components, "--out", str(archives[1])]) == 0
+    assert archives[1].read_bytes() == elsewhere.read_bytes()
+
+
+def test_merge_cli_whose_archive_cannot_be_mapped_exits_3_and_writes_nothing(
+    tmp_path, archives, capsys, monkeypatch
+):
+    def fails(*args, **kwargs):
+        raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+    monkeypatch.setattr(mmap, "mmap", fails)
+    out = tmp_path / "merged.dmxt"
+    components = ",".join(str(p) for p in archives)
+    assert main(["merge", "--ratio", "0.2,0.5,0.3", "--components", components, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read archive {archives[0]}: ") and "Traceback" not in err
+    assert not out.exists()
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 def test_merge_cli_requires_valid_ratio(tmp_path, archives, capsys):

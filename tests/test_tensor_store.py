@@ -1,8 +1,11 @@
 """Tests for the parameter container and the archive format."""
 
 import dataclasses
+import errno
 import hashlib
 import json
+import mmap
+import os
 import re
 import struct
 import tracemalloc
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from demix.errors import ArchiveError, NonFiniteError
+from demix.merge_engine import MixtureRatio, merge
 from demix.tensor_store import ParameterSet, _read_header, load_archive, save_archive
 
 
@@ -171,7 +175,7 @@ def test_read_header_reports_index_and_metadata(tmp_path):
 
 
 def test_read_header_reads_only_the_header(tmp_path):
-    # So load_archive holds one copy of the payload, never two.
+    # So load_archive copies no payload: it maps it.
     path = tmp_path / "big.dmxt"
     save_archive(ParameterSet.from_arrays({"big": np.zeros(4 << 20)}), path)  # 32 MiB payload
     tracemalloc.start()
@@ -182,6 +186,54 @@ def test_read_header_reads_only_the_header(tmp_path):
         tracemalloc.stop()
     assert header.index == [("big", (4 << 20,), 0, 32 << 20)]
     assert peak < 1 << 20
+
+
+def test_load_maps_the_payload_instead_of_copying_it(tmp_path):
+    path = tmp_path / "big.dmxt"
+    save_archive(ParameterSet.from_arrays({"big": np.zeros(4 << 20)}), path)  # 32 MiB payload
+    tracemalloc.start()
+    try:
+        loaded = load_archive(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not loaded.entries["big"].any()
+    # The finiteness check's mask, 4 MiB here, is the largest allocation.
+    assert peak < 8 << 20
+
+
+def test_a_loaded_set_keeps_its_values_when_its_archive_is_replaced(tmp_path):
+    path = tmp_path / "p.dmxt"
+    save_archive(small_set(), path)
+    loaded = load_archive(path)
+    save_archive(ParameterSet.from_arrays({"w": np.array([7.0, 8.0]), "b": np.array([9.0])}), path)
+    assert_same_values(loaded, small_set())
+    assert load_archive(path).entries["w"].tolist() == [7.0, 8.0]
+
+
+def test_payloads_at_every_alignment_load_bit_exactly_and_merge_as_their_copies(tmp_path):
+    rng = np.random.default_rng(11)
+    # Two blocks of the merge kernel and a little more, a matrix and a scalar.
+    arrays = [{"long": rng.standard_normal((1 << 16) + 5), "m": rng.standard_normal((3, 5)),
+               "s": rng.standard_normal(())} for _ in range(3)]
+    ratio = MixtureRatio(weights=[0.5, 0.3, 0.2], candidate_ids=["a", "b", "c"])
+    residues = set()
+    for pad in range(8):
+        loaded = []
+        for i, values in enumerate(arrays):
+            path = tmp_path / f"c{i}_{pad}.dmxt"
+            save_archive(ParameterSet.from_arrays(values), path, metadata={"pad": "x" * pad})
+            loaded.append(load_archive(path))
+            for name, arr in loaded[-1].entries.items():
+                assert arr.tobytes() == values[name].tobytes()
+                with pytest.raises(ValueError):
+                    arr.flags.writeable = True
+        residues.add(loaded[0].entries["long"].ctypes.data % 8)
+        mapped = merge(loaded, ratio)
+        copied = merge([params.copy() for params in loaded], ratio)
+        for name in mapped.names():
+            assert mapped.entries[name].tobytes() == copied.entries[name].tobytes()
+    assert residues == set(range(8))
 
 
 def test_save_copies_no_payload(tmp_path):
@@ -399,6 +451,32 @@ def test_a_truncated_payload_names_the_archive(tmp_path):
     header_end = len(path.read_bytes()) - 24
     with open(path, "r+b") as fh:
         fh.truncate(header_end + 16)
+    with pytest.raises(ArchiveError, match=f"^invalid archive {re.escape(str(path))}: truncated payload"):
+        load_archive(path)
+
+
+def test_a_mapping_that_fails_is_an_archive_error_naming_the_path(tmp_path, monkeypatch):
+    path = tmp_path / "p.dmxt"
+    save_archive(small_set(), path)
+
+    def fails(*args, **kwargs):
+        raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+    monkeypatch.setattr(mmap, "mmap", fails)
+    with pytest.raises(ArchiveError, match=f"^cannot read archive {re.escape(str(path))}: .*Too many open files"):
+        load_archive(path)
+
+
+def test_a_payload_truncated_after_validation_is_an_archive_error(tmp_path, monkeypatch):
+    path = tmp_path / "p.dmxt"
+    save_archive(small_set(), path)
+    real_mmap = mmap.mmap
+
+    def shrinks_first(fileno, length, **kwargs):
+        os.truncate(path, length - 8)
+        return real_mmap(fileno, length, **kwargs)
+
+    monkeypatch.setattr(mmap, "mmap", shrinks_first)
     with pytest.raises(ArchiveError, match=f"^invalid archive {re.escape(str(path))}: truncated payload"):
         load_archive(path)
 
