@@ -6,7 +6,8 @@ a size that memory cannot hold, such as a model too wide for it, exits 8.
 Every command exits 1 when the reader of its standard output goes away.
 
 Importing this module before numpy sets OPENBLAS_NUM_THREADS=1 for the process
-and its children, unless the variable is already set, so `demix run` can fork.
+and its children, unless the variable is already set, so that `demix run` and
+`demix dedup` can fork a child to share their work (see `demix.forking`).
 """
 
 from __future__ import annotations
@@ -125,7 +126,13 @@ def build_parser() -> argparse.ArgumentParser:
     merge.add_argument("--out", required=True)
     merge.set_defaults(fn=_cmd_merge)
 
-    dedup = sub.add_parser("dedup", help="exact + fuzzy deduplication of a JSONL corpus")
+    dedup = sub.add_parser(
+        "dedup", help="exact + fuzzy deduplication of a JSONL corpus", description=(
+            "Deduplicate a JSONL corpus of {\"id\", \"text\"} objects, keeping the earliest "
+            "document of every cluster of exact or near duplicates. BLAS gets one thread "
+            "unless OPENBLAS_NUM_THREADS is set; with one, on Linux with two or more CPUs, a "
+            "forked child computes the MinHash signatures of the second half of the text. "
+            "The report and the kept documents are the same either way."))
     dedup.add_argument("--in", dest="input", required=True)
     dedup.add_argument("--mode", default="both", choices=["exact", "fuzzy", "both"])
     dedup.add_argument("--seed", type=int, default=0)

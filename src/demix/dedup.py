@@ -13,17 +13,27 @@ slices of that buffer. A signature is the row-wise minimum of exact
 uint64 without overflow: x is reduced below p first, so of the three 32-bit
 limb products only the low one reaches 2^64 and needs folding, and the sum of
 the folded terms stays below 2^64 (its docstring gives the bound per step).
+
+A document's signature depends on its own text alone, so where
+:func:`demix.forking.can_fork` holds, :func:`dedup_corpus` signs the
+documents up to half the corpus's text itself while a forked child signs the
+rest and sends its rows back pickled up a pipe. The child dies with its
+parent and is reaped before the call returns. The rows are joined in corpus
+order, so the result does not depend on the fork: a child that fails, or a
+fork that does, leaves its part to be signed in the calling process.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import pickle
 import unicodedata
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import forking
 from .errors import ValidationError
 
 MERSENNE_PRIME = np.uint64((1 << 61) - 1)  # 2^61 - 1
@@ -229,6 +239,10 @@ def dedup_corpus(
     ``exact`` removes byte-identical texts, ``fuzzy`` clusters LSH candidate
     pairs with union-find, ``both`` runs exact then fuzzy on the survivors.
     Documents with no tokens at all are kept and never matched fuzzily.
+
+    The fuzzy pass may sign the second half of the text in a forked child
+    (see the module docstring), which dies with this process and is reaped
+    before the call returns; the result is the same either way.
     """
     if mode not in ("exact", "fuzzy", "both"):
         raise ValidationError(f"dedup_corpus: unknown mode {mode!r}")
@@ -263,13 +277,36 @@ def dedup_corpus(
 
     if mode in ("fuzzy", "both"):
         family = hash_family(seed)
-        hashed_ids, rows = [], []
-        for doc_id in surviving:
-            tokens = tokenize(texts[doc_id])
-            if tokens:
-                hashed_ids.append(doc_id)
-                rows.append(minhash(shingle(tokens, n=ngram), family))
-        signatures = np.array(rows, dtype=np.uint64).reshape(len(rows), NUM_HASHES)
+
+        def sign(doc_ids: list[str]) -> tuple[list[str], np.ndarray]:
+            """The ids of ``doc_ids`` that have tokens, and their signatures."""
+            hashed_ids, rows = [], []
+            for doc_id in doc_ids:
+                tokens = tokenize(texts[doc_id])
+                if tokens:
+                    hashed_ids.append(doc_id)
+                    rows.append(minhash(shingle(tokens, n=ngram), family))
+            return hashed_ids, np.array(rows, dtype=np.uint64).reshape(len(rows), NUM_HASHES)
+
+        # This process signs the documents up to half the text, a child the rest.
+        half = sum(len(texts[doc_id]) for doc_id in surviving) / 2
+        lengths = itertools.accumulate(len(texts[doc_id]) for doc_id in surviving)
+        cut = next((i for i, total in enumerate(lengths, 1) if total >= half), len(surviving))
+        rest = surviving[cut:]
+        child = None
+        if rest and forking.can_fork():
+            child = forking.fork(lambda: pickle.dumps(sign(rest)))
+        if child is None:
+            hashed_ids, signatures = sign(surviving)
+        else:
+            try:
+                hashed_ids, signatures = sign(surviving[:cut])
+            finally:
+                data, status = forking.join(child)
+            # A child that failed sent nothing whole: its part is signed here.
+            rest_ids, rest_signatures = pickle.loads(data) if status == 0 else sign(rest)
+            hashed_ids += rest_ids
+            signatures = np.concatenate([signatures, rest_signatures])
         for a, b in sorted(lsh_candidates(hashed_ids, signatures)):
             uf.union(a, b)
 

@@ -35,11 +35,12 @@ benchmark the result; they never train and never read the shared base.
 The search reads nothing that the references and consistency stages write,
 so a cold run forks one child that runs those two stages, in that order,
 while the parent runs the search. It forks only when both that branch and
-the search must be recomputed, and only if the process can fork safely: it
-runs on Linux, has a single OS thread (``/proc/self/task``, so BLAS threads
-count, and the CLI pins BLAS to one), and may run on at least two CPUs
-(``os.sched_getaffinity``). Otherwise (warm or partial reruns, more BLAS
-threads, a failed fork) the stages run in table order in this process.
+the search must be recomputed, and only if the process can fork safely
+(:func:`demix.forking.can_fork`): it runs on Linux, has a single OS thread
+(``/proc/self/task``, so BLAS threads count, and the CLI pins BLAS to one),
+and may run on at least two CPUs (``os.sched_getaffinity``). Otherwise (warm
+or partial reruns, more BLAS threads, a failed fork) the stages run in table
+order in this process.
 Either way the same :func:`_execute` calls run them. The child writes only
 its own stages' outputs, never ``manifest.json``: it sends its two stage
 records, the ``files`` records it added or dropped and its exception, if
@@ -75,14 +76,13 @@ import itertools
 import json
 import os
 import pickle
-import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import merge_engine, mixture_search, toy_lab
+from . import forking, merge_engine, mixture_search, toy_lab
 from .config import ExperimentConfig
 from .errors import PipelineError, ValidationError
 from .eval_metrics import ScoreTable, consistency_report
@@ -475,49 +475,6 @@ def _execute(
     record.update(status="done", error=None, finished_at=time.time())
 
 
-def _can_fork() -> bool:
-    """Whether this process can run stages in a forked child beside others:
-    it is on Linux, has one OS thread (a fork copies only the calling thread,
-    and BLAS worker threads count, so the CLI pins BLAS to one), and may run
-    on at least two CPUs."""
-    return (
-        sys.platform == "linux"
-        and len(os.listdir("/proc/self/task")) == 1
-        and len(os.sched_getaffinity(0)) >= 2
-    )
-
-
-def _fork(work) -> tuple[int, int] | None:
-    """Start a child that calls ``work()`` and writes the bytes it returns to
-    a pipe; returns the child's pid and the pipe's read end, or None if the
-    fork failed. The child dies with its parent, never returns, and leaves by
-    ``os._exit``, so it runs none of the parent's cleanup."""
-    parent = os.getpid()
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # EAGAIN at a process limit, or ENOMEM: see fork(2)
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid:
-        os.close(write_fd)
-        return pid, read_fd
-    code = 1
-    try:
-        import ctypes
-        import signal
-
-        os.close(read_fd)
-        ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
-        if os.getppid() == parent:  # else the parent died before prctl
-            with os.fdopen(write_fd, "wb") as fh:
-                fh.write(work())
-            code = 0
-    finally:
-        os._exit(code)
-
-
 def _run_beside(
     manifest, run_dir: Path, branch: list[str], pending: str, run_branch, run_search
 ) -> bool:
@@ -551,18 +508,13 @@ def _run_beside(
             data = pickle.dumps((records, changed, PipelineError(f"{type(error).__name__}: {error}")))
         return data
 
-    child = _fork(in_child)
+    child = forking.fork(in_child)
     if child is None:
         return False
-    pid, read_fd = child
     try:
         run_search()
     finally:
-        try:
-            with os.fdopen(read_fd, "rb") as fh:
-                data = fh.read()
-        finally:
-            status = os.waitpid(pid, 0)[1]  # reaped whatever happens
+        data, status = forking.join(child)
         if data:
             records, changed, error = pickle.loads(data)
             manifest.stages.update(records)
@@ -658,7 +610,7 @@ def _run_stages(config: ExperimentConfig, run_dir: Path, manifest: ExperimentMan
     # rewrites files that the consistency stage's hash reads.
     pending = stale(search) and next((entry[0] for entry in branch if stale(entry)), None)
     forked = False
-    if pending and _can_fork():
+    if pending and forking.can_fork():
         components()  # loaded before the fork, so the child need not load them
         forked = _run_beside(manifest, run_dir, [entry[0] for entry in branch], pending,
                              lambda: run(branch, save=False), lambda: run([search]))

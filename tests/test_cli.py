@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import needs_fork
 
 import demix
 from demix import merge_engine, pipeline, tensor_store
@@ -189,6 +190,22 @@ def test_dedup_cli(tmp_path, capsys):
     assert [json.loads(l)["id"] for l in kept.read_text().splitlines()] == ["a", "c"]
 
 
+@needs_fork
+def test_a_dedup_that_forks_leaves_no_child_behind(tmp_path, capsys, forks):
+    rng = np.random.default_rng(8)
+    texts = [" ".join(f"w{i}" for i in rng.integers(0, 10_000, size=50)) for _ in range(6)]
+    texts.append(texts[4].rsplit(" ", 1)[0] + " tail")
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text("".join(json.dumps({"id": f"d{i}", "text": t}) + "\n" for i, t in enumerate(texts)))
+    report = tmp_path / "report.json"
+    assert main(["dedup", "--in", str(docs), "--report", str(report)]) == 0
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert json.loads(report.read_text())["removed"] == [{"id": "d6", "reason": "fuzzy"}]
+    assert capsys.readouterr().out == "kept 6, removed 1\n"
+
+
 @pytest.mark.parametrize("mode", ["exact", "fuzzy", "both"])
 def test_dedup_with_ngram_below_one_is_a_usage_error(tmp_path, capsys, mode):
     docs = tmp_path / "docs.jsonl"
@@ -359,8 +376,8 @@ def test_importing_demix_loads_no_numpy():
 def test_the_cli_pins_blas_to_one_thread_unless_the_variable_is_set(value, kept):
     code = (
         "import os, demix.cli\n"
-        "from demix import pipeline\n"
-        "print(os.environ['OPENBLAS_NUM_THREADS'], pipeline._can_fork())"
+        "from demix import forking\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'], forking.can_fork())"
     )
     pinned, can_fork = run_python(code, OPENBLAS_NUM_THREADS=value).split()
     assert pinned == kept

@@ -1,13 +1,17 @@
 """Tests for shingling, MinHash, LSH banding, and corpus deduplication."""
 
+import errno
 import hashlib
+import os
+import signal
 import unicodedata
 
 import numpy as np
 import pytest
+from conftest import needs_fork
 from hypothesis import given, settings, strategies as st
 
-from demix import dedup
+from demix import dedup, forking
 from demix.dedup import (
     MERSENNE_PRIME,
     dedup_corpus,
@@ -384,18 +388,125 @@ def test_tokenless_documents_are_kept_and_never_matched():
     assert fuzzy_only.removed_ids == []
 
 
-def test_dedup_corpus_draws_the_family_once_and_tokenizes_each_document_once(monkeypatch):
-    calls = {"tokenize": 0, "hash_family": 0}
-    for name in calls:
+def count_calls(monkeypatch, names):
+    """Calls of each of the ``dedup`` functions ``names`` made in this process."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         def counted(*args, _name=name, _original=getattr(dedup, name), **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(dedup, name, counted)
+    return calls
+
+
+def counting_corpus():
     rng = np.random.default_rng(17)
     text = words(40, rng)
-    docs = [("a", text), ("b", text), ("c", words(40, rng)), ("d", "..."), ("e", text + " tail")]
-    result = dedup_corpus(docs, mode="both", seed=0)
+    return [("a", text), ("b", text), ("c", words(40, rng)), ("d", "..."), ("e", text + " tail")]
+
+
+def test_dedup_corpus_draws_the_family_once_and_tokenizes_each_document_once(monkeypatch):
+    monkeypatch.setattr(forking, "can_fork", lambda: False)
+    calls = count_calls(monkeypatch, ["tokenize", "hash_family"])
+    result = dedup_corpus(counting_corpus(), mode="both", seed=0)
     # "b" is an exact copy and never reaches the fuzzy pass; "d" does but has no tokens
     assert calls == {"tokenize": 4, "hash_family": 1}
     assert result.removed_ids == ["b", "e"]
+
+
+@needs_fork
+def test_a_forked_dedup_tokenizes_the_second_half_in_the_child(monkeypatch, forks):
+    calls = count_calls(monkeypatch, ["tokenize", "hash_family"])
+    result = dedup_corpus(counting_corpus(), mode="both", seed=0)
+    assert len(forks) == 1
+    # "a" and "c" reach half the text that the fuzzy pass signs, so the
+    # child tokenizes "d" and "e".
+    assert calls == {"tokenize": 2, "hash_family": 1}
+    assert result.removed_ids == ["b", "e"]
+
+
+def fork_corpus():
+    """Exact copies, near duplicates, tokenless documents and, second, one
+    document longer than all the others together, so that this process signs
+    the first two documents and the child the rest; near duplicates pair
+    across the cut and within the child's part."""
+    rng = np.random.default_rng(31)
+    base = [words(60, rng) for _ in range(4)]
+    longest = words(2000, rng)
+
+    def near(text):
+        return text.rsplit(" ", 1)[0] + " tail"
+
+    return [
+        ("d0", base[0]), ("long", longest), ("d1", base[1]), ("p0", "..."), ("d0x", base[0]),
+        ("d0n", near(base[0])), ("d2", base[2]), ("p1", "!!"), ("p2", "..."), ("d1n", near(base[1])),
+        ("d2x", base[2]), ("long_n", near(longest)), ("d3", base[3]), ("d3n", near(base[3])),
+    ]
+
+
+@needs_fork
+@pytest.mark.parametrize("mode", ["exact", "fuzzy", "both"])
+def test_a_forked_dedup_reports_what_an_in_process_one_does(monkeypatch, forks, mode):
+    docs = fork_corpus()
+    forked = dedup_corpus(docs, mode=mode, seed=3).to_report()
+    assert len(forks) == (mode != "exact")
+    monkeypatch.setattr(forking, "can_fork", lambda: False)
+    assert dedup_corpus(docs, mode=mode, seed=3).to_report() == forked
+    assert len(forks) == (mode != "exact")
+    if mode != "exact":
+        removed = {doc["id"] for doc in forked["removed"]}
+        assert {"d0n", "d1n", "long_n", "d3n"} <= removed
+
+
+def test_a_dedup_whose_fork_fails_signs_every_document_here(monkeypatch):
+    def fails():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    docs = fork_corpus()
+    monkeypatch.setattr(forking, "can_fork", lambda: False)
+    expected = dedup_corpus(docs, seed=3).to_report()
+    monkeypatch.setattr(forking, "can_fork", lambda: True)
+    monkeypatch.setattr(os, "fork", fails)
+    calls = count_calls(monkeypatch, ["tokenize"])
+    assert dedup_corpus(docs, seed=3).to_report() == expected
+    assert calls["tokenize"] == len({text for _, text in docs})
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def child_fails(how, fn):
+    """``fn`` wrapped to fail ``how`` in a forked child and to run in the test process."""
+    test_pid = os.getpid()
+
+    def wrapped(*args, **kwargs):
+        if os.getpid() != test_pid:
+            if how == "raises":
+                raise ValidationError("no shingles in the child")
+            if how == "exits":
+                os._exit(1)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+@needs_fork
+@pytest.mark.parametrize("how", ["raises", "exits", "killed"])
+def test_a_child_that_fails_leaves_its_part_to_this_process(monkeypatch, forks, how):
+    docs = fork_corpus()
+    monkeypatch.setattr(forking, "can_fork", lambda: False)
+    expected = dedup_corpus(docs, seed=3).to_report()
+    monkeypatch.setattr(forking, "can_fork", lambda: True)
+    monkeypatch.setattr(dedup, "shingle", child_fails(how, dedup.shingle))
+    assert dedup_corpus(docs, seed=3).to_report() == expected
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_one_document_corpus_forks_nothing(monkeypatch, forks):
+    monkeypatch.setattr(forking, "can_fork", lambda: True)
+    for mode in ("exact", "fuzzy", "both"):
+        assert dedup_corpus([("a", words(30))], mode=mode).kept_ids == ["a"]
+    assert forks == []

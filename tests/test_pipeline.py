@@ -13,9 +13,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import in_child_only, needs_fork
 
 import demix
-from demix import cli, mixture_search, pipeline, tensor_store, toy_lab
+from demix import cli, forking, mixture_search, pipeline, tensor_store, toy_lab
 from demix.config import ExperimentConfig, LabSection, load_config
 from demix.errors import PipelineError, SearchError, TrainingError, ValidationError
 from demix.eval_metrics import consistency_report
@@ -547,47 +548,11 @@ def test_a_write_killed_part_way_leaves_no_temp_file_after_the_next_run(config_p
     assert (run_dir / "search_result.json").read_bytes() == expected
 
 
-# A cold run forks a child for the references and consistency stages only in
-# a single-threaded process (one BLAS thread, as conftest.py sets unless the
-# environment says otherwise) with two CPUs; the tests that need the child
-# skip elsewhere, and every other test covers whichever path the process takes.
-needs_fork = pytest.mark.skipif(
-    not pipeline._can_fork(), reason="forks only from a single-threaded process with two CPUs"
-)
-
-
-@pytest.fixture()
-def forks(monkeypatch) -> list[int]:
-    """The pids of the children that ``os.fork`` starts from now on."""
-    pids = []
-    fork = os.fork
-
-    def recording():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording)
-    return pids
-
-
-def in_child_only(fn):
-    """``fn`` wrapped to run only in a forked child, never in the test process."""
-    test_pid = os.getpid()
-
-    def wrapped(*args, **kwargs):
-        assert os.getpid() != test_pid, "the stage ran in the test process"
-        return fn(*args, **kwargs)
-
-    return wrapped
-
-
 @needs_fork
 def test_a_forked_run_writes_the_same_files_as_an_in_process_run(config_path, tmp_path, forks, monkeypatch):
     forked = run_pipeline(load_config(config_path), run_root=tmp_path / "forked")
     assert len(forks) == 1
-    monkeypatch.setattr(pipeline, "_can_fork", lambda: False)
+    monkeypatch.setattr(forking, "can_fork", lambda: False)
     in_process = run_pipeline(load_config(config_path), run_root=tmp_path / "in_process")
     assert len(forks) == 1
     one, two = Path(forked.run_dir), Path(in_process.run_dir)
@@ -606,9 +571,9 @@ def test_a_forked_run_writes_the_same_files_as_an_in_process_run(config_path, tm
 def test_a_failed_references_stage_is_the_same_error_with_or_without_the_child(
     tmp_path, capsys, monkeypatch, fork
 ):
-    if fork and not pipeline._can_fork():
+    if fork and not forking.can_fork():
         pytest.skip("forks only from a single-threaded process with two CPUs")
-    monkeypatch.setattr(pipeline, "_can_fork", lambda: fork)
+    monkeypatch.setattr(forking, "can_fork", lambda: fork)
 
     def diverges(lab, base, config, ratios):
         raise TrainingError(f"training at ratio {ratios[1].as_dict()}: loss diverged", model=1)
@@ -725,7 +690,7 @@ def test_a_fork_that_fails_runs_the_stages_in_this_process(config_path, tmp_path
     def fails():
         raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
-    monkeypatch.setattr(pipeline, "_can_fork", lambda: True)
+    monkeypatch.setattr(forking, "can_fork", lambda: True)
     monkeypatch.setattr(os, "fork", fails)
     # Unreachable cycles from earlier tests can hold archive maps, each with a
     # descriptor; collect them so that the cyclic GC frees none mid-run.
@@ -738,7 +703,7 @@ def test_a_fork_that_fails_runs_the_stages_in_this_process(config_path, tmp_path
     assert len(os.listdir("/proc/self/fd")) == open_fds
     assert {name: rec["status"] for name, rec in fallen_back.stages.items()} == dict.fromkeys(STAGES, "done")
     assert recomputed_stages(fallen_back) == sorted(STAGES)
-    monkeypatch.setattr(pipeline, "_can_fork", lambda: False)
+    monkeypatch.setattr(forking, "can_fork", lambda: False)
     in_process = run_pipeline(load_config(config_path), run_root=tmp_path / "in_process")
     one, two = Path(fallen_back.run_dir), Path(in_process.run_dir)
     for name in PRODUCER:
@@ -751,7 +716,7 @@ def test_a_rerun_with_one_branch_or_none_stale_never_forks(config_path, warm_roo
     def forbidden():
         raise AssertionError("forked although at most one branch is stale")
 
-    monkeypatch.setattr(pipeline, "_can_fork", lambda: True)
+    monkeypatch.setattr(forking, "can_fork", lambda: True)
     monkeypatch.setattr(os, "fork", forbidden)
     (run_dir,) = warm_root.iterdir()
     for name in stale:
