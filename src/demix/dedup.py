@@ -7,43 +7,46 @@ A document's shingles are one sorted uint64 array of distinct n-gram hashes.
 The MinHash signatures of a corpus are one (documents x 260) uint64 matrix,
 and LSH band k is its column slice [13k, 13k + 13).
 
-Each document is encoded once; its n-gram hashes are blake2b digests of
-slices of that buffer. A signature is the row-wise minimum of exact
-(a x + b) mod 2^61-1 over the shingles. :func:`mod_affine` computes it in
-uint64 without overflow: x is reduced below p first, so of the three 32-bit
-limb products only the low one reaches 2^64 and needs folding, and the sum of
-the folded terms stays below 2^64 (its docstring gives the bound per step).
+A token's digest t is the big-endian 8-byte blake2b digest of its UTF-8
+bytes, computed once per distinct token in a :func:`dedup_corpus` call. An
+n-gram's hash is the polynomial sum_j t_j R^(n-1-j) mod 2^64 over its tokens'
+digests, with the fixed odd base R = :data:`SHINGLE_BASE`: the rolling hash of
+Karp and Rabin (IBM J. Res. Dev. 1987) over token digests. R is odd, so it
+has an inverse mod 2^64, and every window of a document is the difference of
+two prefix sums of t_j R^-j times a power of R; a window costs the same
+whatever n is.
 
-A document's signature depends on its own text alone, so where
-:func:`demix.forking.can_fork` holds, :func:`dedup_corpus` signs the
-documents up to half the corpus's text itself while a forked child signs the
-rest and sends its rows back pickled up a pipe. The child dies with its
-parent and is reaped before the call returns. The rows are joined in corpus
-order, so the result does not depend on the fork: a child that fails, or a
-fork that does, leaves its part to be signed in the calling process.
+A signature is the row-wise minimum of h(x) = f((a x + b) mod 2^64) over the
+shingles, for 260 seeded pairs of an odd a and any b. The multiply-add is the
+multiply-shift family of Dietzfelbinger et al. (J. Algorithms 1997); f is the
+last step of the SplitMix64 finalizer (Steele, Lea and Flood, OOPSLA 2014),
+v ^= v >> 31 then v *= 0x94D049BB133111EB, which folds the well-mixed high
+bits of the product into its low ones and multiplies them back up. All of it
+wraps in uint64 array arithmetic: a few passes over each (260 x shingles)
+block, and no reduction modulo a prime.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-import pickle
 import unicodedata
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import forking
 from .errors import ValidationError
 
-MERSENNE_PRIME = np.uint64((1 << 61) - 1)  # 2^61 - 1
 DEFAULT_NGRAM = 24
 NUM_HASHES = 260
 NUM_BANDS = 20
 BAND_SIZE = 13
+# The golden-ratio increment of SplitMix64; any odd base would do.
+SHINGLE_BASE = 0x9E3779B97F4A7C15
+FINALIZER_SHIFT = np.uint64(31)
+FINALIZER_MULTIPLIER = np.uint64(0x94D049BB133111EB)
 
-_LOW32 = np.uint64(0xFFFFFFFF)
-_LOW29 = np.uint64((1 << 29) - 1)
+_SHINGLE_BASE_INVERSE = pow(SHINGLE_BASE, -1, 1 << 64)
 
 
 def tokenize(text: str) -> list[str]:
@@ -59,102 +62,73 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-def shingle(tokens: list[str], n: int = DEFAULT_NGRAM) -> np.ndarray:
+def _powers(base: int, count: int) -> np.ndarray:
+    """base^0, ..., base^(count-1) mod 2^64."""
+    powers = np.full(count, base, dtype=np.uint64)
+    powers[0] = 1
+    return np.cumprod(powers, out=powers)
+
+
+def shingle(
+    tokens: list[str], n: int = DEFAULT_NGRAM, digests: dict[str, bytes] | None = None
+) -> np.ndarray:
     """Sorted distinct uint64 hashes of the word n-grams of a tokenized
     document; documents shorter than n tokens yield one whole-document
     shingle rather than being dropped.
 
-    An n-gram's hash is the big-endian 8-byte blake2b digest of its tokens
-    joined by ``"\\x1f"`` in UTF-8. The whole document is encoded once and
-    each window hashed as a slice of it: UTF-8 is concatenative, so the slice
-    between two token offsets is the encoding of that window's join.
+    An n-gram's hash is sum_j t_j R^(n-1-j) mod 2^64 over the digests t_j of
+    its tokens (see the module docstring). ``digests`` maps tokens to their
+    8-byte digests; the ones missing are added to it, so a caller that passes
+    one dict for many documents hashes each distinct token once.
     """
     if n < 1:
         raise ValidationError("shingle: n must be positive")
     if not tokens:
         raise ValidationError("shingle: empty document")
-    n = min(n, len(tokens))
-    buf = "\x1f".join(tokens).encode("utf-8")
-    # starts[i] is the byte offset of token i, counting a separator after
-    # every token; the window of tokens i..i+n-1 ends one byte before starts[i + n].
-    starts = [0, *itertools.accumulate(len(t.encode("utf-8")) + 1 for t in tokens)]
-    digests = b"".join(
-        hashlib.blake2b(buf[s : e - 1], digest_size=8).digest() for s, e in zip(starts, starts[n:])
-    )
-    return np.unique(np.frombuffer(digests, dtype=">u8").astype(np.uint64))
+    if digests is None:
+        digests = {}
+    for token in set(tokens).difference(digests):
+        digests[token] = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+    t = np.frombuffer(b"".join(map(digests.__getitem__, tokens)), dtype=">u8").astype(np.uint64)
+    m, n = len(t), min(n, len(tokens))
+    # prefix[i] = sum_{j<i} t_j R^-j, so the window at i is
+    # (prefix[i + n] - prefix[i]) R^(i + n - 1).
+    prefix = np.zeros(m + 1, dtype=np.uint64)
+    np.cumsum(t * _powers(_SHINGLE_BASE_INVERSE, m), dtype=np.uint64, out=prefix[1:])
+    return np.unique((prefix[n:] - prefix[:-n]) * _powers(SHINGLE_BASE, m)[n - 1 :])
 
 
 def hash_family(seed: int, count: int = NUM_HASHES) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded (a_k, b_k) coefficients for h_k(x) = (a_k x + b_k) mod 2^61-1."""
+    """Seeded coefficients (a_k, b_k), a_k odd, of the MinHash functions
+    h_k(x) = f((a_k x + b_k) mod 2^64) of :func:`mod_affine`."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), 0x6D696E68])))
-    p = int(MERSENNE_PRIME)
-    a = rng.integers(1, p, size=count, dtype=np.uint64)
-    b = rng.integers(0, p, size=count, dtype=np.uint64)
+    a = rng.integers(0, 1 << 64, size=count, dtype=np.uint64) | np.uint64(1)
+    b = rng.integers(0, 1 << 64, size=count, dtype=np.uint64)
     return a, b
 
 
 def mod_affine(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Exact (a*x + b) mod p, p = 2^61 - 1, in uint64 arithmetic.
+    """f((a*x + b) mod 2^64), f(v) = (v ^ (v >> 31)) * 0x94D049BB133111EB
+    mod 2^64, in wrapping uint64 arithmetic.
 
-    ``a``, ``b`` must be < p; ``x`` may use the full 64 bits. Shapes
-    broadcast, so (K,1) coefficients against (m,) inputs give a (K,m) result.
-
-    Every step stays below 2^64, using 2^61 = 1 mod p:
-
-    - x is first reduced below p: (x >> 61) + (x & p) <= 7 + p, and
-      ``minimum(u, u - p)`` picks u - p exactly when u >= p (below p, u - p
-      wraps around past 2^63). The x side is small, and a*x + b mod p is
-      unchanged.
-    - With 32-bit limbs a = a_hi 2^32 + a_lo and x = x_hi 2^32 + x_lo, where
-      a_hi, x_hi < 2^29 and a_lo, x_lo < 2^32,
-      a*x = a_hi x_hi 2^64 + (a_hi x_lo + a_lo x_hi) 2^32 + a_lo x_lo.
-    - 2^64 = 8 mod p, and (8 a_hi) x_hi < 2^32 2^29 = 2^61.
-    - mid = a_hi x_lo + a_lo x_hi < 2^62, and mid 2^32 = (mid >> 29) 2^61 +
-      (mid & (2^29 - 1)) 2^32 = (mid >> 29) + (mid & (2^29 - 1)) 2^32 mod p,
-      which is below 2^33 + 2^61.
-    - a_lo x_lo < 2^64 is folded once to (v >> 61) + (v & p) <= p + 7.
-    - With b < p the sum is below 2^63 + 2^34; one fold takes it to at most
-      p + 4, and a final ``minimum(u, u - p)`` to below p.
-
-    The (K,m) work is done in one result array and two scratch arrays,
-    about twenty in-place passes.
+    Shapes broadcast, so (K,1) coefficients against (m,) inputs give a (K,m)
+    result. The work is done in the result array, so even 0-d inputs wrap
+    in array arithmetic, which never warns on overflow.
     """
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
     x = np.asarray(x, dtype=np.uint64)
-    p = MERSENNE_PRIME
-    x = (x >> np.uint64(61)) + (x & p)
-    x = np.minimum(x, np.subtract(x, p))
-    a_hi, a_lo = a >> np.uint64(32), a & _LOW32
-    x_hi, x_lo = x >> np.uint64(32), x & _LOW32
-    shape = np.broadcast_shapes(a.shape, b.shape, x.shape)
-    out, s1, s2 = np.empty(shape, np.uint64), np.empty(shape, np.uint64), np.empty(shape, np.uint64)
-    np.multiply(a_hi << np.uint64(3), x_hi, out=out)
-    np.multiply(a_hi, x_lo, out=s1)
-    np.multiply(a_lo, x_hi, out=s2)
-    s1 += s2
-    np.right_shift(s1, np.uint64(29), out=s2)
-    out += s2
-    s1 &= _LOW29
-    s1 <<= np.uint64(32)
-    out += s1
-    np.multiply(a_lo, x_lo, out=s1)
-    np.right_shift(s1, np.uint64(61), out=s2)
-    s1 &= p
-    out += s1
-    out += s2
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape, x.shape), dtype=np.uint64)
+    np.multiply(a, x, out=out)
     out += b
-    np.right_shift(out, np.uint64(61), out=s1)
-    out &= p
-    out += s1
-    np.subtract(out, p, out=s1)
-    np.minimum(out, s1, out=out)
+    out ^= out >> FINALIZER_SHIFT
+    out *= FINALIZER_MULTIPLIER
     return out
 
 
 def minhash(shingles: np.ndarray, family: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """The NUM_HASHES minimum hash values of one document's shingles under the
-    affine family ``(a, b)`` drawn by :func:`hash_family`."""
+    family ``(a, b)`` drawn by :func:`hash_family`."""
     if len(shingles) == 0:
         raise ValidationError("minhash: empty shingle set")
     a, b = family
@@ -240,9 +214,10 @@ def dedup_corpus(
     pairs with union-find, ``both`` runs exact then fuzzy on the survivors.
     Documents with no tokens at all are kept and never matched fuzzily.
 
-    The fuzzy pass may sign the second half of the text in a forked child
-    (see the module docstring), which dies with this process and is reaped
-    before the call returns; the result is the same either way.
+    The fuzzy pass draws one hash family and signs the surviving documents
+    one at a time in this process, tokenizing each once; a token's digest is
+    computed the first time it appears and kept until the call returns (see
+    the module docstring for the window hash and the MinHash family).
     """
     if mode not in ("exact", "fuzzy", "both"):
         raise ValidationError(f"dedup_corpus: unknown mode {mode!r}")
@@ -277,36 +252,14 @@ def dedup_corpus(
 
     if mode in ("fuzzy", "both"):
         family = hash_family(seed)
-
-        def sign(doc_ids: list[str]) -> tuple[list[str], np.ndarray]:
-            """The ids of ``doc_ids`` that have tokens, and their signatures."""
-            hashed_ids, rows = [], []
-            for doc_id in doc_ids:
-                tokens = tokenize(texts[doc_id])
-                if tokens:
-                    hashed_ids.append(doc_id)
-                    rows.append(minhash(shingle(tokens, n=ngram), family))
-            return hashed_ids, np.array(rows, dtype=np.uint64).reshape(len(rows), NUM_HASHES)
-
-        # This process signs the documents up to half the text, a child the rest.
-        half = sum(len(texts[doc_id]) for doc_id in surviving) / 2
-        lengths = itertools.accumulate(len(texts[doc_id]) for doc_id in surviving)
-        cut = next((i for i, total in enumerate(lengths, 1) if total >= half), len(surviving))
-        rest = surviving[cut:]
-        child = None
-        if rest and forking.can_fork():
-            child = forking.fork(lambda: pickle.dumps(sign(rest)))
-        if child is None:
-            hashed_ids, signatures = sign(surviving)
-        else:
-            try:
-                hashed_ids, signatures = sign(surviving[:cut])
-            finally:
-                data, status = forking.join(child)
-            # A child that failed sent nothing whole: its part is signed here.
-            rest_ids, rest_signatures = pickle.loads(data) if status == 0 else sign(rest)
-            hashed_ids += rest_ids
-            signatures = np.concatenate([signatures, rest_signatures])
+        digests: dict[str, bytes] = {}
+        hashed_ids, rows = [], []
+        for doc_id in surviving:
+            tokens = tokenize(texts[doc_id])
+            if tokens:
+                hashed_ids.append(doc_id)
+                rows.append(minhash(shingle(tokens, n=ngram, digests=digests), family))
+        signatures = np.array(rows, dtype=np.uint64).reshape(len(rows), NUM_HASHES)
         for a, b in sorted(lsh_candidates(hashed_ids, signatures)):
             uf.union(a, b)
 

@@ -3,11 +3,10 @@
 :func:`fork` starts a child that runs one function and writes the bytes it
 returns to a pipe; :func:`join` reads them and reaps the child. The pipeline
 runs its references and consistency stages in such a child while it searches
-(:mod:`demix.pipeline`), and :func:`demix.dedup.dedup_corpus` signs part of a
-corpus in one. Both fork only where :func:`can_fork` holds: on Linux, from a
-process with one OS thread (a fork copies only the calling thread, so BLAS
-worker threads count, and the CLI pins BLAS to one), that may run on at least
-two CPUs. The child dies with its parent (``PR_SET_PDEATHSIG``) and leaves by
+(:mod:`demix.pipeline`). It forks only where :func:`can_fork` holds: on
+Linux, from a process with one OS thread (a fork copies only the calling
+thread, so BLAS worker threads count, and the CLI pins BLAS to one), that may
+run on at least two CPUs. The child dies with its parent (``PR_SET_PDEATHSIG``) and leaves by
 ``os._exit``, so it runs none of the parent's cleanup and flushes none of its
 buffers. A caller whose fork fails (:func:`fork` returns None) does the work
 itself.

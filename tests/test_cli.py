@@ -191,7 +191,7 @@ def test_dedup_cli(tmp_path, capsys):
 
 
 @needs_fork
-def test_a_dedup_that_forks_leaves_no_child_behind(tmp_path, capsys, forks):
+def test_a_dedup_starts_no_process_where_it_could_fork(tmp_path, capsys, forks):
     rng = np.random.default_rng(8)
     texts = [" ".join(f"w{i}" for i in rng.integers(0, 10_000, size=50)) for _ in range(6)]
     texts.append(texts[4].rsplit(" ", 1)[0] + " tail")
@@ -199,9 +199,7 @@ def test_a_dedup_that_forks_leaves_no_child_behind(tmp_path, capsys, forks):
     docs.write_text("".join(json.dumps({"id": f"d{i}", "text": t}) + "\n" for i, t in enumerate(texts)))
     report = tmp_path / "report.json"
     assert main(["dedup", "--in", str(docs), "--report", str(report)]) == 0
-    assert len(forks) == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert forks == []
     assert json.loads(report.read_text())["removed"] == [{"id": "d6", "reason": "fuzzy"}]
     assert capsys.readouterr().out == "kept 6, removed 1\n"
 

@@ -1,19 +1,15 @@
 """Tests for shingling, MinHash, LSH banding, and corpus deduplication."""
 
-import errno
 import hashlib
-import os
-import signal
 import unicodedata
 
 import numpy as np
 import pytest
-from conftest import needs_fork
 from hypothesis import given, settings, strategies as st
 
 from demix import dedup, forking
 from demix.dedup import (
-    MERSENNE_PRIME,
+    SHINGLE_BASE,
     dedup_corpus,
     hash_family,
     lsh_candidates,
@@ -31,8 +27,10 @@ def words(n, rng=None, vocab=10_000):
 
 
 # --- reference implementations --------------------------------------------------
-# The straightforward per-window and many-pass versions that the fast ones in
+# The straightforward per-window and Python-int versions that the array ones in
 # demix.dedup must match bit for bit.
+
+MASK = 2**64 - 1
 
 
 def ref_tokenize(text):
@@ -44,45 +42,36 @@ def ref_tokenize(text):
     return tokens
 
 
-def ref_hash_ngram(tokens):
-    digest = hashlib.blake2b("\x1f".join(tokens).encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
+def ref_digest(token):
+    return int.from_bytes(hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest(), "big")
+
+
+def ref_window_hash(tokens):
+    """sum_j t_j R^(n-1-j) mod 2^64 over the digests t_j of an n-token window."""
+    n = len(tokens)
+    return sum(ref_digest(t) * SHINGLE_BASE ** (n - 1 - j) for j, t in enumerate(tokens)) & MASK
 
 
 def ref_shingle(tokens, n):
-    if len(tokens) < n:
-        windows = [tuple(tokens)]
-    else:
-        windows = [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
-    hashes = np.fromiter(map(ref_hash_ngram, windows), dtype=np.uint64, count=len(windows))
-    return np.unique(hashes)
-
-
-def ref_fold(v):
-    return (v >> np.uint64(61)) + (v & MERSENNE_PRIME)
+    n = min(n, len(tokens))
+    hashes = {ref_window_hash(tokens[i : i + n]) for i in range(len(tokens) - n + 1)}
+    return np.array(sorted(hashes), dtype=np.uint64)
 
 
 def ref_mod_affine(a, b, x):
-    low32, low29 = np.uint64(0xFFFFFFFF), np.uint64((1 << 29) - 1)
-    a, b, x = (np.asarray(v, dtype=np.uint64) for v in (a, b, x))
-    a_hi, a_lo, x_hi, x_lo = a >> np.uint64(32), a & low32, x >> np.uint64(32), x & low32
-    t1 = ref_fold(ref_fold(a_hi * x_hi) << np.uint64(3))
-    mid = ref_fold(a_hi * x_lo) + ref_fold(a_lo * x_hi)
-    t2 = (mid >> np.uint64(29)) + ((mid & low29) << np.uint64(32))
-    t3 = ref_fold(a_lo * x_lo)
-    total = ref_fold(ref_fold(t1 + t2 + t3) + b)
-    total = total - MERSENNE_PRIME * (total >= MERSENNE_PRIME)
-    return total - MERSENNE_PRIME * (total >= MERSENNE_PRIME)
+    """SplitMix64's last finalizer step after a multiply-add, in Python ints."""
+    v = (a * x + b) & MASK
+    v ^= v >> 31
+    return (v * 0x94D049BB133111EB) & MASK
 
 
-P = int(MERSENNE_PRIME)
-# Inputs around every boundary the reduction steps care about: p and its
-# multiples, powers of two, all-ones limbs and the top of the uint64 range.
+# Inputs around the bits the multiply, the add and the shift by 31 care about:
+# powers of two, all-ones halves and the top of the uint64 range.
 EDGE_X = sorted({
-    0, 1, 2, 7, 8, 2**29 - 1, 2**29, 2**32 - 1, 2**32, 2**32 + 1, 2**61 - 2, P - 1, P, P + 1,
-    P + 7, P + 8, 2 * P - 1, 2 * P, 2 * P + 1, 2**62 - 1, 2**62, 2**63 - 1, 2**63,
-    7 * P, 8 * P - 1, 8 * P, 2**64 - 9, 2**64 - 8, 2**64 - 2, 2**64 - 1,
+    0, 1, 2, 3, 2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1, 2**32, 2**33 - 1, 2**62, 2**63 - 1, 2**63,
+    2**63 + 1, 2**64 - 2**32, 2**64 - 2**31, 2**64 - 2, 2**64 - 1,
 })
+U64 = st.one_of(st.integers(0, MASK), st.sampled_from(EDGE_X))
 
 _WORD_CHARS = st.one_of(
     st.sampled_from(list("«»—–_¿¡!?.,;:'\"()[]{}…·、。")),  # punctuation, Unicode P* included
@@ -106,34 +95,40 @@ def test_tokenize_and_shingle_match_the_reference(text, n):
         hashes = shingle(tokens, n)
         assert hashes.dtype == np.uint64
         assert np.array_equal(hashes, ref_shingle(tokens, n))
+        # A digest dict shared across documents changes no hash and gains
+        # exactly this document's tokens.
+        shared = {"unrelated": b"\x00" * 8}
+        assert np.array_equal(shingle(tokens, n, digests=shared), hashes)
+        assert set(shared) == {"unrelated", *tokens}
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.lists(st.integers(1, P - 1), min_size=1, max_size=6),
-    st.lists(st.integers(0, P - 1), min_size=1, max_size=6),
-    st.lists(st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(EDGE_X)), min_size=1, max_size=40),
+    st.lists(U64, min_size=1, max_size=6),
+    st.lists(U64, min_size=1, max_size=6),
+    st.lists(U64, min_size=1, max_size=40),
 )
 def test_mod_affine_matches_the_reference_on_broadcast_arrays(a, b, x):
     k = min(len(a), len(b))
-    a, b = np.array(a[:k], dtype=np.uint64)[:, None], np.array(b[:k], dtype=np.uint64)[:, None]
-    x = np.array(x, dtype=np.uint64)
-    got = mod_affine(a, b, x)
+    a_col, b_col = np.array(a[:k], dtype=np.uint64)[:, None], np.array(b[:k], dtype=np.uint64)[:, None]
+    got = mod_affine(a_col, b_col, np.array(x, dtype=np.uint64))
     assert got.dtype == np.uint64 and got.shape == (k, len(x))
-    assert np.array_equal(got, ref_mod_affine(a, b, x))
+    assert got.tolist() == [[ref_mod_affine(ai, bi, xi) for xi in x] for ai, bi in zip(a, b)]
 
 
 def test_mod_affine_broadcasts_coefficients_against_edge_inputs_exactly():
     rng = np.random.default_rng(0)
-    a = [1, 2, 2**32 - 1, 2**32, P - 1] + rng.integers(1, P, size=3, dtype=np.uint64).tolist()
-    b = [P - 1, P - 1, 0, P - 1, P - 1] + rng.integers(0, P, size=3, dtype=np.uint64).tolist()
-    x = EDGE_X + rng.integers(0, 2**64 - 1, size=5000, dtype=np.uint64, endpoint=True).tolist()
+    a = [1, 3, 2**31 + 1, 2**63 + 1, MASK] + rng.integers(0, 2**64, size=3, dtype=np.uint64).tolist()
+    b = [0, MASK, 2**63, 0, MASK] + rng.integers(0, 2**64, size=3, dtype=np.uint64).tolist()
+    x = EDGE_X + rng.integers(0, 2**64, size=5000, dtype=np.uint64).tolist()
     a_col, b_col = np.array(a, dtype=np.uint64)[:, None], np.array(b, dtype=np.uint64)[:, None]
-    x_row = np.array(x, dtype=np.uint64)
-    got = mod_affine(a_col, b_col, x_row)
+    got = mod_affine(a_col, b_col, np.array(x, dtype=np.uint64))
     assert got.dtype == np.uint64 and got.shape == (len(a), len(x))
-    assert got.tolist() == [[(ai * xi + bi) % P for xi in x] for ai, bi in zip(a, b)]
-    assert np.array_equal(got, ref_mod_affine(a_col, b_col, x_row))
+    assert got.tolist() == [[ref_mod_affine(ai, bi, xi) for xi in x] for ai, bi in zip(a, b)]
+    # With a = 1 and b = 0 only the finalizer step is left.
+    assert mod_affine(1, 0, np.array(EDGE_X, dtype=np.uint64)).tolist() == [
+        ((v ^ (v >> 31)) * 0x94D049BB133111EB) & MASK for v in EDGE_X
+    ]
 
 
 # --- tokenization and shingling ----------------------------------------------
@@ -154,6 +149,14 @@ def test_short_document_yields_whole_document_shingle():
     assert len(shingle(tokenize("just five little words here"))) == 1
 
 
+def test_every_ngram_at_least_the_document_length_gives_one_whole_document_shingle():
+    tokens = tokenize(words(30))
+    whole = shingle(tokens, len(tokens))
+    assert whole.tolist() == [ref_window_hash(tokens)]
+    for n in (31, 48, 1000):
+        assert np.array_equal(shingle(tokens, n), whole)
+
+
 def test_identical_texts_identical_shingles():
     text = words(60)
     hashes = shingle(tokenize(text))
@@ -166,19 +169,14 @@ def test_empty_document_rejected():
         shingle(tokenize("...  !!"))
 
 
-# --- modular hash family -------------------------------------------------------
+# --- hash family -----------------------------------------------------------------
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    st.integers(1, int(MERSENNE_PRIME) - 1),
-    st.integers(0, int(MERSENNE_PRIME) - 1),
-    st.integers(0, 2**64 - 1),
-)
+@given(U64, U64, U64)
 def test_mod_affine_matches_python_int_arithmetic(a, b, x):
-    expected = (a * x + b) % int(MERSENNE_PRIME)
     got = mod_affine(np.uint64(a), np.uint64(b), np.uint64(x))
-    assert int(got) == expected
+    assert int(got) == ref_mod_affine(a, b, x)
 
 
 def test_hash_family_is_seeded_and_in_range():
@@ -187,8 +185,10 @@ def test_hash_family_is_seeded_and_in_range():
     a3, _ = hash_family(8)
     assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
     assert not np.array_equal(a1, a3)
-    assert a1.min() >= 1 and int(a1.max()) < int(MERSENNE_PRIME)
-    assert int(b1.max()) < int(MERSENNE_PRIME)
+    assert a1.dtype == b1.dtype == np.uint64 and a1.shape == b1.shape == (dedup.NUM_HASHES,)
+    assert np.all(a1 & np.uint64(1) == 1)  # odd, so x -> a x + b is a bijection mod 2^64
+    # Drawn from the whole 64-bit range, not below 2^61 - 1.
+    assert int(a1.max()) >= 2**63 and int(b1.max()) >= 2**63
 
 
 # --- minhash --------------------------------------------------------------------
@@ -407,7 +407,6 @@ def counting_corpus():
 
 
 def test_dedup_corpus_draws_the_family_once_and_tokenizes_each_document_once(monkeypatch):
-    monkeypatch.setattr(forking, "can_fork", lambda: False)
     calls = count_calls(monkeypatch, ["tokenize", "hash_family"])
     result = dedup_corpus(counting_corpus(), mode="both", seed=0)
     # "b" is an exact copy and never reaches the fuzzy pass; "d" does but has no tokens
@@ -415,94 +414,23 @@ def test_dedup_corpus_draws_the_family_once_and_tokenizes_each_document_once(mon
     assert result.removed_ids == ["b", "e"]
 
 
-@needs_fork
-def test_a_forked_dedup_tokenizes_the_second_half_in_the_child(monkeypatch, forks):
-    calls = count_calls(monkeypatch, ["tokenize", "hash_family"])
-    result = dedup_corpus(counting_corpus(), mode="both", seed=0)
-    assert len(forks) == 1
-    # "a" and "c" reach half the text that the fuzzy pass signs, so the
-    # child tokenizes "d" and "e".
-    assert calls == {"tokenize": 2, "hash_family": 1}
-    assert result.removed_ids == ["b", "e"]
+def test_dedup_corpus_hashes_each_distinct_token_once_per_call(monkeypatch):
+    docs = counting_corpus()
+    # "b" is an exact copy, "d" has no tokens.
+    distinct = {t for doc_id, text in docs if doc_id != "b" for t in tokenize(text)}
+    hashed = []
+    blake2b = hashlib.blake2b
 
+    def counted(data, **kwargs):
+        hashed.append(data)
+        return blake2b(data, **kwargs)
 
-def fork_corpus():
-    """Exact copies, near duplicates, tokenless documents and, second, one
-    document longer than all the others together, so that this process signs
-    the first two documents and the child the rest; near duplicates pair
-    across the cut and within the child's part."""
-    rng = np.random.default_rng(31)
-    base = [words(60, rng) for _ in range(4)]
-    longest = words(2000, rng)
-
-    def near(text):
-        return text.rsplit(" ", 1)[0] + " tail"
-
-    return [
-        ("d0", base[0]), ("long", longest), ("d1", base[1]), ("p0", "..."), ("d0x", base[0]),
-        ("d0n", near(base[0])), ("d2", base[2]), ("p1", "!!"), ("p2", "..."), ("d1n", near(base[1])),
-        ("d2x", base[2]), ("long_n", near(longest)), ("d3", base[3]), ("d3n", near(base[3])),
-    ]
-
-
-@needs_fork
-@pytest.mark.parametrize("mode", ["exact", "fuzzy", "both"])
-def test_a_forked_dedup_reports_what_an_in_process_one_does(monkeypatch, forks, mode):
-    docs = fork_corpus()
-    forked = dedup_corpus(docs, mode=mode, seed=3).to_report()
-    assert len(forks) == (mode != "exact")
-    monkeypatch.setattr(forking, "can_fork", lambda: False)
-    assert dedup_corpus(docs, mode=mode, seed=3).to_report() == forked
-    assert len(forks) == (mode != "exact")
-    if mode != "exact":
-        removed = {doc["id"] for doc in forked["removed"]}
-        assert {"d0n", "d1n", "long_n", "d3n"} <= removed
-
-
-def test_a_dedup_whose_fork_fails_signs_every_document_here(monkeypatch):
-    def fails():
-        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-
-    docs = fork_corpus()
-    monkeypatch.setattr(forking, "can_fork", lambda: False)
-    expected = dedup_corpus(docs, seed=3).to_report()
-    monkeypatch.setattr(forking, "can_fork", lambda: True)
-    monkeypatch.setattr(os, "fork", fails)
-    calls = count_calls(monkeypatch, ["tokenize"])
-    assert dedup_corpus(docs, seed=3).to_report() == expected
-    assert calls["tokenize"] == len({text for _, text in docs})
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def child_fails(how, fn):
-    """``fn`` wrapped to fail ``how`` in a forked child and to run in the test process."""
-    test_pid = os.getpid()
-
-    def wrapped(*args, **kwargs):
-        if os.getpid() != test_pid:
-            if how == "raises":
-                raise ValidationError("no shingles in the child")
-            if how == "exits":
-                os._exit(1)
-            os.kill(os.getpid(), signal.SIGKILL)
-        return fn(*args, **kwargs)
-
-    return wrapped
-
-
-@needs_fork
-@pytest.mark.parametrize("how", ["raises", "exits", "killed"])
-def test_a_child_that_fails_leaves_its_part_to_this_process(monkeypatch, forks, how):
-    docs = fork_corpus()
-    monkeypatch.setattr(forking, "can_fork", lambda: False)
-    expected = dedup_corpus(docs, seed=3).to_report()
-    monkeypatch.setattr(forking, "can_fork", lambda: True)
-    monkeypatch.setattr(dedup, "shingle", child_fails(how, dedup.shingle))
-    assert dedup_corpus(docs, seed=3).to_report() == expected
-    assert len(forks) == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    monkeypatch.setattr(hashlib, "blake2b", counted)
+    first = dedup_corpus(docs, mode="both", seed=0)
+    assert sorted(hashed) == sorted(t.encode("utf-8") for t in distinct)
+    # The digests live for one call only: a second call hashes every token again.
+    assert dedup_corpus(docs, mode="both", seed=0) == first
+    assert len(hashed) == 2 * len(distinct)
 
 
 def test_a_one_document_corpus_forks_nothing(monkeypatch, forks):
