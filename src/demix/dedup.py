@@ -16,14 +16,19 @@ has an inverse mod 2^64, and every window of a document is the difference of
 two prefix sums of t_j R^-j times a power of R; a window costs the same
 whatever n is.
 
-A signature is the row-wise minimum of h(x) = f((a x + b) mod 2^64) over the
+A signature is the minimum of h(x) = f((a x + b) mod 2^64) over a document's
 shingles, for 260 seeded pairs of an odd a and any b. The multiply-add is the
 multiply-shift family of Dietzfelbinger et al. (J. Algorithms 1997); f is the
 last step of the SplitMix64 finalizer (Steele, Lea and Flood, OOPSLA 2014),
 v ^= v >> 31 then v *= 0x94D049BB133111EB, which folds the well-mixed high
 bits of the product into its low ones and multiplies them back up. All of it
-wraps in uint64 array arithmetic: a few passes over each (260 x shingles)
-block, and no reduction modulo a prime.
+wraps in uint64 array arithmetic, with no reduction modulo a prime.
+
+The corpus is signed in blocks: the shingles of consecutive documents are
+concatenated into one contiguous array of at most :data:`_SIGN_BLOCK` values,
+each hash function in turn is applied to the whole block with scalar
+coefficients, and ``np.minimum.reduceat`` at the documents' starts gives
+that function's column of the block's signatures.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
+from .gbdt import _run_starts
 
 DEFAULT_NGRAM = 24
 NUM_HASHES = 260
@@ -47,6 +53,12 @@ FINALIZER_SHIFT = np.uint64(31)
 FINALIZER_MULTIPLIER = np.uint64(0x94D049BB133111EB)
 
 _SHINGLE_BASE_INVERSE = pow(SHINGLE_BASE, -1, 1 << 64)
+# Values per signing block. A contiguous block with scalar coefficients avoids
+# the stride-0 operand of a (260, 1) coefficient column, with which numpy's
+# uint64 multiply and add run 2-3x slower; and at 2**16 values (512 KB) each
+# pass stays in cache, where one block of a whole 136k-value corpus signed 4x
+# slower.
+_SIGN_BLOCK = 2**16
 
 
 def tokenize(text: str) -> list[str]:
@@ -95,7 +107,9 @@ def shingle(
     # (prefix[i + n] - prefix[i]) R^(i + n - 1).
     prefix = np.zeros(m + 1, dtype=np.uint64)
     np.cumsum(t * _powers(_SHINGLE_BASE_INVERSE, m), dtype=np.uint64, out=prefix[1:])
-    return np.unique((prefix[n:] - prefix[:-n]) * _powers(SHINGLE_BASE, m)[n - 1 :])
+    hashes = (prefix[n:] - prefix[:-n]) * _powers(SHINGLE_BASE, m)[n - 1 :]
+    hashes.sort()
+    return hashes[_run_starts(hashes)]
 
 
 def hash_family(seed: int, count: int = NUM_HASHES) -> tuple[np.ndarray, np.ndarray]:
@@ -126,13 +140,35 @@ def mod_affine(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def minhash(shingles: np.ndarray, family: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The NUM_HASHES minimum hash values of one document's shingles under the
-    family ``(a, b)`` drawn by :func:`hash_family`."""
-    if len(shingles) == 0:
-        raise ValidationError("minhash: empty shingle set")
+def minhash(
+    shingle_sets: list[np.ndarray], family: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """The (documents x NUM_HASHES) MinHash signatures of a list of
+    documents' shingle arrays under the family ``(a, b)`` drawn by
+    :func:`hash_family`: row i is the minimum of each hash function over
+    ``shingle_sets[i]``.
+
+    Consecutive documents are signed together in blocks of at most
+    :data:`_SIGN_BLOCK` values (a longer document is a block by itself), one
+    hash function at a time over the whole block.
+    """
     a, b = family
-    return mod_affine(a[:, None], b[:, None], np.asarray(shingles)[None, :]).min(axis=1)
+    sizes = np.array([len(s) for s in shingle_sets], dtype=np.int64)
+    if not sizes.all():
+        raise ValidationError("minhash: empty shingle set")
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    signatures = np.empty((sizes.size, a.size), dtype=np.uint64)
+    first = 0
+    while first < sizes.size:
+        # Documents first..last-1: all that end within _SIGN_BLOCK values, at least one.
+        last = max(first + 1, int(np.searchsorted(ends, starts[first] + _SIGN_BLOCK, side="right")))
+        block = np.concatenate(shingle_sets[first:last], dtype=np.uint64)
+        at = starts[first:last] - starts[first]
+        for k in range(a.size):
+            signatures[first:last, k] = np.minimum.reduceat(mod_affine(a[k], b[k], block), at)
+        first = last
+    return signatures
 
 
 def lsh_candidates(doc_ids: list[str], signatures: np.ndarray) -> set[tuple[str, str]]:
@@ -214,10 +250,12 @@ def dedup_corpus(
     pairs with union-find, ``both`` runs exact then fuzzy on the survivors.
     Documents with no tokens at all are kept and never matched fuzzily.
 
-    The fuzzy pass draws one hash family and signs the surviving documents
-    one at a time in this process, tokenizing each once; a token's digest is
+    The fuzzy pass draws one hash family, tokenizes and shingles the
+    surviving documents one at a time, and signs all their shingle arrays
+    (8 bytes a window) with one :func:`minhash` call. A token's digest is
     computed the first time it appears and kept until the call returns (see
-    the module docstring for the window hash and the MinHash family).
+    the module docstring for the window hash, the MinHash family and the
+    signing blocks).
     """
     if mode not in ("exact", "fuzzy", "both"):
         raise ValidationError(f"dedup_corpus: unknown mode {mode!r}")
@@ -253,14 +291,13 @@ def dedup_corpus(
     if mode in ("fuzzy", "both"):
         family = hash_family(seed)
         digests: dict[str, bytes] = {}
-        hashed_ids, rows = [], []
+        hashed_ids, shingle_sets = [], []
         for doc_id in surviving:
             tokens = tokenize(texts[doc_id])
             if tokens:
                 hashed_ids.append(doc_id)
-                rows.append(minhash(shingle(tokens, n=ngram, digests=digests), family))
-        signatures = np.array(rows, dtype=np.uint64).reshape(len(rows), NUM_HASHES)
-        for a, b in sorted(lsh_candidates(hashed_ids, signatures)):
+                shingle_sets.append(shingle(tokens, n=ngram, digests=digests))
+        for a, b in sorted(lsh_candidates(hashed_ids, minhash(shingle_sets, family))):
             uf.union(a, b)
 
     # Filled in corpus order, so each group and the groups themselves are

@@ -370,6 +370,18 @@ def test_importing_demix_loads_no_numpy():
     assert run_python(code) == f"{demix.__version__}\n"
 
 
+def test_a_dedup_imports_no_numpy_ma(tmp_path):
+    docs = tmp_path / "docs.jsonl"
+    texts = ["alpha beta gamma delta", "alpha beta gamma delta", "something entirely different"]
+    docs.write_text("".join(json.dumps({"id": f"d{i}", "text": t}) + "\n" for i, t in enumerate(texts)))
+    code = (
+        "import sys\nfrom demix.cli import main\n"
+        f"assert main(['dedup', '--in', {str(docs)!r}, '--report', {str(tmp_path / 'r.json')!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    assert run_python(code).splitlines()[-1] == "False"
+
+
 @pytest.mark.parametrize("value, kept", [(None, "1"), ("2", "2")], ids=["unset", "set"])
 def test_the_cli_pins_blas_to_one_thread_unless_the_variable_is_set(value, kept):
     code = (

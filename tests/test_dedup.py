@@ -213,8 +213,8 @@ def exact_jaccard(a, b):
 
 def test_identical_shingle_sets_identical_signatures():
     text = words(100)
-    s1 = minhash(shingle(tokenize(text)), hash_family(3))
-    s2 = minhash(shingle(tokenize(text)), hash_family(3))
+    s1 = minhash([shingle(tokenize(text))], hash_family(3))[0]
+    s2 = minhash([shingle(tokenize(text))], hash_family(3))[0]
     assert np.array_equal(s1, s2)
 
 
@@ -227,8 +227,7 @@ def test_signature_match_rate_estimates_jaccard():
             sa, sb = sets_with_jaccard(rng, union_size=40, jaccard=target)
             j = exact_jaccard(sa, sb)
             assert j == pytest.approx(target, abs=0.02)
-            family = hash_family(t)
-            va, vb = minhash(sa, family), minhash(sb, family)
+            va, vb = minhash([sa, sb], hash_family(t))
             empirical = float(np.mean(va == vb))
             hits += abs(empirical - j) <= 0.12
         assert hits / trials >= 0.95
@@ -239,10 +238,57 @@ def test_disjoint_sets_rarely_match():
     rates = []
     for t in range(50):
         sa, sb = sets_with_jaccard(rng, union_size=60, jaccard=0.0)
-        family = hash_family(t)
-        va, vb = minhash(sa, family), minhash(sb, family)
+        va, vb = minhash([sa, sb], hash_family(t))
         rates.append(float(np.mean(va == vb)))
     assert float(np.mean(rates)) <= 0.05
+
+
+def ref_minhash(shingles, family):
+    """One document's signature by the (NUM_HASHES x shingles) broadcast."""
+    a, b = family
+    return mod_affine(a[:, None], b[:, None], shingles[None, :]).min(axis=1)
+
+
+def test_block_signing_matches_the_per_document_reference(monkeypatch):
+    monkeypatch.setattr(dedup, "_SIGN_BLOCK", 64)
+    rng = np.random.default_rng(18)
+    # 40 + 24 fills the first block exactly; the 200-value document is longer
+    # than a block and is one by itself; the rest share blocks unevenly.
+    sizes = [40, 24, 200, 1, 63, 2, 64, 65, 30, 30, 30, 5, 1, 1]
+    sets = [np.sort(rng.integers(0, 2**64, size=n, dtype=np.uint64)) for n in sizes]
+    sets.append(sets[2].copy())  # a repeated document signs identically
+    family = hash_family(4)
+    blocks = []
+
+    def recorded(a, b, x, _original=dedup.mod_affine):
+        blocks.append(x.size)
+        return _original(a, b, x)
+
+    monkeypatch.setattr(dedup, "mod_affine", recorded)
+    got = minhash(sets, family)
+    # Consecutive documents share a block while they fit in 64 values.
+    assert blocks == [n for n in (64, 200, 64, 2, 64, 65, 60, 37, 200) for _ in range(dedup.NUM_HASHES)]
+    assert got.dtype == np.uint64 and got.shape == (len(sets), dedup.NUM_HASHES)
+    for row, s in zip(got, sets):
+        assert np.array_equal(row, ref_minhash(s, family))
+    assert np.array_equal(got[2], got[-1])
+    # The block size changes no signature.
+    monkeypatch.setattr(dedup, "_SIGN_BLOCK", 2**16)
+    assert np.array_equal(minhash(sets, family), got)
+
+
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_an_empty_shingle_set_anywhere_is_rejected(where):
+    rng = np.random.default_rng(19)
+    sets = [rng.integers(0, 2**64, size=8, dtype=np.uint64) for _ in range(4)]
+    sets.insert(where, np.array([], dtype=np.uint64))
+    with pytest.raises(ValidationError, match="empty shingle set"):
+        minhash(sets, hash_family(0))
+
+
+def test_no_documents_give_an_empty_signature_matrix():
+    signatures = minhash([], hash_family(0))
+    assert signatures.dtype == np.uint64 and signatures.shape == (0, dedup.NUM_HASHES)
 
 
 # --- LSH banding ------------------------------------------------------------------
@@ -250,7 +296,7 @@ def test_disjoint_sets_rarely_match():
 
 def test_exact_duplicates_always_pair():
     text = words(80)
-    sig = minhash(shingle(tokenize(text)), hash_family(1))
+    sig = minhash([shingle(tokenize(text))], hash_family(1))[0]
     sigs = np.stack([sig, sig])
     assert lsh_candidates(["a", "b"], sigs) == {("a", "b")}
     with pytest.raises(ValidationError, match="signature matrix"):
@@ -262,8 +308,7 @@ def test_unrelated_documents_never_pair():
     pairs = 0
     for t in range(1000):
         sa, sb = sets_with_jaccard(rng, union_size=50, jaccard=0.0)
-        family = hash_family(t)
-        sigs = np.stack([minhash(sa, family), minhash(sb, family)])
+        sigs = minhash([sa, sb], hash_family(t))
         pairs += len(lsh_candidates(["a", "b"], sigs))
     assert pairs == 0
 
@@ -273,8 +318,7 @@ def lsh_collision_rate(jaccard, trials, union_size=40, seed0=0):
     collisions = 0
     for t in range(trials):
         sa, sb = sets_with_jaccard(rng, union_size=union_size, jaccard=jaccard)
-        family = hash_family(seed0 + t)
-        sigs = np.stack([minhash(sa, family), minhash(sb, family)])
+        sigs = minhash([sa, sb], hash_family(seed0 + t))
         collisions += bool(lsh_candidates(["a", "b"], sigs))
     return collisions / trials
 
@@ -386,6 +430,17 @@ def test_tokenless_documents_are_kept_and_never_matched():
     assert result.kept_ids == ["p1", "w"]
     fuzzy_only = dedup_corpus([("p1", "..."), ("p2", "!!!"), ("w", words(30))], mode="fuzzy")
     assert fuzzy_only.removed_ids == []
+
+
+def test_the_signing_block_size_changes_no_report(monkeypatch):
+    rng = np.random.default_rng(20)
+    texts = [words(int(n), rng, vocab=300) for n in rng.integers(1, 120, size=40)]
+    docs = [(f"d{i}", text) for i, text in enumerate(texts)]
+    docs += [(f"n{i}", texts[i].rsplit(" ", 1)[0] + " tail") for i in range(0, 40, 3)]
+    default = dedup_corpus(docs, mode="both", seed=2, ngram=5).to_report()
+    assert default["removed"]  # the near copies are found
+    monkeypatch.setattr(dedup, "_SIGN_BLOCK", 64)
+    assert dedup_corpus(docs, mode="both", seed=2, ngram=5).to_report() == default
 
 
 def count_calls(monkeypatch, names):
