@@ -2,8 +2,8 @@
 
 The search is one loop with one pass per plan entry. The first pass
 evaluates a batch of uniformly sampled mixture ratios; each later pass
-evaluates the rows the previous pass kept (the evaluator returns each
-ratio's per-benchmark scores). Every pass then refits one boosted-tree
+evaluates the rows the previous pass kept (one evaluator call scores a
+pass's ratios, a row of scores each). Every pass then refits one boosted-tree
 regressor of ``gbdt_rounds`` rounds on the (lower-is-better) ranking scores
 of every evaluation so far, scores a fresh pool of ``pool`` uniform samples
 from that pass's own random stream, and keeps the best-predicted rows: the
@@ -116,16 +116,12 @@ def sample_simplex(
     """``count`` mixture ratios distributed uniformly on the simplex."""
     if n_dims < 1 or count < 1:
         raise ValidationError("sample_simplex: n_dims and count must be positive")
-    ids = candidate_ids if candidate_ids is not None else _default_ids(n_dims)
+    ids = candidate_ids if candidate_ids is not None else [f"c{i}" for i in range(n_dims)]
     if len(ids) != n_dims:
         raise ValidationError("sample_simplex: candidate_ids length must equal n_dims")
     rng = np.random.Generator(np.random.PCG64(seed))
     rows = _sample_rows(rng, count, n_dims)
     return [MixtureRatio(weights=row, candidate_ids=list(ids)) for row in rows]
-
-
-def _default_ids(n_dims: int) -> list[str]:
-    return [f"c{i}" for i in range(n_dims)]
 
 
 def _ranking_targets(
@@ -155,13 +151,15 @@ def run_search(
 ) -> tuple[MixtureRatio, SearchTranscript]:
     """Run the full iterative search; returns the final mixture and transcript.
 
-    ``evaluator`` maps a MixtureRatio to its per-benchmark scores (a
-    ``dict[str, float]``) and must be pure: the same ratio always yields the
-    same scores. Evaluator failures are re-raised as SearchError with the
-    offending ratio attached. The number of evaluator calls is exactly
-    ``plan.total_evaluations()``. One ``BoostedTreesRegressor`` of
-    ``plan.gbdt_rounds`` rounds is refit on every evaluation so far after
-    each batch, once per plan entry, on macro ranks over the domains
+    ``evaluator`` maps a pass's list of MixtureRatio to an iterable of their
+    per-benchmark scores, one ``dict[str, float]`` per ratio in order, and
+    must be pure: the same ratio always yields the same scores. It is called
+    once per plan entry, so it scores exactly ``plan.total_evaluations()``
+    rows. A row that fails as it is read (a lazy evaluator scores row j as
+    it yields it), is empty or is not finite is a SearchError naming its
+    ratio; a row count other than the pass's is a SearchError too. One
+    ``BoostedTreesRegressor`` of ``plan.gbdt_rounds`` rounds is refit on
+    every evaluation so far after each pass, on macro ranks over the domains
     ``benchmark_domains`` maps the evaluator's benchmarks to. ``seed`` fixes
     every draw, so the same arguments give the same search.
     """
@@ -172,12 +170,17 @@ def run_search(
     predictor = BoostedTreesRegressor(n_rounds=plan.gbdt_rounds)
     streams = np.random.SeedSequence(seed).spawn(len(counts) + 1)
     transcript = SearchTranscript()
+    evaluations = transcript.evaluations
     rows = _sample_rows(np.random.Generator(np.random.PCG64(streams[0])), counts[0], n_dims)
     for iteration, stream in enumerate(streams[1:]):
-        for row in rows:
-            ratio = MixtureRatio(weights=row, candidate_ids=list(candidate_ids))
+        ratios = [MixtureRatio(weights=row, candidate_ids=list(candidate_ids)) for row in rows]
+        scored = None  # the evaluator's rows, read one at a time so a failure names its row
+        for ratio in ratios:
             try:
-                scores = {str(k): float(v) for k, v in evaluator(ratio).items()}
+                scored = iter(evaluator(ratios)) if scored is None else scored
+                scores = {str(k): float(v) for k, v in next(scored).items()}
+            except StopIteration:
+                raise SearchError(f"evaluator returned too few rows for {len(ratios)} ratios")
             except SearchError:
                 raise
             except Exception as exc:
@@ -188,22 +191,16 @@ def run_search(
                 raise SearchError(
                     f"evaluator returned invalid scores for ratio {ratio.as_dict()}", ratio=ratio
                 )
-            first = transcript.evaluations[:1]
-            if first and sorted(scores) != sorted(first[0].per_benchmark_scores):
+            if evaluations and sorted(scores) != sorted(evaluations[0].per_benchmark_scores):
                 raise SearchError("evaluator changed its benchmark set mid-search", ratio=ratio)
-            transcript.evaluations.append(
-                ProxyEvaluation(
-                    index=len(transcript.evaluations),
-                    iteration=iteration,
-                    ratio=ratio,
-                    per_benchmark_scores=scores,
-                )
-            )
+            evaluations.append(ProxyEvaluation(ratio, scores, len(evaluations), iteration))
+        if next(scored, None) is not None:
+            raise SearchError(f"evaluator returned too many rows for {len(ratios)} ratios")
         # Refit on the renormalized ratio weights the evaluator saw, then keep
         # the best-predicted rows of a fresh pool: the next batch, or after
         # the last batch the rows the final mixture averages.
-        targets = _ranking_targets(transcript.evaluations, benchmark_domains)
-        predictor.fit(np.stack([rec.ratio.weights for rec in transcript.evaluations]), targets)
+        targets = _ranking_targets(evaluations, benchmark_domains)
+        predictor.fit(np.stack([rec.ratio.weights for rec in evaluations]), targets)
         pool = _sample_rows(np.random.Generator(np.random.PCG64(stream)), plan.pool, n_dims)
         keep = counts[iteration + 1] if iteration + 1 < len(counts) else plan.top_k
         rows = pool[_lowest(predictor.predict(pool), keep)]
@@ -213,6 +210,6 @@ def run_search(
     best = MixtureRatio(weights=mean / mean.sum(), candidate_ids=list(candidate_ids))
     # The last fit ranks the whole population, so its targets are the
     # transcript's ranking scores.
-    for rec, target in zip(transcript.evaluations, targets.tolist()):
+    for rec, target in zip(evaluations, targets.tolist()):
         rec.ranking_score = target
     return best, transcript

@@ -19,7 +19,7 @@ The stage bodies are module-level functions. The references and the consistency
 stage build their score tables with one function, :func:`score_table`, from
 one row of scores per mixture: the references score models trained on all
 the mixtures at once (:func:`toy_lab.trained_scores`), the consistency stage
-scores the components merged at each of them (:func:`proxy_scores`). The
+scores the components merged at all of them in one :func:`proxy_scores` call. The
 run directory is named by the config's content hash, so a stage is cached by
 a hash over the package's source code (:func:`_code_fingerprint`) and the
 contents of the files it reads (the report also keys on the experiment name,
@@ -264,16 +264,19 @@ def read_score_csv(scores_path, domains_path) -> ScoreTable:
         raise ValidationError(f"{scores_path}: {exc}") from None
 
 
-def proxy_scores(components, tasks, ratio: MixtureRatio) -> dict[str, float]:
-    """The benchmark scores of the components merged at ``ratio``: the
-    training-free stand-in for a model trained on that mixture."""
-    return toy_lab.evaluate_model(merge_engine.merge(components, ratio), tasks)
+def proxy_scores(components, tasks, ratios: list[MixtureRatio]):
+    """The benchmark scores of the components merged at each of ``ratios``,
+    in order: the stand-ins for models trained on those mixtures, and the
+    search's evaluator. Each row is merged and scored as it is read, so one
+    merged model is alive at a time and a failure surfaces at its own row."""
+    for ratio in ratios:
+        yield toy_lab.evaluate_model(merge_engine.merge(components, ratio), tasks)
 
 
-def score_table(rows: list[dict[str, float]], lab: toy_lab.ToyLab) -> ScoreTable:
-    """The score rows of a list of ratios as rows ``mix_000``, ``mix_001``,
-    ... in ratio order, so tables of trained and of merged models over the
-    same ratios line up row for row."""
+def score_table(rows, lab: toy_lab.ToyLab) -> ScoreTable:
+    """The score rows of a list of ratios, one dict each in ratio order, as
+    rows ``mix_000``, ``mix_001``, ..., so tables of trained and of merged
+    models over the same ratios line up row for row."""
     named = {f"mix_{j:03d}": row for j, row in enumerate(rows)}
     return ScoreTable(rows=named, domain_of=lab.domain_of_benchmarks())
 
@@ -339,7 +342,7 @@ def check_consistency(
             f"{path} holds {len(ratios)} ratios, but {run_dir / 'references.csv'} "
             f"scores {len(reference.models())} models"
         )
-    proxy = score_table([proxy_scores(components, lab.tasks, ratio) for ratio in ratios], lab)
+    proxy = score_table(proxy_scores(components, lab.tasks, ratios), lab)
     try:
         report = consistency_report(reference, proxy)
     except ValidationError as exc:
@@ -371,8 +374,8 @@ def search_mixture(
         "best_mixture": best.as_dict(),
         "evaluations": len(transcript.evaluations),
         "planned_evaluations": config.search.total_evaluations(),
-        # run_search calls the evaluator once per evaluation, and refits on
-        # every evaluation so far after each iteration.
+        # Counts the ratios scored, equal to "evaluations", not calls: run_search
+        # calls the evaluator once per pass, then refits on every evaluation so far.
         "evaluator_calls": len(transcript.evaluations),
         "fits": [
             {"after_iteration": i, "n_observations": n}

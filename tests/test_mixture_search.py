@@ -109,8 +109,8 @@ OBJECTIVE = {"objective": "objective"}
 
 
 def make_evaluator(fn):
-    def evaluator(ratio):
-        return {"objective": -fn(ratio)}
+    def evaluator(ratios):
+        return [{"objective": -fn(ratio)} for ratio in ratios]
 
     return evaluator
 
@@ -141,15 +141,19 @@ def test_constant_evaluator_all_scores_equal():
 
 
 def test_evaluator_call_budget_is_exact():
-    calls = []
+    calls = []  # the ratios of each call
 
-    def evaluator(ratio):
-        calls.append(ratio)
-        return {"objective": float(ratio.weights[0])}
+    def evaluator(ratios):
+        calls.append(list(ratios))
+        return [{"objective": float(ratio.weights[0])} for ratio in ratios]
 
     plan = small_plan(plan=[5, 3, 2])
-    run_search(evaluator, ["a", "b", "c"], plan, 0, OBJECTIVE)
-    assert len(calls) == 10
+    _, transcript = run_search(evaluator, ["a", "b", "c"], plan, 0, OBJECTIVE)
+    # One call per plan entry, with that pass's ratios in transcript order.
+    assert [len(call) for call in calls] == plan.plan
+    for iteration, call in enumerate(calls):
+        evaluated = [rec.ratio for rec in transcript.evaluations if rec.iteration == iteration]
+        assert list(map(id, call)) == list(map(id, evaluated))
 
 
 def test_search_is_reproducible():
@@ -229,13 +233,64 @@ def test_ranking_scores_are_descending_ranks_of_final_population():
     assert sum(got) == pytest.approx(n * (n + 1) / 2)
 
 
+def failing_evaluator(bad_pass, bad_row, row_of_the_bad_ratio):
+    """A lazy evaluator that yields the row ``row_of_the_bad_ratio()`` at row
+    ``bad_row`` of pass ``bad_pass``; it records every call's ratios."""
+    calls = []
+
+    def evaluator(ratios):
+        calls.append(list(ratios))
+        for j, ratio in enumerate(ratios):
+            if (len(calls) - 1, j) == (bad_pass, bad_row):
+                yield row_of_the_bad_ratio()
+            else:
+                yield {"objective": float(ratio.weights[0])}
+
+    return evaluator, calls
+
+
+def boom():
+    raise RuntimeError("boom")
+
+
 def test_evaluator_failure_carries_the_ratio():
-    def evaluator(ratio):
+    # A row other than the first, in a pass other than the first.
+    evaluator, calls = failing_evaluator(1, 2, boom)
+    with pytest.raises(SearchError, match="boom") as err:
+        run_search(evaluator, ["a", "b"], small_plan(), 0, OBJECTIVE)
+    assert err.value.ratio is calls[1][2]
+    assert isinstance(err.value.__cause__, RuntimeError)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_a_non_finite_score_carries_its_ratio(bad):
+    evaluator, calls = failing_evaluator(0, 3, lambda: {"objective": bad})
+    with pytest.raises(SearchError, match="invalid scores") as err:
+        run_search(evaluator, ["a", "b"], small_plan(), 0, OBJECTIVE)
+    assert err.value.ratio is calls[0][3]
+    assert len(calls) == 1
+
+
+def test_an_eager_evaluator_that_fails_names_the_first_ratio():
+    calls = []
+
+    def evaluator(ratios):
+        calls.append(ratios)
         raise RuntimeError("boom")
 
-    with pytest.raises(SearchError) as err:
+    with pytest.raises(SearchError, match="boom") as err:
         run_search(evaluator, ["a", "b"], small_plan(), 0, OBJECTIVE)
-    assert err.value.ratio is not None
+    assert len(calls) == 1
+    assert err.value.ratio is calls[0][0]
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_a_wrong_number_of_rows_is_a_search_error(extra):
+    def evaluator(ratios):
+        return [{"objective": 0.5}] * (len(ratios) + extra)
+
+    with pytest.raises(SearchError, match="too (few|many) rows for 8 ratios"):
+        run_search(evaluator, ["a", "b"], small_plan(), 0, OBJECTIVE)
 
 
 def test_transcript_jsonl_is_parseable():

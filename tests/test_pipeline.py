@@ -9,6 +9,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from conftest import in_child_only, needs_fork
 
 import demix
-from demix import cli, forking, mixture_search, pipeline, tensor_store, toy_lab
+from demix import cli, forking, merge_engine, mixture_search, pipeline, tensor_store, toy_lab
 from demix.config import ExperimentConfig, LabSection, load_config
 from demix.errors import PipelineError, SearchError, TrainingError, ValidationError
 from demix.eval_metrics import consistency_report
@@ -872,7 +873,7 @@ def test_score_csv_round_trip(tmp_path):
         MixtureRatio(weights=rng.dirichlet(np.ones(2)), candidate_ids=["dom0", "dom1"])
         for _ in range(3)
     ]
-    table = score_table([proxy_scores(comps, lab.tasks, ratio) for ratio in ratios], lab)
+    table = score_table(proxy_scores(comps, lab.tasks, ratios), lab)
     write_score_csv(table, tmp_path / "scores.csv", tmp_path / "domains.csv")
     loaded = read_score_csv(tmp_path / "scores.csv", tmp_path / "domains.csv")
     assert loaded.rows == table.rows
@@ -888,8 +889,59 @@ def test_consistency_helper_reports_recovery():
     ids = [c.id for c in lab.candidates]
     ratios = sample_simplex(3, 10, seed=9, candidate_ids=ids)
     reference = score_table(toy_lab.trained_scores(lab, base, config, ratios), lab)
-    proxy = score_table([proxy_scores(comps, lab.tasks, ratio) for ratio in ratios], lab)
+    proxy = score_table(proxy_scores(comps, lab.tasks, ratios), lab)
     report = consistency_report(reference, proxy)
     assert set(report["per_domain_rho"]) == {"dom0", "dom1", "dom2"}
     assert report["mean_capability_recovery"] > 0.5
     assert report["n_models"] == 10
+
+
+@pytest.mark.parametrize("family", ["linear_regression", "mlp_1hidden"])
+def test_batch_proxy_scores_equal_per_ratio_merges_bit_for_bit(family, monkeypatch):
+    from demix.merge_engine import MixtureRatio
+    from demix.mixture_search import sample_simplex
+
+    lab = toy_lab.make_domains(3, 13, seed=5)
+    config = toy_lab.ComponentTrainingConfig(
+        seed=5, steps=30, base_steps=30, model_family=family, hidden_units=4
+    )
+    _, comps = toy_lab.prepare_components(lab.candidates, lab.general, config)
+    ids = [c.id for c in lab.candidates]
+    special = [[1, 0, 0], [0, 0, 1], [0.4, 0.2, 0.4], [0.3, 0.35, 0.35], [0.5, 0.5, 0.0]]
+    ratios = sample_simplex(3, 6, seed=2, candidate_ids=ids)
+    ratios += [MixtureRatio(weights=w, candidate_ids=ids) for w in special]
+
+    def reference(ratio):  # the per-ratio formula the batch replaces
+        return toy_lab.evaluate_model(merge_engine.merge(comps, ratio), lab.tasks)
+
+    expected = [{k: v.hex() for k, v in reference(r).items()} for r in ratios]
+    alive = []  # a weak reference to every merged model so far
+    merge = merge_engine.merge
+
+    def one_at_a_time(components, ratio, *args, **kwargs):
+        assert all(ref() is None for ref in alive), "an earlier merged model is still alive"
+        merged = merge(components, ratio, *args, **kwargs)
+        alive.append(weakref.ref(merged))
+        return merged
+
+    monkeypatch.setattr(merge_engine, "merge", one_at_a_time)
+    got = [{k: v.hex() for k, v in row.items()} for row in proxy_scores(comps, lab.tasks, ratios)]
+    assert got == expected
+    assert len(alive) == len(ratios)
+
+
+def test_the_consistency_stage_scores_every_reference_ratio_in_one_call(warm_root, monkeypatch):
+    (run_dir,) = warm_root.iterdir()
+    before = {name: (run_dir / name).read_bytes() for name in ("proxy_scores.csv", "consistency.json")}
+    lab = toy_lab.load_lab(run_dir / "lab.npz")
+    components = pipeline.load_components(run_dir, lab)
+    calls = []
+
+    def recording(components, tasks, ratios):
+        calls.append(len(ratios))
+        return proxy_scores(components, tasks, ratios)
+
+    monkeypatch.setattr(pipeline, "proxy_scores", recording)
+    pipeline.check_consistency(lab, components, run_dir)
+    assert calls == [10]
+    assert {name: (run_dir / name).read_bytes() for name in before} == before
