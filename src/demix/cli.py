@@ -84,7 +84,7 @@ def _read_corpus(path) -> list[tuple[str, str]]:
 
 def _cmd_dedup(args) -> int:
     docs = _read_corpus(args.input)
-    result = dedup_corpus(docs, mode=args.mode, seed=args.seed, ngram=args.ngram)
+    result = dedup_corpus(docs)
     pipeline.dump_json(args.report, result.to_report())
     if args.out:
         kept = set(result.kept_ids)
@@ -131,9 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
             "Deduplicate a JSONL corpus of {\"id\", \"text\"} objects, keeping the earliest "
             "document of every cluster of exact or near duplicates."))
     dedup.add_argument("--in", dest="input", required=True)
-    dedup.add_argument("--mode", default="both", choices=["exact", "fuzzy", "both"])
-    dedup.add_argument("--seed", type=int, default=0)
-    dedup.add_argument("--ngram", type=int, default=24)
     dedup.add_argument("--report", required=True)
     dedup.add_argument("--out", help="write kept documents here")
     dedup.set_defaults(fn=_cmd_dedup)
@@ -144,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
         "runs the references and consistency stages beside the search. It prints the "
         "report; report.json in the run directory holds it in machine-readable form."))
     run.add_argument("--config", required=True)
-    run.add_argument("--run-root", help="override the run directory root")
+    run.add_argument("--run-root", default="runs", help="run directory root (default: runs)")
     run.set_defaults(fn=_cmd_run)
     return parser
 

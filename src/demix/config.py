@@ -53,7 +53,6 @@ SECTIONS = ("lab", "training", "references", "search")
 class ExperimentConfig:
     name: str = "experiment"
     seed: int = 0
-    run_root: str = "runs"
     lab: LabSection = field(default_factory=LabSection)
     training: TrainingSection = field(default_factory=TrainingSection)
     references: ReferencesSection = field(default_factory=ReferencesSection)
@@ -61,11 +60,11 @@ class ExperimentConfig:
 
     def resolved(self) -> dict:
         doc = {name: asdict(getattr(self, name)) for name in SECTIONS}
-        doc["experiment"] = {"name": self.name, "seed": self.seed, "run_root": self.run_root}
+        doc["experiment"] = {"name": self.name, "seed": self.seed}
         return doc
 
     def content_hash(self) -> str:
-        """Hash over result-affecting fields only (name and run_root excluded)."""
+        """Hash over result-affecting fields only (name excluded)."""
         doc = self.resolved()
         doc["experiment"] = {"seed": self.seed}
         blob = json.dumps(doc, sort_keys=True).encode("utf-8")

@@ -44,9 +44,10 @@ from .errors import ValidationError
 from .gbdt import _run_starts
 
 DEFAULT_NGRAM = 24
-NUM_HASHES = 260
 NUM_BANDS = 20
 BAND_SIZE = 13
+NUM_HASHES = NUM_BANDS * BAND_SIZE
+HASH_SEED = 0
 # The golden-ratio increment of SplitMix64; any odd base would do.
 SHINGLE_BASE = 0x9E3779B97F4A7C15
 FINALIZER_SHIFT = np.uint64(31)
@@ -112,12 +113,12 @@ def shingle(
     return hashes[_run_starts(hashes)]
 
 
-def hash_family(seed: int, count: int = NUM_HASHES) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded coefficients (a_k, b_k), a_k odd, of the MinHash functions
-    h_k(x) = f((a_k x + b_k) mod 2^64) of :func:`mod_affine`."""
+def hash_family(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded coefficients (a_k, b_k), a_k odd, of the NUM_HASHES MinHash
+    functions h_k(x) = f((a_k x + b_k) mod 2^64) of :func:`mod_affine`."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), 0x6D696E68])))
-    a = rng.integers(0, 1 << 64, size=count, dtype=np.uint64) | np.uint64(1)
-    b = rng.integers(0, 1 << 64, size=count, dtype=np.uint64)
+    a = rng.integers(0, 1 << 64, size=NUM_HASHES, dtype=np.uint64) | np.uint64(1)
+    b = rng.integers(0, 1 << 64, size=NUM_HASHES, dtype=np.uint64)
     return a, b
 
 
@@ -237,32 +238,21 @@ class DedupResult:
         }
 
 
-def dedup_corpus(
-    docs,
-    mode: str = "both",
-    seed: int = 0,
-    ngram: int = DEFAULT_NGRAM,
-) -> DedupResult:
+def dedup_corpus(docs) -> DedupResult:
     """Deduplicate (doc_id, text) pairs; keeps the earliest document of every
     duplicate cluster.
 
-    ``exact`` removes byte-identical texts, ``fuzzy`` clusters LSH candidate
-    pairs with union-find, ``both`` runs exact then fuzzy on the survivors.
-    Documents with no tokens at all are kept and never matched fuzzily.
+    An exact pass removes byte-identical texts; a fuzzy pass then clusters
+    the survivors' LSH candidate pairs with union-find. Documents with no
+    tokens at all are kept and never matched fuzzily.
 
-    The fuzzy pass draws one hash family, tokenizes and shingles the
-    surviving documents one at a time, and signs all their shingle arrays
-    (8 bytes a window) with one :func:`minhash` call. A token's digest is
-    computed the first time it appears and kept until the call returns (see
-    the module docstring for the window hash, the MinHash family and the
-    signing blocks).
+    The fuzzy pass draws the hash family of :data:`HASH_SEED`, tokenizes and
+    shingles the surviving documents one at a time into word
+    :data:`DEFAULT_NGRAM`-grams, and signs all their shingle arrays (8 bytes
+    a window) with one :func:`minhash` call. A token's digest is computed the
+    first time it appears and kept until the call returns (see the module
+    docstring for the window hash, the MinHash family and the signing blocks).
     """
-    if mode not in ("exact", "fuzzy", "both"):
-        raise ValidationError(f"dedup_corpus: unknown mode {mode!r}")
-    if ngram < 1:
-        raise ValidationError(f"dedup_corpus: ngram must be at least 1, got {ngram}")
-    if seed < 0:
-        raise ValidationError(f"dedup_corpus: seed must be non-negative, got {seed}")
     ids: list[str] = []
     texts: dict[str, str] = {}
     for doc_id, text in docs:
@@ -275,30 +265,26 @@ def dedup_corpus(
     uf = _UnionFind()
     reasons: dict[str, str] = {}
 
-    surviving = list(ids)
-    if mode in ("exact", "both"):
-        first_by_text: dict[str, str] = {}
-        surviving = []
-        for doc_id in ids:
-            text = texts[doc_id]
-            if text in first_by_text:
-                uf.union(first_by_text[text], doc_id)
-                reasons[doc_id] = "exact"
-            else:
-                first_by_text[text] = doc_id
-                surviving.append(doc_id)
+    first_by_text: dict[str, str] = {}
+    surviving = []
+    for doc_id in ids:
+        text = texts[doc_id]
+        if text in first_by_text:
+            uf.union(first_by_text[text], doc_id)
+            reasons[doc_id] = "exact"
+        else:
+            first_by_text[text] = doc_id
+            surviving.append(doc_id)
 
-    if mode in ("fuzzy", "both"):
-        family = hash_family(seed)
-        digests: dict[str, bytes] = {}
-        hashed_ids, shingle_sets = [], []
-        for doc_id in surviving:
-            tokens = tokenize(texts[doc_id])
-            if tokens:
-                hashed_ids.append(doc_id)
-                shingle_sets.append(shingle(tokens, n=ngram, digests=digests))
-        for a, b in sorted(lsh_candidates(hashed_ids, minhash(shingle_sets, family))):
-            uf.union(a, b)
+    digests: dict[str, bytes] = {}
+    hashed_ids, shingle_sets = [], []
+    for doc_id in surviving:
+        tokens = tokenize(texts[doc_id])
+        if tokens:
+            hashed_ids.append(doc_id)
+            shingle_sets.append(shingle(tokens, n=DEFAULT_NGRAM, digests=digests))
+    for a, b in sorted(lsh_candidates(hashed_ids, minhash(shingle_sets, hash_family(HASH_SEED)))):
+        uf.union(a, b)
 
     # Filled in corpus order, so each group and the groups themselves are
     # ordered by their members' and representatives' places in the corpus.

@@ -413,11 +413,10 @@ class _RunLock:
         return False
 
 
-def run_pipeline(config: ExperimentConfig, run_root: str | None = None) -> ExperimentManifest:
+def run_pipeline(config: ExperimentConfig, run_root: str = "runs") -> ExperimentManifest:
     """Execute all stages for a config, reusing cached results where valid."""
-    root = Path(run_root if run_root is not None else config.run_root)
     config_hash = config.content_hash()
-    run_dir = root / config_hash
+    run_dir = Path(run_root) / config_hash
     run_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = run_dir / "manifest.json"
     with _RunLock(run_dir):

@@ -180,11 +180,7 @@ def test_dedup_cli(tmp_path, capsys):
     docs.write_text("\n".join(json.dumps(d) for d in lines) + "\n")
     report = tmp_path / "report.json"
     kept = tmp_path / "kept.jsonl"
-    code = main(
-        ["dedup", "--in", str(docs), "--mode", "both", "--seed", "1",
-         "--report", str(report), "--out", str(kept)]
-    )
-    assert code == 0
+    assert main(["dedup", "--in", str(docs), "--report", str(report), "--out", str(kept)]) == 0
     doc = json.loads(report.read_text())
     assert doc["counts"] == {"kept": 2, "removed": 1, "clusters": 1}
     assert [json.loads(l)["id"] for l in kept.read_text().splitlines()] == ["a", "c"]
@@ -204,26 +200,32 @@ def test_a_dedup_starts_no_process_where_it_could_fork(tmp_path, capsys, forks):
     assert capsys.readouterr().out == "kept 6, removed 1\n"
 
 
-@pytest.mark.parametrize("mode", ["exact", "fuzzy", "both"])
-def test_dedup_with_ngram_below_one_is_a_usage_error(tmp_path, capsys, mode):
+@pytest.mark.parametrize("removed", ["--mode=both", "--seed=0", "--ngram=24", "run_root"])
+def test_removed_dedup_options_and_run_root_key_are_usage_errors(tmp_path, capsys, removed):
+    """The dedup settings are constants of `demix.dedup`, and `--run-root` is
+    the one way to set the root of the run directories."""
     docs = tmp_path / "docs.jsonl"
     docs.write_text('{"id": "a", "text": "alpha beta gamma"}\n{"id": "b", "text": "..."}\n')
     report = tmp_path / "report.json"
-    argv = ["dedup", "--in", str(docs), "--mode", mode, "--ngram", "0", "--report", str(report)]
-    assert main(argv) == 2
-    assert "ngram" in capsys.readouterr().err
-    assert not report.exists()
-
-
-def test_dedup_with_a_negative_seed_is_a_usage_error(tmp_path, capsys):
-    docs = tmp_path / "docs.jsonl"
-    docs.write_text('{"id": "a", "text": "alpha beta gamma"}\n{"id": "b", "text": "..."}\n')
-    report = tmp_path / "report.json"
-    argv = ["dedup", "--in", str(docs), "--seed", "-1", "--report", str(report)]
-    assert main(argv) == 2
+    if removed == "run_root":
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"[experiment]\nrun_root = {tmp_path / 'runs'}\n")
+        argv = ["run", "--config", str(cfg), "--run-root", str(tmp_path / "elsewhere")]
+    else:
+        argv = ["dedup", "--in", str(docs), removed, "--report", str(report)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses an unknown option
+        code = exc.code
+    assert code == 2
     err = capsys.readouterr().err
-    assert "seed must be non-negative" in err and "Traceback" not in err
+    if removed == "run_root":
+        assert "unknown key 'run_root' in [experiment]" in err
+    else:
+        assert f"unrecognized arguments: {removed}" in err
+    assert "Traceback" not in err
     assert not report.exists()
+    assert not (tmp_path / "runs").exists() and not (tmp_path / "elsewhere").exists()
 
 
 class _FailsPartWay:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from demix import dedup, forking
+from demix import dedup
 from demix.dedup import (
     SHINGLE_BASE,
     dedup_corpus,
@@ -167,6 +167,12 @@ def test_identical_texts_identical_shingles():
 def test_empty_document_rejected():
     with pytest.raises(ValidationError, match="empty document"):
         shingle(tokenize("...  !!"))
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_an_ngram_below_one_is_rejected(n):
+    with pytest.raises(ValidationError, match="n must be positive"):
+        shingle(tokenize(words(30)), n)
 
 
 # --- hash family -----------------------------------------------------------------
@@ -335,7 +341,7 @@ def test_banding_follows_the_closed_form_s_curve():
 def test_identical_copies_collapse_to_one():
     text = words(50)
     docs = [(f"d{i}", text) for i in range(5)]
-    result = dedup_corpus(docs, mode="both", seed=0)
+    result = dedup_corpus(docs)
     assert result.kept_ids == ["d0"]
     assert result.removed_ids == ["d1", "d2", "d3", "d4"]
     assert result.clusters == [["d0", "d1", "d2", "d3", "d4"]]
@@ -349,21 +355,9 @@ def test_distinct_corpus_nothing_removed_in_fuzzy_mode():
     for i in range(len(docs)):  # generated corpus really is near-disjoint
         for j in range(i + 1, len(docs)):
             assert exact_jaccard(shingles[i], shingles[j]) < 0.1
-    result = dedup_corpus(docs, mode="fuzzy", seed=0)
+    result = dedup_corpus(docs)
     assert result.removed_ids == []
     assert result.kept_ids == [d for d, _ in docs]
-
-
-def test_exact_then_fuzzy_equals_fuzzy_alone_on_exact_duplicates():
-    rng = np.random.default_rng(15)
-    base_texts = [words(40, rng) for _ in range(5)]
-    docs = []
-    for i, text in enumerate(base_texts):
-        docs.append((f"a{i}", text))
-        docs.append((f"b{i}", text))
-    both = dedup_corpus(docs, mode="both", seed=0)
-    fuzzy = dedup_corpus(docs, mode="fuzzy", seed=0)
-    assert both.kept_ids == fuzzy.kept_ids
 
 
 def test_partition_invariants_and_order_stability():
@@ -371,14 +365,14 @@ def test_partition_invariants_and_order_stability():
     text = words(60, rng)
     near = text.rsplit(" ", 1)[0] + " tail"
     docs = [("x", text), ("y", near), ("z", words(60, rng)), ("x2", text)]
-    result = dedup_corpus(docs, mode="both", seed=5)
+    result = dedup_corpus(docs)
     all_ids = {d for d, _ in docs}
     assert set(result.kept_ids) | set(result.removed_ids) == all_ids
     assert set(result.kept_ids) & set(result.removed_ids) == set()
     for cluster in result.clusters:
         assert cluster[0] in result.kept_ids
         assert all(m in result.removed_ids for m in cluster[1:])
-    again = dedup_corpus(docs, mode="both", seed=5)
+    again = dedup_corpus(docs)
     assert again.kept_ids == result.kept_ids
     assert again.clusters == result.clusters
 
@@ -389,12 +383,14 @@ def test_partition_invariants_and_order_stability():
         st.lists(st.sampled_from(["red", "blue", "green", "grey", "!"]), max_size=6).map(" ".join),
         max_size=12,
     ),
-    mode=st.sampled_from(["exact", "fuzzy", "both"]),
     ngram=st.integers(1, 3),
 )
-def test_every_list_in_the_result_is_in_corpus_order(texts, mode, ngram):
+def test_every_list_in_the_result_is_in_corpus_order(texts, ngram):
     docs = [(f"d{i}", text) for i, text in enumerate(texts)]
-    result = dedup_corpus(docs, mode=mode, seed=1, ngram=ngram)
+    # Short n-grams, so that these few-word texts are often near duplicates.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dedup, "DEFAULT_NGRAM", ngram)
+        result = dedup_corpus(docs)
     place = {doc_id: i for i, (doc_id, _) in enumerate(docs)}
 
     def in_corpus_order(doc_ids):
@@ -410,14 +406,6 @@ def test_every_list_in_the_result_is_in_corpus_order(texts, mode, ngram):
     assert set(result.removal_reasons) == set(result.removed_ids)
 
 
-@pytest.mark.parametrize("mode", ["exact", "fuzzy", "both"])
-@pytest.mark.parametrize("ngram", [0, -3])
-def test_ngram_below_one_is_rejected_in_every_mode(mode, ngram):
-    for docs in ([("a", words(30)), ("b", words(30))], [("a", "..."), ("b", "!!")], []):
-        with pytest.raises(ValidationError, match="ngram"):
-            dedup_corpus(docs, mode=mode, ngram=ngram)
-
-
 def test_duplicate_ids_rejected():
     with pytest.raises(ValidationError, match="duplicate id"):
         dedup_corpus([("a", "x y z"), ("a", "p q r")])
@@ -425,11 +413,11 @@ def test_duplicate_ids_rejected():
 
 def test_tokenless_documents_are_kept_and_never_matched():
     docs = [("p1", "..."), ("p2", "..."), ("w", words(30))]
-    result = dedup_corpus(docs, mode="both", seed=0)
+    result = dedup_corpus(docs)
     # "..." texts are byte-identical so exact dedup still applies
     assert result.kept_ids == ["p1", "w"]
-    fuzzy_only = dedup_corpus([("p1", "..."), ("p2", "!!!"), ("w", words(30))], mode="fuzzy")
-    assert fuzzy_only.removed_ids == []
+    distinct = dedup_corpus([("p1", "..."), ("p2", "!!!"), ("w", words(30))])
+    assert distinct.removed_ids == []
 
 
 def test_the_signing_block_size_changes_no_report(monkeypatch):
@@ -437,10 +425,12 @@ def test_the_signing_block_size_changes_no_report(monkeypatch):
     texts = [words(int(n), rng, vocab=300) for n in rng.integers(1, 120, size=40)]
     docs = [(f"d{i}", text) for i, text in enumerate(texts)]
     docs += [(f"n{i}", texts[i].rsplit(" ", 1)[0] + " tail") for i in range(0, 40, 3)]
-    default = dedup_corpus(docs, mode="both", seed=2, ngram=5).to_report()
+    # 5-grams, so that one changed word leaves most of a short text's shingles.
+    monkeypatch.setattr(dedup, "DEFAULT_NGRAM", 5)
+    default = dedup_corpus(docs).to_report()
     assert default["removed"]  # the near copies are found
     monkeypatch.setattr(dedup, "_SIGN_BLOCK", 64)
-    assert dedup_corpus(docs, mode="both", seed=2, ngram=5).to_report() == default
+    assert dedup_corpus(docs).to_report() == default
 
 
 def count_calls(monkeypatch, names):
@@ -463,7 +453,7 @@ def counting_corpus():
 
 def test_dedup_corpus_draws_the_family_once_and_tokenizes_each_document_once(monkeypatch):
     calls = count_calls(monkeypatch, ["tokenize", "hash_family"])
-    result = dedup_corpus(counting_corpus(), mode="both", seed=0)
+    result = dedup_corpus(counting_corpus())
     # "b" is an exact copy and never reaches the fuzzy pass; "d" does but has no tokens
     assert calls == {"tokenize": 4, "hash_family": 1}
     assert result.removed_ids == ["b", "e"]
@@ -481,15 +471,13 @@ def test_dedup_corpus_hashes_each_distinct_token_once_per_call(monkeypatch):
         return blake2b(data, **kwargs)
 
     monkeypatch.setattr(hashlib, "blake2b", counted)
-    first = dedup_corpus(docs, mode="both", seed=0)
+    first = dedup_corpus(docs)
     assert sorted(hashed) == sorted(t.encode("utf-8") for t in distinct)
     # The digests live for one call only: a second call hashes every token again.
-    assert dedup_corpus(docs, mode="both", seed=0) == first
+    assert dedup_corpus(docs) == first
     assert len(hashed) == 2 * len(distinct)
 
 
-def test_a_one_document_corpus_forks_nothing(monkeypatch, forks):
-    monkeypatch.setattr(forking, "can_fork", lambda: True)
-    for mode in ("exact", "fuzzy", "both"):
-        assert dedup_corpus([("a", words(30))], mode=mode).kept_ids == ["a"]
+def test_a_one_document_corpus_forks_nothing(forks):
+    assert dedup_corpus([("a", words(30))]).kept_ids == ["a"]
     assert forks == []

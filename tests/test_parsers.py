@@ -15,7 +15,7 @@ from demix.errors import DemixError, PipelineError
 from demix.pipeline import ExperimentManifest, read_score_csv
 from demix.toy_lab import load_lab
 
-CONFIG_KEYS = [("experiment", key) for key in ("name", "seed", "run_root")] + [
+CONFIG_KEYS = [("experiment", key) for key in ("name", "seed")] + [
     (section, f.name) for section in SECTIONS for f in fields(getattr(ExperimentConfig(), section))
 ]
 
