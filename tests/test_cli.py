@@ -200,6 +200,22 @@ def test_a_dedup_starts_no_process_where_it_could_fork(tmp_path, capsys, forks):
     assert capsys.readouterr().out == "kept 6, removed 1\n"
 
 
+@pytest.mark.parametrize("mode", ["exact", "fuzzy", "both"])
+def test_dedup_with_ngram_below_one_is_a_usage_error(tmp_path, capsys, mode):
+    """`--mode` and `--ngram` are gone, so a zero n-gram is refused with them."""
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text('{"id": "a", "text": "alpha beta gamma"}\n{"id": "b", "text": "..."}\n')
+    report = tmp_path / "report.json"
+    argv = ["dedup", "--in", str(docs), "--mode", mode, "--ngram", "0", "--report", str(report)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses an unknown option
+        code = exc.code
+    assert code == 2
+    assert "ngram" in capsys.readouterr().err
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("removed", ["--mode=both", "--seed=0", "--ngram=24", "run_root"])
 def test_removed_dedup_options_and_run_root_key_are_usage_errors(tmp_path, capsys, removed):
     """The dedup settings are constants of `demix.dedup`, and `--run-root` is
