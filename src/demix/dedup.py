@@ -126,9 +126,9 @@ def mod_affine(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """f((a*x + b) mod 2^64), f(v) = (v ^ (v >> 31)) * 0x94D049BB133111EB
     mod 2^64, in wrapping uint64 arithmetic.
 
-    Shapes broadcast, so (K,1) coefficients against (m,) inputs give a (K,m)
-    result. The work is done in the result array, so even 0-d inputs wrap
-    in array arithmetic, which never warns on overflow.
+    :func:`minhash` passes one hash function's scalar coefficients and a
+    block of shingles, but any shapes broadcast. The work is done in the
+    result array, so even 0-d inputs wrap and never warn on overflow.
     """
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)

@@ -10,10 +10,13 @@ files it reads and writes in the run directory:
     components    lab.npz                               base.dmxt, component_<id>.dmxt
     references    lab.npz, base.dmxt                    reference_ratios.json,
                                                         references.csv, domains.csv
-    consistency   lab.npz, the references' files,       proxy_scores.csv, consistency.json
+    consistency   lab.npz, references.csv, domains.csv, proxy_scores.csv, consistency.json
                   component_<id>.dmxt
     search        lab.npz, component_<id>.dmxt          search_result.json, transcript.jsonl
     report        search_result.json, consistency.json  report.json
+
+Both stages that use the reference ratios draw them from the config
+(:func:`reference_ratios`); ``reference_ratios.json`` is only for readers.
 
 The stage bodies are module-level functions. The references and the consistency
 stage build their score tables with one function, :func:`score_table`, from
@@ -43,12 +46,11 @@ or partial reruns, more BLAS threads, a failed fork) the stages run in table
 order in this process.
 Either way the same :func:`_execute` calls run them. The child writes only
 its own stages' outputs, never ``manifest.json``: it sends its two stage
-records, the ``files`` records it added or dropped and its exception, if
-any, pickled up a pipe, and the parent reaps it and merges them before the
-run lock is released, then raises the first failure in stage order. The
-child dies with its parent (``PR_SET_PDEATHSIG``), so a killed run leaves no
-child writing, and :func:`remove_leftover_temps` removes the child's
-``<name>.<pid>.tmp`` files at the next run.
+records and its exception, if any, pickled up a pipe, and the parent reaps
+it and merges them before the run lock is released, then raises the first
+failure in stage order. The child dies with its parent (``PR_SET_PDEATHSIG``),
+so a killed run leaves no child writing, and :func:`remove_leftover_temps`
+removes the child's ``<name>.<pid>.tmp`` files at the next run.
 
 An input's digest is hashed once and then reused while the file is unchanged.
 The manifest's ``files`` records each input's stamp, ``(st_ino, st_size,
@@ -72,7 +74,6 @@ from __future__ import annotations
 import fcntl
 import functools
 import hashlib
-import itertools
 import json
 import os
 import pickle
@@ -303,46 +304,36 @@ def load_components(directory: Path, lab: toy_lab.ToyLab) -> list[ParameterSet]:
     return [load_archive(directory / f"component_{c.id}.dmxt") for c in lab.candidates]
 
 
-def train_references(
-    config: ExperimentConfig, lab: toy_lab.ToyLab, base: ParameterSet, out_dir: Path
-) -> None:
-    """The references stage: train one reference model per sampled ratio, all
-    in lockstep, and save the ratios and the reference score table."""
+def reference_ratios(config: ExperimentConfig, lab: toy_lab.ToyLab) -> list[MixtureRatio]:
+    """The mixtures that the references are trained at and the consistency
+    stage merges the proxies at, drawn from the config alone."""
     candidate_ids = [c.id for c in lab.candidates]
-    ratios = mixture_search.sample_simplex(
+    return mixture_search.sample_simplex(
         len(candidate_ids),
         config.references.count,
         int(np.random.SeedSequence([config.seed, 0xEF]).generate_state(1)[0]),
         candidate_ids=candidate_ids,
     )
+
+
+def train_references(
+    config: ExperimentConfig, lab: toy_lab.ToyLab, base: ParameterSet, out_dir: Path
+) -> None:
+    """The references stage: train one reference model per reference ratio,
+    all in lockstep, and save the ratios and the reference score table."""
+    ratios = reference_ratios(config, lab)
     dump_json(out_dir / "reference_ratios.json", [r.as_dict() for r in ratios])
     table = score_table(toy_lab.trained_scores(lab, base, config.training_config(), ratios), lab)
     write_score_csv(table, out_dir / "references.csv", out_dir / "domains.csv")
 
 
 def check_consistency(
-    lab: toy_lab.ToyLab, components: list[ParameterSet], run_dir: Path
+    config: ExperimentConfig, lab: toy_lab.ToyLab, components: list[ParameterSet], run_dir: Path
 ) -> None:
     """The consistency stage: score merged proxies at the reference ratios
     and compare their rankings with the trained references'."""
-    ids = [c.id for c in lab.candidates]
-    path = run_dir / "reference_ratios.json"
-    try:
-        ratios = [
-            MixtureRatio(weights=[rd[c] for c in ids], candidate_ids=ids) for rd in read_json(path)
-        ]
-    except (KeyError, TypeError, ValueError, ValidationError) as exc:
-        raise PipelineError(
-            f"{path}: not a list of mixture ratios over {', '.join(ids)}: "
-            f"{type(exc).__name__}: {exc}"
-        ) from None
     reference = read_score_csv(run_dir / "references.csv", run_dir / "domains.csv")
-    if len(ratios) != len(reference.models()):
-        raise PipelineError(
-            f"{path} holds {len(ratios)} ratios, but {run_dir / 'references.csv'} "
-            f"scores {len(reference.models())} models"
-        )
-    proxy = score_table(proxy_scores(components, lab.tasks, ratios), lab)
+    proxy = score_table(proxy_scores(components, lab.tasks, reference_ratios(config, lab)), lab)
     try:
         report = consistency_report(reference, proxy)
     except ValidationError as exc:
@@ -370,21 +361,11 @@ def search_mixture(
         benchmark_domains=lab.domain_of_benchmarks(),
     )
     _write_text(transcript_path, transcript.to_jsonl())
-    result = {
+    dump_json(result_path, {
         "best_mixture": best.as_dict(),
         "evaluations": len(transcript.evaluations),
         "planned_evaluations": config.search.total_evaluations(),
-        # Counts the ratios scored, equal to "evaluations", not calls: run_search
-        # calls the evaluator once per pass, then refits on every evaluation so far.
-        "evaluator_calls": len(transcript.evaluations),
-        "fits": [
-            {"after_iteration": i, "n_observations": n}
-            for i, n in enumerate(itertools.accumulate(config.search.plan))
-        ],
-        "final_pool_size": config.search.pool,
-        "final_top_k": config.search.top_k,
-    }
-    dump_json(result_path, result)
+    })
 
 
 class _RunLock:
@@ -482,32 +463,29 @@ def _run_beside(
 ) -> bool:
     """Run the stages ``branch`` by ``run_branch()`` in a forked child while
     this process runs ``run_search()``, then merge what the child sends back:
-    its stage records, the ``files`` records it added or dropped, and its
-    exception, if any. ``pending``, the branch's first stale stage, is saved
-    as running before the fork, since the child never saves the manifest. The
-    first failure in stage order is raised, the child's before the search's.
-    Returns False, having run nothing, if the fork failed."""
+    its stage records and its exception, if any. ``pending``, the branch's
+    first stale stage, is saved as running before the fork, since the child
+    never saves the manifest. The first failure in stage order is raised, the
+    child's before the search's. Returns False, having run nothing, if the
+    fork failed. The child's ``files`` records are not needed: this process
+    hashed, before the fork, every input the child reads but did not write,
+    and those it wrote are too new to be stamped (see the module docstring)."""
     record = manifest.stage(pending)
     record["status"] = "running"
     manifest.save(run_dir / "manifest.json")
 
     def in_child() -> bytes:
-        files = dict(manifest.files)
         error = None
         try:
             run_branch()
         except BaseException as exc:
             error = exc
         records = {name: manifest.stages[name] for name in branch if name in manifest.stages}
-        changed = {
-            name: manifest.files.get(name) for name in files.keys() | manifest.files.keys()
-            if files.get(name) != manifest.files.get(name)
-        }
         try:
-            data = pickle.dumps((records, changed, error))
+            data = pickle.dumps((records, error))
             pickle.loads(data)
         except Exception:  # an exception that does not survive pickling
-            data = pickle.dumps((records, changed, PipelineError(f"{type(error).__name__}: {error}")))
+            data = pickle.dumps((records, PipelineError(f"{type(error).__name__}: {error}")))
         return data
 
     child = forking.fork(in_child)
@@ -518,13 +496,8 @@ def _run_beside(
     finally:
         data, status = forking.join(child)
         if data:
-            records, changed, error = pickle.loads(data)
+            records, error = pickle.loads(data)
             manifest.stages.update(records)
-            for name, file_record in changed.items():
-                if file_record is None:
-                    manifest.files.pop(name, None)
-                else:
-                    manifest.files[name] = file_record
         else:
             code = os.waitstatus_to_exitcode(status)
             how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
@@ -543,7 +516,6 @@ def _run_stages(config: ExperimentConfig, run_dir: Path, manifest: ExperimentMan
     components = functools.cache(lambda: load_components(run_dir, lab()))
     # Merging needs no base, so only the references stage reads and hashes it.
     component_files = [f"component_{c}.dmxt" for c in toy_lab.domain_ids(config.lab.n_domains)]
-    references = ["reference_ratios.json", "references.csv", "domains.csv"]
 
     # (name, input files, output files, body), in the order the stages run.
     # References and consistency may run in a forked child beside the search
@@ -555,13 +527,14 @@ def _run_stages(config: ExperimentConfig, run_dir: Path, manifest: ExperimentMan
             lambda: train_components(config, lab(), run_dir),
         ),
         (
-            "references", ["lab.npz", "base.dmxt"], references,
+            "references", ["lab.npz", "base.dmxt"],
+            ["reference_ratios.json", "references.csv", "domains.csv"],
             lambda: train_references(config, lab(), load_archive(run_dir / "base.dmxt"), run_dir),
         ),
         (
-            "consistency", ["lab.npz", *references, *component_files],
+            "consistency", ["lab.npz", "references.csv", "domains.csv", *component_files],
             ["proxy_scores.csv", "consistency.json"],
-            lambda: check_consistency(lab(), components(), run_dir),
+            lambda: check_consistency(config, lab(), components(), run_dir),
         ),
         (
             "search", ["lab.npz", *component_files], ["search_result.json", "transcript.jsonl"],
@@ -652,10 +625,7 @@ MANIFEST_TYPES = {
     "stages": [{"status": str, "hash": (str, type(None))}],
 }
 _NUMBER = (int, float)
-SEARCH_RESULT_TYPES = {
-    "best_mixture": [_NUMBER], "evaluations": int, "planned_evaluations": int,
-    "final_pool_size": int, "final_top_k": int,
-}
+SEARCH_RESULT_TYPES = {"best_mixture": [_NUMBER], "evaluations": int}
 CONSISTENCY_TYPES = {
     "n_models": int, "macro_avg_rho": _NUMBER, "mean_capability_recovery": _NUMBER,
     "per_domain_rho": [_NUMBER],
@@ -679,14 +649,14 @@ def _build_report(config: ExperimentConfig, run_dir: Path) -> dict:
         "experiment": {"name": config.name, "seed": config.seed},
         "optimal_mixture": search_result["best_mixture"],
         "proxy_budget": {
-            "planned": search_result["planned_evaluations"],
+            "planned": config.search.total_evaluations(),
             "used": search_result["evaluations"],
             # run_search evaluates exactly the plan's count in each iteration.
             "per_iteration": {str(i): n for i, n in enumerate(config.search.plan)},
         },
         "search": {
-            "final_pool_size": search_result["final_pool_size"],
-            "final_top_k": search_result["final_top_k"],
+            "final_pool_size": config.search.pool,
+            "final_top_k": config.search.top_k,
             # The only method; kept so the report's bytes stay the same.
             "merge_method": "linear",
         },

@@ -608,11 +608,8 @@ def _lab_from_npz(data) -> ToyLab:
         for i, spec in enumerate(meta["candidates"])
     ]
     general = CandidateDataset(id="general", X=data["general_X"], y=data["general_y"])
-    tasks = []
-    for i, spec in enumerate(meta["tasks"]):
-        # Older labs name each benchmark's scoring; a regression one still loads.
-        if "scoring" in spec and spec["scoring"] != "exp_neg_mse":
-            raise ValidationError(f"benchmark {spec['id']!r}: unsupported scoring {spec['scoring']!r}")
-        tasks.append(BenchmarkTask(spec["id"], spec["domain"], data[f"bench_{i}_X"],
-                                   data[f"bench_{i}_y"]))
+    tasks = [
+        BenchmarkTask(spec["id"], spec["domain"], data[f"bench_{i}_X"], data[f"bench_{i}_y"])
+        for i, spec in enumerate(meta["tasks"])
+    ]
     return ToyLab(candidates=candidates, general=general, tasks=tasks)

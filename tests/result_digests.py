@@ -1,4 +1,5 @@
-"""Digests of every result file of four experiment runs and two dedups.
+"""Digests of every result file of four experiment runs, a partial rerun of
+each, and two dedups.
 
 Usage, from the root of a checkout:
 
@@ -8,15 +9,19 @@ Runs the whole pipeline (`demix.pipeline.run_pipeline`) on the default lab
 (the empty config) and on the wide lab (8 domains, d=256, a one-hidden-layer
 MLP) at experiment seeds 0 and 1, each in a fresh temporary directory, and
 prints one `<lab> <seed> <file> <sha256>` line per file the run wrote, except
-the manifest, which records times. Then it runs `demix dedup` on the
-benchmark's `dedup_corpus` corpora (`perfbench/inputs.py`, imported and only
-read) at seeds 0 and 1, and prints `dedup <seed> <file> <sha256>` for the
-report and the kept documents. Two checkouts, or two runs of one checkout
-under different settings, made the same results when their outputs are equal.
+the manifest, which records times. It then deletes `references.csv` and
+`search_result.json`, runs again, and prints `<lab> <seed> rerun recomputed
+<stages>` and a `<lab> <seed> rerun <file> <sha256>` line per file. Then it
+runs `demix dedup` on the benchmark's `dedup_corpus` corpora
+(`perfbench/inputs.py`, imported and only read) at seeds 0 and 1, and prints
+`dedup <seed> <file> <sha256>` for the report and the kept documents. Two
+checkouts, or two runs of one checkout under different settings, made the
+same results when their outputs are equal.
 
 The runs follow the environment as `demix run` does: OPENBLAS_NUM_THREADS
-defaults to 1, so a cold run forks the references and consistency stages
-beside the search; with OPENBLAS_NUM_THREADS=2 every stage runs in-process.
+defaults to 1, so a cold run and the partial rerun fork the references and
+consistency stages beside the search; with OPENBLAS_NUM_THREADS=2 every stage
+runs in-process.
 The name has no `test_` prefix, so pytest does not collect it.
 """
 
@@ -51,19 +56,29 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def print_digests(prefix: str, run_dir: Path) -> None:
+    for path in sorted(run_dir.iterdir()):
+        if path.name not in ("manifest.json", ".lock"):
+            print(prefix, path.name, sha256(path))
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for lab, section in LABS.items():
             for seed in SEEDS:
                 config_path = Path(tmp) / f"{lab}_{seed}.ini"
                 config_path.write_text(f"[experiment]\nseed = {seed}\n{section}")
-                manifest = pipeline.run_pipeline(
-                    load_config(config_path), run_root=str(Path(tmp) / f"runs_{lab}_{seed}")
-                )
-                for path in sorted(Path(manifest.run_dir).iterdir()):
-                    if path.name in ("manifest.json", ".lock"):
-                        continue
-                    print(lab, seed, path.name, sha256(path))
+                run_root = str(Path(tmp) / f"runs_{lab}_{seed}")
+                manifest = pipeline.run_pipeline(load_config(config_path), run_root=run_root)
+                run_dir = Path(manifest.run_dir)
+                print_digests(f"{lab} {seed}", run_dir)
+                # Both branches stale again: a partial rerun, forked where a cold run forks.
+                for name in ("references.csv", "search_result.json"):
+                    (run_dir / name).unlink()
+                manifest = pipeline.run_pipeline(load_config(config_path), run_root=run_root)
+                recomputed = [name for name, record in manifest.stages.items() if record["recomputed"]]
+                print(lab, seed, "rerun recomputed", ",".join(recomputed))
+                print_digests(f"{lab} {seed} rerun", run_dir)
         for seed in SEEDS:
             work = Path(tmp) / f"dedup_{seed}"
             work.mkdir()

@@ -102,7 +102,7 @@ def npz_bytes(meta: bytes) -> bytes:
 LAB_META = st.recursive(
     st.none() | st.integers() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.sampled_from(["id", "domain", "scoring", "candidates", "tasks"]),
+    | st.dictionaries(st.sampled_from(["id", "domain", "candidates", "tasks"]),
                       inner, max_size=4),
     max_leaves=10,
 ).map(lambda doc: json.dumps(doc).encode("utf-8"))

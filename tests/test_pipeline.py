@@ -84,8 +84,11 @@ PRODUCER = {
 }
 
 
-# The files some stage reads, which a run digests.
-INPUTS = sorted(set(PRODUCER) - {"proxy_scores.csv", "transcript.jsonl", "report.json"})
+# The files some stage reads, which a run digests. reference_ratios.json and
+# transcript.jsonl are only for readers.
+INPUTS = sorted(
+    set(PRODUCER) - {"reference_ratios.json", "proxy_scores.csv", "transcript.jsonl", "report.json"}
+)
 
 
 def hashed_files(monkeypatch) -> list[str]:
@@ -169,14 +172,20 @@ def test_a_cached_run_loads_neither_the_lab_nor_a_component(config_path, warm_ro
     assert recomputed_stages(run_pipeline(load_config(config_path), run_root=warm_root)) == []
 
 
-def test_search_result_counts_the_fits_and_the_evaluator_calls(warm_root):
+def test_search_result_holds_only_what_the_search_computed(config_path, warm_root):
     (run_dir,) = warm_root.iterdir()
     result = json.loads((run_dir / "search_result.json").read_text())
-    assert result["fits"] == [
-        {"after_iteration": 0, "n_observations": 8},
-        {"after_iteration": 1, "n_observations": 12},
-    ]
-    assert result["evaluator_calls"] == result["evaluations"] == 12
+    assert sorted(result) == ["best_mixture", "evaluations", "planned_evaluations"]
+    assert result["evaluations"] == result["planned_evaluations"] == 12
+    # The report takes what only restates [search] from the config.
+    search = load_config(config_path).search
+    report = json.loads((run_dir / "report.json").read_text())
+    assert report["proxy_budget"] == {
+        "planned": search.total_evaluations(), "used": 12, "per_iteration": {"0": 8, "1": 4}
+    }
+    assert report["search"] == {
+        "final_pool_size": search.pool, "final_top_k": search.top_k, "merge_method": "linear"
+    }
 
 
 def test_editing_domains_csv_recomputes_consistency(config_path, tmp_path):
@@ -207,7 +216,8 @@ def test_a_same_size_rewrite_with_its_old_mtime_recomputes_consistency(
     config_path, tmp_path, monkeypatch
 ):
     monkeypatch.setattr(pipeline, "RACY_WINDOW_NS", 0)
-    # Cold: where the process can fork, the child records domains.csv's stamp.
+    run_pipeline(load_config(config_path), run_root=tmp_path / "runs")
+    # Recorded by a warm run: a forked child's stamps are not kept.
     manifest = run_pipeline(load_config(config_path), run_root=tmp_path / "runs")
     assert "domains.csv" in manifest.files
     domains = Path(manifest.run_dir) / "domains.csv"
@@ -267,6 +277,8 @@ def test_a_run_directory_in_a_new_place_rewrites_its_manifest_to_name_it(
 
 def test_a_file_changed_within_the_racy_window_is_hashed_again(config_path, tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "RACY_WINDOW_NS", 0)
+    run_pipeline(load_config(config_path), run_root=tmp_path / "runs")
+    # Recorded by a warm run: a forked child's stamps are not kept.
     manifest = run_pipeline(load_config(config_path), run_root=tmp_path / "runs")
     domains = Path(manifest.run_dir) / "domains.csv"
     header, *rows = domains.read_text().splitlines()
@@ -729,20 +741,14 @@ def test_a_rerun_with_one_branch_or_none_stale_never_forks(config_path, warm_roo
 @pytest.mark.parametrize(
     "name, text",
     [
-        ("reference_ratios.json", '[{"dom0": 0.5, "dom1": 0.5}]'),
-        ("reference_ratios.json", "not JSON"),
-        ("reference_ratios.json", "[1, 2]"),
-        ("reference_ratios.json", '[{"dom0": 0.2, "dom1": 0.3, "dom2": 0.5}]'),
         ("search_result.json", '{"evaluations": 12}'),
         ("search_result.json", '{"best_mixture": {'),
         ("search_result.json", json.dumps({
-            "best_mixture": [1, 2], "evaluations": 12, "planned_evaluations": 12,
-            "final_pool_size": 1500, "final_top_k": 16})),
+            "best_mixture": [1, 2], "evaluations": 12, "planned_evaluations": 12})),
         ("consistency.json", '{"n_models": 10}'),
         ("consistency.json", "[]"),
     ],
-    ids=["ratio-without-an-id", "ratios-not-json", "ratios-not-objects", "one-ratio-for-ten",
-         "result-without-best-mixture", "result-not-json", "best-mixture-not-an-object",
+    ids=["result-without-best-mixture", "result-not-json", "best-mixture-not-an-object",
          "consistency-without-rho", "consistency-not-an-object"],
 )
 def test_a_hand_edited_run_file_is_a_pipeline_error_naming_it(config_path, warm_root, name, text):
@@ -930,7 +936,9 @@ def test_batch_proxy_scores_equal_per_ratio_merges_bit_for_bit(family, monkeypat
     assert len(alive) == len(ratios)
 
 
-def test_the_consistency_stage_scores_every_reference_ratio_in_one_call(warm_root, monkeypatch):
+def test_the_consistency_stage_scores_every_reference_ratio_in_one_call(
+    config_path, warm_root, monkeypatch
+):
     (run_dir,) = warm_root.iterdir()
     before = {name: (run_dir / name).read_bytes() for name in ("proxy_scores.csv", "consistency.json")}
     lab = toy_lab.load_lab(run_dir / "lab.npz")
@@ -942,6 +950,43 @@ def test_the_consistency_stage_scores_every_reference_ratio_in_one_call(warm_roo
         return proxy_scores(components, tasks, ratios)
 
     monkeypatch.setattr(pipeline, "proxy_scores", recording)
-    pipeline.check_consistency(lab, components, run_dir)
+    pipeline.check_consistency(load_config(config_path), lab, components, run_dir)
     assert calls == [10]
     assert {name: (run_dir / name).read_bytes() for name in before} == before
+
+
+def test_the_consistency_stage_merges_at_the_ratios_the_references_trained_at(
+    config_path, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(forking, "can_fork", lambda: False)  # so both stages record here
+    trained, merged = [], []
+    trained_scores = toy_lab.trained_scores
+
+    def training(lab, base, config, ratios):
+        trained.append(list(ratios))
+        return trained_scores(lab, base, config, ratios)
+
+    def merging(components, tasks, ratios):
+        merged.append(list(ratios))
+        return proxy_scores(components, tasks, ratios)
+
+    monkeypatch.setattr(toy_lab, "trained_scores", training)
+    monkeypatch.setattr(pipeline, "proxy_scores", merging)
+    run_pipeline(load_config(config_path), run_root=tmp_path / "runs")
+    # In one process the consistency stage merges first, then the search's passes.
+    (references,), consistency = trained, merged[0]
+    assert len(references) == len(consistency) == 10
+    for reference, proxy in zip(references, consistency):
+        assert np.array_equal(reference.weights, proxy.weights)
+        assert reference.candidate_ids == proxy.candidate_ids
+
+
+def test_a_valid_edit_of_the_reference_ratios_recomputes_no_stage(config_path, warm_root):
+    (run_dir,) = warm_root.iterdir()
+    path = run_dir / "reference_ratios.json"
+    ratios = json.loads(path.read_text())
+    path.write_text(json.dumps(ratios[1:] + ratios[:1]))  # the same ratios, rotated by one row
+    before = {name: (run_dir / name).read_bytes() for name in PRODUCER}
+    again = run_pipeline(load_config(config_path), run_root=warm_root)
+    assert recomputed_stages(again) == []
+    assert {name: (run_dir / name).read_bytes() for name in PRODUCER} == before

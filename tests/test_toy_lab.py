@@ -1,7 +1,5 @@
 """Tests for the desk-scale training lab."""
 
-import json
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -101,26 +99,6 @@ def test_save_load_lab_roundtrip(tmp_path, default_lab):
         assert np.array_equal(ca.X, cb.X)
     for ta, tb in zip(loaded.tasks, default_lab.tasks):
         assert np.array_equal(ta.y, tb.y)
-
-
-@pytest.mark.parametrize("scoring", ["exp_neg_mse", "accuracy"])
-def test_an_older_lab_loads_only_if_it_is_scored_by_mse(tmp_path, default_lab, scoring):
-    path = tmp_path / "lab.npz"
-    save_lab(default_lab, path)
-    with np.load(path) as data:
-        arrays = dict(data)
-    meta = json.loads(arrays["meta"].tobytes())
-    for task in meta["tasks"]:
-        task["scoring"] = scoring
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-    if scoring == "exp_neg_mse":
-        assert [t.id for t in load_lab(path).tasks] == [t.id for t in default_lab.tasks]
-    else:
-        problem = re.escape(f"{path}: ") + ".*unsupported scoring 'accuracy'"
-        with pytest.raises(ValidationError, match=problem):
-            load_lab(path)
 
 
 # --- training ---------------------------------------------------------------------
