@@ -5,9 +5,14 @@ parameters at the mixture weights, tensor by tensor (task arithmetic,
 Ilharco et al., arXiv:2212.04089). On the simplex that equals adding the
 weighted component updates to a shared base, so no base is needed.
 
-The kernel writes each merged tensor into one fresh array and computes it in
-blocks of :data:`BLOCK` values, in two scratch buffers that stay in cache, so
-a merge allocates no full-size temporaries. Each block runs the same IEEE
+:func:`merge` checks its inputs and returns a :class:`MergePlan`, which
+computes the merge only as it is read, in blocks of :data:`BLOCK` values, with
+one kernel, :func:`merge_block`. :meth:`MergePlan.parameters` accumulates
+each block straight into the merged tensor's fresh array. :meth:`MergePlan.blocks`,
+which :func:`~demix.tensor_store.save_archive` reads, computes each block in a
+scratch buffer that stays in cache and checks it finite before handing it on,
+so ``demix merge`` writes the merged model to its archive without ever holding
+it. Neither allocates a full-size temporary. Each block runs the same IEEE
 operations on each value, in the same order, as the whole-tensor formula
 ``ref + sum_i w_i * (c_i - ref)`` (accumulator set to 0, then one subtract,
 multiply and add per component). A value's result depends only on its own
@@ -21,11 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SchemaMismatchError, ValidationError
+from .errors import NonFiniteError, SchemaMismatchError, ValidationError
 from .tensor_store import ParameterSet
 
 RATIO_SUM_TOLERANCE = 1e-9
-# Values per block of the merge kernel: two scratch buffers of 256 KB.
+# Values per block of the merge kernel: scratch buffers of 256 KB.
 BLOCK = 1 << 15
 
 
@@ -60,10 +65,90 @@ class MixtureRatio:
         return {c: float(w) for c, w in zip(self.candidate_ids, self.weights)}
 
 
+def merge_block(
+    ref: np.ndarray, others: list[tuple[float, np.ndarray]], out: np.ndarray, tmp: np.ndarray
+) -> np.ndarray:
+    """The merge kernel: ``ref + sum_i w_i * (c_i - ref)`` for one block,
+    written into ``out`` and returned. ``ref`` holds the anchor's values of the
+    block, ``others`` the ``(w_i, c_i)`` of the other components, and ``tmp``
+    is scratch of the block's length. ``out`` is the accumulator, set to 0,
+    then one subtract, multiply and add per component, in order; an overflow
+    is left in ``out`` for the caller's finiteness check to report."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out.fill(0.0)
+        for w, c in others:
+            np.subtract(c, ref, out=tmp)
+            np.multiply(w, tmp, out=tmp)
+            np.add(out, tmp, out=out)
+        np.add(ref, out, out=out)
+    return out
+
+
+@dataclass(frozen=True)
+class MergePlan:
+    """The merge of components at a ratio, computed only as it is read.
+
+    :meth:`parameters` fills the merged model in memory; :meth:`blocks`
+    yields it block by block, which is how :func:`~demix.tensor_store.save_archive`
+    writes it without ever holding it. Both run :func:`merge_block` on the
+    same blocks, so they give the same bits.
+    """
+
+    anchor: ParameterSet
+    others: tuple[tuple[float, ParameterSet], ...]
+    model_id: str = ""
+
+    def schema(self) -> dict[str, tuple[int, ...]]:
+        return self.anchor.schema()
+
+    def num_values(self) -> int:
+        return self.anchor.num_values()
+
+    def _scratch(self) -> np.ndarray:
+        # Small models need smaller buffers, which cost less to allocate.
+        return np.empty(min(BLOCK, max((a.size for a in self.anchor.entries.values()), default=0)))
+
+    def _blocks_of(self, name: str):
+        """Each block of tensor ``name``: its start, the anchor's values and
+        the ``(w_i, c_i)`` values of the other components."""
+        ref = self.anchor.entries[name].reshape(-1)
+        flats = [(w, comp.entries[name].reshape(-1)) for w, comp in self.others]
+        for start in range(0, ref.size, BLOCK):
+            stop = min(start + BLOCK, ref.size)
+            yield start, ref[start:stop], [(w, c[start:stop]) for w, c in flats]
+
+    def parameters(self) -> ParameterSet:
+        """The merged model, one fresh array per tensor. A sum that overflows
+        is reported by ParameterSet as a NonFiniteError."""
+        tmp = self._scratch()
+        out = {}
+        for name in self.anchor.names():
+            # C order whatever the anchor's, so its flat view writes through.
+            merged = np.empty(self.anchor.entries[name].shape)
+            flat = merged.reshape(-1)
+            for start, ref, others in self._blocks_of(name):
+                merge_block(ref, others, flat[start : start + ref.size], tmp[: ref.size])
+            out[name] = merged
+        return ParameterSet(entries=out, model_id=self.model_id)
+
+    def blocks(self):
+        """The merged values in archive order (tensors by name), one block at
+        a time, each checked finite. Every block is the same scratch buffer,
+        valid until the next one is drawn."""
+        acc, tmp = self._scratch(), self._scratch()
+        for name in self.anchor.names():
+            for _, ref, others in self._blocks_of(name):
+                block = merge_block(ref, others, acc[: ref.size], tmp[: ref.size])
+                if not np.all(np.isfinite(block)):
+                    raise NonFiniteError(f"tensor {name!r}: non-finite value")
+                yield block
+
+
 def merge(
     components: list[ParameterSet], ratio: MixtureRatio, model_id: str = ""
-) -> ParameterSet:
-    """Convex combination of the components, tensor by tensor.
+) -> MergePlan:
+    """Convex combination of the components, tensor by tensor, as a plan that
+    computes it when read. Arity and schemas are checked here.
 
     Accumulated around the heaviest component in candidate-id order, which
     makes the merge permutation-equivariant bit for bit and returns one-hot
@@ -80,26 +165,5 @@ def merge(
     order = sorted(range(len(ratio)), key=lambda i: ratio.candidate_ids[i])
     maxw = ratio.weights.max()
     anchor = next(i for i in order if ratio.weights[i] == maxw)
-    others = [(ratio.weights[i], components[i]) for i in order if i != anchor]
-    # Small models need smaller buffers, which cost less to allocate.
-    scratch = min(BLOCK, max((arr.size for arr in components[0].entries.values()), default=0))
-    acc, tmp = np.empty(scratch), np.empty(scratch)
-    out = {}
-    # A sum that overflows is reported by ParameterSet as a NonFiniteError.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for name in components[0].names():
-            ref = components[anchor].entries[name]
-            merged = np.empty(ref.shape)  # C order whatever ref's, so its flat view writes through
-            flat_out, flat_ref = merged.reshape(-1), ref.reshape(-1)
-            flats = [(w, comp.entries[name].reshape(-1)) for w, comp in others]
-            for start in range(0, flat_out.size, BLOCK):
-                stop = min(start + BLOCK, flat_out.size)
-                r, a, t = flat_ref[start:stop], acc[: stop - start], tmp[: stop - start]
-                a.fill(0.0)
-                for w, c in flats:
-                    np.subtract(c[start:stop], r, out=t)
-                    np.multiply(w, t, out=t)
-                    np.add(a, t, out=a)
-                np.add(r, a, out=flat_out[start:stop])
-            out[name] = merged
-    return ParameterSet(entries=out, model_id=model_id)
+    others = tuple((ratio.weights[i], components[i]) for i in order if i != anchor)
+    return MergePlan(anchor=components[anchor], others=others, model_id=model_id)

@@ -271,7 +271,7 @@ def proxy_scores(components, tasks, ratios: list[MixtureRatio]):
     search's evaluator. Each row is merged and scored as it is read, so one
     merged model is alive at a time and a failure surfaces at its own row."""
     for ratio in ratios:
-        yield toy_lab.evaluate_model(merge_engine.merge(components, ratio), tasks)
+        yield toy_lab.evaluate_model(merge_engine.merge(components, ratio).parameters(), tasks)
 
 
 def score_table(rows, lab: toy_lab.ToyLab) -> ScoreTable:

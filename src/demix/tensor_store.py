@@ -78,6 +78,10 @@ class ParameterSet:
     def num_values(self) -> int:
         return sum(arr.size for arr in self.entries.values())
 
+    def blocks(self):
+        """The set's values in archive order: each tensor's array, by name."""
+        return (self.entries[name] for name in self.names())
+
     def copy(self, model_id: str | None = None) -> "ParameterSet":
         return ParameterSet(
             entries={k: v.copy() for k, v in self.entries.items()},
@@ -153,26 +157,33 @@ def remove_leftover_temps(directory: Path, names) -> None:
 
 
 def save_archive(params: ParameterSet, path, metadata: dict[str, str] | None = None) -> None:
-    """Write ``params`` to ``path`` so that :func:`load_archive` round-trips bit-exactly."""
+    """Write ``params`` to ``path`` so that :func:`load_archive` round-trips bit-exactly.
+
+    ``params`` is a :class:`ParameterSet` or anything with its ``model_id``,
+    ``schema()`` and ``blocks()``, such as the plan that
+    :func:`demix.merge_engine.merge` returns. The header comes from the
+    schema; the payload is whatever ``blocks()`` yields, written in turn: a
+    set's arrays, or a plan's merged blocks, each computed in a cache-sized
+    scratch buffer and checked finite just before it is written, so a merged
+    model goes to disk without being held whole. An error part-way, such as a
+    block that is not finite, leaves any file at ``path`` as it was.
+    """
     meta = {"model_id": params.model_id}
     if metadata:
         meta.update({str(k): str(v) for k, v in metadata.items()})
     index = []
     offset = 0
-    names = params.names()
-    for name in names:
-        length = params.entries[name].size * 8
-        index.append(
-            {"name": name, "shape": list(params.entries[name].shape), "offset": offset, "length": length}
-        )
+    for name, shape in params.schema().items():
+        length = math.prod(shape) * 8
+        index.append({"name": name, "shape": list(shape), "offset": offset, "length": length})
         offset += length
     header = json.dumps({"tensors": index, "metadata": meta}, sort_keys=True).encode("utf-8")
     try:
         with atomic_write(path) as fh:
             fh.write(_PREAMBLE.pack(MAGIC, FORMAT_VERSION, len(header)))
             fh.write(header)
-            for name in names:
-                fh.write(_payload(params.entries[name]))
+            for block in params.blocks():
+                fh.write(_payload(block))
     except OSError as exc:
         raise ArchiveError(f"cannot write archive {path}: {exc}") from exc
 

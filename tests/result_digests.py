@@ -14,9 +14,13 @@ the manifest, which records times. It then deletes `references.csv` and
 <stages>` and a `<lab> <seed> rerun <file> <sha256>` line per file. Then it
 runs `demix dedup` on the benchmark's `dedup_corpus` corpora
 (`perfbench/inputs.py`, imported and only read) at seeds 0 and 1, and prints
-`dedup <seed> <file> <sha256>` for the report and the kept documents. Two
-checkouts, or two runs of one checkout under different settings, made the
-same results when their outputs are equal.
+`dedup <seed> <file> <sha256>` for the report and the kept documents.
+Last it saves the benchmark's `merge_10m` components (`inputs.merge_inputs`
+at seed 0, full size, so every tensor spans many blocks of the merge kernel),
+runs `demix merge` at each of their distinct ratios and prints
+`merge <ratio#> <sha256>` for each merged archive. Two checkouts, or two runs
+of one checkout under different settings, made the same results when their
+outputs are equal.
 
 The runs follow the environment as `demix run` does: OPENBLAS_NUM_THREADS
 defaults to 1, so a cold run and the partial rerun fork the references and
@@ -44,6 +48,7 @@ import inputs  # noqa: E402
 from demix import pipeline  # noqa: E402
 from demix.cli import main as demix_main  # noqa: E402
 from demix.config import load_config  # noqa: E402
+from demix.tensor_store import ParameterSet, save_archive  # noqa: E402
 
 LABS = {
     "default": "",
@@ -91,6 +96,21 @@ def main() -> None:
                     sys.exit(f"demix {' '.join(argv)} failed")
             for path in (report, kept):
                 print("dedup", seed, path.name, sha256(path))
+        work = Path(tmp) / "merge"
+        work.mkdir()
+        components, ratios = inputs.merge_inputs(0, small=False)
+        paths = [work / f"{comp_id}.dmxt" for comp_id in components]
+        for path, arrays in zip(paths, components.values()):
+            save_archive(ParameterSet.from_arrays(arrays, model_id=path.stem), path)
+        del components, arrays
+        for i, ratio in enumerate(ratios):
+            out = work / f"merged_{i}.dmxt"
+            argv = ["merge", "--method", "linear", "--ratio", inputs.ratio_arg(ratio),
+                    "--components", ",".join(map(str, paths)), "--out", str(out)]
+            with contextlib.redirect_stdout(io.StringIO()):  # its "wrote ..." line
+                if demix_main(argv) != 0:
+                    sys.exit(f"demix {' '.join(argv)} failed")
+            print("merge", i, sha256(out))
 
 
 if __name__ == "__main__":

@@ -84,7 +84,7 @@ def test_merge_cli_writes_the_library_merge_with_its_method_and_ratio(tmp_path, 
     metadata = json.loads(blob[16 : 16 + header_len])["metadata"]
     assert metadata == {"model_id": "merged", "method": "linear", "ratio": "0.2,0.5,0.3"}
     ratio = merge_engine.MixtureRatio(weights=[0.2, 0.5, 0.3], candidate_ids=[p.stem for p in archives])
-    expected = merge_engine.merge([load_archive(p) for p in archives], ratio)
+    expected = merge_engine.merge([load_archive(p) for p in archives], ratio).parameters()
     merged = load_archive(out)
     for name in expected.names():
         assert np.array_equal(merged.entries[name], expected.entries[name])
@@ -167,6 +167,34 @@ def test_merge_cli_that_overflows_is_a_non_finite_error_and_writes_nothing(tmp_p
     assert main(["merge", "--ratio", "0.4,0.3,0.3", "--components", components, "--out", str(out)]) == 2
     assert "non-finite" in capsys.readouterr().err
     assert not out.exists()
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_merge_cli_that_overflows_in_a_later_block_writes_nothing(tmp_path, capsys, monkeypatch):
+    # Small finite values, but the last ones differ by more than float64 holds,
+    # so the third block overflows after two finite blocks were written.
+    size = 2 * merge_engine.BLOCK + 3
+    paths = []
+    for i, edge in enumerate([1e308, -1e308, 1e308]):
+        values = np.full(size, 0.25 * i)
+        values[-1] = edge
+        paths.append(tmp_path / f"big{i}.dmxt")
+        save_archive(ParameterSet.from_arrays({"w": values}), paths[-1])
+    out = tmp_path / "merged.dmxt"
+    out.write_bytes(b"an earlier file")
+    kernel_calls = []
+    kernel = merge_engine.merge_block
+
+    def counting(*args):
+        kernel_calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(merge_engine, "merge_block", counting)
+    components = ",".join(str(p) for p in paths)
+    assert main(["merge", "--ratio", "0.4,0.3,0.3", "--components", components, "--out", str(out)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert len(kernel_calls) == 3
+    assert out.read_bytes() == b"an earlier file"
     assert list(tmp_path.glob("*.tmp")) == []
 
 

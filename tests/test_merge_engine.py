@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from demix import merge_engine
 from demix.errors import SchemaMismatchError, ValidationError
 from demix.merge_engine import MixtureRatio, merge
-from demix.tensor_store import ParameterSet
+from demix.tensor_store import ParameterSet, save_archive
 
 
 def random_set(rng, sizes=(6, 3)):
@@ -47,7 +47,7 @@ def test_one_hot_returns_component_bit_exact():
     for k in range(3):
         weights = np.zeros(3)
         weights[k] = 1.0
-        out = merge(comps, ratio(weights))
+        out = merge(comps, ratio(weights)).parameters()
         for name in out.names():
             assert np.array_equal(out.entries[name], comps[k].entries[name])
 
@@ -56,7 +56,7 @@ def test_identical_components_merge_to_themselves_bit_exact():
     rng = np.random.default_rng(1)
     comp = random_set(rng)
     comps = [comp.copy() for _ in range(3)]
-    out = merge(comps, ratio([0.3, 0.3, 0.4]))
+    out = merge(comps, ratio([0.3, 0.3, 0.4])).parameters()
     for name in out.names():
         assert np.array_equal(out.entries[name], comp.entries[name])
 
@@ -64,7 +64,7 @@ def test_identical_components_merge_to_themselves_bit_exact():
 def test_hand_arithmetic_quarter_three_quarters():
     c1 = ParameterSet.from_arrays({"w": np.array([0.0])})
     c2 = ParameterSet.from_arrays({"w": np.array([2.0])})
-    out = merge([c1, c2], ratio([0.25, 0.75]))
+    out = merge([c1, c2], ratio([0.25, 0.75])).parameters()
     assert out.entries["w"][0] == pytest.approx(1.5, abs=0.0)
 
 
@@ -72,10 +72,10 @@ def test_permutation_equivariance_bitwise():
     rng = np.random.default_rng(2)
     comps = [random_set(rng) for _ in range(4)]
     r = ratio([0.1, 0.2, 0.3, 0.4], ids=["a", "b", "c", "d"])
-    out = merge(comps, r)
+    out = merge(comps, r).parameters()
     order = [2, 0, 3, 1]
     reordered = ratio(r.weights[order], ids=[r.candidate_ids[i] for i in order])
-    out_reordered = merge([comps[i] for i in order], reordered)
+    out_reordered = merge([comps[i] for i in order], reordered).parameters()
     for name in out.names():
         assert np.array_equal(out.entries[name], out_reordered.entries[name])
 
@@ -84,7 +84,7 @@ def test_convex_hull_property():
     rng = np.random.default_rng(3)
     comps = [random_set(rng) for _ in range(3)]
     weights = rng.dirichlet(np.ones(3))
-    out = merge(comps, ratio(weights))
+    out = merge(comps, ratio(weights)).parameters()
     for name in out.names():
         stack = np.stack([c.entries[name] for c in comps])
         assert np.all(out.entries[name] >= stack.min(axis=0) - 1e-12)
@@ -111,9 +111,9 @@ def test_merge_returns_2d_and_0d_tensors_in_their_shapes():
 
     comps = [shaped() for _ in range(3)]
     r = ratio([0.5, 0.3, 0.2])
-    merged = merge(comps, r)
+    merged = merge(comps, r).parameters()
     assert {n: a.shape for n, a in merged.entries.items()} == {"m": (4, 3), "s": ()}
-    flat = merge([flattened(c) for c in comps], r)
+    flat = merge([flattened(c) for c in comps], r).parameters()
     for name in merged.names():
         assert np.array_equal(merged.entries[name].ravel(), flat.entries[name])
 
@@ -153,7 +153,7 @@ def test_merge_rejects_components_with_different_tensor_names():
 def test_merge_returns_new_arrays_under_the_given_model_id():
     rng = np.random.default_rng(5)
     comps = [random_set(rng) for _ in range(2)]
-    out = merge(comps, ratio([1.0, 0.0]), model_id="proxy")
+    out = merge(comps, ratio([1.0, 0.0]), model_id="proxy").parameters()
     assert out.model_id == "proxy"
     for name in out.names():
         assert np.array_equal(out.entries[name], comps[0].entries[name])
@@ -164,8 +164,8 @@ def test_a_zero_weight_component_leaves_the_merge_unchanged_bit_exact():
     rng = np.random.default_rng(6)
     comps = [random_set(rng) for _ in range(3)]
     weights = rng.dirichlet(np.ones(2))
-    two = merge(comps[:2], ratio(weights, ids=["a", "c"]))
-    three = merge(comps, ratio([*weights, 0.0], ids=["a", "c", "b"]))
+    two = merge(comps[:2], ratio(weights, ids=["a", "c"])).parameters()
+    three = merge(comps, ratio([*weights, 0.0], ids=["a", "c", "b"])).parameters()
     for name in two.names():
         assert np.array_equal(two.entries[name], three.entries[name])
 
@@ -184,7 +184,7 @@ def test_merge_matches_the_weighted_sum(seed, n, size, scale):
         for _ in range(n)
     ]
     weights = rng.dirichlet(np.ones(n))
-    out = merge(comps, ratio(weights))
+    out = merge(comps, ratio(weights)).parameters()
     for name in out.names():
         expected = sum(w * c.entries[name] for w, c in zip(weights, comps))
         np.testing.assert_allclose(out.entries[name], expected, rtol=0.0, atol=1e-12 * scale)
@@ -235,7 +235,7 @@ def test_the_blocked_kernel_gives_the_bits_of_the_whole_tensor_formula(small_blo
     rng = np.random.default_rng(10 + n)
     comps = [kernel_set(rng) for _ in range(n)]
     r = ratio(rng.dirichlet(np.ones(n)))
-    merged = merge(comps, r)
+    merged = merge(comps, r).parameters()
     expected = whole_tensor_merge(comps, r)
     for name, values in expected.items():
         assert merged.entries[name].shape == np.shape(values)
@@ -247,20 +247,21 @@ def test_one_hot_and_permutation_hold_with_a_small_block(small_block):
     rng = np.random.default_rng(20)
     comps = [kernel_set(rng) for _ in range(3)]
     for k in range(3):
-        out = merge(comps, ratio(np.eye(3)[k]))
+        out = merge(comps, ratio(np.eye(3)[k])).parameters()
         for name in out.names():
             assert np.array_equal(out.entries[name], comps[k].entries[name])
     r = ratio([0.2, 0.5, 0.3], ids=["a", "b", "c"])
     order = [2, 0, 1]
     reordered = ratio(r.weights[order], ids=[r.candidate_ids[i] for i in order])
-    out, out_reordered = merge(comps, r), merge([comps[i] for i in order], reordered)
+    out = merge(comps, r).parameters()
+    out_reordered = merge([comps[i] for i in order], reordered).parameters()
     for name in out.names():
         assert out.entries[name].tobytes() == out_reordered.entries[name].tobytes()
 
 
 def test_components_without_tensors_merge_to_an_empty_set():
     empty = ParameterSet.from_arrays({})
-    assert merge([empty, empty.copy()], ratio([0.5, 0.5]), model_id="m").entries == {}
+    assert merge([empty, empty.copy()], ratio([0.5, 0.5]), model_id="m").parameters().entries == {}
 
 
 def test_merge_allocates_no_full_size_temporaries():
@@ -269,10 +270,47 @@ def test_merge_allocates_no_full_size_temporaries():
     comps = [ParameterSet.from_arrays({"w": rng.standard_normal(size)}) for _ in range(3)]
     tracemalloc.start()
     try:
-        merged = merge(comps, ratio([0.2, 0.5, 0.3]))
+        merged = merge(comps, ratio([0.2, 0.5, 0.3])).parameters()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # The output, the scratch blocks and the finiteness check's one-byte mask.
     assert merged.entries["w"].nbytes == 8 << 20
     assert peak < (8 << 20) + (2 << 20)
+
+
+# --- the streamed write ---------------------------------------------------------------
+
+# Three whole blocks of 7, a partial last block, an empty, a 0-d and a 2-D tensor.
+STREAM_SHAPES = {"blocks": (21,), "partial": (17,), "empty": (0,), "scalar": (), "matrix": (4, 5)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_a_streamed_archive_has_the_bytes_of_the_saved_merged_model(small_block, tmp_path, n):
+    rng = np.random.default_rng(40 + n)
+    comps = [
+        ParameterSet.from_arrays(
+            {name: rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+             for name, shape in STREAM_SHAPES.items()}
+        )
+        for _ in range(n)
+    ]
+    r = ratio(rng.dirichlet(np.ones(n)))
+    streamed, in_memory = tmp_path / "streamed.dmxt", tmp_path / "in_memory.dmxt"
+    save_archive(merge(comps, r, model_id="m"), streamed, metadata={"ratio": "r"})
+    save_archive(merge(comps, r, model_id="m").parameters(), in_memory, metadata={"ratio": "r"})
+    assert streamed.read_bytes() == in_memory.read_bytes()
+
+
+def test_a_streamed_merge_holds_only_its_scratch(tmp_path):
+    rng = np.random.default_rng(31)
+    size = 1 << 20  # 8 MiB a tensor
+    comps = [ParameterSet.from_arrays({"w": rng.standard_normal(size)}) for _ in range(3)]
+    tracemalloc.start()
+    try:
+        save_archive(merge(comps, ratio([0.2, 0.5, 0.3])), tmp_path / "merged.dmxt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Two 256 KB scratch blocks and one block's finiteness mask, never the model.
+    assert peak < 1 << 20

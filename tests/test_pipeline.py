@@ -918,19 +918,19 @@ def test_batch_proxy_scores_equal_per_ratio_merges_bit_for_bit(family, monkeypat
     ratios += [MixtureRatio(weights=w, candidate_ids=ids) for w in special]
 
     def reference(ratio):  # the per-ratio formula the batch replaces
-        return toy_lab.evaluate_model(merge_engine.merge(comps, ratio), lab.tasks)
+        return toy_lab.evaluate_model(merge_engine.merge(comps, ratio).parameters(), lab.tasks)
 
     expected = [{k: v.hex() for k, v in reference(r).items()} for r in ratios]
     alive = []  # a weak reference to every merged model so far
-    merge = merge_engine.merge
+    parameters = merge_engine.MergePlan.parameters
 
-    def one_at_a_time(components, ratio, *args, **kwargs):
+    def one_at_a_time(plan):
         assert all(ref() is None for ref in alive), "an earlier merged model is still alive"
-        merged = merge(components, ratio, *args, **kwargs)
+        merged = parameters(plan)
         alive.append(weakref.ref(merged))
         return merged
 
-    monkeypatch.setattr(merge_engine, "merge", one_at_a_time)
+    monkeypatch.setattr(merge_engine.MergePlan, "parameters", one_at_a_time)
     got = [{k: v.hex() for k, v in row.items()} for row in proxy_scores(comps, lab.tasks, ratios)]
     assert got == expected
     assert len(alive) == len(ratios)

@@ -229,8 +229,8 @@ def test_payloads_at_every_alignment_load_bit_exactly_and_merge_as_their_copies(
                 with pytest.raises(ValueError):
                     arr.flags.writeable = True
         residues.add(loaded[0].entries["long"].ctypes.data % 8)
-        mapped = merge(loaded, ratio)
-        copied = merge([params.copy() for params in loaded], ratio)
+        mapped = merge(loaded, ratio).parameters()
+        copied = merge([params.copy() for params in loaded], ratio).parameters()
         for name in mapped.names():
             assert mapped.entries[name].tobytes() == copied.entries[name].tobytes()
     assert residues == set(range(8))
