@@ -8,7 +8,11 @@ format version, little-endian u64 header length, UTF-8 JSON header (tensor
 index plus free-form string metadata), then the raw payload of little-endian
 float64 values in C order. Tensors are stored in lexicographic name order and
 offsets in the index are relative to the payload start, so files are
-deterministic for a given parameter set.
+deterministic for a given parameter set. :func:`save_archive` pads the JSON
+with spaces, which the header length counts, so that the payload starts on a
+``PAYLOAD_ALIGN``-byte boundary of the file: a mapped payload then starts on
+a cache line, and every value in it is 8-byte aligned. Readers take the header
+length as given, so archives written without the padding still load.
 
 Loading maps the file read-only instead of copying it: a loaded set's arrays
 are views of the map, read straight from the page cache, and the finiteness
@@ -37,6 +41,8 @@ from .errors import ArchiveError, NonFiniteError, ValidationError
 MAGIC = b"DMXT"
 FORMAT_VERSION = 1
 _PREAMBLE = struct.Struct("<4sIQ")
+# save_archive starts every payload at a file offset that is a multiple of this.
+PAYLOAD_ALIGN = 64
 # The name of an atomic_write temp file: the target's name and a pid.
 _TEMP_NAME = re.compile(r"(.+)\.[0-9]+\.tmp")
 
@@ -178,6 +184,7 @@ def save_archive(params: ParameterSet, path, metadata: dict[str, str] | None = N
         index.append({"name": name, "shape": list(shape), "offset": offset, "length": length})
         offset += length
     header = json.dumps({"tensors": index, "metadata": meta}, sort_keys=True).encode("utf-8")
+    header += b" " * (-(_PREAMBLE.size + len(header)) % PAYLOAD_ALIGN)
     try:
         with atomic_write(path) as fh:
             fh.write(_PREAMBLE.pack(MAGIC, FORMAT_VERSION, len(header)))
@@ -193,10 +200,12 @@ def load_archive(path) -> ParameterSet:
     bounds. Every error names ``path``.
 
     The set's arrays are read-only views of the map, not copies. Their values
-    sit at the file's own offsets, which are not 8-byte aligned unless the
-    header's length makes them so; numpy reads unaligned values exactly, if a
-    little more slowly. The map lives as long as any of the arrays, and on
-    Python before 3.13 it holds a duplicate of the file's descriptor as long.
+    sit at the file's own offsets. An archive that :func:`save_archive` wrote
+    starts its payload on a ``PAYLOAD_ALIGN``-byte boundary; one written
+    without the padding starts it wherever the header ends, and numpy reads
+    such unaligned values exactly, if a little more slowly. The map lives as
+    long as any of the arrays, and on Python before 3.13 it holds a duplicate
+    of the file's descriptor as long.
 
     demix replaces an archive only by renaming a new file over it
     (:func:`atomic_write`), which leaves the mapped file's pages as they were,

@@ -81,11 +81,16 @@ def test_merge_cli_writes_the_library_merge_with_its_method_and_ratio(tmp_path, 
     # The header as the archive layout defines it: magic, version, u64 length, JSON.
     blob = out.read_bytes()
     (header_len,) = struct.unpack_from("<Q", blob, 8)
-    metadata = json.loads(blob[16 : 16 + header_len])["metadata"]
-    assert metadata == {"model_id": "merged", "method": "linear", "ratio": "0.2,0.5,0.3"}
+    doc, json_end = json.JSONDecoder().raw_decode(blob[16 : 16 + header_len].decode("utf-8"))
+    assert doc["metadata"] == {"model_id": "merged", "method": "linear", "ratio": "0.2,0.5,0.3"}
+    # Spaces pad the JSON so that the payload starts on a 64-byte boundary.
+    assert (16 + header_len) % 64 == 0
+    assert set(blob[16 + json_end : 16 + header_len]) <= set(b" ")
     ratio = merge_engine.MixtureRatio(weights=[0.2, 0.5, 0.3], candidate_ids=[p.stem for p in archives])
     expected = merge_engine.merge([load_archive(p) for p in archives], ratio).parameters()
     merged = load_archive(out)
+    for entry in doc["tensors"]:
+        assert (merged.entries[entry["name"]].ctypes.data - entry["offset"]) % 64 == 0
     for name in expected.names():
         assert np.array_equal(merged.entries[name], expected.entries[name])
 
@@ -146,12 +151,21 @@ def test_merge_cli_requires_valid_ratio(tmp_path, archives, capsys):
 
 
 def test_merge_cli_names_the_archive_whose_header_is_bad(tmp_path, archives, capsys):
-    archives[1].write_bytes(b"XXXX" + archives[1].read_bytes()[4:])
+    good = archives[1].read_bytes()
+    archives[1].write_bytes(b"XXXX" + good[4:])
     out = tmp_path / "merged.dmxt"
     components = ",".join(str(p) for p in archives)
     assert main(["merge", "--ratio", "0.2,0.5,0.3", "--components", components, "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err == f"error: invalid archive {archives[1]}: corrupt header: bad magic b'XXXX'\n"
+    assert not out.exists()
+    # A NUL in the header's padding of spaces: JSON allows only whitespace there.
+    start = 16 + struct.unpack_from("<Q", good, 8)[0]
+    assert good[start - 1 : start] == b" "
+    archives[1].write_bytes(good[: start - 1] + b"\x00" + good[start:])
+    assert main(["merge", "--ratio", "0.2,0.5,0.3", "--components", components, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid archive {archives[1]}: corrupt header: Extra data")
     assert not out.exists()
 
 

@@ -37,6 +37,11 @@ def read_header(path):
         return _read_header(fh)
 
 
+def payload_start(blob):
+    """The file offset of an archive's payload: preamble plus declared header length."""
+    return 16 + struct.unpack_from("<Q", blob, 8)[0]
+
+
 # --- containers -------------------------------------------------------------
 
 
@@ -123,6 +128,24 @@ def _write_archive(path, header_doc, payload):
         fh.write(struct.pack("<4sIQ", b"DMXT", 1, len(header)))
         fh.write(header)
         fh.write(payload)
+
+
+def _write_unpadded_archive(path, arrays, metadata):
+    """``arrays`` as save_archive wrote them before it padded the header:
+    the payload starts right after the JSON, at whatever offset that gives."""
+    index, payload, offset = [], [], 0
+    for name in sorted(arrays):
+        values = np.asarray(arrays[name], dtype="<f8")
+        index.append({"length": values.nbytes, "name": name, "offset": offset, "shape": list(values.shape)})
+        payload.append(values.tobytes())
+        offset += values.nbytes
+    _write_archive(path, {"metadata": metadata, "tensors": index}, b"".join(payload))
+
+
+def _repadded(blob, padding):
+    """``blob`` with its header's trailing spaces replaced by ``padding``."""
+    header = blob[16 : payload_start(blob)].rstrip(b" ") + padding
+    return blob[:8] + struct.pack("<Q", len(header)) + header + blob[payload_start(blob) :]
 
 
 def test_header_shape_length_mismatch_rejected(tmp_path):
@@ -212,6 +235,8 @@ def test_a_loaded_set_keeps_its_values_when_its_archive_is_replaced(tmp_path):
 
 
 def test_payloads_at_every_alignment_load_bit_exactly_and_merge_as_their_copies(tmp_path):
+    # save_archive aligns every payload, so archives written before it padded
+    # the header are written by hand here, at each of the 8 residues.
     rng = np.random.default_rng(11)
     # Two blocks of the merge kernel and a little more, a matrix and a scalar.
     arrays = [{"long": rng.standard_normal((1 << 16) + 5), "m": rng.standard_normal((3, 5)),
@@ -222,9 +247,10 @@ def test_payloads_at_every_alignment_load_bit_exactly_and_merge_as_their_copies(
         loaded = []
         for i, values in enumerate(arrays):
             path = tmp_path / f"c{i}_{pad}.dmxt"
-            save_archive(ParameterSet.from_arrays(values), path, metadata={"pad": "x" * pad})
+            _write_unpadded_archive(path, values, {"model_id": f"c{i}", "pad": "x" * pad})
             loaded.append(load_archive(path))
             for name, arr in loaded[-1].entries.items():
+                assert arr.shape == values[name].shape
                 assert arr.tobytes() == values[name].tobytes()
                 with pytest.raises(ValueError):
                     arr.flags.writeable = True
@@ -233,7 +259,41 @@ def test_payloads_at_every_alignment_load_bit_exactly_and_merge_as_their_copies(
         copied = merge([params.copy() for params in loaded], ratio).parameters()
         for name in mapped.names():
             assert mapped.entries[name].tobytes() == copied.entries[name].tobytes()
+        # Saved again, an old archive gets the aligned layout and keeps its payload.
+        old = (tmp_path / f"c0_{pad}.dmxt").read_bytes()
+        save_archive(loaded[0], tmp_path / "again.dmxt")
+        new = (tmp_path / "again.dmxt").read_bytes()
+        assert payload_start(new) % 64 == 0
+        assert new[payload_start(new) :] == old[payload_start(old) :]
+        assert_same_values(load_archive(tmp_path / "again.dmxt"), loaded[0])
     assert residues == set(range(8))
+
+
+def test_save_starts_every_payload_on_a_64_byte_boundary(tmp_path):
+    # Every tensor a multiple of 8 values long, so every one starts on a cache line.
+    arrays = {"a": np.arange(8.0), "b": np.arange(16.0).reshape(2, 8), "c": -np.arange(24.0)}
+    json_ends = set()
+    for pad in range(64):
+        path = tmp_path / f"p{pad}.dmxt"
+        save_archive(ParameterSet.from_arrays(arrays), path, metadata={"pad": "x" * pad})
+        blob = path.read_bytes()
+        header = blob[16 : payload_start(blob)].decode("utf-8")
+        _, json_end = json.JSONDecoder().raw_decode(header)
+        json_ends.add((16 + json_end) % 64)
+        assert payload_start(blob) % 64 == 0
+        assert set(header[json_end:]) <= {" "} and len(header) - json_end < 64
+        for name, arr in load_archive(path).entries.items():
+            assert arr.ctypes.data % 64 == 0
+            assert arr.tobytes() == arrays[name].tobytes()
+    assert json_ends == set(range(64))
+
+
+@pytest.mark.parametrize("padding", [b"\t", b"\n", b" \r\n\t"], ids=["tab", "lf", "mixed"])
+def test_header_padding_of_any_json_whitespace_loads(tmp_path, padding):
+    path = tmp_path / "p.dmxt"
+    save_archive(small_set(), path)
+    path.write_bytes(_repadded(path.read_bytes(), padding))
+    assert_same_values(load_archive(path), small_set())
 
 
 def test_save_copies_no_payload(tmp_path):
@@ -265,10 +325,18 @@ def test_checksum_and_archive_bytes_are_pinned(tmp_path):
     path = tmp_path / "pinned.dmxt"
     save_archive(pinned_set(), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "52bead1a521315845bdc5b579109bf4562d1d8fabfb93f773f3eec26f553e4dd"
+        "7f3b6442b13476061ffc8f2f89e3ba0007578aab7403763e2edb534998e33d3d"
     )
     save_archive(load_archive(path), tmp_path / "again.dmxt")
     assert (tmp_path / "again.dmxt").read_bytes() == path.read_bytes()
+    # The bytes save_archive wrote before it padded the header still load and save padded.
+    old = tmp_path / "unpadded.dmxt"
+    _write_unpadded_archive(old, dict(pinned_set().entries), {"model_id": "pinned"})
+    assert hashlib.sha256(old.read_bytes()).hexdigest() == (
+        "52bead1a521315845bdc5b579109bf4562d1d8fabfb93f773f3eec26f553e4dd"
+    )
+    save_archive(load_archive(old), tmp_path / "resaved.dmxt")
+    assert (tmp_path / "resaved.dmxt").read_bytes() == path.read_bytes()
 
 
 JSON_ANY = st.recursive(
@@ -434,8 +502,9 @@ def test_missing_archive_is_an_archive_error_naming_the_path(tmp_path):
         (b"XXXX" + bytes(12), "corrupt header: bad magic"),
         (struct.pack("<4sIQ", b"DMXT", 7, 2) + b"{}", "unsupported format version 7"),
         (struct.pack("<4sIQ", b"DMXT", 1, 2) + b"[]", "corrupt header: "),
+        (struct.pack("<4sIQ", b"DMXT", 1, 33) + b'{"tensors": [], "metadata": {}} \x00', "corrupt header: "),
     ],
-    ids=["magic", "version", "json"],
+    ids=["magic", "version", "json", "nul_padding"],
 )
 def test_every_header_error_names_the_archive(tmp_path, blob, message):
     path = tmp_path / "bad.dmxt"
