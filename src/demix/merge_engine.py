@@ -12,7 +12,12 @@ each block straight into the merged tensor's fresh array. :meth:`MergePlan.block
 which :func:`~demix.tensor_store.save_archive` reads, computes each block in a
 scratch buffer that stays in cache and checks it finite before handing it on,
 so ``demix merge`` writes the merged model to its archive without ever holding
-it. Neither allocates a full-size temporary. Each block runs the same IEEE
+it. That check also covers the inputs, which ``demix merge`` loads unchecked:
+with finite weights, a merged value is finite only where every input value
+under it is, because NaN propagates, ``0 * inf`` is NaN, an infinite component
+value leaves an infinite or NaN sum, and an infinite anchor value gives
+``inf - inf`` (NaN) against any component, or itself when it is the only one.
+Neither allocates a full-size temporary. Each block runs the same IEEE
 operations on each value, in the same order, as the whole-tensor formula
 ``ref + sum_i w_i * (c_i - ref)`` (accumulator set to 0, then one subtract,
 multiply and add per component). A value's result depends only on its own

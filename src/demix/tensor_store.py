@@ -15,8 +15,10 @@ a cache line, and every value in it is 8-byte aligned. Readers take the header
 length as given, so archives written without the padding still load.
 
 Loading maps the file read-only instead of copying it: a loaded set's arrays
-are views of the map, read straight from the page cache, and the finiteness
-check that builds the set is the first pass over their values.
+are views of the map, read straight from the page cache. By default the
+finiteness check that builds the set is the first pass over their values;
+``demix merge`` skips it and reads each value once, in the merge kernel,
+whose check on every merged block covers the inputs under it.
 """
 
 from __future__ import annotations
@@ -56,20 +58,26 @@ class ParameterSet:
     The arrays are views of the ones passed in, which stay writable to their
     owner; demix never writes into an array it has passed in. A loaded set's
     arrays are views of its archive's read-only map (see :func:`load_archive`).
+
+    One exception skips the check: ``load_archive(path, check_values=False)``,
+    which only ``demix merge`` calls. It checks those values in the merged
+    blocks instead (:meth:`demix.merge_engine.MergePlan.blocks`), and loads
+    the archives again with the check when a block is not finite.
     """
 
     entries: Mapping[str, np.ndarray]
     model_id: str = ""
 
     def __post_init__(self):
-        entries = {}
-        for name, values in self.entries.items():
-            arr = np.asarray(values, dtype=np.float64).view()
-            if not np.all(np.isfinite(arr)):
-                raise NonFiniteError(f"tensor {name!r}: non-finite value")
-            arr.flags.writeable = False
-            entries[name] = arr
-        object.__setattr__(self, "entries", MappingProxyType(entries))
+        object.__setattr__(self, "entries", _read_only(self.entries, check_values=True))
+
+    @classmethod
+    def _unchecked(cls, entries: Mapping[str, np.ndarray], model_id: str) -> "ParameterSet":
+        """The set of ``entries`` built without the finiteness pass."""
+        params = object.__new__(cls)
+        object.__setattr__(params, "entries", _read_only(entries, check_values=False))
+        object.__setattr__(params, "model_id", model_id)
+        return params
 
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray], model_id: str = "") -> "ParameterSet":
@@ -93,6 +101,19 @@ class ParameterSet:
             entries={k: v.copy() for k, v in self.entries.items()},
             model_id=self.model_id if model_id is None else model_id,
         )
+
+
+def _read_only(entries: Mapping[str, np.ndarray], check_values: bool) -> Mapping[str, np.ndarray]:
+    """Read-only float64 views of ``entries``, checked finite unless
+    ``check_values`` is false."""
+    views = {}
+    for name, values in entries.items():
+        arr = np.asarray(values, dtype=np.float64).view()
+        if check_values and not np.all(np.isfinite(arr)):
+            raise NonFiniteError(f"tensor {name!r}: non-finite value")
+        arr.flags.writeable = False
+        views[name] = arr
+    return MappingProxyType(views)
 
 
 def _payload(arr: np.ndarray) -> np.ndarray:
@@ -195,9 +216,14 @@ def save_archive(params: ParameterSet, path, metadata: dict[str, str] | None = N
         raise ArchiveError(f"cannot write archive {path}: {exc}") from exc
 
 
-def load_archive(path) -> ParameterSet:
+def load_archive(path, *, check_values: bool = True) -> ParameterSet:
     """Map an archive read-only, validating magic, version, index and payload
-    bounds. Every error names ``path``.
+    bounds, and check that every value is finite. Every error names ``path``.
+
+    With ``check_values=False`` no value is read: the header, index and
+    bounds are checked as always, and the set is built without the finiteness
+    pass. Only ``demix merge`` passes it; a non-finite value then shows in
+    the merged block it reaches (see :class:`ParameterSet`).
 
     The set's arrays are read-only views of the map, not copies. Their values
     sit at the file's own offsets. An archive that :func:`save_archive` wrote
@@ -226,7 +252,10 @@ def load_archive(path) -> ParameterSet:
             name: np.frombuffer(buffer, "<f8", length // 8, start + offset).reshape(shape)
             for name, shape, offset, length in header.index
         }
-        return ParameterSet(entries=entries, model_id=header.metadata.get("model_id", ""))
+        model_id = header.metadata.get("model_id", "")
+        if not check_values:
+            return ParameterSet._unchecked(entries, model_id)
+        return ParameterSet(entries=entries, model_id=model_id)
     except OSError as exc:
         raise ArchiveError(f"cannot read archive {path}: {exc}") from exc
     except (ArchiveError, ValidationError) as exc:

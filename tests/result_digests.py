@@ -18,9 +18,12 @@ runs `demix dedup` on the benchmark's `dedup_corpus` corpora
 Last it saves the benchmark's `merge_10m` components (`inputs.merge_inputs`
 at seed 0, full size, so every tensor spans many blocks of the merge kernel),
 runs `demix merge` at each of their distinct ratios and prints
-`merge <ratio#> <sha256>` for each merged archive. Two checkouts, or two runs
-of one checkout under different settings, made the same results when their
-outputs are equal.
+`merge <ratio#> <sha256>` for each merged archive. Then it writes a NaN over
+the last value of the second component, runs `demix merge` once more and
+prints `merge nan exit <code>` and `merge nan stderr <message>`, with the
+temporary directory shown as `<tmp>`, so an error that changes shows too. Two
+checkouts, or two runs of one checkout under different settings, made the
+same results when their outputs are equal.
 
 The runs follow the environment as `demix run` does: OPENBLAS_NUM_THREADS
 defaults to 1, so a cold run and the partial rerun fork the references and
@@ -35,6 +38,7 @@ import contextlib
 import hashlib
 import io
 import os
+import struct
 import sys
 import tempfile
 from pathlib import Path
@@ -111,6 +115,16 @@ def main() -> None:
                 if demix_main(argv) != 0:
                     sys.exit(f"demix {' '.join(argv)} failed")
             print("merge", i, sha256(out))
+        with open(paths[1], "r+b") as fh:  # the last value of the last tensor
+            fh.seek(-8, os.SEEK_END)
+            fh.write(struct.pack("<d", float("nan")))
+        argv = ["merge", "--ratio", inputs.ratio_arg(ratios[0]),
+                "--components", ",".join(map(str, paths)), "--out", str(work / "merged_nan.dmxt")]
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = demix_main(argv)
+        print("merge nan exit", code)
+        print("merge nan stderr", stderr.getvalue().replace(tmp, "<tmp>").rstrip("\n"))
 
 
 if __name__ == "__main__":

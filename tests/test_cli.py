@@ -212,6 +212,81 @@ def test_merge_cli_that_overflows_in_a_later_block_writes_nothing(tmp_path, caps
     assert list(tmp_path.glob("*.tmp")) == []
 
 
+def save_with_value(path, arrays, name, index, value):
+    """Save ``arrays`` to ``path``, then write ``value``, which a set cannot
+    hold, over value ``index`` of tensor ``name`` in the file."""
+    save_archive(ParameterSet.from_arrays(arrays), path)
+    blob = bytearray(path.read_bytes())
+    (header_len,) = struct.unpack_from("<Q", blob, 8)
+    doc, _ = json.JSONDecoder().raw_decode(blob[16 : 16 + header_len].decode("utf-8"))
+    offset = next(t["offset"] for t in doc["tensors"] if t["name"] == name)
+    struct.pack_into("<d", blob, 16 + header_len + offset + 8 * index, value)
+    path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize(
+    "ratio, holders, named",
+    [
+        # A NaN in the heaviest component, in the later tensor, past its first block.
+        ("0.2,0.5,0.3", {1: np.nan}, 1),
+        # 0 * inf is NaN: a component at weight 0 still spoils the merge.
+        ("0.5,0.5,0", {2: np.inf}, 2),
+        # The first archive on the command line that holds one is named.
+        ("0.2,0.5,0.3", {2: -np.inf, 1: np.nan}, 1),
+    ],
+    ids=["nan_past_the_first_block", "inf_at_weight_0", "first_of_two"],
+)
+def test_merge_cli_names_the_archive_and_tensor_that_hold_a_non_finite_value(
+    tmp_path, capsys, ratio, holders, named
+):
+    rng = np.random.default_rng(7)
+    paths = [tmp_path / f"comp{i}.dmxt" for i in range(3)]
+    for i, path in enumerate(paths):
+        arrays = {"a": rng.standard_normal(3), "b": rng.standard_normal(merge_engine.BLOCK + 5)}
+        if i in holders:
+            save_with_value(path, arrays, "b", merge_engine.BLOCK + 2, holders[i])
+        else:
+            save_archive(ParameterSet.from_arrays(arrays), path)
+    out = tmp_path / "merged.dmxt"
+    out.write_bytes(b"an earlier file")
+    components = ",".join(str(p) for p in paths)
+    assert main(["merge", "--ratio", ratio, "--components", components, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: invalid archive {paths[named]}: tensor 'b': non-finite value\n"
+    assert out.read_bytes() == b"an earlier file"
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_merge_cli_reads_no_whole_input_to_check_it_and_checks_the_ratio_first(
+    tmp_path, capsys, monkeypatch
+):
+    rng = np.random.default_rng(8)
+    size = 2 * merge_engine.BLOCK + 5
+    paths = [tmp_path / f"comp{i}.dmxt" for i in range(3)]
+    for path in paths:
+        save_archive(ParameterSet.from_arrays({"w": rng.standard_normal(size)}), path)
+    sizes = []
+    isfinite = np.isfinite
+
+    def recording(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", recording)
+    out = tmp_path / "merged.dmxt"
+    components = ",".join(str(p) for p in paths)
+    assert main(["merge", "--ratio", "0.2,0.5,0.3", "--components", components, "--out", str(out)]) == 0
+    # The ratio's weights and each merged block, never a whole mapped input.
+    assert sizes and max(sizes) <= merge_engine.BLOCK
+    assert sum(sizes) == 3 + size
+    # A bad ratio is a usage error even beside an archive that holds a NaN.
+    save_with_value(paths[1], {"w": rng.standard_normal(size)}, "w", 0, np.nan)
+    for bad in ("0.9,0.9,0.9", "0.5,0.5"):
+        capsys.readouterr()
+        assert main(["merge", "--ratio", bad, "--components", components, "--out", str(out)]) == 2
+        assert "non-finite" not in capsys.readouterr().err
+
+
 def test_dedup_cli(tmp_path, capsys):
     docs = tmp_path / "docs.jsonl"
     lines = [

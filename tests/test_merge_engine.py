@@ -4,10 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from demix import merge_engine
-from demix.errors import SchemaMismatchError, ValidationError
+from demix.errors import NonFiniteError, SchemaMismatchError, ValidationError
 from demix.merge_engine import MixtureRatio, merge
 from demix.tensor_store import ParameterSet, save_archive
 
@@ -277,6 +277,44 @@ def test_merge_allocates_no_full_size_temporaries():
     # The output, the scratch blocks and the finiteness check's one-byte mask.
     assert merged.entries["w"].nbytes == 8 << 20
     assert peak < (8 << 20) + (2 << 20)
+
+
+# --- non-finite inputs ------------------------------------------------------------
+# `demix merge` loads its archives without the finiteness pass and relies on
+# the check of each merged block: a non-finite input value must leave a
+# non-finite merged value above it, whatever the weights and the other values.
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    weights=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=1, max_size=4).filter(
+        lambda w: sum(w) > 0
+    ),
+    values=st.lists(st.floats(-1e300, 1e300), min_size=4, max_size=4),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+    in_anchor=st.booleans(),
+    pick=st.integers(0, 3),
+    position=st.integers(0, 8),
+)
+def test_a_non_finite_input_value_leaves_its_merged_value_non_finite(
+    weights, values, bad, in_anchor, pick, position
+):
+    arrays = [np.linspace(-1.0, 1.0, 9) for _ in weights]
+    for arr, value in zip(arrays, values):
+        arr[position] = value
+    comps = [ParameterSet.from_arrays({"w": arr}) for arr in arrays]
+    plan = merge(comps, ratio(np.array(weights) / sum(weights)))
+    assume(in_anchor or plan.others)
+    target = plan.anchor if in_anchor else plan.others[pick % len(plan.others)][1]
+    # The set's array is a view of its owner's, which the test may still write.
+    arrays[next(i for i, comp in enumerate(comps) if comp is target)][position] = bad
+    others = [(w, comp.entries["w"]) for w, comp in plan.others]
+    merged = merge_engine.merge_block(plan.anchor.entries["w"], others, np.empty(9), np.empty(9))
+    assert not np.isfinite(merged[position])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(merge_engine, "BLOCK", 4)  # the value lands in any of three blocks
+        with pytest.raises(NonFiniteError, match="tensor 'w': non-finite value"):
+            list(plan.blocks())
 
 
 # --- the streamed write ---------------------------------------------------------------

@@ -491,6 +491,23 @@ def test_non_finite_payload_is_an_archive_error_found_only_on_load(tmp_path):
         load_archive(path)
 
 
+def test_an_unchecked_load_reads_no_value_but_checks_the_layout(tmp_path, monkeypatch):
+    path = tmp_path / "nan.dmxt"
+    _write_archive(path, {"tensors": [_good_entry()], "metadata": {"model_id": "m"}},
+                   np.array([np.nan]).tobytes())
+    monkeypatch.setattr(np, "isfinite", None)  # any call fails
+    params = load_archive(path, check_values=False)
+    monkeypatch.undo()
+    assert params.model_id == "m" and params.schema() == {"w": (1,)}
+    assert np.isnan(params.entries["w"][0]) and not params.entries["w"].flags.writeable
+    with pytest.raises(TypeError):
+        params.entries["x"] = np.zeros(1)
+    _write_archive(path, {"tensors": [_good_entry()], "metadata": {}}, np.zeros(2).tobytes())
+    with pytest.raises(ArchiveError) as info:
+        load_archive(path, check_values=False)
+    assert str(info.value) == f"invalid archive {path}: payload larger than header declares"
+
+
 def test_missing_archive_is_an_archive_error_naming_the_path(tmp_path):
     with pytest.raises(ArchiveError, match="absent.dmxt"):
         load_archive(tmp_path / "absent.dmxt")
