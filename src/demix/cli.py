@@ -73,7 +73,8 @@ def _read_corpus(path) -> list[tuple[str, str]]:
     try:
         lines = io.StringIO(data.decode("utf-8"), newline=None)
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        head = data[: exc.start]  # "\n", "\r\n" and "\r" each end a line, as read below
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise ValidationError(f"{path}:{line}: not UTF-8 text") from None
     docs = []
     for number, line in enumerate(lines, start=1):

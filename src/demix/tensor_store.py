@@ -32,7 +32,7 @@ import re
 import struct
 import sys
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 
@@ -116,44 +116,6 @@ def _read_only(entries: Mapping[str, np.ndarray], check_values: bool) -> Mapping
     return MappingProxyType(views)
 
 
-def _payload(arr: np.ndarray) -> np.ndarray:
-    """``arr``'s values as a C-contiguous little-endian float64 buffer: the
-    array itself when it already is one, as the arrays demix builds are."""
-    return np.ascontiguousarray(arr, dtype="<f8")
-
-
-@dataclass
-class ArchiveHeader:
-    """Parsed archive header: tensor index and string metadata."""
-
-    index: list[tuple[str, tuple[int, ...], int, int]]  # (name, shape, offset, length)
-    metadata: dict[str, str] = field(default_factory=dict)
-
-    def validate(self, payload_size: int) -> None:
-        expected = 0
-        seen = set()
-        for name, shape, offset, length in self.index:
-            if name in seen:
-                raise ArchiveError(f"duplicate tensor name {name!r}")
-            seen.add(name)
-            if any(s < 0 for s in shape):
-                raise ArchiveError(f"tensor {name!r}: negative dimension in header")
-            # numpy's own limit, which binds even when another dimension is 0.
-            if math.prod(s for s in shape if s) * 8 > sys.maxsize:
-                raise ArchiveError(f"tensor {name!r}: dimensions too large in header")
-            if offset != expected:
-                raise ArchiveError(
-                    f"tensor {name!r}: offsets must be ascending and non-overlapping"
-                )
-            if math.prod(shape) * 8 != length:
-                raise ArchiveError(f"tensor {name!r}: shape/length mismatch in header")
-            expected = offset + length
-        if expected > payload_size:
-            raise ArchiveError("truncated payload")
-        if expected < payload_size:
-            raise ArchiveError("payload larger than header declares")
-
-
 @contextlib.contextmanager
 def atomic_write(path):
     """Open a temp file ``<name>.<pid>.tmp`` beside ``path`` for binary
@@ -211,7 +173,9 @@ def save_archive(params: ParameterSet, path, metadata: dict[str, str] | None = N
             fh.write(_PREAMBLE.pack(MAGIC, FORMAT_VERSION, len(header)))
             fh.write(header)
             for block in params.blocks():
-                fh.write(_payload(block))
+                # C-contiguous little-endian float64: for the arrays demix
+                # builds, the block itself, so this copies nothing.
+                fh.write(np.ascontiguousarray(block, dtype="<f8"))
     except OSError as exc:
         raise ArchiveError(f"cannot write archive {path}: {exc}") from exc
 
@@ -240,9 +204,9 @@ def load_archive(path, *, check_values: bool = True) -> ParameterSet:
     """
     try:
         with open(path, "rb") as fh:
-            header = _read_header(fh)
+            index, metadata = _read_header(fh)
             start = fh.tell()
-            size = start + sum(length for *_, length in header.index)
+            size = start + sum(length for *_, length in index)
             try:
                 # Mapping the validated size fails if the file has shrunk since.
                 buffer = mmap.mmap(fh.fileno(), size, access=mmap.ACCESS_READ)
@@ -250,9 +214,9 @@ def load_archive(path, *, check_values: bool = True) -> ParameterSet:
                 raise ArchiveError("truncated payload") from None
         entries = {
             name: np.frombuffer(buffer, "<f8", length // 8, start + offset).reshape(shape)
-            for name, shape, offset, length in header.index
+            for name, shape, offset, length in index
         }
-        model_id = header.metadata.get("model_id", "")
+        model_id = metadata.get("model_id", "")
         if not check_values:
             return ParameterSet._unchecked(entries, model_id)
         return ParameterSet(entries=entries, model_id=model_id)
@@ -262,9 +226,11 @@ def load_archive(path, *, check_values: bool = True) -> ParameterSet:
         raise ArchiveError(f"invalid archive {path}: {exc}") from exc
 
 
-def _read_header(fh) -> ArchiveHeader:
+def _read_header(fh) -> tuple[list[tuple[str, tuple[int, ...], int, int]], dict[str, str]]:
     """Read the preamble and header from ``fh``, leaving it at the payload start,
-    and check the index against the payload size the file actually has."""
+    and check the index against the payload size the file actually has.
+    Returns the index, one ``(name, shape, offset, length)`` per tensor in
+    payload order, and the string metadata."""
     file_size = os.fstat(fh.fileno()).st_size
     preamble = fh.read(_PREAMBLE.size)
     if len(preamble) < _PREAMBLE.size:
@@ -289,6 +255,24 @@ def _read_header(fh) -> ArchiveHeader:
     for name, *_ in index:
         if not isinstance(name, str):
             raise ArchiveError(f"corrupt header: tensor name {name!r} is not a string")
-    header = ArchiveHeader(index=index, metadata=metadata)
-    header.validate(file_size - header_end)
-    return header
+    expected = 0
+    seen = set()
+    for name, shape, offset, length in index:
+        if name in seen:
+            raise ArchiveError(f"duplicate tensor name {name!r}")
+        seen.add(name)
+        if any(s < 0 for s in shape):
+            raise ArchiveError(f"tensor {name!r}: negative dimension in header")
+        # numpy's own limit, which binds even when another dimension is 0.
+        if math.prod(s for s in shape if s) * 8 > sys.maxsize:
+            raise ArchiveError(f"tensor {name!r}: dimensions too large in header")
+        if offset != expected:
+            raise ArchiveError(f"tensor {name!r}: offsets must be ascending and non-overlapping")
+        if math.prod(shape) * 8 != length:
+            raise ArchiveError(f"tensor {name!r}: shape/length mismatch in header")
+        expected = offset + length
+    if expected > file_size - header_end:
+        raise ArchiveError("truncated payload")
+    if expected < file_size - header_end:
+        raise ArchiveError("payload larger than header declares")
+    return index, metadata

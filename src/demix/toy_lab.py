@@ -8,9 +8,10 @@ compromise), domain-private coordinates sampled at a weaker scale only by the
 owning domain, and foreign coordinates a domain does not sample at all. The
 general dataset is an equal blend of all domain distributions; benchmarks are
 held-out noiseless per-domain eval sets scored 100 exp(-MSE), on a 0-100
-scale. The module constants NOISE_STD, OWN_STD, SHARED_TARGET_STD and
-OWN_TARGET_STD hold the lab's calibration; SHARED_DIMS, EXAMPLES_PER_DOMAIN,
-GENERAL_EXAMPLES and BENCHMARK_EXAMPLES hold its sizes.
+scale. Every dataset of a lab, benchmarks included, is a CandidateDataset,
+shape-checked when it is built. The module constants NOISE_STD, OWN_STD,
+SHARED_TARGET_STD and OWN_TARGET_STD hold the lab's calibration; SHARED_DIMS,
+EXAMPLES_PER_DOMAIN, GENERAL_EXAMPLES and BENCHMARK_EXAMPLES hold its sizes.
 
 Every model trained from the base trains on one blend of general data and a
 mixture, :func:`reference_mixture`: a component at a one-hot mixture, and
@@ -73,13 +74,10 @@ class CandidateDataset:
 
 
 @dataclass
-class BenchmarkTask:
+class BenchmarkTask(CandidateDataset):
     """Held-out eval set for one domain with a deterministic 0-100 score."""
 
-    id: str
     domain: str
-    X: np.ndarray
-    y: np.ndarray
 
 
 @dataclass
@@ -185,64 +183,49 @@ def check_lab_size(
         )
 
 
+def _draw(rng, count: int, scale: np.ndarray, theta: np.ndarray, noiseless: bool = False):
+    """``count`` rows of one domain: features at ``scale``, targets ``X @ theta``,
+    plus label noise unless ``noiseless``."""
+    X = rng.standard_normal((count, scale.size)) * scale
+    y = X @ theta
+    if not noiseless:
+        y = y + NOISE_STD * rng.standard_normal(count)
+    return X, y
+
+
 def make_domains(n_domains: int, d: int, seed: int) -> ToyLab:
     """Generate candidate datasets, the general blend, and benchmark tasks."""
     check_lab_size(n_domains, d)
-    domains = domain_ids(n_domains)
-    own_coords = {k: list(range(SHARED_DIMS + k, d, n_domains)) for k in range(n_domains)}
-
     shared_dirs = _shared_directions(n_domains, _rng_for(seed, "target", "shared"))
-    scales = {}
-    targets = {}
-    for k, name in enumerate(domains):
+    candidates, blocks, tasks = [], [], []
+    for k, name in enumerate(domain_ids(n_domains)):
+        own = list(range(SHARED_DIMS + k, d, n_domains))
         scale = np.zeros(d)
         scale[:SHARED_DIMS] = 1.0
-        scale[own_coords[k]] = OWN_STD
-        scales[name] = scale
-        target_rng = _rng_for(seed, "target", k)
+        scale[own] = OWN_STD
         theta = np.zeros(d)
         theta[:SHARED_DIMS] = SHARED_TARGET_STD * np.sqrt(SHARED_DIMS) * shared_dirs[k]
-        own = own_coords[k]
         if own:
-            direction = target_rng.standard_normal(len(own))
+            direction = _rng_for(seed, "target", k).standard_normal(len(own))
             direction /= np.linalg.norm(direction)
             theta[own] = OWN_TARGET_STD * np.sqrt(len(own)) * direction
-        targets[name] = theta
-
-    def draw(name: str, count: int, rng: np.random.Generator, noiseless: bool):
-        X = rng.standard_normal((count, d)) * scales[name]
-        y = X @ targets[name]
-        if not noiseless:
-            y = y + NOISE_STD * rng.standard_normal(count)
-        return X, y
-
-    candidates = []
-    for k, name in enumerate(domains):
-        X, y = draw(name, EXAMPLES_PER_DOMAIN, _rng_for(seed, "candidate", k), noiseless=False)
+        X, y = _draw(_rng_for(seed, "candidate", k), EXAMPLES_PER_DOMAIN, scale, theta)
         candidates.append(CandidateDataset(id=name, X=X, y=y))
+        count = GENERAL_EXAMPLES // n_domains + int(k < GENERAL_EXAMPLES % n_domains)
+        blocks.append(_draw(_rng_for(seed, "general", k), count, scale, theta))
+        X, y = _draw(_rng_for(seed, "benchmark", k), BENCHMARK_EXAMPLES, scale, theta, noiseless=True)
+        tasks.append(BenchmarkTask(id=f"bench_{name}", X=X, y=y, domain=name))
 
-    counts = [GENERAL_EXAMPLES // n_domains] * n_domains
-    for k in range(GENERAL_EXAMPLES % n_domains):
-        counts[k] += 1
-    blocks = [
-        draw(name, counts[k], _rng_for(seed, "general", k), noiseless=False)
-        for k, name in enumerate(domains)
-    ]
     # Interleave the domain blocks round-robin so mini-batches stay blended.
     order = np.argsort(
-        np.concatenate([np.arange(c) * n_domains + k for k, c in enumerate(counts)]),
+        np.concatenate([np.arange(len(y)) * n_domains + k for k, (_, y) in enumerate(blocks)]),
         kind="stable",
     )
     general = CandidateDataset(
         id="general",
-        X=np.concatenate([b[0] for b in blocks])[order],
-        y=np.concatenate([b[1] for b in blocks])[order],
+        X=np.concatenate([X for X, _ in blocks])[order],
+        y=np.concatenate([y for _, y in blocks])[order],
     )
-
-    tasks = []
-    for k, name in enumerate(domains):
-        X, y = draw(name, BENCHMARK_EXAMPLES, _rng_for(seed, "benchmark", k), noiseless=True)
-        tasks.append(BenchmarkTask(id=f"bench_{name}", domain=name, X=X, y=y))
     return ToyLab(candidates=candidates, general=general, tasks=tasks)
 
 
@@ -609,7 +592,9 @@ def _lab_from_npz(data) -> ToyLab:
     ]
     general = CandidateDataset(id="general", X=data["general_X"], y=data["general_y"])
     tasks = [
-        BenchmarkTask(spec["id"], spec["domain"], data[f"bench_{i}_X"], data[f"bench_{i}_y"])
+        BenchmarkTask(
+            id=spec["id"], X=data[f"bench_{i}_X"], y=data[f"bench_{i}_y"], domain=spec["domain"]
+        )
         for i, spec in enumerate(meta["tasks"])
     ]
     return ToyLab(candidates=candidates, general=general, tasks=tasks)

@@ -21,7 +21,11 @@ runs `demix merge` at each of their distinct ratios and prints
 `merge <ratio#> <sha256>` for each merged archive. Then it writes a NaN over
 the last value of the second component, runs `demix merge` once more and
 prints `merge nan exit <code>` and `merge nan stderr <message>`, with the
-temporary directory shown as `<tmp>`, so an error that changes shows too. Two
+temporary directory shown as `<tmp>`, so an error that changes shows too.
+Last it rewrites the `lab.npz` of the default lab's seed-0 run with its first
+benchmark's y one row short, runs `demix run` on that run directory, and
+prints `lab malformed exit <code>` and `lab malformed stderr <message>` the
+same way, or `lab malformed raised <type>` if the command raised instead. Two
 checkouts, or two runs of one checkout under different settings, made the
 same results when their outputs are equal.
 
@@ -49,6 +53,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import inputs  # noqa: E402
+import numpy as np  # noqa: E402
 from demix import pipeline  # noqa: E402
 from demix.cli import main as demix_main  # noqa: E402
 from demix.config import load_config  # noqa: E402
@@ -125,6 +130,23 @@ def main() -> None:
             code = demix_main(argv)
         print("merge nan exit", code)
         print("merge nan stderr", stderr.getvalue().replace(tmp, "<tmp>").rstrip("\n"))
+        run_root = Path(tmp) / "runs_default_0"
+        (lab,) = run_root.glob("*/lab.npz")
+        with np.load(lab) as data:
+            arrays = dict(data)
+        arrays["bench_0_y"] = arrays["bench_0_y"][:-1]
+        with open(lab, "wb") as fh:
+            np.savez(fh, **arrays)
+        argv = ["run", "--config", str(Path(tmp) / "default_0.ini"), "--run-root", str(run_root)]
+        stderr = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                code = demix_main(argv)
+        except Exception as exc:  # older checkouts let this error escape main
+            print("lab malformed raised", type(exc).__name__)
+        else:
+            print("lab malformed exit", code)
+            print("lab malformed stderr", stderr.getvalue().replace(tmp, "<tmp>").rstrip("\n"))
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """End-to-end tests of the demix command line, and direct tests of the input
 checks of the stage functions that `demix run` calls."""
 
+import contextlib
 import errno
 import json
 import mmap
@@ -460,6 +461,17 @@ def test_malformed_corpus_is_a_usage_error(tmp_path, capsys, bad_line, problem):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("newline", [b"\r", b"\r\n"], ids=["cr", "crlf"])
+def test_a_malformed_corpus_line_is_counted_by_every_line_end(tmp_path, capsys, newline):
+    docs = tmp_path / "docs.jsonl"
+    good = [b'{"id": "a", "text": "alpha"}', b'{"id": "b", "text": "beta"}']
+    for bad_line, problem in [(b'{"id": "c", "text": "caf\xe9"}', "not UTF-8 text"),
+                              (b"not json", "not JSON")]:
+        docs.write_bytes(newline.join([*good, bad_line, b""]))
+        assert main(["dedup", "--in", str(docs), "--report", str(tmp_path / "r.json")]) == 2
+        assert f"{docs}:3: {problem}" in capsys.readouterr().err
+
+
 def test_score_csv_rejects_repeated_rows(tmp_path):
     ref, domains = tmp_path / "ref.csv", tmp_path / "domains.csv"
     rows = "".join(f"m{i},x,{i}.0\nm{i},y,{i % 3}.0\n" for i in range(4))
@@ -688,6 +700,19 @@ def test_closed_stdout_is_not_an_archive_error(tmp_path, capsys, unbuffered):
     assert "error:" not in err and "BrokenPipeError" not in err
 
 
+def test_a_run_whose_stdout_reader_went_away_exits_1_with_nothing_on_stderr(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(SMALL_CONFIG)
+    argv = ["run", "--config", str(cfg), "--run-root", str(tmp_path / "runs")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader goes away before the first line
+    with open(write_end, "w") as stdout, contextlib.redirect_stdout(stdout):
+        assert main(argv) == 1
+    assert capsys.readouterr().err == ""
+
+
 def test_malformed_inputs_are_usage_errors(tmp_path, archives, capsys):
     comps = ",".join(str(p) for p in archives)
     assert main(["merge", "--ratio", "0.5,abc", "--components", comps,
@@ -797,16 +822,55 @@ def test_a_lab_larger_than_memory_exits_8_before_any_run_directory(tmp_path):
     assert not (tmp_path / "runs").exists()
 
 
+# Ways a lab file's first benchmark can be malformed: (X, y) -> (X, y).
+MALFORMED_BENCHMARKS = {
+    "y-one-row-short": lambda X, y: (X, y[:-1]),
+    "one-dimensional-X": lambda X, y: (X[:, 0], y),
+    "no-rows": lambda X, y: (X[:0], y[:0]),
+}
+
+
+def malform_first_benchmark(path, malform) -> None:
+    """Rewrite the lab file ``path`` with its first benchmark passed through ``malform``."""
+    with np.load(path) as data:
+        arrays = dict(data)
+    arrays["bench_0_X"], arrays["bench_0_y"] = malform(arrays["bench_0_X"], arrays["bench_0_y"])
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
 def test_malformed_lab_files_are_usage_errors_naming_the_path(tmp_path):
     not_npz = tmp_path / "not_npz"
     not_npz.write_text("no lab here\n")
     no_meta = tmp_path / "no_meta.npz"
     with open(no_meta, "wb") as fh:
         np.savez(fh, general_X=np.zeros((2, 2)))
-    for lab in (not_npz, no_meta, tmp_path / "missing.npz"):
+    malformed = []
+    for name, malform in MALFORMED_BENCHMARKS.items():
+        malformed.append(tmp_path / f"{name}.npz")
+        pipeline.generate_lab(ExperimentConfig(), malformed[-1])
+        malform_first_benchmark(malformed[-1], malform)
+    for lab in (not_npz, no_meta, tmp_path / "missing.npz", *malformed):
         with pytest.raises(ValidationError) as exc:
             load_lab(lab)
         assert str(lab) in str(exc.value)
+
+
+def test_a_finished_run_whose_lab_has_a_malformed_benchmark_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("")  # the default lab
+    argv = ["run", "--config", str(cfg), "--run-root", str(tmp_path / "runs")]
+    assert main(argv) == 0
+    (lab,) = (tmp_path / "runs").glob("*/lab.npz")
+    finished = lab.read_bytes()
+    for malform in MALFORMED_BENCHMARKS.values():
+        lab.write_bytes(finished)
+        malform_first_benchmark(lab, malform)
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {lab}: not a demix lab: dataset 'bench_dom0': ")
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

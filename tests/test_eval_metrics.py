@@ -294,6 +294,15 @@ def test_consistency_rejects_mismatched_tables():
         consistency_report(ref, other)
 
 
+def test_consistency_rejects_tables_of_different_benchmarks():
+    rng = np.random.default_rng(7)
+    models = [f"m{i}" for i in range(4)]
+    ref = random_table(rng, models, {"b0": "d"})
+    other = random_table(rng, models, {"b1": "d"})
+    with pytest.raises(ValidationError, match="consistency_report: benchmark sets differ"):
+        consistency_report(ref, other)
+
+
 def test_a_degenerate_domain_is_named_with_its_table():
     rng = np.random.default_rng(8)
     models = [f"m{i}" for i in range(10)]

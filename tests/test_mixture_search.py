@@ -262,6 +262,25 @@ def test_evaluator_failure_carries_the_ratio():
     assert isinstance(err.value.__cause__, RuntimeError)
 
 
+def test_an_evaluator_that_changes_its_benchmark_set_is_a_search_error_naming_the_ratio():
+    evaluator, calls = failing_evaluator(1, 0, lambda: {"another": 0.5})
+    with pytest.raises(SearchError, match="evaluator changed its benchmark set mid-search") as err:
+        run_search(evaluator, ["a", "b"], small_plan(), 0, OBJECTIVE)
+    assert err.value.ratio is calls[1][0]
+
+
+def test_a_search_error_of_the_evaluator_passes_through_unchanged():
+    raised = SearchError("the evaluator's own")
+
+    def fail():
+        raise raised
+
+    evaluator, _ = failing_evaluator(0, 2, fail)
+    with pytest.raises(SearchError, match="the evaluator's own") as err:
+        run_search(evaluator, ["a", "b"], small_plan(), 0, OBJECTIVE)
+    assert err.value is raised and err.value.ratio is None
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_a_non_finite_score_carries_its_ratio(bad):
     evaluator, calls = failing_evaluator(0, 3, lambda: {"objective": bad})

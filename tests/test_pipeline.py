@@ -786,6 +786,27 @@ def test_a_reference_file_that_does_not_match_the_lab_is_an_error_naming_it(
         run_pipeline(load_config(config_path), run_root=warm_root)
 
 
+def test_a_hand_edited_references_header_exits_2_naming_the_file(config_path, warm_root, capsys):
+    (run_dir,) = warm_root.iterdir()
+    path = run_dir / "references.csv"
+    path.write_text(path.read_text().replace("model_id,", "model,", 1))
+    argv = ["run", "--config", str(config_path), "--run-root", str(warm_root)]
+    assert cli.main(argv) == 2
+    assert f"error: {path}: expected header model_id,benchmark_id,score" in capsys.readouterr().err
+
+
+def test_a_manifest_of_another_config_exits_7_and_is_left_as_it_is(config_path, warm_root, capsys):
+    (run_dir,) = warm_root.iterdir()
+    path = run_dir / "manifest.json"
+    doc = json.loads(path.read_text())
+    doc["config_hash"] = "0" * len(doc["config_hash"])
+    path.write_text(json.dumps(doc))
+    argv = ["run", "--config", str(config_path), "--run-root", str(warm_root)]
+    assert cli.main(argv) == 7
+    assert "manifest in run directory belongs to a different config" in capsys.readouterr().err
+    assert path.read_text() == json.dumps(doc)
+
+
 def test_a_score_table_that_does_not_line_up_is_an_error_naming_its_file(config_path, warm_root):
     (run_dir,) = warm_root.iterdir()
     references = run_dir / "references.csv"

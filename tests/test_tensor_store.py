@@ -32,7 +32,7 @@ def assert_same_values(a: ParameterSet, b: ParameterSet):
 
 
 def read_header(path):
-    """The archive's header, parsed as load_archive parses it."""
+    """The archive's index and metadata, parsed as load_archive parses them."""
     with open(path, "rb") as fh:
         return _read_header(fh)
 
@@ -191,10 +191,10 @@ def test_bad_magic_and_version_rejected(tmp_path):
 def test_read_header_reports_index_and_metadata(tmp_path):
     path = tmp_path / "p.dmxt"
     save_archive(small_set("base-7"), path, metadata={"provenance": "test"})
-    header = read_header(path)
-    assert header.metadata["model_id"] == "base-7"
-    assert header.metadata["provenance"] == "test"
-    assert [entry[0] for entry in header.index] == ["b", "w"]  # lexicographic
+    index, metadata = read_header(path)
+    assert metadata["model_id"] == "base-7"
+    assert metadata["provenance"] == "test"
+    assert [entry[0] for entry in index] == ["b", "w"]  # lexicographic
 
 
 def test_read_header_reads_only_the_header(tmp_path):
@@ -203,11 +203,11 @@ def test_read_header_reads_only_the_header(tmp_path):
     save_archive(ParameterSet.from_arrays({"big": np.zeros(4 << 20)}), path)  # 32 MiB payload
     tracemalloc.start()
     try:
-        header = read_header(path)
+        index, _ = read_header(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert header.index == [("big", (4 << 20,), 0, 32 << 20)]
+    assert index == [("big", (4 << 20,), 0, 32 << 20)]
     assert peak < 1 << 20
 
 
@@ -445,7 +445,7 @@ def test_checksum_tracks_values_names_and_shapes(tmp_path, changed):
 def test_metadata_values_are_stored_as_strings(tmp_path):
     path = tmp_path / "p.dmxt"
     save_archive(small_set(), path, metadata={"steps": 3, 4: 0.5})
-    assert read_header(path).metadata == {"model_id": "m", "steps": "3", "4": "0.5"}
+    assert read_header(path)[1] == {"model_id": "m", "steps": "3", "4": "0.5"}
 
 
 def _good_entry(name="w", offset=0):
@@ -486,7 +486,7 @@ def test_malformed_index_rejected(tmp_path, tensors, payload_values, message):
 def test_non_finite_payload_is_an_archive_error_found_only_on_load(tmp_path):
     path = tmp_path / "nan.dmxt"
     _write_archive(path, {"tensors": [_good_entry()], "metadata": {}}, np.array([np.nan]).tobytes())
-    assert read_header(path).index == [("w", (1,), 0, 8)]
+    assert read_header(path)[0] == [("w", (1,), 0, 8)]
     with pytest.raises(ArchiveError, match="invalid archive .*non-finite"):
         load_archive(path)
 
