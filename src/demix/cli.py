@@ -169,7 +169,9 @@ def main(argv=None) -> int:
         # The reader of stdout went away (`demix run | head -1`). As the
         # `signal` module docs advise, point stdout at devnull so that the
         # interpreter's final flush does not fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     except DemixError as exc:
         print(f"error: {exc}", file=sys.stderr)

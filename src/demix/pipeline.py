@@ -35,6 +35,16 @@ first use), and rewrites ``manifest.json`` only if something in it changed.
 The consistency and search stages merge the components linearly and
 benchmark the result; they never train and never read the shared base.
 
+What each stage holds of the lab: the lab stage generates it, saves it and
+keeps none of it. The components and references stages train, so they hold
+all of it: the candidate datasets, the general blend and the benchmarks. The
+consistency and search stages hold only the benchmark tasks and the candidate
+ids. A run loads ``lab.npz`` at most once, and drops the loaded lab, with its
+training sets, as soon as no stage left in the process will train: in a
+forked run, in the parent when its search starts (the child keeps its own
+copy for the references); in-process, after the references stage; and in a
+rerun that trains nothing, right after the benchmarks are taken.
+
 The search reads nothing that the references and consistency stages write,
 so a cold run forks one child that runs those two stages, in that order,
 while the parent runs the search. It forks only when both that branch and
@@ -274,12 +284,12 @@ def proxy_scores(components, tasks, ratios: list[MixtureRatio]):
         yield toy_lab.evaluate_model(merge_engine.merge(components, ratio).parameters(), tasks)
 
 
-def score_table(rows, lab: toy_lab.ToyLab) -> ScoreTable:
+def score_table(rows, tasks: list[toy_lab.BenchmarkTask]) -> ScoreTable:
     """The score rows of a list of ratios, one dict each in ratio order, as
     rows ``mix_000``, ``mix_001``, ..., so tables of trained and of merged
     models over the same ratios line up row for row."""
     named = {f"mix_{j:03d}": row for j, row in enumerate(rows)}
-    return ScoreTable(rows=named, domain_of=lab.domain_of_benchmarks())
+    return ScoreTable(rows=named, domain_of=toy_lab.domain_of(tasks))
 
 
 def generate_lab(config: ExperimentConfig, path: Path) -> None:
@@ -299,15 +309,14 @@ def train_components(config: ExperimentConfig, lab: toy_lab.ToyLab, out_dir: Pat
         save_archive(comp, out_dir / f"component_{cand.id}.dmxt")
 
 
-def load_components(directory: Path, lab: toy_lab.ToyLab) -> list[ParameterSet]:
-    """The components in ``directory``, in the lab's candidate order."""
-    return [load_archive(directory / f"component_{c.id}.dmxt") for c in lab.candidates]
+def load_components(directory: Path, candidate_ids: list[str]) -> list[ParameterSet]:
+    """The components in ``directory``, in the order of ``candidate_ids``."""
+    return [load_archive(directory / f"component_{cid}.dmxt") for cid in candidate_ids]
 
 
-def reference_ratios(config: ExperimentConfig, lab: toy_lab.ToyLab) -> list[MixtureRatio]:
+def reference_ratios(config: ExperimentConfig, candidate_ids: list[str]) -> list[MixtureRatio]:
     """The mixtures that the references are trained at and the consistency
     stage merges the proxies at, drawn from the config alone."""
-    candidate_ids = [c.id for c in lab.candidates]
     return mixture_search.sample_simplex(
         len(candidate_ids),
         config.references.count,
@@ -321,19 +330,25 @@ def train_references(
 ) -> None:
     """The references stage: train one reference model per reference ratio,
     all in lockstep, and save the ratios and the reference score table."""
-    ratios = reference_ratios(config, lab)
+    ratios = reference_ratios(config, [c.id for c in lab.candidates])
     dump_json(out_dir / "reference_ratios.json", [r.as_dict() for r in ratios])
-    table = score_table(toy_lab.trained_scores(lab, base, config.training_config(), ratios), lab)
+    scores = toy_lab.trained_scores(lab, base, config.training_config(), ratios)
+    table = score_table(scores, lab.tasks)
     write_score_csv(table, out_dir / "references.csv", out_dir / "domains.csv")
 
 
 def check_consistency(
-    config: ExperimentConfig, lab: toy_lab.ToyLab, components: list[ParameterSet], run_dir: Path
+    config: ExperimentConfig,
+    tasks: list[toy_lab.BenchmarkTask],
+    candidate_ids: list[str],
+    components: list[ParameterSet],
+    run_dir: Path,
 ) -> None:
     """The consistency stage: score merged proxies at the reference ratios
     and compare their rankings with the trained references'."""
     reference = read_score_csv(run_dir / "references.csv", run_dir / "domains.csv")
-    proxy = score_table(proxy_scores(components, lab.tasks, reference_ratios(config, lab)), lab)
+    ratios = reference_ratios(config, candidate_ids)
+    proxy = score_table(proxy_scores(components, tasks, ratios), tasks)
     try:
         report = consistency_report(reference, proxy)
     except ValidationError as exc:
@@ -346,7 +361,8 @@ def check_consistency(
 
 def search_mixture(
     config: ExperimentConfig,
-    lab: toy_lab.ToyLab,
+    tasks: list[toy_lab.BenchmarkTask],
+    candidate_ids: list[str],
     components: list[ParameterSet],
     result_path: Path,
     transcript_path: Path,
@@ -354,11 +370,11 @@ def search_mixture(
     """The search stage: the iterative search over merged proxies. Writes the
     transcript and the result document."""
     best, transcript = mixture_search.run_search(
-        functools.partial(proxy_scores, components, lab.tasks),
-        [c.id for c in lab.candidates],
+        functools.partial(proxy_scores, components, tasks),
+        candidate_ids,
         config.search,
         config.seed,
-        benchmark_domains=lab.domain_of_benchmarks(),
+        benchmark_domains=toy_lab.domain_of(tasks),
     )
     _write_text(transcript_path, transcript.to_jsonl())
     dump_json(result_path, {
@@ -509,11 +525,44 @@ def _run_beside(
     return True
 
 
+class _HeldLab:
+    """A run's lab, loaded from ``path`` by the first stage body that needs
+    it. The stages that train read all of it (:meth:`whole`); the consistency
+    and search stages read only :meth:`benchmarks`. Once :meth:`release` says
+    that no stage left in this process will train, the lab is dropped as soon
+    as the benchmarks are taken from it, and the training sets with it."""
+
+    def __init__(self, path: Path):
+        self.path = path
+        self.lab: toy_lab.ToyLab | None = None
+        self.released = False
+        self._benchmarks: tuple[list[toy_lab.BenchmarkTask], list[str]] | None = None
+
+    def whole(self) -> toy_lab.ToyLab:
+        if self.lab is None:
+            self.lab = toy_lab.load_lab(self.path)
+        return self.lab
+
+    def benchmarks(self) -> tuple[list[toy_lab.BenchmarkTask], list[str]]:
+        """The benchmark tasks and the candidate ids."""
+        if self._benchmarks is None:
+            lab = self.whole()
+            self._benchmarks = lab.tasks, [c.id for c in lab.candidates]
+        if self.released:
+            self.lab = None
+        return self._benchmarks
+
+    def release(self) -> None:
+        self.released = True
+        if self.lab is not None:
+            self.benchmarks()
+
+
 def _run_stages(config: ExperimentConfig, run_dir: Path, manifest: ExperimentManifest) -> None:
     # Loaded by the first stage body that needs them, after the stages that
     # write them, so a fully cached run loads neither.
-    lab = functools.cache(lambda: toy_lab.load_lab(run_dir / "lab.npz"))
-    components = functools.cache(lambda: load_components(run_dir, lab()))
+    lab = _HeldLab(run_dir / "lab.npz")
+    components = functools.cache(lambda: load_components(run_dir, lab.benchmarks()[1]))
     # Merging needs no base, so only the references stage reads and hashes it.
     component_files = [f"component_{c}.dmxt" for c in toy_lab.domain_ids(config.lab.n_domains)]
 
@@ -524,22 +573,24 @@ def _run_stages(config: ExperimentConfig, run_dir: Path, manifest: ExperimentMan
         ("lab", [], ["lab.npz"], lambda: generate_lab(config, run_dir / "lab.npz")),
         (
             "components", ["lab.npz"], ["base.dmxt", *component_files],
-            lambda: train_components(config, lab(), run_dir),
+            lambda: train_components(config, lab.whole(), run_dir),
         ),
         (
             "references", ["lab.npz", "base.dmxt"],
             ["reference_ratios.json", "references.csv", "domains.csv"],
-            lambda: train_references(config, lab(), load_archive(run_dir / "base.dmxt"), run_dir),
+            lambda: train_references(
+                config, lab.whole(), load_archive(run_dir / "base.dmxt"), run_dir
+            ),
         ),
         (
             "consistency", ["lab.npz", "references.csv", "domains.csv", *component_files],
             ["proxy_scores.csv", "consistency.json"],
-            lambda: check_consistency(config, lab(), components(), run_dir),
+            lambda: check_consistency(config, *lab.benchmarks(), components(), run_dir),
         ),
         (
             "search", ["lab.npz", *component_files], ["search_result.json", "transcript.jsonl"],
             lambda: search_mixture(
-                config, lab(), components(),
+                config, *lab.benchmarks(), components(),
                 run_dir / "search_result.json", run_dir / "transcript.jsonl",
             ),
         ),
@@ -585,12 +636,19 @@ def _run_stages(config: ExperimentConfig, run_dir: Path, manifest: ExperimentMan
     # rewrites files that the consistency stage's hash reads.
     pending = stale(search) and next((entry[0] for entry in branch if stale(entry)), None)
     forked = False
+
+    def search_beside() -> None:
+        lab.release()  # the child trains the references on its own copy
+        run([search])
+
     if pending and forking.can_fork():
         components()  # loaded before the fork, so the child need not load them
         forked = _run_beside(manifest, run_dir, [entry[0] for entry in branch], pending,
-                             lambda: run(branch, save=False), lambda: run([search]))
+                             lambda: run(branch, save=False), search_beside)
     if not forked:
-        run([*branch, search])
+        run(branch[:1])
+        lab.release()
+        run([*branch[1:], search])
     run(stages[5:])
     # In the order the stages run, which `demix run` lists them in; a
     # manifest read back from disk has its keys sorted.

@@ -9,9 +9,10 @@ owning domain, and foreign coordinates a domain does not sample at all. The
 general dataset is an equal blend of all domain distributions; benchmarks are
 held-out noiseless per-domain eval sets scored 100 exp(-MSE), on a 0-100
 scale. Every dataset of a lab, benchmarks included, is a CandidateDataset,
-shape-checked when it is built. The module constants NOISE_STD, OWN_STD,
-SHARED_TARGET_STD and OWN_TARGET_STD hold the lab's calibration; SHARED_DIMS,
-EXAMPLES_PER_DOMAIN, GENERAL_EXAMPLES and BENCHMARK_EXAMPLES hold its sizes.
+whose shape and finite values are checked when it is built. The module
+constants NOISE_STD, OWN_STD, SHARED_TARGET_STD and OWN_TARGET_STD hold the
+lab's calibration; SHARED_DIMS, EXAMPLES_PER_DOMAIN, GENERAL_EXAMPLES and
+BENCHMARK_EXAMPLES hold its sizes.
 
 Every model trained from the base trains on one blend of general data and a
 mixture, :func:`reference_mixture`: a component at a one-hot mixture, and
@@ -68,6 +69,8 @@ class CandidateDataset:
         self.y = np.asarray(self.y, dtype=np.float64).reshape(-1)
         if self.X.ndim != 2 or self.X.shape[0] != self.y.size or self.X.shape[0] == 0:
             raise ValidationError(f"dataset {self.id!r}: X must be (m, d) aligned with y")
+        if not (np.isfinite(self.X).all() and np.isfinite(self.y).all()):
+            raise ValidationError(f"dataset {self.id!r}: X and y must be finite")
 
     def __len__(self) -> int:
         return self.X.shape[0]
@@ -117,8 +120,10 @@ class ToyLab:
     general: CandidateDataset
     tasks: list[BenchmarkTask]
 
-    def domain_of_benchmarks(self) -> dict[str, str]:
-        return {task.id: task.domain for task in self.tasks}
+
+def domain_of(tasks: list[BenchmarkTask]) -> dict[str, str]:
+    """The domain of each benchmark, by benchmark id."""
+    return {task.id: task.domain for task in tasks}
 
 
 def _rng_for(seed: int, *labels) -> np.random.Generator:

@@ -25,9 +25,11 @@ temporary directory shown as `<tmp>`, so an error that changes shows too.
 Last it rewrites the `lab.npz` of the default lab's seed-0 run with its first
 benchmark's y one row short, runs `demix run` on that run directory, and
 prints `lab malformed exit <code>` and `lab malformed stderr <message>` the
-same way, or `lab malformed raised <type>` if the command raised instead. Two
-checkouts, or two runs of one checkout under different settings, made the
-same results when their outputs are equal.
+same way, or `lab malformed raised <type>` if the command raised instead.
+Then it writes the lab back with that y whole but its first value NaN, runs
+`demix run` again and prints `lab nan exit`, `lab nan stderr` (or `lab nan
+raised`) the same way. Two checkouts, or two runs of one checkout under
+different settings, made the same results when their outputs are equal.
 
 The runs follow the environment as `demix run` does: OPENBLAS_NUM_THREADS
 defaults to 1, so a cold run and the partial rerun fork the references and
@@ -133,20 +135,22 @@ def main() -> None:
         run_root = Path(tmp) / "runs_default_0"
         (lab,) = run_root.glob("*/lab.npz")
         with np.load(lab) as data:
-            arrays = dict(data)
-        arrays["bench_0_y"] = arrays["bench_0_y"][:-1]
-        with open(lab, "wb") as fh:
-            np.savez(fh, **arrays)
+            finished = dict(data)
+        nan_y = finished["bench_0_y"].copy()
+        nan_y[0] = np.nan
         argv = ["run", "--config", str(Path(tmp) / "default_0.ini"), "--run-root", str(run_root)]
-        stderr = io.StringIO()
-        try:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-                code = demix_main(argv)
-        except Exception as exc:  # older checkouts let this error escape main
-            print("lab malformed raised", type(exc).__name__)
-        else:
-            print("lab malformed exit", code)
-            print("lab malformed stderr", stderr.getvalue().replace(tmp, "<tmp>").rstrip("\n"))
+        for name, bench_y in (("malformed", finished["bench_0_y"][:-1]), ("nan", nan_y)):
+            with open(lab, "wb") as fh:
+                np.savez(fh, **{**finished, "bench_0_y": bench_y})
+            stderr = io.StringIO()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                    code = demix_main(argv)
+            except Exception as exc:  # older checkouts let this error escape main
+                print(f"lab {name} raised", type(exc).__name__)
+            else:
+                print(f"lab {name} exit", code)
+                print(f"lab {name} stderr", stderr.getvalue().replace(tmp, "<tmp>").rstrip("\n"))
 
 
 if __name__ == "__main__":

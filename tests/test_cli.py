@@ -416,7 +416,8 @@ def test_an_output_write_that_fails_part_way_leaves_the_old_file_and_no_temp_fil
         config = ExperimentConfig(search=SamplePlan(plan=[4, 2], pool=50, top_k=4))
 
         def write():
-            pipeline.search_mixture(config, lab, comps, out, tmp_path / "transcript.jsonl")
+            pipeline.search_mixture(config, lab.tasks, [c.id for c in lab.candidates], comps, out,
+                                    tmp_path / "transcript.jsonl")
 
     def opener(path, mode="r", *args, **kwargs):
         fh = open(path, mode, *args, **kwargs)
@@ -709,7 +710,9 @@ def test_a_run_whose_stdout_reader_went_away_exits_1_with_nothing_on_stderr(tmp_
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader goes away before the first line
     with open(write_end, "w") as stdout, contextlib.redirect_stdout(stdout):
+        open_fds = sorted(os.listdir("/proc/self/fd"))
         assert main(argv) == 1
+        assert sorted(os.listdir("/proc/self/fd")) == open_fds  # devnull's descriptor closed
     assert capsys.readouterr().err == ""
 
 
@@ -830,11 +833,31 @@ MALFORMED_BENCHMARKS = {
 }
 
 
-def malform_first_benchmark(path, malform) -> None:
-    """Rewrite the lab file ``path`` with its first benchmark passed through ``malform``."""
+def with_value(array, index: int, value: float):
+    """A copy of ``array`` with its flat ``index``-th value set to ``value``."""
+    array = array.copy()
+    array.flat[index] = value
+    return array
+
+
+# A non-finite value in a lab dataset: (its arrays' key prefix in lab.npz,
+# the dataset's id, the change).
+NON_FINITE_DATASETS = {
+    "nan-in-benchmark-y": ("bench_0", "bench_dom0", lambda X, y: (X, with_value(y, 5, np.nan))),
+    "inf-in-benchmark-y": ("bench_0", "bench_dom0", lambda X, y: (X, with_value(y, 5, np.inf))),
+    "nan-in-candidate-X": ("cand_0", "dom0", lambda X, y: (with_value(X, 7, np.nan), y)),
+    "inf-in-candidate-X": ("cand_0", "dom0", lambda X, y: (with_value(X, 7, -np.inf), y)),
+}
+
+
+def malform_dataset(path, malform, prefix: str = "bench_0") -> None:
+    """Rewrite the lab file ``path`` with the dataset whose arrays are
+    ``<prefix>_X`` and ``<prefix>_y``, by default its first benchmark, passed
+    through ``malform``."""
     with np.load(path) as data:
         arrays = dict(data)
-    arrays["bench_0_X"], arrays["bench_0_y"] = malform(arrays["bench_0_X"], arrays["bench_0_y"])
+    X, y = f"{prefix}_X", f"{prefix}_y"
+    arrays[X], arrays[y] = malform(arrays[X], arrays[y])
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
 
@@ -849,7 +872,7 @@ def test_malformed_lab_files_are_usage_errors_naming_the_path(tmp_path):
     for name, malform in MALFORMED_BENCHMARKS.items():
         malformed.append(tmp_path / f"{name}.npz")
         pipeline.generate_lab(ExperimentConfig(), malformed[-1])
-        malform_first_benchmark(malformed[-1], malform)
+        malform_dataset(malformed[-1], malform)
     for lab in (not_npz, no_meta, tmp_path / "missing.npz", *malformed):
         with pytest.raises(ValidationError) as exc:
             load_lab(lab)
@@ -863,14 +886,17 @@ def test_a_finished_run_whose_lab_has_a_malformed_benchmark_exits_2(tmp_path, ca
     assert main(argv) == 0
     (lab,) = (tmp_path / "runs").glob("*/lab.npz")
     finished = lab.read_bytes()
-    for malform in MALFORMED_BENCHMARKS.values():
+    cases = [("bench_0", "bench_dom0", malform, "X must be (m, d) aligned with y")
+             for malform in MALFORMED_BENCHMARKS.values()]
+    cases += [(*case, "X and y must be finite") for case in NON_FINITE_DATASETS.values()]
+    for prefix, dataset, malform, problem in cases:
         lab.write_bytes(finished)
-        malform_first_benchmark(lab, malform)
+        malform_dataset(lab, malform, prefix)
         capsys.readouterr()
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {lab}: not a demix lab: dataset 'bench_dom0': ")
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == (
+            f"error: {lab}: not a demix lab: dataset '{dataset}': {problem}\n"
+        )
 
 
 @pytest.mark.parametrize(

@@ -172,6 +172,43 @@ def test_a_cached_run_loads_neither_the_lab_nor_a_component(config_path, warm_ro
     assert recomputed_stages(run_pipeline(load_config(config_path), run_root=warm_root)) == []
 
 
+@pytest.mark.parametrize("path", [pytest.param("forked", marks=needs_fork), "in-process", "search-rerun"])
+def test_the_search_starts_after_the_labs_training_sets_are_freed(
+    config_path, tmp_path, monkeypatch, forks, path
+):
+    config = load_config(config_path)
+    run_root = tmp_path / "runs"
+    if path == "search-rerun":  # only the search is stale: the lab is loaded for its benchmarks
+        manifest = run_pipeline(config, run_root=run_root)
+        (Path(manifest.run_dir) / "search_result.json").unlink()
+        forks.clear()
+    if path == "in-process":
+        monkeypatch.setattr(forking, "can_fork", lambda: False)
+    loads, training_arrays, alive_at_search = [], [], []
+    load_lab, run_search = toy_lab.load_lab, mixture_search.run_search
+
+    def recording_load(lab_path):
+        lab = load_lab(lab_path)
+        loads.append(lab_path)
+        training_arrays.extend(
+            weakref.ref(array) for ds in [*lab.candidates, lab.general] for array in (ds.X, ds.y)
+        )
+        return lab
+
+    def checking_search(*args, **kwargs):
+        alive_at_search.append(sum(ref() is not None for ref in training_arrays))
+        return run_search(*args, **kwargs)
+
+    monkeypatch.setattr(toy_lab, "load_lab", recording_load)
+    monkeypatch.setattr(mixture_search, "run_search", checking_search)
+    manifest = run_pipeline(config, run_root=run_root)
+    assert "search" in recomputed_stages(manifest)
+    assert len(forks) == (path == "forked")
+    assert len(loads) == 1  # never loaded again after the training sets were dropped
+    assert len(training_arrays) == 2 * (config.lab.n_domains + 1)
+    assert alive_at_search == [0]
+
+
 def test_search_result_holds_only_what_the_search_computed(config_path, warm_root):
     (run_dir,) = warm_root.iterdir()
     result = json.loads((run_dir / "search_result.json").read_text())
@@ -512,7 +549,7 @@ def test_a_stage_killed_after_a_partial_write_is_recomputed(config_path, tmp_pat
         "import os, sys\n"
         "from demix import pipeline\n"
         "from demix.config import load_config\n"
-        "def search_then_die(config, lab, components, result_path, transcript_path):\n"
+        "def search_then_die(config, tasks, candidate_ids, components, result_path, transcript_path):\n"
         "    result_path.write_text('{\"best_mixture\": {')\n"
         "    os._exit(9)\n"
         "pipeline.search_mixture = search_then_die\n"
@@ -540,7 +577,7 @@ def test_a_write_killed_part_way_leaves_no_temp_file_after_the_next_run(config_p
         "import os, sys\n"
         "from demix import pipeline, tensor_store\n"
         "from demix.config import load_config\n"
-        "def search_then_die(config, lab, components, result_path, transcript_path):\n"
+        "def search_then_die(config, tasks, candidate_ids, components, result_path, transcript_path):\n"
         "    with tensor_store.atomic_write(result_path) as fh:\n"
         "        fh.write(b'{\"best_mixture\": {')\n"
         "        fh.flush()\n"
@@ -900,7 +937,7 @@ def test_score_csv_round_trip(tmp_path):
         MixtureRatio(weights=rng.dirichlet(np.ones(2)), candidate_ids=["dom0", "dom1"])
         for _ in range(3)
     ]
-    table = score_table(proxy_scores(comps, lab.tasks, ratios), lab)
+    table = score_table(proxy_scores(comps, lab.tasks, ratios), lab.tasks)
     write_score_csv(table, tmp_path / "scores.csv", tmp_path / "domains.csv")
     loaded = read_score_csv(tmp_path / "scores.csv", tmp_path / "domains.csv")
     assert loaded.rows == table.rows
@@ -915,8 +952,8 @@ def test_consistency_helper_reports_recovery():
 
     ids = [c.id for c in lab.candidates]
     ratios = sample_simplex(3, 10, seed=9, candidate_ids=ids)
-    reference = score_table(toy_lab.trained_scores(lab, base, config, ratios), lab)
-    proxy = score_table(proxy_scores(comps, lab.tasks, ratios), lab)
+    reference = score_table(toy_lab.trained_scores(lab, base, config, ratios), lab.tasks)
+    proxy = score_table(proxy_scores(comps, lab.tasks, ratios), lab.tasks)
     report = consistency_report(reference, proxy)
     assert set(report["per_domain_rho"]) == {"dom0", "dom1", "dom2"}
     assert report["mean_capability_recovery"] > 0.5
@@ -963,7 +1000,8 @@ def test_the_consistency_stage_scores_every_reference_ratio_in_one_call(
     (run_dir,) = warm_root.iterdir()
     before = {name: (run_dir / name).read_bytes() for name in ("proxy_scores.csv", "consistency.json")}
     lab = toy_lab.load_lab(run_dir / "lab.npz")
-    components = pipeline.load_components(run_dir, lab)
+    candidate_ids = [c.id for c in lab.candidates]
+    components = pipeline.load_components(run_dir, candidate_ids)
     calls = []
 
     def recording(components, tasks, ratios):
@@ -971,7 +1009,7 @@ def test_the_consistency_stage_scores_every_reference_ratio_in_one_call(
         return proxy_scores(components, tasks, ratios)
 
     monkeypatch.setattr(pipeline, "proxy_scores", recording)
-    pipeline.check_consistency(load_config(config_path), lab, components, run_dir)
+    pipeline.check_consistency(load_config(config_path), lab.tasks, candidate_ids, components, run_dir)
     assert calls == [10]
     assert {name: (run_dir / name).read_bytes() for name in before} == before
 

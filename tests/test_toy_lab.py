@@ -254,7 +254,7 @@ def test_reference_set_shape_and_determinism(default_lab, prepared):
     ratios = sample_simplex(3, 2, seed=10, candidate_ids=ids)
 
     def trained(ratios):
-        return score_table(trained_scores(default_lab, base, config, ratios), default_lab)
+        return score_table(trained_scores(default_lab, base, config, ratios), default_lab.tasks)
 
     one = trained(ratios)
     two = trained(ratios)
