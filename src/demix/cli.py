@@ -6,8 +6,8 @@ a size that memory cannot hold, such as a model too wide for it, exits 8.
 Every command exits 1 when the reader of its standard output goes away.
 
 Importing this module before numpy sets OPENBLAS_NUM_THREADS=1 for the process
-and its children, unless the variable is already set, so that `demix run` can
-fork a child to share its work (see `demix.forking`).
+and its children, unless the variable is already set, so that `demix run` and
+`demix merge` can fork a child to share their work (see `demix.forking`).
 """
 
 from __future__ import annotations

@@ -1,15 +1,17 @@
 """Work in a forked child beside the calling process.
 
 :func:`fork` starts a child that runs one function and writes the bytes it
-returns to a pipe; :func:`join` reads them and reaps the child. The pipeline
-runs its references and consistency stages in such a child while it searches
-(:mod:`demix.pipeline`). It forks only where :func:`can_fork` holds: on
-Linux, from a process with one OS thread (a fork copies only the calling
-thread, so BLAS worker threads count, and the CLI pins BLAS to one), that may
-run on at least two CPUs. The child dies with its parent (``PR_SET_PDEATHSIG``) and leaves by
-``os._exit``, so it runs none of the parent's cleanup and flushes none of its
-buffers. A caller whose fork fails (:func:`fork` returns None) does the work
-itself.
+returns to a pipe; :func:`join` reads them and reaps the child. Two callers
+use it. The pipeline runs its references and consistency stages in such a
+child while it searches (:mod:`demix.pipeline`), and
+:func:`~demix.tensor_store.save_archive` has one compute and write the second
+half of a merged archive while the caller writes the first (``demix merge``).
+Each forks only where :func:`can_fork` holds: on Linux, from a process with one
+OS thread (a fork copies only the calling thread, so BLAS worker threads
+count, and the CLI pins BLAS to one), that may run on at least two CPUs. The
+child dies with its parent (``PR_SET_PDEATHSIG``) and leaves by ``os._exit``,
+so it runs none of the parent's cleanup and flushes none of its buffers. A
+caller whose fork fails (:func:`fork` returns None) does the work itself.
 """
 
 from __future__ import annotations

@@ -22,11 +22,15 @@ operations on each value, in the same order, as the whole-tensor formula
 ``ref + sum_i w_i * (c_i - ref)`` (accumulator set to 0, then one subtract,
 multiply and add per component). A value's result depends only on its own
 inputs, never on its neighbours, so the output is the same bit for bit at any
-block size.
+block size. For the same reason :meth:`MergePlan.blocks` computes any range of
+blocks without the ones before it, and :meth:`MergePlan.block_starts` says
+where each lands in the payload: ``save_archive`` has a forked child compute
+and write the second half of the blocks while the caller writes the first.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,9 +98,10 @@ class MergePlan:
     """The merge of components at a ratio, computed only as it is read.
 
     :meth:`parameters` fills the merged model in memory; :meth:`blocks`
-    yields it block by block, which is how :func:`~demix.tensor_store.save_archive`
-    writes it without ever holding it. Both run :func:`merge_block` on the
-    same blocks, so they give the same bits.
+    yields it block by block, or a range of its blocks, which is how
+    :func:`~demix.tensor_store.save_archive` writes it without ever holding
+    it. Both run :func:`merge_block` on the same blocks, so they give the
+    same bits.
     """
 
     anchor: ParameterSet
@@ -113,40 +118,55 @@ class MergePlan:
         # Small models need smaller buffers, which cost less to allocate.
         return np.empty(min(BLOCK, max((a.size for a in self.anchor.entries.values()), default=0)))
 
-    def _blocks_of(self, name: str):
-        """Each block of tensor ``name``: its start, the anchor's values and
-        the ``(w_i, c_i)`` values of the other components."""
-        ref = self.anchor.entries[name].reshape(-1)
-        flats = [(w, comp.entries[name].reshape(-1)) for w, comp in self.others]
-        for start in range(0, ref.size, BLOCK):
-            stop = min(start + BLOCK, ref.size)
-            yield start, ref[start:stop], [(w, c[start:stop]) for w, c in flats]
+    def _spans(self) -> list[tuple[str, int, int]]:
+        """Each block in archive order (tensors by name): its tensor's name and
+        where it starts in that tensor and in the merged payload, in values."""
+        spans, offset = [], 0
+        for name in self.anchor.names():
+            size = self.anchor.entries[name].size
+            spans += [(name, start, offset + start) for start in range(0, size, BLOCK)]
+            offset += size
+        return spans
+
+    def block_starts(self) -> list[int]:
+        """Where each block of :meth:`blocks` starts in the merged payload, in
+        values; one entry per block."""
+        return [at for _, _, at in self._spans()]
+
+    def _inputs(self, first: int = 0, last: int | None = None):
+        """The inputs of blocks ``first`` to ``last`` (exclusive; None for the
+        end): each block's tensor, its start in that tensor, the anchor's
+        values and the ``(w_i, c_i)`` values of the other components. No block
+        depends on those before it, so any range starts where it is asked to."""
+        for name, spans in itertools.groupby(self._spans()[first:last], key=lambda s: s[0]):
+            ref = self.anchor.entries[name].reshape(-1)
+            flats = [(w, comp.entries[name].reshape(-1)) for w, comp in self.others]
+            for _, start, _ in spans:
+                stop = start + BLOCK
+                yield name, start, ref[start:stop], [(w, c[start:stop]) for w, c in flats]
 
     def parameters(self) -> ParameterSet:
         """The merged model, one fresh array per tensor. A sum that overflows
         is reported by ParameterSet as a NonFiniteError."""
         tmp = self._scratch()
-        out = {}
-        for name in self.anchor.names():
-            # C order whatever the anchor's, so its flat view writes through.
-            merged = np.empty(self.anchor.entries[name].shape)
-            flat = merged.reshape(-1)
-            for start, ref, others in self._blocks_of(name):
-                merge_block(ref, others, flat[start : start + ref.size], tmp[: ref.size])
-            out[name] = merged
+        # C order whatever the anchor's, so a flat view writes through.
+        out = {name: np.empty(self.anchor.entries[name].shape) for name in self.anchor.names()}
+        for name, start, ref, others in self._inputs():
+            flat = out[name].reshape(-1)
+            merge_block(ref, others, flat[start : start + ref.size], tmp[: ref.size])
         return ParameterSet(entries=out, model_id=self.model_id)
 
-    def blocks(self):
-        """The merged values in archive order (tensors by name), one block at
-        a time, each checked finite. Every block is the same scratch buffer,
-        valid until the next one is drawn."""
+    def blocks(self, first: int = 0, last: int | None = None):
+        """The merged values of blocks ``first`` to ``last`` (exclusive; None
+        for the end) in archive order (tensors by name), one block at a time,
+        each checked finite. Every block is the same scratch buffer, valid
+        until the next one is drawn."""
         acc, tmp = self._scratch(), self._scratch()
-        for name in self.anchor.names():
-            for _, ref, others in self._blocks_of(name):
-                block = merge_block(ref, others, acc[: ref.size], tmp[: ref.size])
-                if not np.all(np.isfinite(block)):
-                    raise NonFiniteError(f"tensor {name!r}: non-finite value")
-                yield block
+        for name, _, ref, others in self._inputs(first, last):
+            block = merge_block(ref, others, acc[: ref.size], tmp[: ref.size])
+            if not np.all(np.isfinite(block)):
+                raise NonFiniteError(f"tensor {name!r}: non-finite value")
+            yield block
 
 
 def merge(

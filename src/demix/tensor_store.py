@@ -19,6 +19,12 @@ are views of the map, read straight from the page cache. By default the
 finiteness check that builds the set is the first pass over their values;
 ``demix merge`` skips it and reads each value once, in the merge kernel,
 whose check on every merged block covers the inputs under it.
+
+A parameter set is written in one pass, in order. A merge plan's payload is
+written with ``os.pwrite`` at each block's own offset, into a temp file set to
+its final size, so its two halves can be written apart: the first by the
+calling process and the second, where it can fork, by a child that computes
+it at the same time (:func:`save_archive`). The bytes are the same either way.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import json
 import math
 import mmap
 import os
+import pickle
 import re
 import struct
 import sys
@@ -38,6 +45,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from . import forking
 from .errors import ArchiveError, NonFiniteError, ValidationError
 
 MAGIC = b"DMXT"
@@ -148,14 +156,23 @@ def remove_leftover_temps(directory: Path, names) -> None:
 def save_archive(params: ParameterSet, path, metadata: dict[str, str] | None = None) -> None:
     """Write ``params`` to ``path`` so that :func:`load_archive` round-trips bit-exactly.
 
-    ``params`` is a :class:`ParameterSet` or anything with its ``model_id``,
-    ``schema()`` and ``blocks()``, such as the plan that
+    ``params`` is a :class:`ParameterSet` or a plan that
     :func:`demix.merge_engine.merge` returns. The header comes from the
-    schema; the payload is whatever ``blocks()`` yields, written in turn: a
-    set's arrays, or a plan's merged blocks, each computed in a cache-sized
-    scratch buffer and checked finite just before it is written, so a merged
-    model goes to disk without being held whole. An error part-way, such as a
-    block that is not finite, leaves any file at ``path`` as it was.
+    schema. A set's arrays are written in turn. A plan's merged blocks are
+    each computed in a cache-sized scratch buffer and checked finite just
+    before they are written, so a merged model goes to disk without being
+    held whole. An error part-way, such as a block that is not finite, leaves
+    any file at ``path`` as it was.
+
+    A plan of two or more blocks is written in two halves at their own file
+    offsets (``os.pwrite``), into a temp file set to its final size: where
+    :func:`demix.forking.can_fork` holds, a forked child computes and writes
+    the second half while this process writes the first, and otherwise, or if
+    the fork fails, this process writes both in turn. The first non-finite
+    block in archive order decides the error: this process's half is checked
+    first, then the child's, which the child sends back. A child that dies is
+    an :class:`ArchiveError`. The child is reaped before the file is renamed
+    or an error is raised.
     """
     meta = {"model_id": params.model_id}
     if metadata:
@@ -172,12 +189,58 @@ def save_archive(params: ParameterSet, path, metadata: dict[str, str] | None = N
         with atomic_write(path) as fh:
             fh.write(_PREAMBLE.pack(MAGIC, FORMAT_VERSION, len(header)))
             fh.write(header)
-            for block in params.blocks():
-                # C-contiguous little-endian float64: for the arrays demix
-                # builds, the block itself, so this copies nothing.
-                fh.write(np.ascontiguousarray(block, dtype="<f8"))
+            if isinstance(params, ParameterSet):
+                for block in params.blocks():
+                    fh.write(_little_endian(block))
+            else:
+                fh.truncate(_PREAMBLE.size + len(header) + offset)  # flushes the header first
+                _write_halves(fh.fileno(), params, _PREAMBLE.size + len(header), path)
     except OSError as exc:
         raise ArchiveError(f"cannot write archive {path}: {exc}") from exc
+
+
+def _little_endian(block: np.ndarray) -> np.ndarray:
+    # C-contiguous little-endian float64: for the arrays demix builds, the
+    # block itself, so this copies nothing.
+    return np.ascontiguousarray(block, dtype="<f8")
+
+
+def _write_halves(fd: int, plan, start: int, path) -> None:
+    """Write the payload of ``plan`` to ``fd`` from file offset ``start``, the
+    first half of its blocks from this process and the second from a forked
+    child where one can run (see :func:`save_archive`)."""
+    starts = plan.block_starts()
+    half = (len(starts) + 1) // 2
+
+    def second_half() -> bytes:
+        error = None
+        try:
+            _pwrite_blocks(fd, plan.blocks(half), start + 8 * starts[half])
+        except (NonFiniteError, OSError) as exc:
+            error = exc
+        return pickle.dumps(error)
+
+    child = forking.fork(second_half) if half < len(starts) and forking.can_fork() else None
+    try:
+        _pwrite_blocks(fd, plan.blocks(0, half if child else None), start)
+    finally:
+        if child:
+            data, status = forking.join(child)
+    if child and status:
+        code = os.waitstatus_to_exitcode(status)
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+        raise ArchiveError(f"cannot write archive {path}: the process writing its second half {how}")
+    if child and (error := pickle.loads(data)) is not None:
+        raise error
+
+
+def _pwrite_blocks(fd: int, blocks, offset: int) -> None:
+    """Write ``blocks`` one after another to ``fd`` from file offset ``offset``."""
+    for block in blocks:
+        data = memoryview(_little_endian(block)).cast("B")
+        while data:
+            written = os.pwrite(fd, data, offset)
+            data, offset = data[written:], offset + written
 
 
 def load_archive(path, *, check_values: bool = True) -> ParameterSet:

@@ -15,10 +15,11 @@ import pytest  # noqa: E402
 
 from demix import forking  # noqa: E402
 
-# A cold run forks a child for the references and consistency stages only in
-# a single-threaded process (one BLAS thread, as set above unless the
-# environment says otherwise) with two CPUs; the tests that need the child
-# skip elsewhere, and every other test covers whichever path the process takes.
+# A cold run forks a child for the references and consistency stages, and a
+# merge one for the second half of its archive, only in a single-threaded
+# process (one BLAS thread, as set above unless the environment says otherwise)
+# with two CPUs; the tests that need the child skip elsewhere, and every other
+# test covers whichever path the process takes.
 needs_fork = pytest.mark.skipif(
     not forking.can_fork(), reason="forks only from a single-threaded process with two CPUs"
 )

@@ -19,9 +19,13 @@ Last it saves the benchmark's `merge_10m` components (`inputs.merge_inputs`
 at seed 0, full size, so every tensor spans many blocks of the merge kernel),
 runs `demix merge` at each of their distinct ratios and prints
 `merge <ratio#> <sha256>` for each merged archive. Then it writes a NaN over
-the last value of the second component, runs `demix merge` once more and
-prints `merge nan exit <code>` and `merge nan stderr <message>`, with the
-temporary directory shown as `<tmp>`, so an error that changes shows too.
+the last value of the second component, which a forked merge reaches in its
+child's half of the payload, runs `demix merge` once more and prints `merge
+nan exit <code>` and `merge nan stderr <message>`, with the temporary
+directory shown as `<tmp>`, so an error that changes shows too. It puts that
+value back, writes a NaN over the first value of the third component, in the
+half that the merging process computes itself, and prints `merge nan_first_half
+exit` and `merge nan_first_half stderr` the same way.
 Last it rewrites the `lab.npz` of the default lab's seed-0 run with its first
 benchmark's y one row short, runs `demix run` on that run directory, and
 prints `lab malformed exit <code>` and `lab malformed stderr <message>` the
@@ -33,8 +37,9 @@ different settings, made the same results when their outputs are equal.
 
 The runs follow the environment as `demix run` does: OPENBLAS_NUM_THREADS
 defaults to 1, so a cold run and the partial rerun fork the references and
-consistency stages beside the search; with OPENBLAS_NUM_THREADS=2 every stage
-runs in-process.
+consistency stages beside the search, and each merge forks a child that writes
+the second half of its archive; with OPENBLAS_NUM_THREADS=2 every stage and
+every merge runs in-process.
 The name has no `test_` prefix, so pytest does not collect it.
 """
 
@@ -70,6 +75,12 @@ SEEDS = (0, 1)
 
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def payload_start(path: Path) -> int:
+    """The file offset of an archive's payload: preamble plus declared header length."""
+    with open(path, "rb") as fh:
+        return 16 + struct.unpack("<Q", fh.read(16)[8:])[0]
 
 
 def print_digests(prefix: str, run_dir: Path) -> None:
@@ -122,16 +133,26 @@ def main() -> None:
                 if demix_main(argv) != 0:
                     sys.exit(f"demix {' '.join(argv)} failed")
             print("merge", i, sha256(out))
-        with open(paths[1], "r+b") as fh:  # the last value of the last tensor
-            fh.seek(-8, os.SEEK_END)
-            fh.write(struct.pack("<d", float("nan")))
-        argv = ["merge", "--ratio", inputs.ratio_arg(ratios[0]),
-                "--components", ",".join(map(str, paths)), "--out", str(work / "merged_nan.dmxt")]
-        stderr = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-            code = demix_main(argv)
-        print("merge nan exit", code)
-        print("merge nan stderr", stderr.getvalue().replace(tmp, "<tmp>").rstrip("\n"))
+        # The second component's last value, which a forked merge reaches in its
+        # child, then the third's first, which it reaches in this process; each
+        # put back after its merge.
+        for label, path, seek in (("nan", paths[1], (-8, os.SEEK_END)),
+                                  ("nan_first_half", paths[2], (payload_start(paths[2]), os.SEEK_SET))):
+            with open(path, "r+b") as fh:
+                fh.seek(*seek)
+                value = fh.read(8)
+                fh.seek(-8, os.SEEK_CUR)
+                fh.write(struct.pack("<d", float("nan")))
+            argv = ["merge", "--ratio", inputs.ratio_arg(ratios[0]), "--components",
+                    ",".join(map(str, paths)), "--out", str(work / "merged_nan.dmxt")]
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                code = demix_main(argv)
+            print("merge", label, "exit", code)
+            print("merge", label, "stderr", stderr.getvalue().replace(tmp, "<tmp>").rstrip("\n"))
+            with open(path, "r+b") as fh:
+                fh.seek(*seek)
+                fh.write(value)
         run_root = Path(tmp) / "runs_default_0"
         (lab,) = run_root.glob("*/lab.npz")
         with np.load(lab) as data:

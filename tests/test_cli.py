@@ -7,6 +7,7 @@ import json
 import mmap
 import os
 import shutil
+import signal
 import struct
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import pytest
 from conftest import needs_fork
 
 import demix
-from demix import merge_engine, pipeline, tensor_store
+from demix import forking, merge_engine, pipeline, tensor_store
 from demix.cli import main
 from demix.config import ExperimentConfig, load_config
 from demix.errors import PipelineError, SchemaMismatchError, ValidationError
@@ -185,9 +186,10 @@ def test_merge_cli_that_overflows_is_a_non_finite_error_and_writes_nothing(tmp_p
     assert list(tmp_path.glob("*.tmp")) == []
 
 
-def test_merge_cli_that_overflows_in_a_later_block_writes_nothing(tmp_path, capsys, monkeypatch):
-    # Small finite values, but the last ones differ by more than float64 holds,
-    # so the third block overflows after two finite blocks were written.
+def overflowing_in_a_later_block(tmp_path):
+    """Component archives of small finite values whose last ones differ by
+    more than float64 holds, so the third block overflows after two finite
+    blocks; and an earlier output file."""
     size = 2 * merge_engine.BLOCK + 3
     paths = []
     for i, edge in enumerate([1e308, -1e308, 1e308]):
@@ -197,6 +199,11 @@ def test_merge_cli_that_overflows_in_a_later_block_writes_nothing(tmp_path, caps
         save_archive(ParameterSet.from_arrays({"w": values}), paths[-1])
     out = tmp_path / "merged.dmxt"
     out.write_bytes(b"an earlier file")
+    return paths, out
+
+
+def counting_kernel_calls(monkeypatch) -> list[int]:
+    """One entry per call of the merge kernel in this process from now on."""
     kernel_calls = []
     kernel = merge_engine.merge_block
 
@@ -205,6 +212,14 @@ def test_merge_cli_that_overflows_in_a_later_block_writes_nothing(tmp_path, caps
         return kernel(*args)
 
     monkeypatch.setattr(merge_engine, "merge_block", counting)
+    return kernel_calls
+
+
+def test_merge_cli_that_overflows_in_a_later_block_writes_nothing(tmp_path, capsys, monkeypatch):
+    # In this process alone, which then computes every block.
+    monkeypatch.setattr(forking, "can_fork", lambda: False)
+    paths, out = overflowing_in_a_later_block(tmp_path)
+    kernel_calls = counting_kernel_calls(monkeypatch)
     components = ",".join(str(p) for p in paths)
     assert main(["merge", "--ratio", "0.4,0.3,0.3", "--components", components, "--out", str(out)]) == 2
     assert "non-finite" in capsys.readouterr().err
@@ -213,10 +228,29 @@ def test_merge_cli_that_overflows_in_a_later_block_writes_nothing(tmp_path, caps
     assert list(tmp_path.glob("*.tmp")) == []
 
 
+@needs_fork
+def test_merge_cli_that_overflows_in_the_childs_half_writes_nothing(tmp_path, capsys, monkeypatch, forks):
+    paths, out = overflowing_in_a_later_block(tmp_path)
+    kernel_calls = counting_kernel_calls(monkeypatch)
+    components = ",".join(str(p) for p in paths)
+    assert main(["merge", "--ratio", "0.4,0.3,0.3", "--components", components, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: tensor 'w': non-finite value\n"
+    # The child computed the last block; this process computed only its half.
+    assert 0 < len(kernel_calls) < 3
+    assert out.read_bytes() == b"an earlier file"
+    assert list(tmp_path.glob("*.tmp")) == []
+    assert_reaped(forks, True)
+
+
 def save_with_value(path, arrays, name, index, value):
     """Save ``arrays`` to ``path``, then write ``value``, which a set cannot
     hold, over value ``index`` of tensor ``name`` in the file."""
     save_archive(ParameterSet.from_arrays(arrays), path)
+    write_value(path, name, index, value)
+
+
+def write_value(path, name, index, value):
+    """Write ``value`` over value ``index`` of tensor ``name`` in the archive at ``path``."""
     blob = bytearray(path.read_bytes())
     (header_len,) = struct.unpack_from("<Q", blob, 8)
     doc, _ = json.JSONDecoder().raw_decode(blob[16 : 16 + header_len].decode("utf-8"))
@@ -258,14 +292,133 @@ def test_merge_cli_names_the_archive_and_tensor_that_hold_a_non_finite_value(
     assert list(tmp_path.glob("*.tmp")) == []
 
 
-def test_merge_cli_reads_no_whole_input_to_check_it_and_checks_the_ratio_first(
-    tmp_path, capsys, monkeypatch
-):
-    rng = np.random.default_rng(8)
-    size = 2 * merge_engine.BLOCK + 5
+# Tensor "a" is one block, "b" two: a forked merge computes "a" and the first
+# block of "b" in this process and the last block of "b" in the child.
+PARENTS_HALF, CHILDS_HALF = ("a", 1), ("b", merge_engine.BLOCK + 2)
+
+
+def save_halves(tmp_path, overflows=()):
+    """Three component archives of tensors "a" and "b", whose values at each
+    of ``overflows`` merge to more than float64 holds, and an earlier output
+    file."""
+    rng = np.random.default_rng(9)
     paths = [tmp_path / f"comp{i}.dmxt" for i in range(3)]
-    for path in paths:
-        save_archive(ParameterSet.from_arrays({"w": rng.standard_normal(size)}), path)
+    for i, path in enumerate(paths):
+        arrays = {"a": rng.standard_normal(3), "b": rng.standard_normal(merge_engine.BLOCK + 5)}
+        for name, index in overflows:
+            arrays[name][index] = (1e308, -1e308, 1e308)[i]
+        save_archive(ParameterSet.from_arrays(arrays), path)
+    out = tmp_path / "merged.dmxt"
+    out.write_bytes(b"an earlier file")
+    return paths, out
+
+
+def merge_halves(tmp_path, capsys, monkeypatch, forked, paths, out) -> tuple[int, str]:
+    """Run `demix merge` forked or in this process alone; its exit code and stderr."""
+    if not forked:
+        monkeypatch.setattr(forking, "can_fork", lambda: False)
+    components = ",".join(str(p) for p in paths)
+    code = main(["merge", "--ratio", "0.4,0.3,0.3", "--components", components, "--out", str(out)])
+    assert out.read_bytes() == b"an earlier file"
+    assert list(tmp_path.glob("*.tmp")) == []
+    return code, capsys.readouterr().err
+
+
+def assert_reaped(forks, forked):
+    """One child was started if ``forked``, none otherwise, and none is left unreaped."""
+    assert len(forks) == int(forked)
+    for pid in forks:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+FORKED = [pytest.param(True, marks=needs_fork, id="forked"), pytest.param(False, id="in-process")]
+
+
+@pytest.mark.parametrize("forked", FORKED)
+@pytest.mark.parametrize(
+    "holders, named",
+    [
+        ({0: [PARENTS_HALF]}, (0, "a")),
+        ({2: [CHILDS_HALF]}, (2, "b")),
+        # The reload checks each archive's tensors in archive order.
+        ({1: [CHILDS_HALF, PARENTS_HALF]}, (1, "a")),
+        # ... and the archives in command-line order, whichever half each spoils.
+        ({2: [PARENTS_HALF], 1: [CHILDS_HALF]}, (1, "b")),
+    ],
+    ids=["parents_half", "childs_half", "both_halves", "both_halves_two_archives"],
+)
+def test_a_non_finite_value_in_either_half_names_its_first_holder(
+    tmp_path, capsys, monkeypatch, forks, forked, holders, named
+):
+    paths, out = save_halves(tmp_path)
+    for i, places in holders.items():
+        for name, index in places:
+            write_value(paths[i], name, index, np.nan)
+    code, err = merge_halves(tmp_path, capsys, monkeypatch, forked, paths, out)
+    assert (code, err) == (3, f"error: invalid archive {paths[named[0]]}: tensor {named[1]!r}: non-finite value\n")
+    assert_reaped(forks, forked)
+
+
+@pytest.mark.parametrize("forked", FORKED)
+@pytest.mark.parametrize(
+    "overflows, named",
+    [([PARENTS_HALF], "a"), ([CHILDS_HALF], "b"), ([CHILDS_HALF, PARENTS_HALF], "a")],
+    ids=["parents_half", "childs_half", "both_halves"],
+)
+def test_an_overflow_in_either_half_names_the_first_tensor_in_archive_order(
+    tmp_path, capsys, monkeypatch, forks, forked, overflows, named
+):
+    paths, out = save_halves(tmp_path, overflows)
+    code, err = merge_halves(tmp_path, capsys, monkeypatch, forked, paths, out)
+    assert (code, err) == (2, f"error: tensor {named!r}: non-finite value\n")
+    assert_reaped(forks, forked)
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "end, how",
+    [(lambda: os._exit(9), "exited with code 9"),
+     (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9")],
+    ids=["exit", "sigkill"],
+)
+def test_a_child_that_dies_is_an_archive_error_naming_the_output(
+    tmp_path, capsys, monkeypatch, forks, end, how
+):
+    paths, out = save_halves(tmp_path)
+    test_pid = os.getpid()
+    kernel = merge_engine.merge_block
+
+    def dies_in_the_child(*args):
+        if os.getpid() != test_pid:
+            end()
+        return kernel(*args)
+
+    monkeypatch.setattr(merge_engine, "merge_block", dies_in_the_child)
+    code, err = merge_halves(tmp_path, capsys, monkeypatch, True, paths, out)
+    assert (code, err) == (3, f"error: cannot write archive {out}: the process writing its second half {how}\n")
+    assert_reaped(forks, True)
+
+
+@needs_fork
+def test_an_error_in_this_processs_half_reaps_the_child(tmp_path, capsys, monkeypatch, forks):
+    paths, out = save_halves(tmp_path)
+    test_pid = os.getpid()
+    kernel = merge_engine.merge_block
+
+    def fails_in_this_process(*args):
+        if os.getpid() == test_pid:
+            raise MemoryError("kernel scratch")
+        return kernel(*args)
+
+    monkeypatch.setattr(merge_engine, "merge_block", fails_in_this_process)
+    code, err = merge_halves(tmp_path, capsys, monkeypatch, True, paths, out)
+    assert (code, err) == (8, "error: out of memory: kernel scratch\n")
+    assert_reaped(forks, True)
+
+
+def recording_isfinite_sizes(monkeypatch) -> list[int]:
+    """The size of each array that ``np.isfinite`` checks in this process from now on."""
     sizes = []
     isfinite = np.isfinite
 
@@ -274,6 +427,20 @@ def test_merge_cli_reads_no_whole_input_to_check_it_and_checks_the_ratio_first(
         return isfinite(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "isfinite", recording)
+    return sizes
+
+
+def test_merge_cli_reads_no_whole_input_to_check_it_and_checks_the_ratio_first(
+    tmp_path, capsys, monkeypatch
+):
+    # In this process alone, which then checks every block.
+    monkeypatch.setattr(forking, "can_fork", lambda: False)
+    rng = np.random.default_rng(8)
+    size = 2 * merge_engine.BLOCK + 5
+    paths = [tmp_path / f"comp{i}.dmxt" for i in range(3)]
+    for path in paths:
+        save_archive(ParameterSet.from_arrays({"w": rng.standard_normal(size)}), path)
+    sizes = recording_isfinite_sizes(monkeypatch)
     out = tmp_path / "merged.dmxt"
     components = ",".join(str(p) for p in paths)
     assert main(["merge", "--ratio", "0.2,0.5,0.3", "--components", components, "--out", str(out)]) == 0
@@ -286,6 +453,32 @@ def test_merge_cli_reads_no_whole_input_to_check_it_and_checks_the_ratio_first(
         capsys.readouterr()
         assert main(["merge", "--ratio", bad, "--components", components, "--out", str(out)]) == 2
         assert "non-finite" not in capsys.readouterr().err
+
+
+@needs_fork
+def test_a_forked_merge_cli_reads_no_whole_input_to_check_it_and_checks_the_ratio_first(
+    tmp_path, capsys, monkeypatch, forks
+):
+    rng = np.random.default_rng(8)
+    size = 2 * merge_engine.BLOCK + 5
+    paths = [tmp_path / f"comp{i}.dmxt" for i in range(3)]
+    for path in paths:
+        save_archive(ParameterSet.from_arrays({"w": rng.standard_normal(size)}), path)
+    sizes = recording_isfinite_sizes(monkeypatch)
+    out = tmp_path / "merged.dmxt"
+    components = ",".join(str(p) for p in paths)
+    assert main(["merge", "--ratio", "0.2,0.5,0.3", "--components", components, "--out", str(out)]) == 0
+    # The ratio's weights and each merged block of this process's half; the
+    # child checked the rest.
+    assert len(forks) == 1
+    assert sizes and max(sizes) <= merge_engine.BLOCK
+    assert sum(sizes) < 3 + size
+    save_with_value(paths[1], {"w": rng.standard_normal(size)}, "w", 0, np.nan)
+    for bad in ("0.9,0.9,0.9", "0.5,0.5"):
+        capsys.readouterr()
+        assert main(["merge", "--ratio", bad, "--components", components, "--out", str(out)]) == 2
+        assert "non-finite" not in capsys.readouterr().err
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 def test_dedup_cli(tmp_path, capsys):

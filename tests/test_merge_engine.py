@@ -340,6 +340,25 @@ def test_a_streamed_archive_has_the_bytes_of_the_saved_merged_model(small_block,
     assert streamed.read_bytes() == in_memory.read_bytes()
 
 
+def test_any_range_of_blocks_gives_the_values_of_the_whole_merge_at_its_starts(small_block):
+    rng = np.random.default_rng(41)
+    comps = [ParameterSet.from_arrays({name: rng.standard_normal(shape) for name, shape in STREAM_SHAPES.items()})
+             for _ in range(3)]
+    plan = merge(comps, ratio(rng.dirichlet(np.ones(3))))
+    whole = np.concatenate([block.copy() for block in plan.blocks()])
+    flat = np.concatenate([plan.parameters().entries[name].reshape(-1) for name in plan.anchor.names()])
+    assert whole.tobytes() == flat.tobytes()
+    starts = plan.block_starts()
+    # Three blocks each of "blocks", "matrix" and "partial", one of "scalar", none of "empty".
+    assert len(starts) == 10 and starts[0] == 0
+    for first in range(len(starts) + 1):
+        for last in range(first, len(starts) + 1):
+            blocks = [block.copy() for block in plan.blocks(first, last)]
+            stop = starts[last] if last < len(starts) else whole.size
+            at = starts[first] if first < len(starts) else whole.size
+            assert np.concatenate([np.empty(0), *blocks]).tobytes() == whole[at:stop].tobytes()
+
+
 def test_a_streamed_merge_holds_only_its_scratch(tmp_path):
     rng = np.random.default_rng(31)
     size = 1 << 20  # 8 MiB a tensor

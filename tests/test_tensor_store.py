@@ -12,8 +12,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import needs_fork
 from hypothesis import given, settings, strategies as st
 
+from demix import forking, merge_engine
 from demix.errors import ArchiveError, NonFiniteError
 from demix.merge_engine import MixtureRatio, merge
 from demix.tensor_store import ParameterSet, _read_header, load_archive, save_archive
@@ -306,6 +308,48 @@ def test_save_copies_no_payload(tmp_path):
         tracemalloc.stop()
     # Not even a finiteness mask, 1 MiB here: the set was checked when it was built.
     assert save_peak < 1 << 20
+
+
+def plan_of(sizes: dict[str, int], n: int = 3, seed: int = 4):
+    """The merge of ``n`` random components with tensors of ``sizes`` values."""
+    rng = np.random.default_rng(seed)
+    comps = [ParameterSet.from_arrays({name: rng.standard_normal(size) for name, size in sizes.items()})
+             for _ in range(n)]
+    return merge(comps, MixtureRatio(weights=rng.dirichlet(np.ones(n)),
+                                     candidate_ids=[f"c{i}" for i in range(n)]), model_id="m")
+
+
+# A scalar, a tensor of one block and a bit, and one of 3 values: 4 blocks.
+SPLIT_SIZES = {"a": 3, "b": merge_engine.BLOCK + 5, "c": 1, "d": 7}
+
+
+@needs_fork
+def test_a_plan_written_from_two_processes_has_the_bytes_of_one(tmp_path, monkeypatch, forks):
+    plan = plan_of(SPLIT_SIZES)
+    forked, alone = tmp_path / "forked.dmxt", tmp_path / "alone.dmxt"
+    save_archive(plan, forked, metadata={"ratio": "r"})
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):  # reaped
+        os.waitpid(forks[0], os.WNOHANG)
+    monkeypatch.setattr(forking, "can_fork", lambda: False)
+    save_archive(plan, alone, metadata={"ratio": "r"})
+    assert len(forks) == 1
+    assert forked.read_bytes() == alone.read_bytes()
+    in_memory = tmp_path / "in_memory.dmxt"
+    save_archive(plan.parameters(), in_memory, metadata={"ratio": "r"})
+    assert forked.read_bytes() == in_memory.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["alone.dmxt", "forked.dmxt", "in_memory.dmxt"]
+
+
+@needs_fork
+@pytest.mark.parametrize("sizes", [{}, {"w": 1}, {"w": merge_engine.BLOCK}, {"a": 3, "b": 0}],
+                         ids=["no-block", "one-value", "one-whole-block", "one-block-and-empty"])
+def test_a_plan_of_fewer_than_two_blocks_and_a_set_are_written_in_this_process(tmp_path, forks, sizes):
+    plan = plan_of(sizes)
+    save_archive(plan, tmp_path / "plan.dmxt")
+    save_archive(plan_of(SPLIT_SIZES).parameters(), tmp_path / "set.dmxt")
+    assert forks == []
+    assert load_archive(tmp_path / "plan.dmxt").schema() == plan.schema()
 
 
 def pinned_set():
