@@ -63,14 +63,18 @@ def fork(work) -> tuple[int, int] | None:
         os._exit(code)
 
 
-def join(child: tuple[int, int]) -> tuple[bytes, int]:
+def join(child: tuple[int, int]) -> tuple[bytes, str | None]:
     """Read everything the child started by :func:`fork` wrote, then reap it,
-    whatever happens; returns the bytes and the child's wait status, which is
-    0 only if ``work()`` returned and all its bytes were written."""
+    whatever happens; returns the bytes and None if ``work()`` returned and all
+    its bytes were written, or else how the child ended: "was killed by signal
+    N" or "exited with code N"."""
     pid, read_fd = child
     try:
         with os.fdopen(read_fd, "rb") as fh:
             data = fh.read()
     finally:
         status = os.waitpid(pid, 0)[1]
-    return data, status
+    if not status:
+        return data, None
+    code = os.waitstatus_to_exitcode(status)
+    return data, f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"

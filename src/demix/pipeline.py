@@ -35,15 +35,12 @@ first use), and rewrites ``manifest.json`` only if something in it changed.
 The consistency and search stages merge the components linearly and
 benchmark the result; they never train and never read the shared base.
 
-What each stage holds of the lab: the lab stage generates it, saves it and
-keeps none of it. The components and references stages train, so they hold
-all of it: the candidate datasets, the general blend and the benchmarks. The
-consistency and search stages hold only the benchmark tasks and the candidate
-ids. A run loads ``lab.npz`` at most once, and drops the loaded lab, with its
-training sets, as soon as no stage left in the process will train: in a
-forked run, in the parent when its search starts (the child keeps its own
-copy for the references); in-process, after the references stage; and in a
-rerun that trains nothing, right after the benchmarks are taken.
+Of the lab, the components and references stages, which train, load all of
+it (:func:`toy_lab.load_lab`) and refuse a lab whose candidate ids are not
+the config's. The consistency and search stages load only its benchmarks
+(:func:`toy_lab.load_tasks`) and take the candidate ids from the config,
+which names the component files in the table. A process drops the whole lab
+once no stage left in it trains.
 
 The search reads nothing that the references and consistency stages write,
 so a cold run forks one child that runs those two stages, in that order,
@@ -510,61 +507,39 @@ def _run_beside(
     try:
         run_search()
     finally:
-        data, status = forking.join(child)
-        if data:
+        data, ended = forking.join(child)
+        if ended is None:
             records, error = pickle.loads(data)
             manifest.stages.update(records)
         else:
-            code = os.waitstatus_to_exitcode(status)
-            how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
             stages = " and ".join(branch)
-            error = PipelineError(f"{pending}: the process running the {stages} stages {how}")
+            error = PipelineError(f"{pending}: the process running the {stages} stages {ended}")
             record.update(status="failed", error=f"PipelineError: {error}")
         if error is not None:
             raise error
     return True
 
 
-class _HeldLab:
-    """A run's lab, loaded from ``path`` by the first stage body that needs
-    it. The stages that train read all of it (:meth:`whole`); the consistency
-    and search stages read only :meth:`benchmarks`. Once :meth:`release` says
-    that no stage left in this process will train, the lab is dropped as soon
-    as the benchmarks are taken from it, and the training sets with it."""
-
-    def __init__(self, path: Path):
-        self.path = path
-        self.lab: toy_lab.ToyLab | None = None
-        self.released = False
-        self._benchmarks: tuple[list[toy_lab.BenchmarkTask], list[str]] | None = None
-
-    def whole(self) -> toy_lab.ToyLab:
-        if self.lab is None:
-            self.lab = toy_lab.load_lab(self.path)
-        return self.lab
-
-    def benchmarks(self) -> tuple[list[toy_lab.BenchmarkTask], list[str]]:
-        """The benchmark tasks and the candidate ids."""
-        if self._benchmarks is None:
-            lab = self.whole()
-            self._benchmarks = lab.tasks, [c.id for c in lab.candidates]
-        if self.released:
-            self.lab = None
-        return self._benchmarks
-
-    def release(self) -> None:
-        self.released = True
-        if self.lab is not None:
-            self.benchmarks()
-
-
 def _run_stages(config: ExperimentConfig, run_dir: Path, manifest: ExperimentManifest) -> None:
-    # Loaded by the first stage body that needs them, after the stages that
-    # write them, so a fully cached run loads neither.
-    lab = _HeldLab(run_dir / "lab.npz")
-    components = functools.cache(lambda: load_components(run_dir, lab.benchmarks()[1]))
+    # Each loaded by the first stage body that needs it, after the stages that
+    # write its files, so a fully cached run loads nothing.
+    ids = toy_lab.domain_ids(config.lab.n_domains)
+
+    @functools.cache
+    def lab() -> toy_lab.ToyLab:
+        loaded = toy_lab.load_lab(run_dir / "lab.npz")
+        found = [c.id for c in loaded.candidates]
+        if found != ids:
+            raise ValidationError(
+                f"{run_dir / 'lab.npz'}: not a demix lab for this config: "
+                f"candidates {found}, expected {ids}"
+            )
+        return loaded
+
+    tasks = functools.cache(lambda: toy_lab.load_tasks(run_dir / "lab.npz"))
+    components = functools.cache(lambda: load_components(run_dir, ids))
     # Merging needs no base, so only the references stage reads and hashes it.
-    component_files = [f"component_{c}.dmxt" for c in toy_lab.domain_ids(config.lab.n_domains)]
+    component_files = [f"component_{c}.dmxt" for c in ids]
 
     # (name, input files, output files, body), in the order the stages run.
     # References and consistency may run in a forked child beside the search
@@ -573,24 +548,24 @@ def _run_stages(config: ExperimentConfig, run_dir: Path, manifest: ExperimentMan
         ("lab", [], ["lab.npz"], lambda: generate_lab(config, run_dir / "lab.npz")),
         (
             "components", ["lab.npz"], ["base.dmxt", *component_files],
-            lambda: train_components(config, lab.whole(), run_dir),
+            lambda: train_components(config, lab(), run_dir),
         ),
         (
             "references", ["lab.npz", "base.dmxt"],
             ["reference_ratios.json", "references.csv", "domains.csv"],
             lambda: train_references(
-                config, lab.whole(), load_archive(run_dir / "base.dmxt"), run_dir
+                config, lab(), load_archive(run_dir / "base.dmxt"), run_dir
             ),
         ),
         (
             "consistency", ["lab.npz", "references.csv", "domains.csv", *component_files],
             ["proxy_scores.csv", "consistency.json"],
-            lambda: check_consistency(config, *lab.benchmarks(), components(), run_dir),
+            lambda: check_consistency(config, tasks(), ids, components(), run_dir),
         ),
         (
             "search", ["lab.npz", *component_files], ["search_result.json", "transcript.jsonl"],
             lambda: search_mixture(
-                config, *lab.benchmarks(), components(),
+                config, tasks(), ids, components(),
                 run_dir / "search_result.json", run_dir / "transcript.jsonl",
             ),
         ),
@@ -638,7 +613,7 @@ def _run_stages(config: ExperimentConfig, run_dir: Path, manifest: ExperimentMan
     forked = False
 
     def search_beside() -> None:
-        lab.release()  # the child trains the references on its own copy
+        lab.cache_clear()  # the child trains the references on its own copy
         run([search])
 
     if pending and forking.can_fork():
@@ -647,7 +622,7 @@ def _run_stages(config: ExperimentConfig, run_dir: Path, manifest: ExperimentMan
                              lambda: run(branch, save=False), search_beside)
     if not forked:
         run(branch[:1])
-        lab.release()
+        lab.cache_clear()
         run([*branch[1:], search])
     run(stages[5:])
     # In the order the stages run, which `demix run` lists them in; a

@@ -168,10 +168,11 @@ def save_archive(params: ParameterSet, path, metadata: dict[str, str] | None = N
     offsets (``os.pwrite``), into a temp file set to its final size: where
     :func:`demix.forking.can_fork` holds, a forked child computes and writes
     the second half while this process writes the first, and otherwise, or if
-    the fork fails, this process writes both in turn. The first non-finite
-    block in archive order decides the error: this process's half is checked
-    first, then the child's, which the child sends back. A child that dies is
-    an :class:`ArchiveError`. The child is reaped before the file is renamed
+    the fork fails, this process writes both in turn. The first error in
+    archive order is raised, such as a non-finite block: this process's half
+    is checked first, then the child's, whose error the child sends back, so
+    an error is the same whichever process meets it. A child that dies is an
+    :class:`ArchiveError`. The child is reaped before the file is renamed
     or an error is raised.
     """
     meta = {"model_id": params.model_id}
@@ -216,7 +217,7 @@ def _write_halves(fd: int, plan, start: int, path) -> None:
         error = None
         try:
             _pwrite_blocks(fd, plan.blocks(half), start + 8 * starts[half])
-        except (NonFiniteError, OSError) as exc:
+        except Exception as exc:
             error = exc
         return pickle.dumps(error)
 
@@ -225,11 +226,9 @@ def _write_halves(fd: int, plan, start: int, path) -> None:
         _pwrite_blocks(fd, plan.blocks(0, half if child else None), start)
     finally:
         if child:
-            data, status = forking.join(child)
-    if child and status:
-        code = os.waitstatus_to_exitcode(status)
-        how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
-        raise ArchiveError(f"cannot write archive {path}: the process writing its second half {how}")
+            data, ended = forking.join(child)
+    if child and ended:
+        raise ArchiveError(f"cannot write archive {path}: the process writing its second half {ended}")
     if child and (error := pickle.loads(data)) is not None:
         raise error
 

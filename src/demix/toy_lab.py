@@ -575,11 +575,22 @@ def save_lab(lab: ToyLab, path) -> None:
 def load_lab(path) -> ToyLab:
     """Read a lab written by :func:`save_lab`. A missing or unreadable file,
     or one that is not such a lab, raises ValidationError naming ``path``."""
+    return _read_lab(path, _lab_from_npz)
+
+
+def load_tasks(path) -> list[BenchmarkTask]:
+    """The benchmark tasks of a lab written by :func:`save_lab`, read without
+    its training sets. Errors as in :func:`load_lab`."""
+    return _read_lab(path, _tasks_from_npz)
+
+
+def _read_lab(path, build):
+    """``build(data, meta)`` on the lab file ``path`` and its decoded ``meta``."""
     try:
         # Opened here, because np.load leaks the file it opened when the
         # file starts like a zip archive but is not one.
         with open(path, "rb") as fh, np.load(fh) as data:
-            return _lab_from_npz(data)
+            return build(data, json.loads(bytes(data["meta"].tobytes()).decode("utf-8")))
     except OSError as exc:
         raise ValidationError(f"cannot read lab {path}: {exc.strerror or exc}") from None
     except (
@@ -589,17 +600,19 @@ def load_lab(path) -> ToyLab:
         raise ValidationError(f"{path}: not a demix lab: {exc}") from None
 
 
-def _lab_from_npz(data) -> ToyLab:
-    meta = json.loads(bytes(data["meta"].tobytes()).decode("utf-8"))
+def _lab_from_npz(data, meta) -> ToyLab:
     candidates = [
         CandidateDataset(id=spec["id"], X=data[f"cand_{i}_X"], y=data[f"cand_{i}_y"])
         for i, spec in enumerate(meta["candidates"])
     ]
     general = CandidateDataset(id="general", X=data["general_X"], y=data["general_y"])
-    tasks = [
+    return ToyLab(candidates=candidates, general=general, tasks=_tasks_from_npz(data, meta))
+
+
+def _tasks_from_npz(data, meta) -> list[BenchmarkTask]:
+    return [
         BenchmarkTask(
             id=spec["id"], X=data[f"bench_{i}_X"], y=data[f"bench_{i}_y"], domain=spec["domain"]
         )
         for i, spec in enumerate(meta["tasks"])
     ]
-    return ToyLab(candidates=candidates, general=general, tasks=tasks)

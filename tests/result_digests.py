@@ -32,7 +32,10 @@ prints `lab malformed exit <code>` and `lab malformed stderr <message>` the
 same way, or `lab malformed raised <type>` if the command raised instead.
 Then it writes the lab back with that y whole but its first value NaN, runs
 `demix run` again and prints `lab nan exit`, `lab nan stderr` (or `lab nan
-raised`) the same way. Two checkouts, or two runs of one checkout under
+raised`) the same way. Last it writes the lab back whole but with its
+candidate `dom2` renamed `domX`, runs `demix run` again and prints `lab
+renamed exit` and `lab renamed stderr` (or `lab renamed raised`) the same
+way. Two checkouts, or two runs of one checkout under
 different settings, made the same results when their outputs are equal.
 
 The runs follow the environment as `demix run` does: OPENBLAS_NUM_THREADS
@@ -48,6 +51,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import struct
 import sys
@@ -159,10 +163,14 @@ def main() -> None:
             finished = dict(data)
         nan_y = finished["bench_0_y"].copy()
         nan_y[0] = np.nan
+        meta = json.loads(finished["meta"].tobytes())
+        meta["candidates"][2]["id"] = "domX"
+        renamed = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
         argv = ["run", "--config", str(Path(tmp) / "default_0.ini"), "--run-root", str(run_root)]
-        for name, bench_y in (("malformed", finished["bench_0_y"][:-1]), ("nan", nan_y)):
+        for name, change in (("malformed", {"bench_0_y": finished["bench_0_y"][:-1]}),
+                             ("nan", {"bench_0_y": nan_y}), ("renamed", {"meta": renamed})):
             with open(lab, "wb") as fh:
-                np.savez(fh, **{**finished, "bench_0_y": bench_y})
+                np.savez(fh, **{**finished, **change})
             stderr = io.StringIO()
             try:
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):

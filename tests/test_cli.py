@@ -400,19 +400,34 @@ def test_a_child_that_dies_is_an_archive_error_naming_the_output(
     assert_reaped(forks, True)
 
 
-@needs_fork
-def test_an_error_in_this_processs_half_reaps_the_child(tmp_path, capsys, monkeypatch, forks):
+def merge_with_a_memory_error(tmp_path, capsys, monkeypatch, in_child: bool):
+    """(exit code, stderr) of a forked merge whose kernel runs out of memory
+    in the child's half if ``in_child``, else in this process's half."""
     paths, out = save_halves(tmp_path)
     test_pid = os.getpid()
     kernel = merge_engine.merge_block
 
-    def fails_in_this_process(*args):
-        if os.getpid() == test_pid:
+    def fails(*args):
+        if (os.getpid() != test_pid) == in_child:
             raise MemoryError("kernel scratch")
         return kernel(*args)
 
-    monkeypatch.setattr(merge_engine, "merge_block", fails_in_this_process)
-    code, err = merge_halves(tmp_path, capsys, monkeypatch, True, paths, out)
+    monkeypatch.setattr(merge_engine, "merge_block", fails)
+    return merge_halves(tmp_path, capsys, monkeypatch, True, paths, out)
+
+
+@needs_fork
+def test_an_error_in_this_processs_half_reaps_the_child(tmp_path, capsys, monkeypatch, forks):
+    code, err = merge_with_a_memory_error(tmp_path, capsys, monkeypatch, in_child=False)
+    assert (code, err) == (8, "error: out of memory: kernel scratch\n")
+    assert_reaped(forks, True)
+
+
+@needs_fork
+def test_an_error_in_the_childs_half_is_the_same_error_as_in_this_processs_half(
+    tmp_path, capsys, monkeypatch, forks
+):
+    code, err = merge_with_a_memory_error(tmp_path, capsys, monkeypatch, in_child=True)
     assert (code, err) == (8, "error: out of memory: kernel scratch\n")
     assert_reaped(forks, True)
 
@@ -1090,6 +1105,28 @@ def test_a_finished_run_whose_lab_has_a_malformed_benchmark_exits_2(tmp_path, ca
         assert capsys.readouterr().err == (
             f"error: {lab}: not a demix lab: dataset '{dataset}': {problem}\n"
         )
+
+
+def test_a_finished_run_whose_lab_names_other_candidates_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("")  # the default lab
+    argv = ["run", "--config", str(cfg), "--run-root", str(tmp_path / "runs")]
+    assert main(argv) == 0
+    (lab,) = (tmp_path / "runs").glob("*/lab.npz")
+    with np.load(lab) as data:
+        arrays = dict(data)
+    meta = json.loads(arrays["meta"].tobytes())
+    meta["candidates"][2]["id"] = "domX"
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    with open(lab, "wb") as fh:
+        np.savez(fh, **arrays)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {lab}: not a demix lab for this config: "
+        "candidates ['dom0', 'dom1', 'domX'], expected ['dom0', 'dom1', 'dom2']\n"
+    )
+    assert not (lab.parent / "component_domX.dmxt").exists()
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from demix.cli import _parse_ratio, main
 from demix.config import SECTIONS, ExperimentConfig, _apply, _validate, load_config
 from demix.errors import DemixError, PipelineError
 from demix.pipeline import ExperimentManifest, read_score_csv
-from demix.toy_lab import load_lab
+from demix.toy_lab import load_lab, load_tasks
 
 CONFIG_KEYS = [("experiment", key) for key in ("name", "seed")] + [
     (section, f.name) for section in SECTIONS for f in fields(getattr(ExperimentConfig(), section))
@@ -119,6 +119,7 @@ def test_any_bytes_as_a_lab_give_a_lab_or_a_typed_error(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("lab") / "lab.npz"
     path.write_bytes(data)
     value_or_typed_error(load_lab, path)
+    value_or_typed_error(load_tasks, path)
 
 
 # Any JSON value, and objects whose every field is either any JSON value or

@@ -167,6 +167,7 @@ def test_a_cached_run_loads_neither_the_lab_nor_a_component(config_path, warm_ro
         raise AssertionError("a cached run must load nothing")
 
     monkeypatch.setattr(toy_lab, "load_lab", forbidden)
+    monkeypatch.setattr(toy_lab, "load_tasks", forbidden)
     monkeypatch.setattr(tensor_store, "load_archive", forbidden)
     monkeypatch.setattr(pipeline, "load_archive", forbidden)
     assert recomputed_stages(run_pipeline(load_config(config_path), run_root=warm_root)) == []
@@ -178,7 +179,7 @@ def test_the_search_starts_after_the_labs_training_sets_are_freed(
 ):
     config = load_config(config_path)
     run_root = tmp_path / "runs"
-    if path == "search-rerun":  # only the search is stale: the lab is loaded for its benchmarks
+    if path == "search-rerun":  # only the search is stale: it reads the benchmarks alone
         manifest = run_pipeline(config, run_root=run_root)
         (Path(manifest.run_dir) / "search_result.json").unlink()
         forks.clear()
@@ -204,8 +205,11 @@ def test_the_search_starts_after_the_labs_training_sets_are_freed(
     manifest = run_pipeline(config, run_root=run_root)
     assert "search" in recomputed_stages(manifest)
     assert len(forks) == (path == "forked")
-    assert len(loads) == 1  # never loaded again after the training sets were dropped
-    assert len(training_arrays) == 2 * (config.lab.n_domains + 1)
+    # Never loaded again after the training sets were dropped, and not at all
+    # when no stage trains.
+    trains = path != "search-rerun"
+    assert len(loads) == trains
+    assert len(training_arrays) == trains * 2 * (config.lab.n_domains + 1)
     assert alive_at_search == [0]
 
 
